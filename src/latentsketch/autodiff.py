@@ -7,10 +7,14 @@ Gradients are accumulated into ``Tensor.grad`` numpy buffers by ``backward``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import erf
 
 _GRAD_ENABLED = True
+
+MASK_VALUE = -1e30  # additive attention mask; exp underflows to exactly 0
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -34,7 +38,7 @@ class no_grad:
 def _assert_finite(arr: np.ndarray, ctx: str) -> None:
     # single-pass check: the sum is finite iff every entry is finite
     # (magnitudes in this codebase never overflow a float64 sum)
-    if not np.isfinite(np.sum(arr)):
+    if not math.isfinite(arr.sum()):
         raise FloatingPointError(f"non-finite values in {ctx}")
 
 
@@ -98,9 +102,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __pow__(self, e):
-        return power(self, e)
-
     def __getitem__(self, key):
         return getitem(self, key)
 
@@ -112,9 +113,6 @@ class Tensor:
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 or isinstance(shape[0], int) else shape[0])
-
-    def swapaxes(self, a, b):
-        return swapaxes(self, a, b)
 
 
 def as_tensor(x) -> Tensor:
@@ -221,17 +219,6 @@ def div(a, b) -> Tensor:
     return _from_op(a.data / b.data, (a, b), bw, "div")
 
 
-def power(a, e: float) -> Tensor:
-    a = as_tensor(a)
-    e = float(e)
-
-    def bw(g):
-        if _needs(a):
-            _accum(a, g * e * np.power(a.data, e - 1.0), fresh=True)
-
-    return _from_op(np.power(a.data, e), (a,), bw, "power")
-
-
 def minimum(a, b) -> Tensor:
     """Elementwise min; ties route the gradient to the first argument."""
     a, b = as_tensor(a), as_tensor(b)
@@ -272,16 +259,6 @@ def exp(a) -> Tensor:
     return _from_op(out_data, (a,), bw, "exp")
 
 
-def log(a) -> Tensor:
-    a = as_tensor(a)
-
-    def bw(g):
-        if _needs(a):
-            _accum(a, g / a.data, fresh=True)
-
-    return _from_op(np.log(a.data), (a,), bw, "log")
-
-
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.sqrt(a.data)
@@ -291,17 +268,6 @@ def sqrt(a) -> Tensor:
             _accum(a, g * 0.5 / out_data, fresh=True)
 
     return _from_op(out_data, (a,), bw, "sqrt")
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def bw(g):
-        if _needs(a):
-            _accum(a, g * (1.0 - out_data * out_data), fresh=True)
-
-    return _from_op(out_data, (a,), bw, "tanh")
 
 
 def gelu(a) -> Tensor:
@@ -329,16 +295,6 @@ def reshape(a, shape) -> Tensor:
             _accum(a, g.reshape(old))
 
     return _from_op(a.data.reshape(shape), (a,), bw, "reshape")
-
-
-def swapaxes(a, ax1: int, ax2: int) -> Tensor:
-    a = as_tensor(a)
-
-    def bw(g):
-        if _needs(a):
-            _accum(a, g.swapaxes(ax1, ax2))
-
-    return _from_op(np.ascontiguousarray(a.data.swapaxes(ax1, ax2)), (a,), bw, "swapaxes")
 
 
 def getitem(a, key) -> Tensor:
@@ -447,32 +403,16 @@ def affine(x, w, b) -> Tensor:
     return _from_op(x.data @ w.data + b.data, (x, w, b), bw, "affine")
 
 
-def scaled_masked_softmax(a, scale: float, mask: np.ndarray) -> Tensor:
-    """softmax(a * scale + mask) along the last axis; mask is an additive constant."""
-    a = as_tensor(a)
-    z = a.data * scale + mask
-    z -= np.max(z, axis=-1, keepdims=True)
-    np.exp(z, out=z)
-    z /= np.sum(z, axis=-1, keepdims=True)
-    s = z
-
-    def bw(g):
-        if _needs(a):
-            _accum(a, scale * (s * (g - np.sum(g * s, axis=-1, keepdims=True))), fresh=True)
-
-    return _from_op(s, (a,), bw, "scaled_masked_softmax")
-
-
 def mixed_embed(table, pos_table, ids: np.ndarray, text_mask: np.ndarray,
-                latents: np.ndarray) -> Tensor:
+                latents: np.ndarray, start: int = 0) -> Tensor:
     """Fused sequence embedding: token rows where text_mask is set, raw latent
-    vectors elsewhere, plus the position table's first L rows."""
+    vectors elsewhere, plus position-table rows start..start+L."""
     table, pos_table = as_tensor(table), as_tensor(pos_table)
     L = ids.shape[-1]
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise IndexError("token id outside the embedding table")
     m = text_mask[..., None]
-    out_data = table.data[ids] * m + latents + pos_table.data[:L]
+    out_data = table.data[ids] * m + latents + pos_table.data[start : start + L]
 
     def bw(g):
         if _needs(table):
@@ -482,33 +422,80 @@ def mixed_embed(table, pos_table, ids: np.ndarray, text_mask: np.ndarray,
         if _needs(pos_table):
             if pos_table.grad is None:
                 pos_table.grad = np.zeros_like(pos_table.data)
-            pos_table.grad[:L] += g.reshape(-1, L, g.shape[-1]).sum(axis=0)
+            pos_table.grad[start : start + L] += g.reshape(-1, L, g.shape[-1]).sum(axis=0)
 
     return _from_op(out_data, (table, pos_table), bw, "mixed_embed")
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    z = a.data - np.max(a.data, axis=axis, keepdims=True)
-    ez = np.exp(z)
-    s = ez / np.sum(ez, axis=axis, keepdims=True)
+_MASKS: dict[tuple[int, int], np.ndarray] = {}
+
+
+def causal_mask(n: int, start: int = 0) -> np.ndarray:
+    """Additive mask [n, start + n]: query row j sees key columns 0..start + j."""
+    m = _MASKS.get((n, start))
+    if m is None:
+        m = _MASKS[(n, start)] = np.triu(np.full((n, start + n), MASK_VALUE), k=start + 1)
+    return m
+
+
+def attention(qkv, heads: int, kv_cache=None, start: int = 0):
+    """Fused causal multi-head attention over the [B, L, 3d] q|k|v projection.
+
+    Returns the context [B, L, d] (heads side by side) and the post-softmax
+    weights [B, heads, L, start + L] as a plain array.  ``kv_cache`` is one
+    layer's (transposed keys [B, heads, hd, max_len], values [B, heads,
+    max_len, hd]) buffers: this call's keys and values are written at
+    positions start..start+L and its queries attend over 0..start+L.  Cached
+    positions are constants, so backward reaches only this call's rows.
+    """
+    qkv = as_tensor(qkv)
+    B, L, d3 = qkv.data.shape
+    hd = d3 // (3 * heads)
+    hi = start + L
+    q, k, v = np.ascontiguousarray(qkv.data.reshape(B, L, 3, heads, hd).transpose(2, 0, 3, 1, 4))
+    if kv_cache is None:
+        kt, vals = np.ascontiguousarray(k.swapaxes(-1, -2)), v
+    else:
+        kt_buf, v_buf = kv_cache
+        kt_buf[..., start:hi] = k.swapaxes(-1, -2)
+        v_buf[:, :, start:hi] = v
+        kt, vals = kt_buf[..., :hi], v_buf[:, :, :hi]
+    scale = 1.0 / np.sqrt(hd)
+    s = q @ kt
+    s *= scale
+    s += causal_mask(L, start)
+    s -= np.max(s, axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= np.sum(s, axis=-1, keepdims=True)
 
     def bw(g):
-        if _needs(a):
-            _accum(a, s * (g - np.sum(g * s, axis=axis, keepdims=True)), fresh=True)
+        if _needs(qkv):
+            gh = g.reshape(B, L, heads, hd).swapaxes(1, 2)
+            gs = gh @ vals.swapaxes(-1, -2)
+            gv = s.swapaxes(-1, -2) @ gh
+            gs = scale * (s * (gs - np.sum(gs * s, axis=-1, keepdims=True)))
+            gq = gs @ kt.swapaxes(-1, -2)
+            gkt = q.swapaxes(-1, -2) @ gs
+            out = np.empty((B, L, 3, heads, hd))
+            out[:, :, 0] = gq.swapaxes(1, 2)
+            out[:, :, 1] = gkt[..., start:].transpose(0, 3, 1, 2)
+            out[:, :, 2] = gv[:, :, start:].swapaxes(1, 2)
+            _accum(qkv, out.reshape(B, L, d3), fresh=True)
 
-    return _from_op(s, (a,), bw, "softmax")
+    ctx = (s @ vals).swapaxes(1, 2).reshape(B, L, d3 // 3)
+    return _from_op(ctx, (qkv,), bw, "attention"), s
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    mu = np.mean(x.data, axis=-1, keepdims=True)
+    n = x.data.shape[-1]
+    # add.reduce / n is np.mean's arithmetic without its per-call overhead
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / n
     xc = x.data - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     r = 1.0 / np.sqrt(var + eps)
     xhat = xc * r
-    n = x.data.shape[-1]
 
     def bw(g):
         if _needs(gamma):
@@ -517,26 +504,10 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
             _accum(beta, g.reshape(-1, n).sum(axis=0), fresh=True)
         if _needs(x):
             gx = g * gamma.data
-            _accum(x, r * (gx - np.mean(gx, axis=-1, keepdims=True)
-                           - xhat * np.mean(gx * xhat, axis=-1, keepdims=True)), fresh=True)
+            _accum(x, r * (gx - np.add.reduce(gx, axis=-1, keepdims=True) / n
+                           - xhat * (np.add.reduce(gx * xhat, axis=-1, keepdims=True) / n)), fresh=True)
 
     return _from_op(xhat * gamma.data + beta.data, (x, gamma, beta), bw, "layer_norm")
-
-
-def embedding(table, idx) -> Tensor:
-    """Row lookup into an embedding table by an integer id array."""
-    table = as_tensor(table)
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
-        raise IndexError(f"embedding index out of range [0, {table.data.shape[0]})")
-
-    def bw(g):
-        if _needs(table):
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, idx.ravel(), g.reshape(-1, table.data.shape[1]))
-
-    return _from_op(table.data[idx], (table,), bw, "embedding")
 
 
 def cross_entropy(logits, targets) -> Tensor:

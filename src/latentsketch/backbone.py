@@ -11,14 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from . import autodiff as ad
 from . import sequence as sq
 from .autodiff import Tensor
 from .optim import ParamStore
-
-MASK_VALUE = -1e30  # additive causal mask; exp underflows to exactly 0
 
 
 @dataclass
@@ -68,153 +65,80 @@ def init_backbone(store: ParamStore, cfg: BackboneConfig, rng: np.random.Generat
     store.add("diffusion_head/cond_w", rng.normal(0.0, std, (d, d)), "diffusion_head")
 
 
-_MASK_CACHE: dict[int, np.ndarray] = {}
-
-
-def causal_mask(L: int) -> np.ndarray:
-    m = _MASK_CACHE.get(L)
-    if m is None:
-        m = np.triu(np.full((L, L), MASK_VALUE), k=1)
-        _MASK_CACHE[L] = m
-    return m
-
-
 def embed_batch(store: ParamStore, cfg: BackboneConfig, ids: np.ndarray,
-                text_mask: np.ndarray, latents: np.ndarray) -> Tensor:
+                text_mask: np.ndarray, latents: np.ndarray, start: int = 0) -> Tensor:
+    """Embeddings [B, L, d] of items at positions start..start+L."""
     L = ids.shape[-1]
-    if L > cfg.max_len:
-        raise ValueError(f"sequence length {L} exceeds max_len {cfg.max_len}")
+    if start + L > cfg.max_len:
+        raise ValueError(f"sequence length {start + L} exceeds max_len {cfg.max_len}")
     if ids.max(initial=0) >= cfg.vocab:
         raise ValueError("token id outside vocabulary")
     return ad.mixed_embed(store["backbone/tok_emb"], store["backbone/pos_emb"],
-                          ids, text_mask, latents)
+                          ids, text_mask, latents, start)
 
 
 def forward_batch(store: ParamStore, cfg: BackboneConfig, ids: np.ndarray,
                   text_mask: np.ndarray, latents: np.ndarray,
-                  capture_attn_layer: int | None = None):
-    """Returns (hidden [B,L,d], text_logits [B,L,V], attn [B,heads,L,L] or None)."""
-    B, L = ids.shape
-    d, h = cfg.d, cfg.heads
-    hd = d // h
-    x = embed_batch(store, cfg, ids, text_mask, latents)
-    mask = causal_mask(L)
-    scale = 1.0 / np.sqrt(hd)
+                  capture_attn_layer: int | None = None, cache: "DecodeCache | None" = None):
+    """Returns (hidden [B,L,d], text_logits [B,L,V], attn [B,heads,L,start+L] or None).
+
+    With a DecodeCache the items continue the cached sequence: they sit at
+    positions cache.length.., attend over the cached keys/values, and the
+    cache grows by L.
+    """
+    L = ids.shape[1]
+    start = 0 if cache is None else cache.length
+    x = embed_batch(store, cfg, ids, text_mask, latents, start)
     captured = None
     for i in range(cfg.layers):
         p = f"backbone/layer{i}"
         a_in = ad.layer_norm(x, store[f"{p}/ln1/g"], store[f"{p}/ln1/b"])
         qkv = ad.affine(a_in, store[f"{p}/attn/wqkv"], store[f"{p}/attn/bqkv"])
-        q = ad.swapaxes(ad.reshape(qkv[:, :, 0:d], (B, L, h, hd)), 1, 2)
-        k = ad.swapaxes(ad.reshape(qkv[:, :, d : 2 * d], (B, L, h, hd)), 1, 2)
-        v = ad.swapaxes(ad.reshape(qkv[:, :, 2 * d : 3 * d], (B, L, h, hd)), 1, 2)
-        att = ad.scaled_masked_softmax(ad.matmul(q, ad.swapaxes(k, -1, -2)), scale, mask)
+        kv = None if cache is None else (cache.kt[i], cache.v[i])
+        ctx, att = ad.attention(qkv, cfg.heads, kv, start)
         if capture_attn_layer == i:
-            captured = att.data.copy()
-        ctx = ad.reshape(ad.swapaxes(ad.matmul(att, v), 1, 2), (B, L, d))
+            captured = att.copy()
         x = ad.add(x, ad.affine(ctx, store[f"{p}/attn/wo"], store[f"{p}/attn/bo"]))
         m_in = ad.layer_norm(x, store[f"{p}/ln2/g"], store[f"{p}/ln2/b"])
         hmid = ad.gelu(ad.affine(m_in, store[f"{p}/mlp/w1"], store[f"{p}/mlp/b1"]))
         x = ad.add(x, ad.affine(hmid, store[f"{p}/mlp/w2"], store[f"{p}/mlp/b2"]))
     hidden = ad.layer_norm(x, store["backbone/ln_f/g"], store["backbone/ln_f/b"])
     logits = ad.affine(hidden, store["backbone/lm_head/w"], store["backbone/lm_head/b"])
+    if cache is not None:
+        cache.length = start + L
     return hidden, logits, captured
 
 
-def embed(store: ParamStore, cfg: BackboneConfig, seq: sq.MixedSequence) -> Tensor:
-    ids, text_mask, latents = sq.to_arrays(seq, cfg.d)
-    return ad.getitem(embed_batch(store, cfg, ids[None], text_mask[None], latents[None]), 0)
-
-
-def forward(store: ParamStore, cfg: BackboneConfig, seq: sq.MixedSequence):
-    """Single-sequence forward: (hidden [L,d], text_logits [L,V]) as Tensors."""
-    ids, text_mask, latents = sq.to_arrays(seq, cfg.d)
-    hidden, logits, _ = forward_batch(store, cfg, ids[None], text_mask[None], latents[None])
-    return ad.getitem(hidden, 0), ad.getitem(logits, 0)
-
-
-def condition(store: ParamStore, hidden: Tensor) -> Tensor:
-    """Conditioning vector(s) for the latent decoder: a single linear map, no bias."""
-    h = hidden if hidden.data.ndim >= 2 else ad.reshape(hidden, (1, hidden.data.shape[0]))
-    c = ad.matmul(h, store["diffusion_head/cond_w"])
-    return ad.getitem(c, 0) if hidden.data.ndim == 1 else c
-
-
-def _ln_np(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    mu = np.mean(x, axis=-1, keepdims=True)
-    xc = x - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    return xc / np.sqrt(var + eps) * g + b
-
-
 class DecodeCache:
-    """Per-generation-stream incremental decoding state (keys/values per layer).
+    """Per-generation-stream incremental decoding state: each layer's keys
+    (stored transposed) and values for the positions decoded so far.
 
-    Appending n rows costs O(n * L) attention instead of re-running the full
-    O(L^2) forward; the arithmetic mirrors forward_batch row for row.
+    Appending n rows runs forward_batch over those rows alone, costing
+    O(n * L) attention instead of a full O(L^2) re-forward.
     """
 
     def __init__(self, store: ParamStore, cfg: BackboneConfig):
         self.store = store
         self.cfg = cfg
         hd = cfg.d // cfg.heads
-        self.k = np.zeros((cfg.layers, cfg.heads, cfg.max_len, hd))
-        self.v = np.zeros((cfg.layers, cfg.heads, cfg.max_len, hd))
+        self.kt = np.zeros((cfg.layers, 1, cfg.heads, hd, cfg.max_len))
+        self.v = np.zeros((cfg.layers, 1, cfg.heads, cfg.max_len, hd))
         self.length = 0
         self.last_hidden: np.ndarray | None = None
+        self.last_logits: np.ndarray | None = None
 
     def append(self, ids: np.ndarray, text_mask: np.ndarray, latents: np.ndarray) -> np.ndarray:
         """Process new items; returns hidden rows [n, d] and caches their K/V."""
-        store, cfg = self.store, self.cfg
-        d, h = cfg.d, cfg.heads
-        hd = d // h
-        n = len(ids)
-        lo, hi = self.length, self.length + n
-        if hi > cfg.max_len:
-            raise ValueError(f"sequence length {hi} exceeds max_len {cfg.max_len}")
-        x = store["backbone/tok_emb"].data[ids] * text_mask[:, None] + latents \
-            + store["backbone/pos_emb"].data[lo:hi]
-        scale = 1.0 / np.sqrt(hd)
-        for i in range(cfg.layers):
-            p = f"backbone/layer{i}"
-            a_in = _ln_np(x, store[f"{p}/ln1/g"].data, store[f"{p}/ln1/b"].data)
-            qkv = a_in @ store[f"{p}/attn/wqkv"].data + store[f"{p}/attn/bqkv"].data
-            q = qkv[:, 0:d].reshape(n, h, hd).transpose(1, 0, 2)
-            self.k[i, :, lo:hi] = qkv[:, d : 2 * d].reshape(n, h, hd).transpose(1, 0, 2)
-            self.v[i, :, lo:hi] = qkv[:, 2 * d : 3 * d].reshape(n, h, hd).transpose(1, 0, 2)
-            scores = q @ self.k[i, :, :hi].swapaxes(-1, -2) * scale
-            for j in range(n):
-                scores[:, j, lo + j + 1 :] = MASK_VALUE
-            z = scores - scores.max(axis=-1, keepdims=True)
-            np.exp(z, out=z)
-            z /= z.sum(axis=-1, keepdims=True)
-            ctx = (z @ self.v[i, :, :hi]).transpose(1, 0, 2).reshape(n, d)
-            x = x + ctx @ store[f"{p}/attn/wo"].data + store[f"{p}/attn/bo"].data
-            m_in = _ln_np(x, store[f"{p}/ln2/g"].data, store[f"{p}/ln2/b"].data)
-            hmid = m_in @ store[f"{p}/mlp/w1"].data + store[f"{p}/mlp/b1"].data
-            hmid = hmid * 0.5 * (1.0 + erf(hmid / np.sqrt(2.0)))
-            x = x + hmid @ store[f"{p}/mlp/w2"].data + store[f"{p}/mlp/b2"].data
-        self.length = hi
-        hidden = _ln_np(x, store["backbone/ln_f/g"].data, store["backbone/ln_f/b"].data)
-        self.last_hidden = hidden[-1]
-        return hidden
-
-    def logits_for(self, hidden: np.ndarray) -> np.ndarray:
-        return hidden @ self.store["backbone/lm_head/w"].data + self.store["backbone/lm_head/b"].data
+        with ad.no_grad():
+            hidden, logits, _ = forward_batch(self.store, self.cfg, ids[None], text_mask[None],
+                                              latents[None], cache=self)
+        self.last_hidden = hidden.data[0, -1]
+        self.last_logits = logits.data[0, -1]
+        return hidden.data[0]
 
     def append_seq_items(self, items) -> np.ndarray:
         """Append MixedItems; returns hidden rows for them."""
-        n = len(items)
-        d = self.cfg.d
-        ids = np.zeros(n, dtype=np.int64)
-        text_mask = np.zeros(n)
-        latents = np.zeros((n, d))
-        for i, it in enumerate(items):
-            if it.kind == sq.LATENT:
-                latents[i] = it.value
-            else:
-                ids[i] = it.token_id()
-                text_mask[i] = 1.0
+        ids, text_mask, latents = sq.to_arrays(sq.MixedSequence(items), self.cfg.d)
         return self.append(ids, text_mask, latents)
 
 

@@ -53,10 +53,10 @@ DEFAULT_CONFIG: dict = {
     },
     "rl": {
         "group_size": 8, "clip_eps": 0.2, "lr": 1e-4, "temperature": 0.8,
-        "max_new_items": 48, "iters": 300, "queries_per_iter": 4, "groups_per_step": 2,
+        "max_new_items": 64, "iters": 300, "queries_per_iter": 4, "groups_per_step": 2,
         "ratio_variant": "token", "weight_decay": 0.0, "clip_norm": 1.0,
     },
-    "eval": {"n": 1000, "seed": 7000, "mode": "mixed", "max_new_items": 48},
+    "eval": {"n": 1000, "seed": 7000, "mode": "mixed", "max_new_items": 64},
     "paths": {"out_dir": "runs/latest"},
 }
 
@@ -148,7 +148,7 @@ def load_training_data(cfg: dict) -> list[tv.AnnotatedTrace]:
 
 
 def evaluate(model: Model, traces: list[tv.AnnotatedTrace], mode: str, seed: int,
-             max_new_items: int = 48, dump_path: str | None = None) -> dict:
+             max_new_items: int = 64, dump_path: str | None = None) -> dict:
     """Greedy exact-match evaluation; returns the report dict."""
     correct = 0
     t0 = time.time()
@@ -461,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--mode", default="mixed", choices=("mixed", "language_only"))
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--seed", type=int, required=True)
-    e.add_argument("--max-new-items", type=int, default=48)
+    e.add_argument("--max-new-items", type=int, default=64)
     e.add_argument("--out", default=None)
     e.set_defaults(fn=cmd_eval)
 
@@ -486,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--example-id", type=int, required=True, dest="example_id")
     x.add_argument("--seed", type=int, default=9000)
     x.add_argument("--layer", type=int, default=None)
-    x.add_argument("--max-new-items", type=int, default=48)
+    x.add_argument("--max-new-items", type=int, default=64)
     x.add_argument("--out", required=True)
     x.set_defaults(fn=cmd_export_attn)
     return p

@@ -184,40 +184,30 @@ class LatentBlock:
 
 
 def emit_block(prefix_seq: sq.MixedSequence, store: ParamStore, cfg: bb.BackboneConfig,
-               sched: NoiseSchedule, rng: np.random.Generator, head: str = "diffusion",
-               cache: "bb.DecodeCache | None" = None) -> LatentBlock:
+               sched: NoiseSchedule, rng: np.random.Generator, cache: bb.DecodeCache,
+               head: str = "diffusion") -> LatentBlock:
     """Emit K latents autoregressively: each condition comes from the backbone's
     last hidden state over the prefix plus the latents emitted so far.
 
-    When a DecodeCache is supplied it must already hold the prefix (including
-    the trailing START); incremental appends then replace full re-forwards.
+    The DecodeCache must already hold the prefix (including the trailing
+    START); each emitted latent is appended to it.
     """
     items = prefix_seq.items
     if not items or items[-1].kind != sq.CTRL or items[-1].value != sq.START:
         raise ValueError("emit_block requires a prefix ending in START")
     if len(items) + cfg.k_latent + 1 > cfg.max_len:
         raise ValueError("latent block would overflow max_len")
-    if cache is not None and cache.length != len(items):
+    if cache.length != len(items):
         raise ValueError("decode cache out of sync with the prefix")
-    work = prefix_seq.copy()
     vectors, conditions = [], []
     for _ in range(cfg.k_latent):
-        with ad.no_grad():
-            if cache is None:
-                ids, text_mask, latents = sq.to_arrays(work, cfg.d)
-                hidden, _, _ = bb.forward_batch(store, cfg, ids[None], text_mask[None], latents[None])
-                h_last = hidden.data[0, -1]
-            else:
-                h_last = cache.last_hidden
-            c = h_last @ store["diffusion_head/cond_w"].data
-            if head == "similarity":
-                e = h_last @ store["diffusion_head/sim_w"].data + store["diffusion_head/sim_b"].data
-            else:
-                e = sample_latent(c, store, sched, rng)
-        item = sq.MixedItem.latent(e)
-        work.append(item)
-        if cache is not None:
-            cache.append_seq_items([item])
+        h_last = cache.last_hidden
+        c = h_last @ store["diffusion_head/cond_w"].data
+        if head == "similarity":
+            e = h_last @ store["diffusion_head/sim_w"].data + store["diffusion_head/sim_b"].data
+        else:
+            e = sample_latent(c, store, sched, rng)
+        cache.append_seq_items([sq.MixedItem.latent(e)])
         vectors.append(e)
         conditions.append(c)
     return LatentBlock(np.array(vectors), np.array(conditions))

@@ -27,7 +27,6 @@ class GenerationConfig:
     mode: str = "mixed"            # mixed | language_only
     max_new_items: int = 64
     temperature: float = 0.0       # 0 = greedy, ties break at lowest token id
-    k_latent: int | None = None    # defaults to the model's trained K
     seed: int = 0
 
     def __post_init__(self):
@@ -80,7 +79,7 @@ def masked_logprobs(logits: np.ndarray, mask: np.ndarray, temperature: float) ->
 def generate(prompt: sq.MixedSequence, model: Model, cfg: GenerationConfig,
              rng: np.random.Generator | None = None) -> GenResult:
     """Decode from a grammatical prompt; output always passes grammar validation."""
-    k = cfg.k_latent if cfg.k_latent is not None else model.bcfg.k_latent
+    k = model.bcfg.k_latent
     sq.validate(prompt, k)
     if prompt.items and prompt.items[-1].kind == sq.CTRL and prompt.items[-1].value == sq.EOS:
         raise ValueError("prompt already ends with EOS")
@@ -94,7 +93,7 @@ def generate(prompt: sq.MixedSequence, model: Model, cfg: GenerationConfig,
     cache = bb.DecodeCache(store, bcfg)
     cache.append_seq_items(out.items)
     while result.new_items < cfg.max_new_items and len(out) < bcfg.max_len:
-        row = cache.logits_for(cache.last_hidden)
+        row = cache.last_logits
         mask = decision_mask(cfg.mode, k, cfg.max_new_items - result.new_items,
                              len(out), bcfg.max_len, bcfg.vocab)
         logp = masked_logprobs(row, mask, cfg.temperature)
@@ -107,8 +106,7 @@ def generate(prompt: sq.MixedSequence, model: Model, cfg: GenerationConfig,
             start = sq.MixedItem.ctrl(sq.START)
             out.append(start)
             cache.append_seq_items([start])
-            block = df.emit_block(out, store, bcfg, model.sched, rng,
-                                  head=model.cfg.head, cache=cache)
+            block = df.emit_block(out, store, bcfg, model.sched, rng, cache, head=model.cfg.head)
             for vec in block.vectors:
                 out.append(sq.MixedItem.latent(vec))
             end = sq.MixedItem.ctrl(sq.END)

@@ -11,7 +11,8 @@ import numpy as np
 from . import backbone as bb
 from . import diffusion as df
 from . import toyvision as tv
-from .optim import ParamStore, read_records, records_into_store, store_to_records, write_records
+from .optim import (ParamStore, read_records, records_into_store, require_records,
+                    store_to_records, write_records)
 from .util import seeded_rng
 
 HEAD_DIFFUSION = "diffusion"
@@ -84,6 +85,7 @@ def save_model(path: str, model: Model, step: int = 0, include_opt: bool = True)
 
 def load_model(path: str) -> tuple[Model, int]:
     records = read_records(path)
+    require_records(path, records, [f"meta/{f}" for f in _META_FIELDS + ("head", "step")])
     kwargs = {}
     for f in _META_FIELDS:
         val = float(records[f"meta/{f}"][0])
@@ -91,6 +93,7 @@ def load_model(path: str) -> tuple[Model, int]:
     kwargs["head"] = HEAD_DIFFUSION if records["meta/head"][0] == 0.0 else HEAD_SIMILARITY
     cfg = ModelConfig(**kwargs)
     model = build_model(cfg, seed=0)
+    require_records(path, records, model.store.entries)
     records_into_store(records, model.store)
     if records.get("meta/frozen_encoder", np.zeros(1))[0] == 1.0:
         model.store.freeze("vision_encoder")

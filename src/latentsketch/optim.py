@@ -4,6 +4,7 @@ cosine learning-rate schedule, global-norm clipping, and checkpoint I/O.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -172,27 +173,47 @@ def write_records(path: str, records: dict[str, np.ndarray]) -> None:
         raise
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file that is truncated or malformed; the message names the
+    file and the byte offset where reading stopped."""
+
+
 def read_records(path: str) -> dict[str, np.ndarray]:
     with open(path, "rb") as f:
-        magic = f.read(4)
+        size = os.fstat(f.fileno()).st_size
+
+        def take(n: int, what: str) -> bytes:
+            at = f.tell()
+            b = f.read(n)
+            if len(b) != n:
+                raise CheckpointError(f"truncated checkpoint {path}: {what} at byte {at} "
+                                      f"needs {n} bytes, the file ends at byte {size}")
+            return b
+
+        magic = take(4, "magic")
         if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<I", f.read(4))
+            raise CheckpointError(f"bad checkpoint magic {magic!r} in {path}")
+        (version,) = struct.unpack("<I", take(4, "version"))
         if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
+            raise CheckpointError(f"unsupported checkpoint version {version} in {path}")
         out: dict[str, np.ndarray] = {}
-        while True:
-            head = f.read(4)
-            if not head:
-                break
-            (name_len,) = struct.unpack("<I", head)
-            name = f.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<I", f.read(4))
-            dims = struct.unpack(f"<{rank}I", f.read(4 * rank)) if rank else ()
-            count = int(np.prod(dims)) if dims else 1
-            payload = f.read(8 * count)
+        while f.tell() < size:
+            (name_len,) = struct.unpack("<I", take(4, "record header"))
+            name = take(name_len, "record name").decode("utf-8")
+            (rank,) = struct.unpack("<I", take(4, f"rank of {name!r}"))
+            dims = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of {name!r}"))
+            payload = take(8 * math.prod(dims), f"payload of {name!r}")
             out[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
         return out
+
+
+def require_records(path: str, records: dict[str, np.ndarray], names) -> None:
+    """Records are written whole and in name order, so a complete checkpoint
+    holds every expected name; a missing one means the file was cut short."""
+    for name in names:
+        if name not in records:
+            raise CheckpointError(f"truncated checkpoint {path}: no record {name!r} "
+                                  f"before the file ends at byte {os.path.getsize(path)}")
 
 
 def store_to_records(store: ParamStore, include_opt: bool = True) -> dict[str, np.ndarray]:

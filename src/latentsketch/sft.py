@@ -201,28 +201,6 @@ def _cosine_rows(pred: Tensor, target: np.ndarray) -> Tensor:
     return ad.sub(1.0, ad.div(dot, ad.mul(pn, Tensor(tn))))
 
 
-def similarity_loss(examples: list[SupervisedExample], model: Model) -> Tensor:
-    """The ablation head's latent term alone: mean over rows of 1 - cosine."""
-    store, cfg = model.store, model.bcfg
-    B = len(examples)
-    ids, text_mask, latents, L = _collate(examples, cfg.d)
-    hidden, _, _ = bb.forward_batch(store, cfg, ids, text_mask, latents)
-    hidden_flat = ad.reshape(hidden, (B * L, cfg.d))
-    lat_pos, lat_tgt, lat_w = [], [], []
-    for b, ex in enumerate(examples):
-        rows = ex.latent_targets.shape[0]
-        if rows:
-            lat_pos.append(b * L + ex.cond_positions)
-            lat_tgt.append(ex.latent_targets)
-            lat_w.append(np.full(rows, 1.0 / (B * rows)))
-    if not lat_pos:
-        return Tensor(0.0)
-    h_cond = ad.take_rows(hidden_flat, np.concatenate(lat_pos))
-    pred = ad.add(ad.matmul(h_cond, store["diffusion_head/sim_w"]), store["diffusion_head/sim_b"])
-    rows = _cosine_rows(pred, np.concatenate(lat_tgt))
-    return ad.sum_(ad.mul(rows, Tensor(np.concatenate(lat_w))))
-
-
 # -- training loop ------------------------------------------------------------------
 
 

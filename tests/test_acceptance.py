@@ -64,15 +64,19 @@ def _check_primitive_grads(seed: int) -> float:
     fd_vs(lambda: ad.mul(ad.add(ad.matmul(a, b), c), c).mean(), c)
     x = ad.Tensor(rng.normal(size=(3, 6)), requires_grad=True)
     w = ad.Tensor(rng.normal(size=(3, 6)))
-    fd_vs(lambda: ad.mul(ad.softmax(x, axis=-1), w).sum(), x)
+    qkv = ad.Tensor(rng.normal(size=(2, 3, 18)), requires_grad=True)
+    fd_vs(lambda: ad.mul(ad.attention(qkv, 2)[0], w).sum(), qkv)
     g = ad.Tensor(rng.normal(size=6), requires_grad=True)
     be = ad.Tensor(rng.normal(size=6), requires_grad=True)
     fd_vs(lambda: ad.mul(ad.layer_norm(x, g, be), w).sum(), g)
     fd_vs(lambda: ad.gelu(x).sum(), x)
     table = ad.Tensor(rng.normal(size=(7, 4)), requires_grad=True)
-    idx = rng.integers(0, 7, size=5)
-    wt = ad.Tensor(rng.normal(size=(5, 4)))
-    fd_vs(lambda: ad.mul(ad.embedding(table, idx), wt).sum(), table)
+    idx = rng.integers(0, 7, size=(1, 5))
+    text_mask = (rng.random((1, 5)) < 0.6).astype(np.float64)
+    latents = rng.normal(size=(1, 5, 4)) * (1.0 - text_mask)[..., None]
+    pos = ad.Tensor(rng.normal(size=(6, 4)))
+    wt = ad.Tensor(rng.normal(size=(1, 5, 4)))
+    fd_vs(lambda: ad.mul(ad.mixed_embed(table, pos, idx, text_mask, latents), wt).sum(), table)
     logits = ad.Tensor(rng.normal(size=(5, 6)), requires_grad=True)
     tgt = rng.integers(0, 6, size=5)
     fd_vs(lambda: ad.cross_entropy(logits, tgt).mean(), logits)

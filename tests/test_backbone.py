@@ -4,6 +4,7 @@ from scipy.special import erf
 
 from latentsketch import autodiff as ad
 from latentsketch import backbone as bb
+from latentsketch import diffusion as df
 from latentsketch import sequence as sq
 from latentsketch import vocab
 from latentsketch.model import ModelConfig, build_model
@@ -20,6 +21,23 @@ def make_seq(model, n_text=3, n_latent=0, rng=None):
     return sq.MixedSequence(items)
 
 
+def arrays(model, seq):
+    ids, text_mask, latents = sq.to_arrays(seq, model.bcfg.d)
+    return ids[None], text_mask[None], latents[None]
+
+
+def forward(model, seq):
+    """forward_batch over one sequence: (hidden [L, d], logits [L, V]) arrays."""
+    with ad.no_grad():
+        hidden, logits, _ = bb.forward_batch(model.store, model.bcfg, *arrays(model, seq))
+    return hidden.data[0], logits.data[0]
+
+
+def embed(model, seq):
+    with ad.no_grad():
+        return bb.embed_batch(model.store, model.bcfg, *arrays(model, seq)).data[0]
+
+
 @pytest.fixture(scope="module")
 def model():
     return build_model(ModelConfig(layers=2, heads=2, d=16, max_len=64, k_latent=2), seed=9)
@@ -27,18 +45,16 @@ def model():
 
 def test_forward_shapes_length_one(model):
     seq = sq.MixedSequence([sq.MixedItem.ctrl(sq.BOS)])
-    with ad.no_grad():
-        hidden, logits = bb.forward(model.store, model.bcfg, seq)
-    assert hidden.data.shape == (1, 16)
-    assert logits.data.shape == (1, vocab.VOCAB_SIZE)
+    hidden, logits = forward(model, seq)
+    assert hidden.shape == (1, 16)
+    assert logits.shape == (1, vocab.VOCAB_SIZE)
 
 
 def test_embed_single_bos_is_token_plus_position(model):
     seq = sq.MixedSequence([sq.MixedItem.ctrl(sq.BOS)])
-    with ad.no_grad():
-        emb = bb.embed(model.store, model.bcfg, seq)
+    emb = embed(model, seq)
     want = model.store["backbone/tok_emb"].data[vocab.BOS_ID] + model.store["backbone/pos_emb"].data[0]
-    assert np.array_equal(emb.data[0], want)
+    assert np.array_equal(emb[0], want)
 
 
 def test_latent_identity_injection_with_zeroed_positions():
@@ -46,40 +62,36 @@ def test_latent_identity_injection_with_zeroed_positions():
     m.store["backbone/pos_emb"].data[:] = 0.0
     vec = seeded_rng(3, "v").normal(size=8)
     seq = sq.MixedSequence([sq.MixedItem.ctrl(sq.BOS), sq.MixedItem.latent(vec)])
-    with ad.no_grad():
-        emb = bb.embed(m.store, m.bcfg, seq)
-    assert np.array_equal(emb.data[1], vec)
+    assert np.array_equal(embed(m, seq)[1], vec)
 
 
 def test_embedding_prefix_locality(model):
     seq3 = make_seq(model, n_text=2, n_latent=1)
     seq2 = sq.MixedSequence(seq3.items[:2])
-    with ad.no_grad():
-        e3 = bb.embed(model.store, model.bcfg, seq3)
-        e2 = bb.embed(model.store, model.bcfg, seq2)
-    assert np.array_equal(e3.data[:2], e2.data)
+    assert np.array_equal(embed(model, seq3)[:2], embed(model, seq2))
 
 
 def test_forward_causality_bitwise(model):
     rng = seeded_rng(1, "caus")
     seq = make_seq(model, n_text=5, n_latent=2, rng=rng)
-    with ad.no_grad():
-        h1, l1 = bb.forward(model.store, model.bcfg, seq)
+    h1, l1 = forward(model, seq)
     j = 5
     perturbed = sq.MixedSequence(list(seq.items))
     perturbed.items[j] = sq.MixedItem.text(int(rng.integers(5, vocab.VOCAB_SIZE)))
-    with ad.no_grad():
-        h2, l2 = bb.forward(model.store, model.bcfg, perturbed)
-    assert np.array_equal(h1.data[:j], h2.data[:j])
-    assert np.array_equal(l1.data[:j], l2.data[:j])
-    assert not np.array_equal(h1.data[j:], h2.data[j:])
+    h2, l2 = forward(model, perturbed)
+    assert np.array_equal(h1[:j], h2[:j])
+    assert np.array_equal(l1[:j], l2[:j])
+    assert not np.array_equal(h1[j:], h2[j:])
 
 
 def test_forward_overflow_and_bad_token(model):
     too_long = make_seq(model, n_text=model.bcfg.max_len + 1)
-    with pytest.raises(ValueError):
-        with ad.no_grad():
-            bb.forward(model.store, model.bcfg, too_long)
+    with pytest.raises(ValueError, match="max_len"):
+        forward(model, too_long)
+    ids, text_mask, latents = arrays(model, make_seq(model, n_text=2))
+    ids[0, 1] = model.bcfg.vocab
+    with pytest.raises(ValueError, match="vocabulary"):
+        bb.forward_batch(model.store, model.bcfg, ids, text_mask, latents)
 
 
 def straight_line_forward(store, cfg, ids, text_mask, latents):
@@ -131,34 +143,41 @@ def test_forward_matches_independent_reimplementation():
              sq.MixedItem.text(30), sq.MixedItem.text(41), sq.MixedItem.ctrl(sq.EOS)]
     seq = sq.MixedSequence(items)
     ids, text_mask, latents = sq.to_arrays(seq, 8)
-    with ad.no_grad():
-        hidden, logits = bb.forward(m.store, m.bcfg, seq)
+    hidden, logits = forward(m, seq)
     h_ref, l_ref = straight_line_forward(m.store, m.bcfg, ids, text_mask, latents)
-    assert np.max(np.abs(hidden.data - h_ref)) < 1e-9
-    assert np.max(np.abs(logits.data - l_ref)) < 1e-9
+    assert np.max(np.abs(hidden - h_ref)) < 1e-9
+    assert np.max(np.abs(logits - l_ref)) < 1e-9
 
 
-def test_condition_identity_and_linearity(model):
-    d = model.bcfg.d
-    w = model.store["diffusion_head/cond_w"]
+def test_condition_identity_and_linearity():
+    """Each latent's condition is the decoder's last hidden state times cond_w, no bias."""
+    m = build_model(ModelConfig(layers=1, heads=2, d=8, max_len=32, k_latent=3, t_steps=3), seed=13)
+    prefix = sq.MixedSequence([sq.MixedItem.ctrl(sq.BOS), sq.MixedItem.text(30),
+                               sq.MixedItem.ctrl(sq.START)])
+    w = m.store["diffusion_head/cond_w"]
+
+    def emit_and_replay():
+        cache = bb.DecodeCache(m.store, m.bcfg)
+        cache.append_seq_items(prefix.items)
+        blk = df.emit_block(prefix, m.store, m.bcfg, m.sched, seeded_rng(5, "c"), cache)
+        replay = bb.DecodeCache(m.store, m.bcfg)
+        h = [replay.append_seq_items(prefix.items)[-1]]
+        for vec in blk.vectors[:-1]:
+            h.append(replay.append_seq_items([sq.MixedItem.latent(vec)])[-1])
+        return blk.conditions, np.array(h)
+
+    c, h = emit_and_replay()
+    assert np.allclose(c, h @ w.data, rtol=0, atol=1e-12)
     orig = w.data.copy()
     try:
-        w.data = np.eye(d)
-        h = seeded_rng(5, "h").normal(size=d)
-        with ad.no_grad():
-            c = bb.condition(model.store, ad.Tensor(h))
-        assert np.array_equal(c.data, h)
-        with ad.no_grad():
-            z = bb.condition(model.store, ad.Tensor(np.zeros(d)))
-        assert np.array_equal(z.data, np.zeros(d))
+        w.data = np.eye(m.bcfg.d)
+        c, h = emit_and_replay()
+        assert np.array_equal(c, h)
+        w.data = np.zeros_like(orig)
+        c, _ = emit_and_replay()
+        assert np.array_equal(c, np.zeros_like(c))
     finally:
         w.data = orig
-    # unit basis vector extracts the matching row of the map
-    e3 = np.zeros(d)
-    e3[3] = 1.0
-    with ad.no_grad():
-        c = bb.condition(model.store, ad.Tensor(e3))
-    assert np.allclose(c.data, model.store["diffusion_head/cond_w"].data[3], atol=0)
 
 
 def test_attention_rows_normalized_and_causal(model):
@@ -201,7 +220,7 @@ def test_attention_maps_match_qk_recompute(model):
                 q = qkv[:, head * hd : (head + 1) * hd]
                 k = qkv[:, d + head * hd : d + (head + 1) * hd]
                 v = qkv[:, 2 * d + head * hd : 2 * d + (head + 1) * hd]
-                s = q @ k.T / np.sqrt(hd) + bb.causal_mask(L)
+                s = q @ k.T / np.sqrt(hd) + ad.causal_mask(L)
                 w = np.exp(s - s.max(axis=-1, keepdims=True))
                 w /= w.sum(axis=-1, keepdims=True)
                 out[:, head * hd : (head + 1) * hd] = w @ v
@@ -218,7 +237,7 @@ def test_attention_maps_match_qk_recompute(model):
         for head in range(h):
             q = qkv[:, head * hd : (head + 1) * hd]
             k = qkv[:, d + head * hd : d + (head + 1) * hd]
-            s = q @ k.T / np.sqrt(hd) + bb.causal_mask(L)
+            s = q @ k.T / np.sqrt(hd) + ad.causal_mask(L)
             w = np.exp(s - s.max(axis=-1, keepdims=True))
             ref[head] = w / w.sum(axis=-1, keepdims=True)
 
@@ -226,3 +245,38 @@ def test_attention_maps_match_qk_recompute(model):
     got = att[:, latent_rows, :].mean(axis=(0, 1))
     want = ref[:, latent_rows, :].mean(axis=(0, 1))
     assert np.max(np.abs(got - want)) < 1e-9
+
+
+def decode_schedule(items, k, prefill):
+    """Chunks a DecodeCache sees while decoding items: the prompt prefill,
+    then single rows, with each latent block's K rows in one chunk."""
+    chunks, i = [items[:prefill]], prefill
+    while i < len(items):
+        n = k if items[i].kind == sq.LATENT else 1
+        chunks.append(items[i : i + n])
+        i += n
+    return chunks
+
+
+@pytest.mark.parametrize("length", [1, 9, 30, 64])
+def test_decode_cache_matches_forward_batch(length):
+    m = build_model(ModelConfig(layers=2, heads=2, d=16, max_len=64, k_latent=3), seed=19)
+    rng = seeded_rng(length, "dc")
+    items = [sq.MixedItem.ctrl(sq.BOS)] + [sq.MixedItem.latent(rng.normal(size=16)) for _ in range(4)]
+    while len(items) < m.bcfg.max_len:
+        items += [sq.MixedItem.text(int(t)) for t in rng.integers(5, vocab.VOCAB_SIZE, size=3)]
+        items += [sq.MixedItem.ctrl(sq.START)] + [sq.MixedItem.latent(rng.normal(size=16))
+                                                  for _ in range(3)] + [sq.MixedItem.ctrl(sq.END)]
+    seq = sq.MixedSequence(items[:length])
+    hidden, logits = forward(m, seq)
+    cache = bb.DecodeCache(m.store, m.bcfg)
+    got = []
+    for chunk in decode_schedule(seq.items, 3, min(length, 7)):
+        got.extend(cache.append_seq_items(chunk))
+        assert np.max(np.abs(cache.last_logits - logits[len(got) - 1])) <= 1e-12
+        assert np.array_equal(cache.last_hidden, got[-1])
+    assert cache.length == length
+    assert np.max(np.abs(np.array(got) - hidden)) <= 1e-12
+    if length == m.bcfg.max_len:
+        with pytest.raises(ValueError, match="max_len"):
+            cache.append_seq_items([sq.MixedItem.text(30)])

@@ -146,6 +146,52 @@ def test_eval_validation_and_dump_consistency(tmp_path):
                            "exact_match_accuracy", "per_seed", "wall_time"}
 
 
+def test_eval_truncated_checkpoint_exits_3(tmp_path, capsys):
+    ck = make_checkpoint(tmp_path)
+    blob = open(ck, "rb").read()
+    with open(ck, "wb") as f:
+        f.write(blob[: len(blob) // 2])
+    assert main(["eval", "--checkpoint", ck, "--task", "grid_rotation", "--n", "1",
+                 "--seed", "1"]) == 3
+    err = capsys.readouterr().err
+    assert f"runtime failure: truncated checkpoint {ck}" in err
+    assert "at byte" in err
+
+
+def test_default_budget_fits_longest_gold_response():
+    """Every generation-budget default covers the longest gold response of each
+    task and turn count at the default latent block size K."""
+    from latentsketch import grpo, sft
+    from latentsketch.cli import build_parser
+    from latentsketch.inference import GenerationConfig, build_prompt
+
+    k = DEFAULT_CONFIG["model"]["k_latent"]
+    m = build_model(ModelConfig(layers=1, heads=2, d=8, k_latent=k), seed=0)
+    longest: dict = {}
+    for task in tv.TASKS:
+        for t in tv.generate_dataset(task, 60, 5):
+            n = len(sft.build_example(t, m, k).seq) - len(build_prompt(m, t))
+            turns = sum(s.image is not None for s in t.steps)
+            longest[task, turns] = max(longest.get((task, turns), 0), n)
+    assert longest["grid_rotation", 3] == 52
+    parser = build_parser()
+    budgets = {
+        "rl": DEFAULT_CONFIG["rl"]["max_new_items"],
+        "eval": DEFAULT_CONFIG["eval"]["max_new_items"],
+        "GrpoConfig": grpo.GrpoConfig().max_new_items,
+        "GenerationConfig": GenerationConfig().max_new_items,
+        "evaluate": evaluate.__defaults__[0],
+        "eval --max-new-items": parser.parse_args(
+            ["eval", "--checkpoint", "c", "--task", "grid_rotation", "--n", "1", "--seed", "1"]
+        ).max_new_items,
+        "export-attn --max-new-items": parser.parse_args(
+            ["export-attn", "--checkpoint", "c", "--example-id", "0", "--out", "o"]
+        ).max_new_items,
+    }
+    for where, budget in budgets.items():
+        assert budget >= max(longest.values()), (where, budget, longest)
+
+
 def test_random_answer_baseline_near_quarter():
     """Uniform random letter vs gold over 2,000 traces: binomial check."""
     traces = tv.generate_dataset("grid_rotation", 2000, 33)

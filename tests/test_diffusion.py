@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from latentsketch import autodiff as ad
+from latentsketch import backbone as bb
 from latentsketch import diffusion as df
 from latentsketch import sequence as sq
 from latentsketch import toyvision as tv
@@ -267,35 +268,47 @@ def prompt_with_start(model):
     return sq.MixedSequence(items)
 
 
+def emit(model, prefix, rng):
+    """emit_block over a decode cache prefilled with the prefix."""
+    cache = bb.DecodeCache(model.store, model.bcfg)
+    cache.append_seq_items(prefix.items)
+    return df.emit_block(prefix, model.store, model.bcfg, model.sched, rng, cache)
+
+
 def test_emit_block_requires_start(block_model):
     bad = sq.MixedSequence([sq.MixedItem.ctrl(sq.BOS), sq.MixedItem.text(30)])
     with pytest.raises(ValueError):
-        df.emit_block(bad, block_model.store, block_model.bcfg, block_model.sched,
-                      seeded_rng(0, "e"))
+        emit(block_model, bad, seeded_rng(0, "e"))
+
+
+def test_emit_block_rejects_out_of_sync_cache(block_model):
+    prefix = prompt_with_start(block_model)
+    cache = bb.DecodeCache(block_model.store, block_model.bcfg)
+    cache.append_seq_items(prefix.items[:-1])
+    with pytest.raises(ValueError, match="out of sync"):
+        df.emit_block(prefix, block_model.store, block_model.bcfg, block_model.sched,
+                      seeded_rng(0, "e"), cache)
 
 
 def test_emit_block_counts_and_determinism(block_model):
     df.reset_call_counter()
-    blk = df.emit_block(prompt_with_start(block_model), block_model.store,
-                        block_model.bcfg, block_model.sched, seeded_rng(1, "e"))
+    blk = emit(block_model, prompt_with_start(block_model), seeded_rng(1, "e"))
     assert blk.vectors.shape == (3, 8)
     assert blk.conditions.shape == (3, 8)
     assert df.CALLS["sample_latent"] == 3
-    blk2 = df.emit_block(prompt_with_start(block_model), block_model.store,
-                         block_model.bcfg, block_model.sched, seeded_rng(1, "e"))
+    blk2 = emit(block_model, prompt_with_start(block_model), seeded_rng(1, "e"))
     assert np.array_equal(blk.vectors, blk2.vectors)
 
 
 def test_emit_block_feedback_changes_conditions(block_model):
-    blk = df.emit_block(prompt_with_start(block_model), block_model.store,
-                        block_model.bcfg, block_model.sched, seeded_rng(2, "e"))
+    blk = emit(block_model, prompt_with_start(block_model), seeded_rng(2, "e"))
     assert not np.allclose(blk.conditions[0], blk.conditions[1])
 
 
 def test_emit_block_k1_single_calls():
     m = build_model(ModelConfig(layers=1, heads=2, d=8, max_len=32, k_latent=1, t_steps=3), seed=22)
     df.reset_call_counter()
-    blk = df.emit_block(prompt_with_start(m), m.store, m.bcfg, m.sched, seeded_rng(0, "k1"))
+    blk = emit(m, prompt_with_start(m), seeded_rng(0, "k1"))
     assert blk.vectors.shape == (1, 8)
     assert df.CALLS["sample_latent"] == 1
 
@@ -303,7 +316,7 @@ def test_emit_block_k1_single_calls():
 def test_emit_block_max_len_overflow():
     m = build_model(ModelConfig(layers=1, heads=2, d=8, max_len=4, k_latent=3), seed=23)
     with pytest.raises(ValueError, match="max_len"):
-        df.emit_block(prompt_with_start(m), m.store, m.bcfg, m.sched, seeded_rng(0, "o"))
+        emit(m, prompt_with_start(m), seeded_rng(0, "o"))
 
 
 def test_sinusoidal_table_shape_and_range():

@@ -3,6 +3,9 @@ import pytest
 
 from latentsketch import toyvision as tv
 from latentsketch.model import ModelConfig, build_model, load_model, save_model
+from latentsketch.optim import CheckpointError, read_records
+
+from test_optim import record_starts
 
 
 def test_build_deterministic_by_seed():
@@ -49,3 +52,20 @@ def test_group_assignment_covers_three_groups():
 def test_unknown_head_rejected():
     with pytest.raises(ValueError):
         build_model(ModelConfig(head="nope"), seed=0)
+
+
+def test_truncated_checkpoint_raises_named_error(tmp_path):
+    """Cuts at every record boundary and inside every record's header and payload."""
+    m = build_model(ModelConfig(layers=1, heads=1, d=4, max_len=8, k_latent=1, t_steps=2), seed=1)
+    path = tmp_path / "m.lsk"
+    save_model(str(path), m)
+    blob = path.read_bytes()
+    starts = record_starts(read_records(str(path)))
+    cuts = {0, 3, 6} | set(starts[:-1]) | {a + 5 for a in starts[:-1]} \
+        | {(a + b) // 2 for a, b in zip(starts, starts[1:])} | {b - 1 for b in starts[1:]}
+    cut_path = tmp_path / "cut.lsk"
+    for cut in sorted(cuts):
+        cut_path.write_bytes(blob[:cut])
+        with pytest.raises(CheckpointError, match=rf"truncated checkpoint {cut_path}: .*byte"):
+            load_model(str(cut_path))
+    assert load_model(str(path))[0].cfg == m.cfg

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from latentsketch.optim import (
+    CheckpointError,
     LrSchedule,
     ParamStore,
     adamw_step,
@@ -150,3 +151,35 @@ def test_duplicate_and_unknown_group_rejected():
         store.add("backbone/a", np.zeros(1), "backbone")
     with pytest.raises(ValueError):
         store.add("x", np.zeros(1), "no_such_group")
+
+
+def record_starts(records):
+    """Byte offset where each record starts, in file order, plus the file size."""
+    at, starts = 8, []
+    for name in sorted(records):
+        starts.append(at)
+        at += 8 + len(name.encode("utf-8")) + 4 * records[name].ndim + 8 * records[name].size
+    return starts + [at]
+
+
+def test_every_truncation_is_detected_or_a_record_boundary(tmp_path):
+    store = make_store()
+    store["backbone/w"].grad = np.ones(3)
+    adamw_step(store, LRS)
+    path = tmp_path / "ck.lsk"
+    write_records(str(path), store_to_records(store))
+    blob = path.read_bytes()
+    records = read_records(str(path))
+    starts = record_starts(records)
+    assert starts[-1] == len(blob)
+    cut_path = tmp_path / "cut.lsk"
+    for cut in range(len(blob)):
+        cut_path.write_bytes(blob[:cut])
+        if cut in starts:
+            # a cut between records leaves a readable prefix of the records
+            kept = read_records(str(cut_path))
+            assert list(kept) == sorted(records)[: starts.index(cut)]
+            continue
+        with pytest.raises(CheckpointError, match=rf"truncated checkpoint {cut_path}: .* at byte \d+ "
+                                                  rf"needs \d+ bytes, the file ends at byte {cut}"):
+            read_records(str(cut_path))

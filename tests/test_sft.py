@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from latentsketch import autodiff as ad
+from latentsketch import backbone as bb
 from latentsketch import diffusion as df
 from latentsketch import sequence as sq
 from latentsketch import sft
@@ -159,15 +160,25 @@ def test_similarity_rows_identical_antipodal_orthogonal():
     assert rows[2] == pytest.approx(1.0, abs=1e-6)   # orthogonal
 
 
-def test_similarity_loss_runs_and_matches_mode(tiny_model):
+def test_similarity_loss_runs_and_matches_mode():
+    """joint_loss(mode="similarity") adds the mean over gold rows of 1 - cosine
+    between the projected conditioning hidden state and the row."""
     m = build_model(ModelConfig(layers=1, heads=2, d=8, max_len=160, k_latent=2,
                                 t_steps=5, head="similarity"), seed=31)
     tv.pretrain_encoder(m.store, 2, 1e-2, seed=31)
     ex = sft.build_example(trace_for(m, 7), m, 2)
-    term = sft.similarity_loss([ex], m)
     total, ce, diff = sft.joint_loss([ex], m, 1.0, None, mode="similarity")
-    assert abs(diff - term.item()) < 1e-12
-    assert abs(total.item() - (ce + term.item())) < 1e-12
+    ids, text_mask, latents = sq.to_arrays(ex.seq, m.bcfg.d)
+    with ad.no_grad():
+        hidden, _, _ = bb.forward_batch(m.store, m.bcfg, ids[None], text_mask[None], latents[None])
+    pred = hidden.data[0, ex.cond_positions] @ m.store["diffusion_head/sim_w"].data \
+        + m.store["diffusion_head/sim_b"].data
+    tgt = ex.latent_targets
+    cos = np.sum(pred * tgt, axis=1) / ((np.linalg.norm(pred, axis=1) + 1e-8)
+                                        * (np.linalg.norm(tgt, axis=1) + 1e-8))
+    assert ex.latent_targets.shape[0] > 0
+    assert abs(diff - np.mean(1.0 - cos)) < 1e-12
+    assert abs(total.item() - (ce + diff)) < 1e-12
 
 
 def test_batch_indices_stateless_and_wrapping():
