@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -34,29 +35,30 @@ class ConfigError(ValueError):
     pass
 
 
+# config sections whose keys and defaults are the fields of a dataclass; a
+# dataclass's own seed field is set from the config's global seed instead
+SECTIONS = {"model": ModelConfig, "sft": sft.SftConfig, "rl": grpo.GrpoConfig}
+
+
+def _key(field_name: str) -> str:
+    """The config key of a dataclass field."""
+    return "lambda" if field_name == "lam" else field_name
+
+
+def _section_defaults(cls) -> dict:
+    return {_key(f.name): f.default for f in fields(cls) if f.name != "seed"}
+
+
 DEFAULT_CONFIG: dict = {
     "seed": 7,
-    "model": {
-        "layers": 4, "heads": 4, "d": 64, "vocab": 96, "max_len": 256, "k_latent": 4,
-        "t_steps": 50, "beta_start": 1e-4, "beta_end": 0.28, "head": "diffusion",
-    },
+    "model": _section_defaults(ModelConfig),
     "data": {
         "task": "grid_rotation", "train_count": 8000, "train_seed": 7,
         "text_only_fraction": 0.0, "file": None,
     },
-    "sft": {
-        "mode": "joint", "lambda": 1.0, "lr_backbone": 1e-3, "lr_diffusion": 2e-2,
-        "steps": 4000, "batch_size": 8, "m_latent": 4, "weight_decay": 0.01,
-        "warmup_frac": 0.03, "floor_frac": 0.1, "clip_norm": 1.0,
-        "encoder_pretrain_steps": 200, "encoder_lr": 1e-2, "checkpoint_interval": 0,
-        "latent_noise": 0.0, "sampled_block_fraction": 0.0, "align_pattern_tokens": True,
-    },
-    "rl": {
-        "group_size": 8, "clip_eps": 0.2, "lr": 1e-4, "temperature": 0.8,
-        "max_new_items": 64, "iters": 300, "queries_per_iter": 4, "groups_per_step": 2,
-        "ratio_variant": "token", "weight_decay": 0.0, "clip_norm": 1.0,
-    },
-    "eval": {"n": 1000, "seed": 7000, "mode": "mixed", "max_new_items": 64},
+    "sft": _section_defaults(sft.SftConfig),
+    "rl": _section_defaults(grpo.GrpoConfig),
+    "eval": {"n": 1000, "seed": 7000, "mode": "mixed", "max_new_items": inf.MAX_NEW_ITEMS},
     "paths": {"out_dir": "runs/latest"},
 }
 
@@ -98,36 +100,11 @@ def write_run_manifest(out_dir: str, cfg: dict) -> None:
                       json.dumps(resolved, indent=2, sort_keys=True) + "\n")
 
 
-def model_config_from(cfg: dict) -> ModelConfig:
-    m = cfg["model"]
-    if m["vocab"] != vocab.VOCAB_SIZE:
-        raise ConfigError(f"model.vocab must be {vocab.VOCAB_SIZE} (the committed vocabulary)")
-    return ModelConfig(layers=m["layers"], heads=m["heads"], d=m["d"], vocab=m["vocab"],
-                       max_len=m["max_len"], k_latent=m["k_latent"], t_steps=m["t_steps"],
-                       beta_start=m["beta_start"], beta_end=m["beta_end"], head=m["head"])
-
-
-def sft_config_from(cfg: dict) -> sft.SftConfig:
-    s = cfg["sft"]
-    return sft.SftConfig(mode=s["mode"], lam=s["lambda"], lr_backbone=s["lr_backbone"],
-                         lr_diffusion=s["lr_diffusion"], steps=s["steps"],
-                         batch_size=s["batch_size"], m_latent=s["m_latent"], seed=cfg["seed"],
-                         weight_decay=s["weight_decay"], warmup_frac=s["warmup_frac"],
-                         floor_frac=s["floor_frac"], clip_norm=s["clip_norm"],
-                         checkpoint_interval=s["checkpoint_interval"],
-                         latent_noise=s["latent_noise"],
-                         sampled_block_fraction=s["sampled_block_fraction"])
-
-
-def rl_config_from(cfg: dict) -> grpo.GrpoConfig:
-    r = cfg["rl"]
-    return grpo.GrpoConfig(group_size=r["group_size"], clip_eps=r["clip_eps"], lr=r["lr"],
-                           temperature=r["temperature"], max_new_items=r["max_new_items"],
-                           iters=r["iters"], seed=cfg["seed"],
-                           queries_per_iter=r["queries_per_iter"],
-                           groups_per_step=r["groups_per_step"],
-                           ratio_variant=r["ratio_variant"], weight_decay=r["weight_decay"],
-                           clip_norm=r["clip_norm"])
+def section_config(cfg: dict, name: str):
+    """The dataclass of a resolved config's `model`, `sft` or `rl` section."""
+    cls, section = SECTIONS[name], cfg[name]
+    return cls(**{f.name: cfg["seed"] if f.name == "seed" else section[_key(f.name)]
+                  for f in fields(cls)})
 
 
 def load_training_data(cfg: dict) -> list[tv.AnnotatedTrace]:
@@ -148,7 +125,7 @@ def load_training_data(cfg: dict) -> list[tv.AnnotatedTrace]:
 
 
 def evaluate(model: Model, traces: list[tv.AnnotatedTrace], mode: str, seed: int,
-             max_new_items: int = 64, dump_path: str | None = None) -> dict:
+             max_new_items: int = inf.MAX_NEW_ITEMS, dump_path: str | None = None) -> dict:
     """Greedy exact-match evaluation; returns the report dict."""
     correct = 0
     t0 = time.time()
@@ -208,18 +185,19 @@ def cmd_gen_data(args) -> int:
 def run_sft_pipeline(cfg: dict, out_dir: str, resume: str | None = None) -> Model:
     write_run_manifest(out_dir, cfg)
     traces = load_training_data(cfg)
-    scfg = sft_config_from(cfg)
+    scfg = section_config(cfg, "sft")
     start_step = 0
     if resume:
         model, start_step = load_model(resume)
     else:
-        mcfg = model_config_from(cfg)
+        mcfg = section_config(cfg, "model")
+        if mcfg.vocab != vocab.VOCAB_SIZE:
+            raise ConfigError(f"model.vocab must be {vocab.VOCAB_SIZE} (the committed vocabulary)")
         if scfg.mode == "similarity":
             mcfg.head = "similarity"
         model = build_model(mcfg, cfg["seed"])
-        tv.pretrain_encoder(model.store, cfg["sft"]["encoder_pretrain_steps"],
-                            cfg["sft"]["encoder_lr"], cfg["seed"])
-        if cfg["sft"]["align_pattern_tokens"]:
+        tv.pretrain_encoder(model.store, scfg.encoder_pretrain_steps, scfg.encoder_lr, cfg["seed"])
+        if scfg.align_pattern_tokens:
             tv.align_pattern_tokens(model.store)
     sft.train_sft(model, traces, scfg,
                   metrics_path=os.path.join(out_dir, "metrics.csv"),
@@ -242,7 +220,7 @@ def cmd_train_rl(args) -> int:
     write_run_manifest(out_dir, cfg)
     model, _ = load_model(args.from_checkpoint)
     traces = load_training_data(cfg)
-    rcfg = rl_config_from(cfg)
+    rcfg = section_config(cfg, "rl")
     grpo.train_rl(model, traces, rcfg,
                   metrics_path=os.path.join(out_dir, "rl_metrics.csv"),
                   checkpoint_path=os.path.join(out_dir, "rl_checkpoint.lsk"),
@@ -461,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--mode", default="mixed", choices=("mixed", "language_only"))
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--seed", type=int, required=True)
-    e.add_argument("--max-new-items", type=int, default=64)
+    e.add_argument("--max-new-items", type=int, default=inf.MAX_NEW_ITEMS)
     e.add_argument("--out", default=None)
     e.set_defaults(fn=cmd_eval)
 
@@ -486,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--example-id", type=int, required=True, dest="example_id")
     x.add_argument("--seed", type=int, default=9000)
     x.add_argument("--layer", type=int, default=None)
-    x.add_argument("--max-new-items", type=int, default=64)
+    x.add_argument("--max-new-items", type=int, default=inf.MAX_NEW_ITEMS)
     x.add_argument("--out", required=True)
     x.set_defaults(fn=cmd_export_attn)
     return p

@@ -33,7 +33,7 @@ class GrpoConfig:
     clip_eps: float = 0.2
     lr: float = 1e-4
     temperature: float = 0.8
-    max_new_items: int = 64
+    max_new_items: int = inf.MAX_NEW_ITEMS
     iters: int = 300
     seed: int = 0
     queries_per_iter: int = 4

@@ -17,17 +17,20 @@ from . import diffusion as df
 from . import sequence as sq
 from . import vocab
 from .model import Model, HEAD_SIMILARITY
-from .util import atomic_write_bytes, atomic_write_text, seeded_rng
+from .util import atomic_write_bytes, atomic_write_text
 
 MASK_NEG = -1e30
+
+# default generation budget in items: the longest gold response is a 3-turn
+# grid_rotation answer of 52 items at K=4 (visual_search needs at most 21)
+MAX_NEW_ITEMS = 64
 
 
 @dataclass
 class GenerationConfig:
     mode: str = "mixed"            # mixed | language_only
-    max_new_items: int = 64
+    max_new_items: int = MAX_NEW_ITEMS
     temperature: float = 0.0       # 0 = greedy, ties break at lowest token id
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("mixed", "language_only"):
@@ -77,7 +80,7 @@ def masked_logprobs(logits: np.ndarray, mask: np.ndarray, temperature: float) ->
 
 
 def generate(prompt: sq.MixedSequence, model: Model, cfg: GenerationConfig,
-             rng: np.random.Generator | None = None) -> GenResult:
+             rng: np.random.Generator) -> GenResult:
     """Decode from a grammatical prompt; output always passes grammar validation."""
     k = model.bcfg.k_latent
     sq.validate(prompt, k)
@@ -85,8 +88,6 @@ def generate(prompt: sq.MixedSequence, model: Model, cfg: GenerationConfig,
         raise ValueError("prompt already ends with EOS")
     if len(prompt) > model.bcfg.max_len - cfg.max_new_items:
         raise ValueError("prompt too long for the requested generation budget")
-    if rng is None:
-        rng = seeded_rng(cfg.seed, "generate")
     out = prompt.copy()
     result = GenResult(out, truncated=False)
     store, bcfg = model.store, model.bcfg

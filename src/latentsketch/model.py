@@ -4,7 +4,7 @@ three groups, and checkpoint save/load with self-describing metadata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,33 +20,25 @@ HEAD_SIMILARITY = "similarity"
 
 
 @dataclass
-class ModelConfig:
-    layers: int = 4
-    heads: int = 4
-    d: int = 64
-    vocab: int = 96
-    max_len: int = 256
-    k_latent: int = 4
+class ModelConfig(bb.BackboneConfig):
+    """The backbone's fields, then the diffusion schedule and the latent head."""
+
     t_steps: int = 50
     beta_start: float = 1e-4
     beta_end: float = 0.28
     head: str = HEAD_DIFFUSION
-
-    def backbone(self) -> bb.BackboneConfig:
-        return bb.BackboneConfig(self.layers, self.heads, self.d, self.vocab,
-                                 self.max_len, self.k_latent)
 
     def schedule(self) -> df.NoiseSchedule:
         return df.linear_schedule(self.t_steps, self.beta_start, self.beta_end)
 
 
 class Model:
-    """Parameter store plus derived configs; the unit that checkpoints."""
+    """Parameter store plus config and noise schedule; the unit that checkpoints."""
 
     def __init__(self, cfg: ModelConfig, store: ParamStore):
         self.cfg = cfg
         self.store = store
-        self.bcfg = cfg.backbone()
+        self.bcfg = cfg  # a ModelConfig is the backbone's config
         self.sched = cfg.schedule()
 
     @property
@@ -58,7 +50,7 @@ def build_model(cfg: ModelConfig, seed: int) -> Model:
     store = ParamStore()
     rng = seeded_rng(seed, "model-init")
     tv.init_encoder(store, cfg.d, rng)
-    bb.init_backbone(store, cfg.backbone(), rng)
+    bb.init_backbone(store, cfg, rng)
     if cfg.head == HEAD_DIFFUSION:
         df.init_epsilon_net(store, cfg.d, cfg.d, rng)
     elif cfg.head == HEAD_SIMILARITY:
@@ -69,14 +61,14 @@ def build_model(cfg: ModelConfig, seed: int) -> Model:
     return Model(cfg, store)
 
 
-_META_FIELDS = ("layers", "heads", "d", "vocab", "max_len", "k_latent", "t_steps",
-                "beta_start", "beta_end")
+# every numeric ModelConfig field, in declaration order; the head is stored as 0/1
+_META_FIELDS = tuple(f for f in fields(ModelConfig) if f.name != "head")
 
 
 def save_model(path: str, model: Model, step: int = 0, include_opt: bool = True) -> None:
     records = store_to_records(model.store, include_opt=include_opt)
     for f in _META_FIELDS:
-        records[f"meta/{f}"] = np.array([float(getattr(model.cfg, f))])
+        records[f"meta/{f.name}"] = np.array([float(getattr(model.cfg, f.name))])
     records["meta/head"] = np.array([0.0 if model.cfg.head == HEAD_DIFFUSION else 1.0])
     records["meta/step"] = np.array([float(step)])
     records["meta/frozen_encoder"] = np.array([1.0 if model.frozen_encoder else 0.0])
@@ -85,11 +77,9 @@ def save_model(path: str, model: Model, step: int = 0, include_opt: bool = True)
 
 def load_model(path: str) -> tuple[Model, int]:
     records = read_records(path)
-    require_records(path, records, [f"meta/{f}" for f in _META_FIELDS + ("head", "step")])
-    kwargs = {}
-    for f in _META_FIELDS:
-        val = float(records[f"meta/{f}"][0])
-        kwargs[f] = val if f in ("beta_start", "beta_end") else int(val)
+    require_records(path, records, [f"meta/{f.name}" for f in _META_FIELDS] + ["meta/head", "meta/step"])
+    # each value is cast back to the type of its field's default (int or float)
+    kwargs = {f.name: type(f.default)(records[f"meta/{f.name}"][0]) for f in _META_FIELDS}
     kwargs["head"] = HEAD_DIFFUSION if records["meta/head"][0] == 0.0 else HEAD_SIMILARITY
     cfg = ModelConfig(**kwargs)
     model = build_model(cfg, seed=0)
@@ -98,7 +88,3 @@ def load_model(path: str) -> tuple[Model, int]:
     if records.get("meta/frozen_encoder", np.zeros(1))[0] == 1.0:
         model.store.freeze("vision_encoder")
     return model, int(records["meta/step"][0])
-
-
-def config_dict(cfg: ModelConfig) -> dict:
-    return asdict(cfg)

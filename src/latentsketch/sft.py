@@ -48,6 +48,10 @@ class SftConfig:
     checkpoint_interval: int = 0
     latent_noise: float = 0.0
     sampled_block_fraction: float = 0.0  # scheduled sampling: train on own samples
+    # set-up of a fresh model before training (cli.run_sft_pipeline)
+    encoder_pretrain_steps: int = 200
+    encoder_lr: float = 1e-2
+    align_pattern_tokens: bool = True
 
     def __post_init__(self):
         if self.mode not in MODES:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -6,7 +7,8 @@ import pytest
 
 from latentsketch import toyvision as tv
 from latentsketch import vocab
-from latentsketch.cli import DEFAULT_CONFIG, ConfigError, _merge_validate, evaluate, load_config, main
+from latentsketch.cli import (DEFAULT_CONFIG, SECTIONS, ConfigError, _merge_validate, evaluate,
+                              load_config, main, section_config)
 from latentsketch.model import ModelConfig, build_model, save_model
 from latentsketch.util import seeded_rng
 
@@ -44,6 +46,41 @@ def test_env_seed_override(tmp_path, monkeypatch):
     assert cfg["seed"] == 99
     monkeypatch.delenv("LATENT_SKETCH_SEED")
     assert load_config(path)["seed"] == 3
+
+
+# every key of each dataclass-backed section, set to a valid value that differs
+# from its default and from the section's other values
+NON_DEFAULT = {
+    "model": {"layers": 3, "heads": 2, "d": 12, "vocab": 97, "max_len": 200, "k_latent": 5,
+              "t_steps": 40, "beta_start": 2e-4, "beta_end": 0.3, "head": "similarity"},
+    "sft": {"mode": "text_only", "lambda": 0.5, "lr_backbone": 2e-3, "lr_diffusion": 3e-2,
+            "steps": 11, "batch_size": 3, "m_latent": 2, "weight_decay": 0.02,
+            "warmup_frac": 0.05, "floor_frac": 0.2, "clip_norm": 1.5, "checkpoint_interval": 5,
+            "latent_noise": 0.1, "sampled_block_fraction": 0.25, "encoder_pretrain_steps": 13,
+            "encoder_lr": 4e-2, "align_pattern_tokens": False},
+    "rl": {"group_size": 4, "clip_eps": 0.1, "lr": 2e-4, "temperature": 0.9,
+           "max_new_items": 40, "iters": 7, "queries_per_iter": 3, "groups_per_step": 1,
+           "ratio_variant": "sequence", "weight_decay": 0.05, "clip_norm": 2.0},
+}
+
+
+@pytest.mark.parametrize("section", ["model", "sft", "rl"])
+def test_every_config_key_reaches_its_dataclass(section, tmp_path, monkeypatch):
+    monkeypatch.delenv("LATENT_SKETCH_SEED", raising=False)
+    values = NON_DEFAULT[section]
+    assert len(set(map(repr, values.values()))) == len(values)
+    for key, val in values.items():
+        assert val != DEFAULT_CONFIG[section][key], key
+    # every dataclass field but the seed has a config key, and no key lacks a field
+    names = {f.name for f in dataclasses.fields(SECTIONS[section])}
+    assert {"lambda" if n == "lam" else n for n in names - {"seed"}} == set(values)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 123, section: values}))
+    built = section_config(load_config(str(path)), section)
+    for name in names - {"seed"}:
+        assert getattr(built, name) == values["lambda" if name == "lam" else name], name
+    if "seed" in names:
+        assert built.seed == 123
 
 
 def test_gen_data_deterministic_and_overwrite_guard(tmp_path, capsys):

@@ -59,8 +59,8 @@ def test_greedy_language_only_idempotent_without_seed():
     model = make_model()
     prompt, _ = make_prompt(model)
     cfg = inf.GenerationConfig(mode="language_only", max_new_items=10, temperature=0.0)
-    a = inf.generate(prompt, model, cfg)
-    b = inf.generate(prompt, model, cfg)
+    a = inf.generate(prompt, model, cfg, seeded_rng(1, "greedy"))
+    b = inf.generate(prompt, model, cfg, seeded_rng(2, "greedy"))
     assert [it.value for it in a.seq.items if it.kind != sq.LATENT] == \
            [it.value for it in b.seq.items if it.kind != sq.LATENT]
 
@@ -103,13 +103,14 @@ def test_generate_rejects_bad_prompts():
     model = make_model()
     with pytest.raises(sq.GrammarError):
         inf.generate(sq.MixedSequence([sq.MixedItem.text(30)]), model,
-                     inf.GenerationConfig(max_new_items=4))
+                     inf.GenerationConfig(max_new_items=4), seeded_rng(0, "bad"))
     ended = sq.MixedSequence([sq.MixedItem.ctrl(sq.BOS), sq.MixedItem.ctrl(sq.EOS)])
     with pytest.raises(ValueError, match="EOS"):
-        inf.generate(ended, model, inf.GenerationConfig(max_new_items=4))
+        inf.generate(ended, model, inf.GenerationConfig(max_new_items=4), seeded_rng(0, "bad"))
     prompt, _ = make_prompt(model)
     with pytest.raises(ValueError, match="budget"):
-        inf.generate(prompt, model, inf.GenerationConfig(max_new_items=model.bcfg.max_len))
+        inf.generate(prompt, model, inf.GenerationConfig(max_new_items=model.bcfg.max_len),
+                     seeded_rng(0, "bad"))
 
 
 def test_truncation_flag_set_when_budget_exhausted():
@@ -119,7 +120,8 @@ def test_truncation_flag_set_when_budget_exhausted():
     model.store["backbone/lm_head/b"].data[vocab.STR2ID["rotate"]] = 10.0
     prompt, _ = make_prompt(model)
     res = inf.generate(prompt, model, inf.GenerationConfig(mode="language_only",
-                                                           max_new_items=5, temperature=0.0))
+                                                           max_new_items=5, temperature=0.0),
+                       seeded_rng(0, "trunc"))
     assert res.truncated
     assert res.new_items == 5
 
