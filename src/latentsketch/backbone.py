@@ -110,11 +110,14 @@ def forward_batch(store: ParamStore, cfg: BackboneConfig, ids: np.ndarray,
 
 
 class DecodeCache:
-    """Per-generation-stream incremental decoding state: each layer's keys
-    (stored transposed) and values for the positions decoded so far.
+    """Incremental decoding state of B streams decoded in lockstep: each
+    layer's keys (stored transposed, [layers, B, heads, hd, max_len]) and
+    values ([layers, B, heads, max_len, hd]) for the positions decoded so far.
 
-    Appending n rows runs forward_batch over those rows alone, costing
-    O(n * L) attention instead of a full O(L^2) re-forward.
+    Every stream has the same length, so one forward_batch over [B, n] items
+    appends n items to each, costing O(n * L) attention instead of a full
+    O(L^2) re-forward.  A shared prompt is prefilled on one stream and copied
+    to B with expand; select drops finished streams.
     """
 
     def __init__(self, store: ParamStore, cfg: BackboneConfig):
@@ -124,22 +127,41 @@ class DecodeCache:
         self.kt = np.zeros((cfg.layers, 1, cfg.heads, hd, cfg.max_len))
         self.v = np.zeros((cfg.layers, 1, cfg.heads, cfg.max_len, hd))
         self.length = 0
-        self.last_hidden: np.ndarray | None = None
-        self.last_logits: np.ndarray | None = None
+        self.last_hidden: np.ndarray | None = None  # [B, d]
+        self.last_logits: np.ndarray | None = None  # [B, V]
+
+    @property
+    def streams(self) -> int:
+        return self.kt.shape[1]
 
     def append(self, ids: np.ndarray, text_mask: np.ndarray, latents: np.ndarray) -> np.ndarray:
-        """Process new items; returns hidden rows [n, d] and caches their K/V."""
+        """Process n new items per stream (ids [B, n]); returns their hidden
+        rows [B, n, d] and caches their K/V."""
         with ad.no_grad():
-            hidden, logits, _ = forward_batch(self.store, self.cfg, ids[None], text_mask[None],
-                                              latents[None], cache=self)
-        self.last_hidden = hidden.data[0, -1]
-        self.last_logits = logits.data[0, -1]
-        return hidden.data[0]
+            hidden, logits, _ = forward_batch(self.store, self.cfg, ids, text_mask, latents, cache=self)
+        self.last_hidden = hidden.data[:, -1]
+        self.last_logits = logits.data[:, -1]
+        return hidden.data
 
     def append_seq_items(self, items) -> np.ndarray:
-        """Append MixedItems; returns hidden rows for them."""
+        """Append the same MixedItems to every stream; returns hidden rows [B, n, d]."""
         ids, text_mask, latents = sq.to_arrays(sq.MixedSequence(items), self.cfg.d)
-        return self.append(ids, text_mask, latents)
+        b = self.streams
+        return self.append(np.tile(ids, (b, 1)), np.tile(text_mask, (b, 1)), np.tile(latents, (b, 1, 1)))
+
+    def expand(self, streams: int) -> None:
+        """Copy a one-stream cache (a prefilled prompt) to `streams` streams."""
+        if self.streams != 1:
+            raise ValueError("only a one-stream cache can be expanded")
+        self.select([0] * streams)
+
+    def select(self, rows) -> None:
+        """Keep the streams at `rows`, in that order; the others are dropped."""
+        self.kt = self.kt[:, rows]
+        self.v = self.v[:, rows]
+        if self.last_hidden is not None:
+            self.last_hidden = self.last_hidden[rows]
+            self.last_logits = self.last_logits[rows]
 
 
 def attention_maps(store: ParamStore, cfg: BackboneConfig, seq: sq.MixedSequence, layer: int) -> np.ndarray:

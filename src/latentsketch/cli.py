@@ -103,8 +103,11 @@ def write_run_manifest(out_dir: str, cfg: dict) -> None:
 def section_config(cfg: dict, name: str):
     """The dataclass of a resolved config's `model`, `sft` or `rl` section."""
     cls, section = SECTIONS[name], cfg[name]
-    return cls(**{f.name: cfg["seed"] if f.name == "seed" else section[_key(f.name)]
-                  for f in fields(cls)})
+    try:
+        return cls(**{f.name: cfg["seed"] if f.name == "seed" else section[_key(f.name)]
+                      for f in fields(cls)})
+    except ValueError as e:
+        raise ConfigError(f"invalid {name} config: {e}") from e
 
 
 def load_training_data(cfg: dict) -> list[tv.AnnotatedTrace]:
@@ -216,11 +219,11 @@ def cmd_train_sft(args) -> int:
 
 def cmd_train_rl(args) -> int:
     cfg = load_config(args.config)
+    rcfg = section_config(cfg, "rl")
     out_dir = cfg["paths"]["out_dir"]
     write_run_manifest(out_dir, cfg)
     model, _ = load_model(args.from_checkpoint)
     traces = load_training_data(cfg)
-    rcfg = section_config(cfg, "rl")
     grpo.train_rl(model, traces, rcfg,
                   metrics_path=os.path.join(out_dir, "rl_metrics.csv"),
                   checkpoint_path=os.path.join(out_dir, "rl_checkpoint.lsk"),
@@ -333,7 +336,7 @@ def _timed_latent_block(model: Model, prompt, k: int, t_steps: int, seed: int) -
         with ad.no_grad():
             hidden, _, _ = bb.forward_batch(store, bcfg, ids[None], text_mask[None], latents[None])
             c = hidden.data[0, -1] @ store["diffusion_head/cond_w"].data
-            e = df.sample_latent(c, store, sched, rng)
+            e = df.sample_latent(c, store, sched, [rng])
         work.append(sq.MixedItem.latent(e))
     return df.CALLS["sample_latent"] - before
 

@@ -1,7 +1,7 @@
 """Conditional diffusion latent decoder: DDPM noise schedule, stacked-MLP
-epsilon predictor with sinusoidal timestep embeddings, ancestral sampler, the
-noising/regression training loss, and autoregressive block emission with
-feedback through the backbone.
+epsilon predictor with sinusoidal timestep embeddings, an ancestral sampler
+batched over rows with one generator each, the noising/regression training
+loss, and the batched latent step of block emission.
 
 Variance-preserving convention throughout: the forward noising uses
 sqrt(alpha_bar[t]) and sqrt(1 - alpha_bar[t]), and the reverse step is the
@@ -138,18 +138,31 @@ def denoise_step(z_t: np.ndarray, t: int, c: np.ndarray, xi: np.ndarray,
     return out.reshape(np.shape(z_t))
 
 
+def _normal_rows(rngs: list[np.random.Generator], d: int) -> np.ndarray:
+    """One standard-normal row of width d per generator, in row order.  A
+    generator shared by all rows draws them as one (n, d) array, which holds
+    the same numbers as n draws of a row."""
+    if all(r is rngs[0] for r in rngs):
+        return rngs[0].standard_normal((len(rngs), d))
+    return np.stack([r.standard_normal(d) for r in rngs])
+
+
 def sample_latent(c: np.ndarray, store: ParamStore, sched: NoiseSchedule,
-                  rng: np.random.Generator, eps_prefix: str = "diffusion_head/eps",
+                  rngs: list[np.random.Generator], eps_prefix: str = "diffusion_head/eps",
                   eps_fn=None, d: int | None = None) -> np.ndarray:
-    """Ancestral sampling from pure noise down to z^(0); deterministic given (c, rng)."""
+    """Ancestral sampling from pure noise down to z^(0), one generator per row
+    of c: row i draws its z_T and each xi from rngs[i], in the order a one-row
+    call draws them.  Deterministic given (c, rngs)."""
     CALLS["sample_latent"] += 1
     c2 = np.atleast_2d(np.asarray(c, dtype=np.float64))
     n = c2.shape[0]
+    if len(rngs) != n:
+        raise ValueError(f"{len(rngs)} generators for {n} condition rows")
     if d is None:
         d = store[f"{eps_prefix}/b_out"].data.shape[0] if eps_fn is None else c2.shape[1]
-    z = rng.standard_normal((n, d))
+    z = _normal_rows(rngs, d)
     for t in range(sched.t_steps, 0, -1):
-        xi = rng.standard_normal((n, d)) if sched.sigma[t] > 0.0 else np.zeros((n, d))
+        xi = _normal_rows(rngs, d) if sched.sigma[t] > 0.0 else np.zeros((n, d))
         z = denoise_step(z, t, c2, xi, store, sched, eps_prefix, eps_fn)
     return z.reshape(np.shape(c)[:-1] + (d,)) if np.ndim(c) > 1 else z[0]
 
@@ -179,35 +192,38 @@ def diffusion_loss(z_clean: np.ndarray, c, store: ParamStore, sched: NoiseSchedu
 
 @dataclass
 class LatentBlock:
-    vectors: np.ndarray     # [K, d]
-    conditions: np.ndarray  # [K, d_c]
+    vectors: np.ndarray     # [n, d], one row per stream
+    conditions: np.ndarray  # [n, d_c]
 
 
-def emit_block(prefix_seq: sq.MixedSequence, store: ParamStore, cfg: bb.BackboneConfig,
-               sched: NoiseSchedule, rng: np.random.Generator, cache: bb.DecodeCache,
-               head: str = "diffusion") -> LatentBlock:
-    """Emit K latents autoregressively: each condition comes from the backbone's
-    last hidden state over the prefix plus the latents emitted so far.
+def emit_block(prefixes: list[sq.MixedSequence], store: ParamStore, cfg: bb.BackboneConfig,
+               sched: NoiseSchedule, rngs: list[np.random.Generator], cache: bb.DecodeCache,
+               rows: list[int], head: str = "diffusion") -> LatentBlock:
+    """One batched latent step: the next latent row of each stream inside a block.
 
-    The DecodeCache must already hold the prefix (including the trailing
-    START); each emitted latent is appended to it.
+    prefixes[i] is decode-cache stream rows[i]: it ends in START and fewer
+    than K latent rows, and the cache holds it.  The stream's condition is
+    c = h_last @ cond_w, h_last its last hidden state; its row is an ancestral
+    sample at c drawn from rngs[i], or for the similarity head the projection
+    of h_last.  The caller appends the rows, so the next step conditions on
+    them.
     """
-    items = prefix_seq.items
-    if not items or items[-1].kind != sq.CTRL or items[-1].value != sq.START:
-        raise ValueError("emit_block requires a prefix ending in START")
-    if len(items) + cfg.k_latent + 1 > cfg.max_len:
-        raise ValueError("latent block would overflow max_len")
-    if cache.length != len(items):
-        raise ValueError("decode cache out of sync with the prefix")
-    vectors, conditions = [], []
-    for _ in range(cfg.k_latent):
-        h_last = cache.last_hidden
-        c = h_last @ store["diffusion_head/cond_w"].data
-        if head == "similarity":
-            e = h_last @ store["diffusion_head/sim_w"].data + store["diffusion_head/sim_b"].data
-        else:
-            e = sample_latent(c, store, sched, rng)
-        cache.append_seq_items([sq.MixedItem.latent(e)])
-        vectors.append(e)
-        conditions.append(c)
-    return LatentBlock(np.array(vectors), np.array(conditions))
+    for seq in prefixes:
+        items = seq.items
+        j = 0  # latent rows of the open block
+        while j < len(items) and items[-1 - j].kind == sq.LATENT:
+            j += 1
+        if j >= cfg.k_latent or j == len(items) or items[-1 - j].kind != sq.CTRL \
+                or items[-1 - j].value != sq.START:
+            raise ValueError("emit_block requires a prefix ending in START and fewer than K latent rows")
+        if len(items) + cfg.k_latent - j + 1 > cfg.max_len:
+            raise ValueError("latent block would overflow max_len")
+        if cache.length != len(items):
+            raise ValueError("decode cache out of sync with the prefix")
+    h_last = cache.last_hidden[rows]
+    c = h_last @ store["diffusion_head/cond_w"].data
+    if head == "similarity":
+        e = h_last @ store["diffusion_head/sim_w"].data + store["diffusion_head/sim_b"].data
+    else:
+        e = sample_latent(c, store, sched, rngs)
+    return LatentBlock(e, c)

@@ -47,6 +47,12 @@ class GrpoConfig:
             raise ValueError("clip_eps must be in [0, 1)")
         if self.group_size < 2:
             raise ValueError("group_size must be >= 2")
+        for name in ("queries_per_iter", "groups_per_step", "max_new_items"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        # greedy rollouts of a group are identical, so every group would be degenerate
+        if self.temperature <= 0:
+            raise ValueError("temperature must be > 0")
         if self.ratio_variant not in ("token", "sequence"):
             raise ValueError(f"unknown ratio variant {self.ratio_variant!r}")
 
@@ -169,10 +175,9 @@ def sample_group(model: Model, trace, cfg: GrpoConfig, iteration: int, query_ind
                                    temperature=cfg.temperature)
     prompt = inf.build_prompt(model, trace)
     gold = inf.gold_answer(trace)
+    rngs = [seeded_rng(cfg.seed, "rollout", iteration, query_index, g) for g in range(cfg.group_size)]
     rollouts = []
-    for g in range(cfg.group_size):
-        rng = seeded_rng(cfg.seed, "rollout", iteration, query_index, g)
-        res = inf.generate(prompt, model, gen_cfg, rng)
+    for res in inf.generate_group(prompt, model, gen_cfg, rngs):
         ans = inf.extract_answer(res.seq)
         rollouts.append(Rollout(res.seq, res.emissions, ans, reward(ans, gold),
                                 new_items=res.new_items))

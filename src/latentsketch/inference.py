@@ -82,51 +82,89 @@ def masked_logprobs(logits: np.ndarray, mask: np.ndarray, temperature: float) ->
 def generate(prompt: sq.MixedSequence, model: Model, cfg: GenerationConfig,
              rng: np.random.Generator) -> GenResult:
     """Decode from a grammatical prompt; output always passes grammar validation."""
+    return generate_group(prompt, model, cfg, [rng])[0]
+
+
+def generate_group(prompt: sq.MixedSequence, model: Model, cfg: GenerationConfig,
+                   rngs: list[np.random.Generator]) -> list[GenResult]:
+    """Decode one stream per generator from a shared prompt, in lockstep.
+
+    The prompt is prefilled once and its keys and values copied to every
+    stream.  Each step every live stream appends one item (a text token,
+    START, a latent row or END), so the live streams keep one length: the
+    streams inside a block get their rows from one batched emit_block call,
+    the others draw a token with their own mask from their own generator, and
+    one forward_batch appends the items of all.  Stream g equals a one-stream
+    decode with rngs[g]; every output passes grammar validation.
+    """
     k = model.bcfg.k_latent
     sq.validate(prompt, k)
     if prompt.items and prompt.items[-1].kind == sq.CTRL and prompt.items[-1].value == sq.EOS:
         raise ValueError("prompt already ends with EOS")
     if len(prompt) > model.bcfg.max_len - cfg.max_new_items:
         raise ValueError("prompt too long for the requested generation budget")
-    out = prompt.copy()
-    result = GenResult(out, truncated=False)
     store, bcfg = model.store, model.bcfg
     cache = bb.DecodeCache(store, bcfg)
-    cache.append_seq_items(out.items)
-    while result.new_items < cfg.max_new_items and len(out) < bcfg.max_len:
-        row = cache.last_logits
-        mask = decision_mask(cfg.mode, k, cfg.max_new_items - result.new_items,
-                             len(out), bcfg.max_len, bcfg.vocab)
-        logp = masked_logprobs(row, mask, cfg.temperature)
-        if cfg.temperature == 0:
-            tok = int(np.argmax(np.where(mask, -np.inf, row)))
-        else:
-            tok = int(rng.choice(bcfg.vocab, p=np.exp(logp)))
-        result.emissions.append(Emission(len(out), tok, mask))
-        if tok == vocab.START_ID:
-            start = sq.MixedItem.ctrl(sq.START)
-            out.append(start)
-            cache.append_seq_items([start])
-            block = df.emit_block(out, store, bcfg, model.sched, rng, cache, head=model.cfg.head)
-            for vec in block.vectors:
-                out.append(sq.MixedItem.latent(vec))
-            end = sq.MixedItem.ctrl(sq.END)
-            out.append(end)
-            cache.append_seq_items([end])
-            result.new_items += k + 2
-        elif tok == vocab.EOS_ID:
-            out.append(sq.MixedItem.ctrl(sq.EOS))
-            result.new_items += 1
+    cache.append_seq_items(prompt.items)
+    cache.expand(len(rngs))
+    results = [GenResult(prompt.copy(), truncated=False) for _ in rngs]
+    block_left = [0] * len(rngs)  # items of the open latent block still to append, END included
+    live = list(range(len(rngs)))  # the result of each cache stream
+    while live:
+        keep, items, block_rows = [], [], []
+        for s, g in enumerate(live):
+            res = results[g]
+            if block_left[g]:
+                block_left[g] -= 1
+                if block_left[g]:
+                    block_rows.append(len(items))
+                    item = None  # a latent row, drawn below
+                else:
+                    item = sq.MixedItem.ctrl(sq.END)
+            elif res.new_items >= cfg.max_new_items or len(res.seq) >= bcfg.max_len:
+                res.truncated = True
+                continue
+            else:
+                row = cache.last_logits[s]
+                mask = decision_mask(cfg.mode, k, cfg.max_new_items - res.new_items,
+                                     len(res.seq), bcfg.max_len, bcfg.vocab)
+                if cfg.temperature == 0:
+                    tok = int(np.argmax(np.where(mask, -np.inf, row)))
+                else:
+                    p = np.exp(masked_logprobs(row, mask, cfg.temperature))
+                    tok = int(rngs[g].choice(bcfg.vocab, p=p))
+                res.emissions.append(Emission(len(res.seq), tok, mask))
+                if tok == vocab.EOS_ID:
+                    res.seq.append(sq.MixedItem.ctrl(sq.EOS))
+                    res.new_items += 1
+                    continue
+                if tok == vocab.START_ID:
+                    item = sq.MixedItem.ctrl(sq.START)
+                    block_left[g] = k + 1
+                else:
+                    item = sq.MixedItem.text(tok)
+            keep.append(s)
+            items.append(item)
+        if block_rows:
+            streams = [live[keep[i]] for i in block_rows]
+            block = df.emit_block([results[g].seq for g in streams], store, bcfg, model.sched,
+                                  [rngs[g] for g in streams], cache, [keep[i] for i in block_rows],
+                                  head=model.cfg.head)
+            for i, vec in zip(block_rows, block.vectors):
+                items[i] = sq.MixedItem.latent(vec)
+        live = [live[s] for s in keep]
+        for g, item in zip(live, items):
+            results[g].seq.append(item)
+            results[g].new_items += 1
+        if not live:
             break
-        else:
-            item = sq.MixedItem.text(tok)
-            out.append(item)
-            cache.append_seq_items([item])
-            result.new_items += 1
-    else:
-        result.truncated = True
-    sq.validate(out, k)
-    return result
+        if len(keep) < cache.streams:
+            cache.select(keep)
+        ids, text_mask, latents = sq.to_arrays(sq.MixedSequence(items), bcfg.d)
+        cache.append(ids[:, None], text_mask[:, None], latents[:, None])
+    for res in results:
+        sq.validate(res.seq, k)
+    return results
 
 
 def extract_answer(seq: sq.MixedSequence) -> list[int]:

@@ -231,7 +231,7 @@ def resample_blocks(examples: list[SupervisedExample], model: Model, fraction: f
         for b, ex in enumerate(picked):
             h = hidden.data[b][ex.cond_positions]
             c = h @ store["diffusion_head/cond_w"].data
-            sampled = df.sample_latent(c, store, model.sched, rng)
+            sampled = df.sample_latent(c, store, model.sched, [rng] * len(c))
             for pos, row in zip(ex.cond_positions, np.atleast_2d(sampled)):
                 ex.seq.items[pos + 1] = sq.MixedItem.latent(row)
 

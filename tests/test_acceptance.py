@@ -191,7 +191,7 @@ def test_criterion_02_diffusion_oracle():
     results = []
     for cid in (0, 1):
         c = np.tile(cond[cid], (10_000, 1))
-        samples = df.sample_latent(c, store, sched, seeded_rng(2, "sample", cid))
+        samples = df.sample_latent(c, store, sched, [seeded_rng(2, "sample", cid)] * len(c))
         assign = (samples.sum(axis=1) > 0).astype(int)
         w_est = assign.mean()
         m0 = samples[assign == 0].mean(axis=0)

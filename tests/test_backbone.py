@@ -159,12 +159,17 @@ def test_condition_identity_and_linearity():
     def emit_and_replay():
         cache = bb.DecodeCache(m.store, m.bcfg)
         cache.append_seq_items(prefix.items)
-        blk = df.emit_block(prefix, m.store, m.bcfg, m.sched, seeded_rng(5, "c"), cache)
+        seq, rng, conditions = prefix.copy(), seeded_rng(5, "c"), []
+        for _ in range(m.bcfg.k_latent):
+            step = df.emit_block([seq], m.store, m.bcfg, m.sched, [rng], cache, [0])
+            conditions.append(step.conditions[0])
+            seq.append(sq.MixedItem.latent(step.vectors[0]))
+            cache.append_seq_items([seq.items[-1]])
         replay = bb.DecodeCache(m.store, m.bcfg)
-        h = [replay.append_seq_items(prefix.items)[-1]]
-        for vec in blk.vectors[:-1]:
-            h.append(replay.append_seq_items([sq.MixedItem.latent(vec)])[-1])
-        return blk.conditions, np.array(h)
+        h = [replay.append_seq_items(prefix.items)[0, -1]]
+        for item in seq.items[len(prefix):-1]:
+            h.append(replay.append_seq_items([item])[0, -1])
+        return np.array(conditions), np.array(h)
 
     c, h = emit_and_replay()
     assert np.allclose(c, h @ w.data, rtol=0, atol=1e-12)
@@ -272,11 +277,66 @@ def test_decode_cache_matches_forward_batch(length):
     cache = bb.DecodeCache(m.store, m.bcfg)
     got = []
     for chunk in decode_schedule(seq.items, 3, min(length, 7)):
-        got.extend(cache.append_seq_items(chunk))
-        assert np.max(np.abs(cache.last_logits - logits[len(got) - 1])) <= 1e-12
-        assert np.array_equal(cache.last_hidden, got[-1])
+        got.extend(cache.append_seq_items(chunk)[0])
+        assert np.max(np.abs(cache.last_logits[0] - logits[len(got) - 1])) <= 1e-12
+        assert np.array_equal(cache.last_hidden[0], got[-1])
     assert cache.length == length
     assert np.max(np.abs(np.array(got) - hidden)) <= 1e-12
     if length == m.bcfg.max_len:
         with pytest.raises(ValueError, match="max_len"):
             cache.append_seq_items([sq.MixedItem.text(30)])
+
+
+def test_multi_stream_cache_matches_forward_batch():
+    """A prefill copied to 3 streams, then different items (text, START, latent
+    rows, END) appended to each in lockstep: every stream's hidden rows and
+    logits equal a cache-free forward_batch of its own sequence."""
+    m = build_model(ModelConfig(layers=2, heads=2, d=16, max_len=24, k_latent=2), seed=29)
+    rng = seeded_rng(3, "streams")
+    prompt = [sq.MixedItem.ctrl(sq.BOS), sq.MixedItem.latent(rng.normal(size=16)), sq.MixedItem.text(30)]
+
+    def lat():
+        return sq.MixedItem.latent(rng.normal(size=16))
+
+    start, end = sq.MixedItem.ctrl(sq.START), sq.MixedItem.ctrl(sq.END)
+    tails = [[sq.MixedItem.text(41), start, lat(), lat(), end, sq.MixedItem.text(7)],
+             [start, lat(), lat(), end, sq.MixedItem.text(52), sq.MixedItem.text(9)],
+             [sq.MixedItem.text(12), sq.MixedItem.text(13), start, lat(), lat(), end]]
+    cache = bb.DecodeCache(m.store, m.bcfg)
+    pre = cache.append_seq_items(prompt)
+    cache.expand(3)
+    assert cache.streams == 3 and cache.length == len(prompt)
+    assert np.array_equal(cache.last_hidden, np.repeat(pre[:, -1], 3, axis=0))
+    got = [list(pre[0]) for _ in range(3)]
+    for step in range(len(tails[0])):
+        ids, text_mask, latents = sq.to_arrays(sq.MixedSequence([t[step] for t in tails]), 16)
+        hidden = cache.append(ids[:, None], text_mask[:, None], latents[:, None])
+        for b in range(3):
+            got[b].append(hidden[b, 0])
+            _, logits = forward(m, sq.MixedSequence(prompt + tails[b][: step + 1]))
+            assert np.max(np.abs(cache.last_logits[b] - logits[-1])) <= 1e-12
+    refs = [forward(m, sq.MixedSequence(prompt + tails[b])) for b in range(3)]
+    for b in range(3):
+        assert np.max(np.abs(np.array(got[b]) - refs[b][0])) <= 1e-12
+
+    # dropping stream 1 leaves streams 0 and 2 as they were
+    kt, v = cache.kt.copy(), cache.v.copy()
+    hid, lg = cache.last_hidden.copy(), cache.last_logits.copy()
+    cache.select([0, 2])
+    assert cache.streams == 2
+    assert np.array_equal(cache.kt, kt[:, [0, 2]]) and np.array_equal(cache.v, v[:, [0, 2]])
+    assert np.array_equal(cache.last_hidden, hid[[0, 2]])
+    assert np.array_equal(cache.last_logits, lg[[0, 2]])
+    extra = [sq.MixedItem.text(20), sq.MixedItem.text(21)]
+    cache.append_seq_items([extra[0]])
+    for b, i in enumerate((0, 2)):
+        _, logits = forward(m, sq.MixedSequence(prompt + tails[i] + extra[:1]))
+        assert np.max(np.abs(cache.last_logits[b] - logits[-1])) <= 1e-12
+    with pytest.raises(ValueError, match="expanded"):
+        cache.expand(4)
+
+    # lockstep streams overflow together at max_len
+    while cache.length < m.bcfg.max_len:
+        cache.append_seq_items([extra[1]])
+    with pytest.raises(ValueError, match="max_len"):
+        cache.append_seq_items([extra[1]])

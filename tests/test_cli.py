@@ -165,6 +165,17 @@ def make_checkpoint(tmp_path, seed=71):
     return path
 
 
+@pytest.mark.parametrize("key,value", [("group_size", 1), ("queries_per_iter", 0),
+                                       ("groups_per_step", 0), ("max_new_items", 0),
+                                       ("temperature", 0.0)])
+def test_bad_rl_value_exits_2_naming_the_key(key, value, tmp_path, capsys):
+    path = tiny_config(tmp_path, rl={key: value})
+    assert main(["train-rl", "--config", path, "--from-checkpoint", make_checkpoint(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid rl config:") and key in err
+    assert not (tmp_path / "run" / "rl_metrics.csv").exists()
+
+
 def test_eval_validation_and_dump_consistency(tmp_path):
     ck = make_checkpoint(tmp_path)
     assert main(["eval", "--checkpoint", ck, "--task", "grid_rotation", "--n", "0",

@@ -157,11 +157,11 @@ def test_sample_latent_deterministic_and_shaped():
     store = make_net()
     sched = df.linear_schedule(8)
     c = np.array([0.2, -0.1, 0.4, 0.0])
-    a = df.sample_latent(c, store, sched, seeded_rng(5, "s"))
-    b = df.sample_latent(c, store, sched, seeded_rng(5, "s"))
+    a = df.sample_latent(c, store, sched, [seeded_rng(5, "s")])
+    b = df.sample_latent(c, store, sched, [seeded_rng(5, "s")])
     assert a.shape == (4,)
     assert np.array_equal(a, b)
-    c2 = df.sample_latent(c, store, sched, seeded_rng(6, "s"))
+    c2 = df.sample_latent(c, store, sched, [seeded_rng(6, "s")])
     assert not np.array_equal(a, c2)
 
 
@@ -174,17 +174,42 @@ def test_sample_latent_zero_net_variance_closed_form():
         v = v / sched.alpha[t] + sched.sigma[t] ** 2
     rng = seeded_rng(11, "var")
     n = 10_000
-    zs = df.sample_latent(np.zeros((n, 2)), None, sched, rng, eps_fn=ZERO_EPS, d=2)
+    zs = df.sample_latent(np.zeros((n, 2)), None, sched, [rng] * n, eps_fn=ZERO_EPS, d=2)
     emp = zs.var(axis=0)
     assert abs(zs.mean()) < 0.05
     assert np.all(np.abs(emp - v) / v < 0.10)
+
+
+def test_sample_latent_rows_draw_from_their_own_generators():
+    """Row i of a batched call equals a one-row call with rngs[i]; one generator
+    shared by the rows draws what it draws for a single (n, d) array."""
+    store = make_net()
+    sched = df.linear_schedule(6)
+    c = seeded_rng(7, "rows").normal(size=(3, 4))
+    got = df.sample_latent(c, store, sched, [seeded_rng(7, "row", i) for i in range(3)])
+    for i in range(3):
+        want = df.sample_latent(c[i], store, sched, [seeded_rng(7, "row", i)])
+        assert np.max(np.abs(got[i] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    a, b = seeded_rng(8, "n"), seeded_rng(8, "n")
+    assert np.array_equal(a.standard_normal((5, 4)), np.stack([b.standard_normal(4) for _ in range(5)]))
+    shared = df.sample_latent(c, store, sched, [seeded_rng(9, "s")] * 3)
+    one = seeded_rng(9, "s")
+
+    class Proxy:  # the same draws, but a distinct object per row
+        def standard_normal(self, size):
+            return one.standard_normal(size)
+
+    proxies = [Proxy() for _ in range(3)]
+    assert np.array_equal(shared, df.sample_latent(c, store, sched, proxies))
+    with pytest.raises(ValueError, match="generators"):
+        df.sample_latent(c, store, sched, [a, b])
 
 
 def test_sampler_call_counter():
     store = make_net()
     sched = df.linear_schedule(4)
     df.reset_call_counter()
-    df.sample_latent(np.zeros(4), store, sched, seeded_rng(0, "c"))
+    df.sample_latent(np.zeros(4), store, sched, [seeded_rng(0, "c")])
     assert df.CALLS["sample_latent"] == 1
     assert df.CALLS["denoise_step"] == 4
 
@@ -269,16 +294,33 @@ def prompt_with_start(model):
 
 
 def emit(model, prefix, rng):
-    """emit_block over a decode cache prefilled with the prefix."""
+    """A whole block on one stream: K emit_block steps over a decode cache
+    prefilled with the prefix, each row appended before the next step."""
     cache = bb.DecodeCache(model.store, model.bcfg)
     cache.append_seq_items(prefix.items)
-    return df.emit_block(prefix, model.store, model.bcfg, model.sched, rng, cache)
+    seq = prefix.copy()
+    vectors, conditions = [], []
+    for _ in range(model.bcfg.k_latent):
+        step = df.emit_block([seq], model.store, model.bcfg, model.sched, [rng], cache, [0])
+        seq.append(sq.MixedItem.latent(step.vectors[0]))
+        cache.append_seq_items([seq.items[-1]])
+        vectors.append(step.vectors[0])
+        conditions.append(step.conditions[0])
+    return df.LatentBlock(np.array(vectors), np.array(conditions))
 
 
 def test_emit_block_requires_start(block_model):
     bad = sq.MixedSequence([sq.MixedItem.ctrl(sq.BOS), sq.MixedItem.text(30)])
     with pytest.raises(ValueError):
         emit(block_model, bad, seeded_rng(0, "e"))
+    full = prompt_with_start(block_model)
+    for _ in range(block_model.bcfg.k_latent):
+        full.append(sq.MixedItem.latent(np.zeros(8)))
+    cache = bb.DecodeCache(block_model.store, block_model.bcfg)
+    cache.append_seq_items(full.items)
+    with pytest.raises(ValueError, match="fewer than K"):
+        df.emit_block([full], block_model.store, block_model.bcfg, block_model.sched,
+                      [seeded_rng(0, "e")], cache, [0])
 
 
 def test_emit_block_rejects_out_of_sync_cache(block_model):
@@ -286,8 +328,8 @@ def test_emit_block_rejects_out_of_sync_cache(block_model):
     cache = bb.DecodeCache(block_model.store, block_model.bcfg)
     cache.append_seq_items(prefix.items[:-1])
     with pytest.raises(ValueError, match="out of sync"):
-        df.emit_block(prefix, block_model.store, block_model.bcfg, block_model.sched,
-                      seeded_rng(0, "e"), cache)
+        df.emit_block([prefix], block_model.store, block_model.bcfg, block_model.sched,
+                      [seeded_rng(0, "e")], cache, [0])
 
 
 def test_emit_block_counts_and_determinism(block_model):

@@ -143,6 +143,77 @@ def test_pad_bos_end_never_sampled_even_at_high_temperature():
     sq.validate(res.seq, model.bcfg.k_latent)
 
 
+# -- lockstep group decoding -----------------------------------------------------------
+
+
+def assert_same_generation(got, want):
+    assert got.truncated == want.truncated
+    assert got.new_items == want.new_items
+    assert [(e.position, e.token_id) for e in got.emissions] == \
+           [(e.position, e.token_id) for e in want.emissions]
+    assert all(np.array_equal(e.mask, f.mask) for e, f in zip(got.emissions, want.emissions))
+    assert len(got.seq) == len(want.seq)
+    for x, y in zip(got.seq.items, want.seq.items):
+        assert x.kind == y.kind
+        if x.kind == sq.LATENT:
+            assert np.max(np.abs(x.value - y.value)) <= 1e-12 * max(1.0, np.max(np.abs(y.value)))
+        else:
+            assert x.value == y.value
+
+
+def group_and_singles(model, prompt, cfg, tag, g=6):
+    group = inf.generate_group(prompt, model, cfg, [seeded_rng(5, tag, i) for i in range(g)])
+    singles = [inf.generate(prompt, model, cfg, seeded_rng(5, tag, i)) for i in range(g)]
+    for got, want in zip(group, singles):
+        assert_same_generation(got, want)
+    return group
+
+
+def test_generate_group_equals_separate_generations():
+    """Sampled mixed mode where streams stop at different steps, by EOS and by
+    the budget, with zero, one and two latent blocks."""
+    model = make_model(seed=68)
+    bias = model.store["backbone/lm_head/b"].data
+    bias[vocab.START_ID] = 2.0
+    bias[vocab.EOS_ID] = 1.5
+    prompt, _ = make_prompt(model)
+    cfg = inf.GenerationConfig(mode="mixed", max_new_items=16, temperature=1.0)
+    group = group_and_singles(model, prompt, cfg, "grp")
+    finished = {r.new_items for r in group if not r.truncated}
+    blocks = {sum(e.token_id == vocab.START_ID for e in r.emissions) for r in group}
+    assert len(finished) >= 3 and any(r.truncated for r in group)
+    assert blocks >= {0, 1, 2}
+
+
+def test_generate_group_greedy_and_similarity_head():
+    model = make_model(seed=69)
+    model.store["backbone/lm_head/b"].data[vocab.START_ID] = 3.0
+    prompt, _ = make_prompt(model)
+    cfg = inf.GenerationConfig(mode="mixed", max_new_items=12, temperature=0.0)
+    group = group_and_singles(model, prompt, cfg, "greedy", g=3)
+    assert any(it.kind == sq.LATENT for it in group[0].seq.items[len(prompt):])
+    sim = make_model(seed=70, head="similarity")
+    sim.store["backbone/lm_head/b"].data[vocab.START_ID] = 2.0
+    prompt, _ = make_prompt(sim)
+    df.reset_call_counter()
+    group = group_and_singles(sim, prompt, inf.GenerationConfig(max_new_items=12, temperature=1.0),
+                              "sim")
+    assert any(it.kind == sq.LATENT for r in group for it in r.seq.items[len(prompt):])
+    assert df.CALLS["sample_latent"] == 0
+
+
+def test_generate_group_language_only_never_touches_diffusion():
+    model = make_model(seed=71)
+    model.store["backbone/lm_head/b"].data[vocab.START_ID] = 5.0
+    prompt, _ = make_prompt(model)
+    df.reset_call_counter()
+    group = group_and_singles(model, prompt, inf.GenerationConfig(mode="language_only",
+                                                                  max_new_items=10, temperature=1.2),
+                              "lo")
+    assert df.CALLS["sample_latent"] == 0 and df.CALLS["denoise_step"] == 0
+    assert not any(it.kind == sq.CTRL and it.value == sq.START for r in group for it in r.seq.items)
+
+
 # -- extract_answer ---------------------------------------------------------------
 
 

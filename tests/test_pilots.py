@@ -1,5 +1,6 @@
 """The committed pilot configs are re-run from scratch and their metrics CSVs
-byte-compared with the frozen copies next to them in ``pilots/``."""
+(and the RL pilot's rollout dump) byte-compared with the frozen copies next
+to them in ``pilots/``."""
 
 import json
 import os
@@ -8,18 +9,37 @@ import pytest
 
 from latentsketch.cli import main
 
-PILOTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "pilots")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PILOTS = os.path.join(ROOT, "pilots")
 
 
-@pytest.mark.parametrize("name", ["sft_smoke"])
-def test_pilot_metrics_byte_identical(name, tmp_path, monkeypatch, capsys):
+def pilot_config(name, tmp_path, monkeypatch) -> str:
+    """The pilot's config with its output directory moved under tmp_path."""
     monkeypatch.delenv("LATENT_SKETCH_SEED", raising=False)
     with open(os.path.join(PILOTS, f"{name}.json"), encoding="utf-8") as f:
         cfg = json.load(f)
     cfg["paths"]["out_dir"] = str(tmp_path / "run")
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    assert main(["train-sft", "--config", str(path)]) == 0
-    got = (tmp_path / "run" / "metrics.csv").read_bytes()
-    with open(os.path.join(PILOTS, f"{name}.metrics.csv"), "rb") as f:
+    return str(path)
+
+
+def assert_frozen(tmp_path, produced, frozen):
+    got = (tmp_path / "run" / produced).read_bytes()
+    with open(os.path.join(PILOTS, frozen), "rb") as f:
         assert got == f.read()
+
+
+@pytest.mark.parametrize("name", ["sft_smoke"])
+def test_pilot_metrics_byte_identical(name, tmp_path, monkeypatch, capsys):
+    assert main(["train-sft", "--config", pilot_config(name, tmp_path, monkeypatch)]) == 0
+    assert_frozen(tmp_path, "metrics.csv", f"{name}.metrics.csv")
+
+
+def test_rl_pilot_byte_identical(tmp_path, monkeypatch, capsys):
+    """GRPO from the benchmark's SFT checkpoint: metrics and every rollout."""
+    fixture = os.path.join(ROOT, "perfbench", "fixture", "sft_grid_rotation.lsk")
+    assert main(["train-rl", "--config", pilot_config("rl_smoke", tmp_path, monkeypatch),
+                 "--from-checkpoint", fixture, "--dump-rollouts"]) == 0
+    assert_frozen(tmp_path, "rl_metrics.csv", "rl_smoke.rl_metrics.csv")
+    assert_frozen(tmp_path, "rollouts.txt", "rl_smoke.rollouts.txt")
