@@ -117,7 +117,7 @@ class DecodeCache:
     Every stream has the same length, so one forward_batch over [B, n] items
     appends n items to each, costing O(n * L) attention instead of a full
     O(L^2) re-forward.  A shared prompt is prefilled on one stream and copied
-    to B with expand; select drops finished streams.
+    to B streams with select([0] * B); select also drops finished streams.
     """
 
     def __init__(self, store: ParamStore, cfg: BackboneConfig):
@@ -144,19 +144,13 @@ class DecodeCache:
         return hidden.data
 
     def append_seq_items(self, items) -> np.ndarray:
-        """Append the same MixedItems to every stream; returns hidden rows [B, n, d]."""
+        """Append MixedItems to a one-stream cache; returns hidden rows [1, n, d]."""
         ids, text_mask, latents = sq.to_arrays(sq.MixedSequence(items), self.cfg.d)
-        b = self.streams
-        return self.append(np.tile(ids, (b, 1)), np.tile(text_mask, (b, 1)), np.tile(latents, (b, 1, 1)))
-
-    def expand(self, streams: int) -> None:
-        """Copy a one-stream cache (a prefilled prompt) to `streams` streams."""
-        if self.streams != 1:
-            raise ValueError("only a one-stream cache can be expanded")
-        self.select([0] * streams)
+        return self.append(ids[None], text_mask[None], latents[None])
 
     def select(self, rows) -> None:
-        """Keep the streams at `rows`, in that order; the others are dropped."""
+        """Keep the streams at `rows`, in that order; the others are dropped.
+        A row may repeat, so select([0] * B) copies one stream to B."""
         self.kt = self.kt[:, rows]
         self.v = self.v[:, rows]
         if self.last_hidden is not None:

@@ -140,10 +140,7 @@ def denoise_step(z_t: np.ndarray, t: int, c: np.ndarray, xi: np.ndarray,
 
 def _normal_rows(rngs: list[np.random.Generator], d: int) -> np.ndarray:
     """One standard-normal row of width d per generator, in row order.  A
-    generator shared by all rows draws them as one (n, d) array, which holds
-    the same numbers as n draws of a row."""
-    if all(r is rngs[0] for r in rngs):
-        return rngs[0].standard_normal((len(rngs), d))
+    generator shared by all rows draws what one (n, d) draw would."""
     return np.stack([r.standard_normal(d) for r in rngs])
 
 

@@ -106,7 +106,7 @@ def generate_group(prompt: sq.MixedSequence, model: Model, cfg: GenerationConfig
     store, bcfg = model.store, model.bcfg
     cache = bb.DecodeCache(store, bcfg)
     cache.append_seq_items(prompt.items)
-    cache.expand(len(rngs))
+    cache.select([0] * len(rngs))
     results = [GenResult(prompt.copy(), truncated=False) for _ in rngs]
     block_left = [0] * len(rngs)  # items of the open latent block still to append, END included
     live = list(range(len(rngs)))  # the result of each cache stream

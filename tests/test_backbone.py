@@ -304,7 +304,7 @@ def test_multi_stream_cache_matches_forward_batch():
              [sq.MixedItem.text(12), sq.MixedItem.text(13), start, lat(), lat(), end]]
     cache = bb.DecodeCache(m.store, m.bcfg)
     pre = cache.append_seq_items(prompt)
-    cache.expand(3)
+    cache.select([0] * 3)
     assert cache.streams == 3 and cache.length == len(prompt)
     assert np.array_equal(cache.last_hidden, np.repeat(pre[:, -1], 3, axis=0))
     got = [list(pre[0]) for _ in range(3)]
@@ -328,15 +328,18 @@ def test_multi_stream_cache_matches_forward_batch():
     assert np.array_equal(cache.last_hidden, hid[[0, 2]])
     assert np.array_equal(cache.last_logits, lg[[0, 2]])
     extra = [sq.MixedItem.text(20), sq.MixedItem.text(21)]
-    cache.append_seq_items([extra[0]])
+
+    def append_to_both(item):
+        ids, text_mask, latents = sq.to_arrays(sq.MixedSequence([item, item]), 16)
+        cache.append(ids[:, None], text_mask[:, None], latents[:, None])
+
+    append_to_both(extra[0])
     for b, i in enumerate((0, 2)):
         _, logits = forward(m, sq.MixedSequence(prompt + tails[i] + extra[:1]))
         assert np.max(np.abs(cache.last_logits[b] - logits[-1])) <= 1e-12
-    with pytest.raises(ValueError, match="expanded"):
-        cache.expand(4)
 
     # lockstep streams overflow together at max_len
     while cache.length < m.bcfg.max_len:
-        cache.append_seq_items([extra[1]])
+        append_to_both(extra[1])
     with pytest.raises(ValueError, match="max_len"):
-        cache.append_seq_items([extra[1]])
+        append_to_both(extra[1])

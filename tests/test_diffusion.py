@@ -4,6 +4,7 @@ import pytest
 from latentsketch import autodiff as ad
 from latentsketch import backbone as bb
 from latentsketch import diffusion as df
+from latentsketch import inference as inf
 from latentsketch import sequence as sq
 from latentsketch import toyvision as tv
 from latentsketch import vocab
@@ -181,8 +182,9 @@ def test_sample_latent_zero_net_variance_closed_form():
 
 
 def test_sample_latent_rows_draw_from_their_own_generators():
-    """Row i of a batched call equals a one-row call with rngs[i]; one generator
-    shared by the rows draws what it draws for a single (n, d) array."""
+    """Row i of a batched call equals a one-row call with rngs[i].  Callers
+    that share one generator across rows ([rng] * n) draw what a single (n, d)
+    draw would, so their numbers do not change."""
     store = make_net()
     sched = df.linear_schedule(6)
     c = seeded_rng(7, "rows").normal(size=(3, 4))
@@ -192,15 +194,6 @@ def test_sample_latent_rows_draw_from_their_own_generators():
         assert np.max(np.abs(got[i] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
     a, b = seeded_rng(8, "n"), seeded_rng(8, "n")
     assert np.array_equal(a.standard_normal((5, 4)), np.stack([b.standard_normal(4) for _ in range(5)]))
-    shared = df.sample_latent(c, store, sched, [seeded_rng(9, "s")] * 3)
-    one = seeded_rng(9, "s")
-
-    class Proxy:  # the same draws, but a distinct object per row
-        def standard_normal(self, size):
-            return one.standard_normal(size)
-
-    proxies = [Proxy() for _ in range(3)]
-    assert np.array_equal(shared, df.sample_latent(c, store, sched, proxies))
     with pytest.raises(ValueError, match="generators"):
         df.sample_latent(c, store, sched, [a, b])
 
@@ -294,19 +287,25 @@ def prompt_with_start(model):
 
 
 def emit(model, prefix, rng):
-    """A whole block on one stream: K emit_block steps over a decode cache
-    prefilled with the prefix, each row appended before the next step."""
+    """One emit_block step on one stream, over a decode cache prefilled with the prefix."""
     cache = bb.DecodeCache(model.store, model.bcfg)
     cache.append_seq_items(prefix.items)
-    seq = prefix.copy()
-    vectors, conditions = [], []
-    for _ in range(model.bcfg.k_latent):
-        step = df.emit_block([seq], model.store, model.bcfg, model.sched, [rng], cache, [0])
-        seq.append(sq.MixedItem.latent(step.vectors[0]))
-        cache.append_seq_items([seq.items[-1]])
-        vectors.append(step.vectors[0])
-        conditions.append(step.conditions[0])
-    return df.LatentBlock(np.array(vectors), np.array(conditions))
+    return df.emit_block([prefix], model.store, model.bcfg, model.sched, [rng], cache, [0])
+
+
+def start_biased(model, bias=50.0):
+    model.store["backbone/lm_head/b"].data[vocab.START_ID] = bias
+    return model
+
+
+def one_block(model, rng):
+    """Greedy decode with a budget of exactly one block: START, K rows, END."""
+    prompt = sq.MixedSequence([sq.MixedItem.ctrl(sq.BOS), sq.MixedItem.text(30)])
+    cfg = inf.GenerationConfig(mode="mixed", max_new_items=model.bcfg.k_latent + 2)
+    res = inf.generate(prompt, model, cfg, rng)
+    rows = [it.value for it in res.seq.items if it.kind == sq.LATENT]
+    assert len(rows) == model.bcfg.k_latent and res.seq.items[-1].value == sq.END
+    return np.array(rows)
 
 
 def test_emit_block_requires_start(block_model):
@@ -333,25 +332,56 @@ def test_emit_block_rejects_out_of_sync_cache(block_model):
 
 
 def test_emit_block_counts_and_determinism(block_model):
+    m = start_biased(block_model)
     df.reset_call_counter()
-    blk = emit(block_model, prompt_with_start(block_model), seeded_rng(1, "e"))
-    assert blk.vectors.shape == (3, 8)
-    assert blk.conditions.shape == (3, 8)
+    rows = one_block(m, seeded_rng(1, "e"))
+    assert rows.shape == (3, 8)
     assert df.CALLS["sample_latent"] == 3
-    blk2 = emit(block_model, prompt_with_start(block_model), seeded_rng(1, "e"))
-    assert np.array_equal(blk.vectors, blk2.vectors)
+    assert np.array_equal(rows, one_block(m, seeded_rng(1, "e")))
+    assert not np.array_equal(rows, one_block(m, seeded_rng(2, "e")))
 
 
-def test_emit_block_feedback_changes_conditions(block_model):
-    blk = emit(block_model, prompt_with_start(block_model), seeded_rng(2, "e"))
-    assert not np.allclose(blk.conditions[0], blk.conditions[1])
+def test_emit_block_feedback_changes_conditions(block_model, monkeypatch):
+    """Inside generate_group, each latent row of each stream is sampled at
+    c = h_last @ cond_w of a cache-free forward over that stream's prefix,
+    the rows already emitted included, so successive conditions differ."""
+    m = start_biased(block_model, 2.0)
+    steps = []
+    real = df.emit_block
+
+    def spy(prefixes, *args, **kwargs):
+        blk = real(prefixes, *args, **kwargs)
+        steps.extend((seq, len(seq), v, c) for seq, v, c in zip(prefixes, blk.vectors, blk.conditions))
+        return blk
+
+    monkeypatch.setattr(df, "emit_block", spy)
+    prompt = sq.MixedSequence([sq.MixedItem.ctrl(sq.BOS), sq.MixedItem.text(30)])
+    cfg = inf.GenerationConfig(mode="mixed", max_new_items=14, temperature=1.0)
+    group = inf.generate_group(prompt, m, cfg, [seeded_rng(3, "fb", g) for g in range(3)])
+    cond_w = m.store["diffusion_head/cond_w"].data
+    by_pos = {}
+    for seq, n, vec, c in steps:
+        ids, text_mask, latents = sq.to_arrays(sq.MixedSequence(seq.items[:n]), m.bcfg.d)
+        with ad.no_grad():
+            hidden, _, _ = bb.forward_batch(m.store, m.bcfg, ids[None], text_mask[None], latents[None])
+        want = hidden.data[0, -1] @ cond_w
+        assert np.max(np.abs(c - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        assert np.array_equal(seq.items[n].value, vec)
+        by_pos[id(seq), n] = c
+    streams = {id(seq) for seq, *_ in steps}
+    assert streams <= {id(r.seq) for r in group} and len(streams) >= 2
+    pairs = [(c, by_pos[key, n + 1]) for (key, n), c in by_pos.items() if (key, n + 1) in by_pos]
+    assert len(pairs) >= 2 * len(streams)
+    for c0, c1 in pairs:
+        assert not np.allclose(c0, c1)
 
 
 def test_emit_block_k1_single_calls():
-    m = build_model(ModelConfig(layers=1, heads=2, d=8, max_len=32, k_latent=1, t_steps=3), seed=22)
+    m = start_biased(build_model(ModelConfig(layers=1, heads=2, d=8, max_len=32, k_latent=1,
+                                             t_steps=3), seed=22))
     df.reset_call_counter()
-    blk = emit(m, prompt_with_start(m), seeded_rng(0, "k1"))
-    assert blk.vectors.shape == (1, 8)
+    rows = one_block(m, seeded_rng(0, "k1"))
+    assert rows.shape == (1, 8)
     assert df.CALLS["sample_latent"] == 1
 
 
