@@ -116,16 +116,17 @@ class DecodeCache:
 
     Every stream has the same length, so one forward_batch over [B, n] items
     appends n items to each, costing O(n * L) attention instead of a full
-    O(L^2) re-forward.  A shared prompt is prefilled on one stream and copied
-    to B streams with select([0] * B); select also drops finished streams.
+    O(L^2) re-forward.  P prompts of one length are prefilled as P streams
+    and copied to the streams that decode them with select (select([0] * B)
+    copies one prompt to B streams); select also drops finished streams.
     """
 
-    def __init__(self, store: ParamStore, cfg: BackboneConfig):
+    def __init__(self, store: ParamStore, cfg: BackboneConfig, streams: int = 1):
         self.store = store
         self.cfg = cfg
         hd = cfg.d // cfg.heads
-        self.kt = np.zeros((cfg.layers, 1, cfg.heads, hd, cfg.max_len))
-        self.v = np.zeros((cfg.layers, 1, cfg.heads, cfg.max_len, hd))
+        self.kt = np.zeros((cfg.layers, streams, cfg.heads, hd, cfg.max_len))
+        self.v = np.zeros((cfg.layers, streams, cfg.heads, cfg.max_len, hd))
         self.length = 0
         self.last_hidden: np.ndarray | None = None  # [B, d]
         self.last_logits: np.ndarray | None = None  # [B, V]
@@ -142,11 +143,6 @@ class DecodeCache:
         self.last_hidden = hidden.data[:, -1]
         self.last_logits = logits.data[:, -1]
         return hidden.data
-
-    def append_seq_items(self, items) -> np.ndarray:
-        """Append MixedItems to a one-stream cache; returns hidden rows [1, n, d]."""
-        ids, text_mask, latents = sq.to_arrays(sq.MixedSequence(items), self.cfg.d)
-        return self.append(ids[None], text_mask[None], latents[None])
 
     def select(self, rows) -> None:
         """Keep the streams at `rows`, in that order; the others are dropped.

@@ -127,28 +127,52 @@ def load_training_data(cfg: dict) -> list[tv.AnnotatedTrace]:
 # -- evaluation ---------------------------------------------------------------------
 
 
+# examples decoded in one lockstep batch: the streams of a default GRPO
+# iteration (4 queries x 8 rollouts)
+EVAL_STREAMS = 32
+
+
 def evaluate(model: Model, traces: list[tv.AnnotatedTrace], mode: str, seed: int,
              max_new_items: int = inf.MAX_NEW_ITEMS, dump_path: str | None = None) -> dict:
-    """Greedy exact-match evaluation; returns the report dict."""
+    """Greedy exact-match evaluation; returns the report dict.
+
+    Runs of up to EVAL_STREAMS consecutive examples whose prompts have one
+    length are decoded in lockstep; example i samples its latent rows from
+    seeded_rng(seed, "eval", i), as a decode of its own would.
+    """
+    if not traces:
+        raise ValueError("evaluation needs at least one example")
     correct = 0
     t0 = time.time()
     dump_lines = []
     gen_cfg = inf.GenerationConfig(mode=mode, max_new_items=max_new_items, temperature=0.0)
-    for i, trace in enumerate(traces):
-        rng = seeded_rng(seed, "eval", i)
-        res = inf.generate(inf.build_prompt(model, trace), model, gen_cfg, rng)
-        pred = inf.extract_answer(res.seq)
-        gold = inf.gold_answer(trace)
-        ok = grpo.reward(pred, gold) == 1.0
-        correct += ok
-        dump_lines.append(json.dumps({
-            "example": i, "correct": bool(ok),
-            "predicted": pred, "gold": gold,
-            "generated": res.seq.detokenize(), "truncated": res.truncated,
-        }, separators=(",", ":")))
+    batch: list = []  # prompts of the consecutive examples not yet decoded
+
+    def decode_batch() -> None:
+        nonlocal correct
+        first = len(dump_lines)
+        rngs = [seeded_rng(seed, "eval", i) for i in range(first, first + len(batch))]
+        for i, res in enumerate(inf.generate_group(batch, model, gen_cfg, rngs), first):
+            pred = inf.extract_answer(res.seq)
+            gold = inf.gold_answer(traces[i])
+            ok = grpo.reward(pred, gold) == 1.0
+            correct += ok
+            dump_lines.append(json.dumps({
+                "example": i, "correct": bool(ok),
+                "predicted": pred, "gold": gold,
+                "generated": res.seq.detokenize(), "truncated": res.truncated,
+            }, separators=(",", ":")))
+        batch.clear()
+
+    for trace in traces:
+        prompt = inf.build_prompt(model, trace)
+        if batch and (len(batch) == EVAL_STREAMS or len(prompt) != len(batch[0])):
+            decode_batch()
+        batch.append(prompt)
+    decode_batch()
     wall = time.time() - t0
     report = {
-        "task": traces[0].task_id if traces else "unknown",
+        "task": traces[0].task_id,
         "mode": mode,
         "checkpoint": None,
         "n_examples": len(traces),
@@ -254,6 +278,9 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
+    for key in ("n", "max_new_items"):  # checked before any of the suite's training runs
+        if cfg["eval"][key] < 1:
+            raise ConfigError(f"eval.{key} must be >= 1")
     out_dir = cfg["paths"]["out_dir"]
     write_run_manifest(out_dir, cfg)
     eval_n, eval_seed = cfg["eval"]["n"], cfg["eval"]["seed"]

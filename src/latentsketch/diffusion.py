@@ -26,6 +26,7 @@ from .autodiff import Tensor
 from .optim import ParamStore
 
 T_EMBED_DIM = 32
+EPS_NET = "diffusion_head/eps"  # parameter-name prefix of the epsilon network
 
 # instrumented call counter: the language-only generation mode must never touch this module
 CALLS = {"sample_latent": 0, "denoise_step": 0}
@@ -80,19 +81,18 @@ def sinusoidal_table(t_steps: int, dim: int = T_EMBED_DIM) -> np.ndarray:
 
 
 def init_epsilon_net(store: ParamStore, d: int, d_c: int, rng: np.random.Generator,
-                     prefix: str = "diffusion_head/eps", width: int | None = None) -> None:
+                     width: int | None = None) -> None:
     """Three GELU hidden layers of width 4d (overridable) over concat(z_t, t_embed, c)."""
     wid = 4 * d if width is None else width
     dims = [d + T_EMBED_DIM + d_c, wid, wid, wid]
     for i in range(3):
-        store.add(f"{prefix}/w{i}", rng.normal(0.0, 1.0 / np.sqrt(dims[i]), (dims[i], dims[i + 1])), "diffusion_head")
-        store.add(f"{prefix}/b{i}", np.zeros(dims[i + 1]), "diffusion_head")
-    store.add(f"{prefix}/w_out", rng.normal(0.0, 1.0 / np.sqrt(wid), (wid, d)), "diffusion_head")
-    store.add(f"{prefix}/b_out", np.zeros(d), "diffusion_head")
+        store.add(f"{EPS_NET}/w{i}", rng.normal(0.0, 1.0 / np.sqrt(dims[i]), (dims[i], dims[i + 1])), "diffusion_head")
+        store.add(f"{EPS_NET}/b{i}", np.zeros(dims[i + 1]), "diffusion_head")
+    store.add(f"{EPS_NET}/w_out", rng.normal(0.0, 1.0 / np.sqrt(wid), (wid, d)), "diffusion_head")
+    store.add(f"{EPS_NET}/b_out", np.zeros(d), "diffusion_head")
 
 
-def eps_forward(store: ParamStore, sched: NoiseSchedule, z_t, t_idx: np.ndarray, c,
-                prefix: str = "diffusion_head/eps") -> Tensor:
+def eps_forward(store: ParamStore, sched: NoiseSchedule, z_t, t_idx: np.ndarray, c) -> Tensor:
     """Predict the injected noise from (z_t, t, c); rows are independent."""
     t_idx = np.atleast_1d(np.asarray(t_idx, dtype=np.int64))
     if t_idx.min() < 1 or t_idx.max() > sched.t_steps:
@@ -100,8 +100,8 @@ def eps_forward(store: ParamStore, sched: NoiseSchedule, z_t, t_idx: np.ndarray,
     table = sinusoidal_table(sched.t_steps)
     x = ad.concat([ad.as_tensor(z_t), Tensor(table[t_idx]), ad.as_tensor(c)], axis=-1)
     for i in range(3):
-        x = ad.gelu(ad.affine(x, store[f"{prefix}/w{i}"], store[f"{prefix}/b{i}"]))
-    return ad.affine(x, store[f"{prefix}/w_out"], store[f"{prefix}/b_out"])
+        x = ad.gelu(ad.affine(x, store[f"{EPS_NET}/w{i}"], store[f"{EPS_NET}/b{i}"]))
+    return ad.affine(x, store[f"{EPS_NET}/w_out"], store[f"{EPS_NET}/b_out"])
 
 
 # -- forward noising and reverse sampling -----------------------------------------
@@ -119,8 +119,7 @@ def noisify(z: np.ndarray, t: int | np.ndarray, eps: np.ndarray, sched: NoiseSch
 
 
 def denoise_step(z_t: np.ndarray, t: int, c: np.ndarray, xi: np.ndarray,
-                 store: ParamStore, sched: NoiseSchedule,
-                 eps_prefix: str = "diffusion_head/eps", eps_fn=None) -> np.ndarray:
+                 store: ParamStore, sched: NoiseSchedule, eps_fn=None) -> np.ndarray:
     """One reverse step t -> t-1; xi is injected for testability."""
     if not 1 <= t <= sched.t_steps:
         raise ValueError(f"timestep {t} outside [1, {sched.t_steps}]")
@@ -132,7 +131,7 @@ def denoise_step(z_t: np.ndarray, t: int, c: np.ndarray, xi: np.ndarray,
         eps = np.atleast_2d(eps_fn(z2, tt, c2))
     else:
         with ad.no_grad():
-            eps = eps_forward(store, sched, z2, tt, c2, eps_prefix).data
+            eps = eps_forward(store, sched, z2, tt, c2).data
     coef = (1.0 - sched.alpha[t]) / np.sqrt(1.0 - sched.alpha_bar[t])
     out = (z2 - coef * eps) / np.sqrt(sched.alpha[t]) + sched.sigma[t] * np.atleast_2d(xi)
     return out.reshape(np.shape(z_t))
@@ -145,8 +144,7 @@ def _normal_rows(rngs: list[np.random.Generator], d: int) -> np.ndarray:
 
 
 def sample_latent(c: np.ndarray, store: ParamStore, sched: NoiseSchedule,
-                  rngs: list[np.random.Generator], eps_prefix: str = "diffusion_head/eps",
-                  eps_fn=None, d: int | None = None) -> np.ndarray:
+                  rngs: list[np.random.Generator], eps_fn=None, d: int | None = None) -> np.ndarray:
     """Ancestral sampling from pure noise down to z^(0), one generator per row
     of c: row i draws its z_T and each xi from rngs[i], in the order a one-row
     call draws them.  Deterministic given (c, rngs)."""
@@ -156,11 +154,11 @@ def sample_latent(c: np.ndarray, store: ParamStore, sched: NoiseSchedule,
     if len(rngs) != n:
         raise ValueError(f"{len(rngs)} generators for {n} condition rows")
     if d is None:
-        d = store[f"{eps_prefix}/b_out"].data.shape[0] if eps_fn is None else c2.shape[1]
+        d = store[f"{EPS_NET}/b_out"].data.shape[0] if eps_fn is None else c2.shape[1]
     z = _normal_rows(rngs, d)
     for t in range(sched.t_steps, 0, -1):
         xi = _normal_rows(rngs, d) if sched.sigma[t] > 0.0 else np.zeros((n, d))
-        z = denoise_step(z, t, c2, xi, store, sched, eps_prefix, eps_fn)
+        z = denoise_step(z, t, c2, xi, store, sched, eps_fn)
     return z.reshape(np.shape(c)[:-1] + (d,)) if np.ndim(c) > 1 else z[0]
 
 
@@ -168,8 +166,7 @@ def sample_latent(c: np.ndarray, store: ParamStore, sched: NoiseSchedule,
 
 
 def diffusion_loss(z_clean: np.ndarray, c, store: ParamStore, sched: NoiseSchedule,
-                   rng: np.random.Generator, draws: tuple[np.ndarray, np.ndarray] | None = None,
-                   eps_prefix: str = "diffusion_head/eps") -> Tensor:
+                   rng: np.random.Generator, draws: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
     """Noise-regression loss, mean over all K*d residual scalars.
 
     Each row independently draws t ~ Uniform{1..T} and eps ~ N(0, I); `draws`
@@ -183,7 +180,7 @@ def diffusion_loss(z_clean: np.ndarray, c, store: ParamStore, sched: NoiseSchedu
     else:
         t, eps = draws
     z_t = noisify(z_clean, t, eps, sched)
-    pred = eps_forward(store, sched, z_t, t, c, eps_prefix)
+    pred = eps_forward(store, sched, z_t, t, c)
     return ad.mse(pred, Tensor(eps))
 
 

@@ -168,25 +168,45 @@ def grpo_objective(group: RolloutGroup, model: Model, clip_eps: float, temperatu
     return ad.mul(acc, 1.0 / len(group.rollouts))
 
 
-def sample_group(model: Model, trace, cfg: GrpoConfig, iteration: int, query_index: int,
-                 query_id: int) -> RolloutGroup:
-    """Sample G rollouts for one query from the current (behavior) parameters."""
+def sample_groups(model: Model, traces: list[tv.AnnotatedTrace], cfg: GrpoConfig, iteration: int,
+                  query_indices: list[int], query_ids: list[int]) -> list[RolloutGroup]:
+    """Sample G rollouts for each query from the current (behavior) parameters.
+
+    Rollout g of query j draws from seeded_rng(cfg.seed, "rollout", iteration,
+    query_indices[j], g).  The streams of all queries whose prompts have one
+    length are decoded in one lockstep batch.  A rollout's behavior
+    log-probabilities are the ones its tokens were drawn with.
+    """
     gen_cfg = inf.GenerationConfig(mode="mixed", max_new_items=cfg.max_new_items,
                                    temperature=cfg.temperature)
-    prompt = inf.build_prompt(model, trace)
-    gold = inf.gold_answer(trace)
-    rngs = [seeded_rng(cfg.seed, "rollout", iteration, query_index, g) for g in range(cfg.group_size)]
-    rollouts = []
-    for res in inf.generate_group(prompt, model, gen_cfg, rngs):
-        ans = inf.extract_answer(res.seq)
-        rollouts.append(Rollout(res.seq, res.emissions, ans, reward(ans, gold),
-                                new_items=res.new_items))
-    group = RolloutGroup(query_id, rollouts)
-    group.advantages = advantages(np.array([r.reward for r in rollouts]))
-    with ad.no_grad():
-        for r in rollouts:
-            r.logprobs_old = score_rollout(model, r, cfg.temperature).data.copy()
-    return group
+    G = cfg.group_size
+    prompts = [inf.build_prompt(model, t) for t in traces]
+    results: list[list[inf.GenResult]] = [[] for _ in traces]
+    for length in dict.fromkeys(len(p) for p in prompts):
+        js = [j for j, p in enumerate(prompts) if len(p) == length]
+        rngs = [seeded_rng(cfg.seed, "rollout", iteration, query_indices[j], g)
+                for j in js for g in range(G)]
+        out = inf.generate_group([prompts[j] for j in js for _ in range(G)], model, gen_cfg, rngs)
+        for i, j in enumerate(js):
+            results[j] = out[i * G : (i + 1) * G]
+    groups = []
+    for trace, query_id, group_results in zip(traces, query_ids, results):
+        gold = inf.gold_answer(trace)
+        rollouts = []
+        for res in group_results:
+            ans = inf.extract_answer(res.seq)
+            rollouts.append(Rollout(res.seq, res.emissions, ans, reward(ans, gold),
+                                    np.array([e.logprob for e in res.emissions]), res.new_items))
+        group = RolloutGroup(query_id, rollouts)
+        group.advantages = advantages(np.array([r.reward for r in rollouts]))
+        groups.append(group)
+    return groups
+
+
+def sample_group(model: Model, trace, cfg: GrpoConfig, iteration: int, query_index: int,
+                 query_id: int) -> RolloutGroup:
+    """Sample G rollouts for one query: sample_groups of that query alone."""
+    return sample_groups(model, [trace], cfg, iteration, [query_index], [query_id])[0]
 
 
 def train_rl(model: Model, traces: list[tv.AnnotatedTrace], cfg: GrpoConfig,
@@ -208,8 +228,8 @@ def train_rl(model: Model, traces: list[tv.AnnotatedTrace], cfg: GrpoConfig,
         for iteration in range(cfg.iters):
             order = seeded_rng(cfg.seed, "rl-queries", iteration).permutation(len(traces))
             picks = order[: cfg.queries_per_iter]
-            groups = [sample_group(model, traces[q], cfg, iteration, qi, int(q))
-                      for qi, q in enumerate(picks)]
+            groups = sample_groups(model, [traces[q] for q in picks], cfg, iteration,
+                                   list(range(len(picks))), [int(q) for q in picks])
 
             rewards_flat = [r.reward for g in groups for r in g.rollouts]
             lens = [r.new_items for g in groups for r in g.rollouts]

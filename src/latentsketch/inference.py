@@ -41,10 +41,13 @@ class GenerationConfig:
 
 @dataclass
 class Emission:
-    """One scored decoding decision: sequence position, emitted id, decision mask."""
+    """One scored decoding decision: sequence position, emitted id, decision
+    mask, and the id's log-probability under the masked, tempered
+    distribution it was drawn from (masked_logprobs)."""
     position: int
     token_id: int
     mask: np.ndarray  # bool [V], True = masked out
+    logprob: float = float("nan")  # nan: not drawn by the sampler
 
 
 @dataclass
@@ -82,32 +85,42 @@ def masked_logprobs(logits: np.ndarray, mask: np.ndarray, temperature: float) ->
 def generate(prompt: sq.MixedSequence, model: Model, cfg: GenerationConfig,
              rng: np.random.Generator) -> GenResult:
     """Decode from a grammatical prompt; output always passes grammar validation."""
-    return generate_group(prompt, model, cfg, [rng])[0]
+    return generate_group([prompt], model, cfg, [rng])[0]
 
 
-def generate_group(prompt: sq.MixedSequence, model: Model, cfg: GenerationConfig,
+def generate_group(prompts: list[sq.MixedSequence], model: Model, cfg: GenerationConfig,
                    rngs: list[np.random.Generator]) -> list[GenResult]:
-    """Decode one stream per generator from a shared prompt, in lockstep.
+    """Decode stream g from prompts[g] with rngs[g], all streams in lockstep.
 
-    The prompt is prefilled once and its keys and values copied to every
-    stream.  Each step every live stream appends one item (a text token,
-    START, a latent row or END), so the live streams keep one length: the
-    streams inside a block get their rows from one batched emit_block call,
-    the others draw a token with their own mask from their own generator, and
-    one forward_batch appends the items of all.  Stream g equals a one-stream
-    decode with rngs[g]; every output passes grammar validation.
+    The prompts must have one length.  Each distinct prompt object is
+    prefilled once, all in one batched append, and its keys and values copied
+    to every stream that decodes it.  Each step every live stream appends one
+    item (a text token, START, a latent row or END), so the live streams keep
+    one length: the streams inside a block get their rows from one batched
+    emit_block call, the others draw a token with their own mask from their
+    own generator, and one forward_batch appends the items of all.  Stream g
+    equals a one-stream decode of prompts[g] with rngs[g]; every output passes
+    grammar validation.
     """
+    if not prompts or len(prompts) != len(rngs):
+        raise ValueError(f"{len(prompts)} prompts for {len(rngs)} generators")
     k = model.bcfg.k_latent
-    sq.validate(prompt, k)
-    if prompt.items and prompt.items[-1].kind == sq.CTRL and prompt.items[-1].value == sq.EOS:
-        raise ValueError("prompt already ends with EOS")
-    if len(prompt) > model.bcfg.max_len - cfg.max_new_items:
+    distinct = list({id(p): p for p in prompts}.values())  # each prompt object once
+    slot = {id(p): i for i, p in enumerate(distinct)}  # its prefill stream
+    for p in distinct:
+        sq.validate(p, k)
+        if p.items and p.items[-1].kind == sq.CTRL and p.items[-1].value == sq.EOS:
+            raise ValueError("prompt already ends with EOS")
+    if len({len(p) for p in distinct}) > 1:
+        raise ValueError("prompts decoded in lockstep must have one length")
+    if len(prompts[0]) > model.bcfg.max_len - cfg.max_new_items:
         raise ValueError("prompt too long for the requested generation budget")
     store, bcfg = model.store, model.bcfg
-    cache = bb.DecodeCache(store, bcfg)
-    cache.append_seq_items(prompt.items)
-    cache.select([0] * len(rngs))
-    results = [GenResult(prompt.copy(), truncated=False) for _ in rngs]
+    cache = bb.DecodeCache(store, bcfg, streams=len(distinct))
+    arrays = [sq.to_arrays(p, bcfg.d) for p in distinct]
+    cache.append(*(np.stack(a) for a in zip(*arrays)))
+    cache.select([slot[id(p)] for p in prompts])
+    results = [GenResult(p.copy(), truncated=False) for p in prompts]
     block_left = [0] * len(rngs)  # items of the open latent block still to append, END included
     live = list(range(len(rngs)))  # the result of each cache stream
     while live:
@@ -128,12 +141,12 @@ def generate_group(prompt: sq.MixedSequence, model: Model, cfg: GenerationConfig
                 row = cache.last_logits[s]
                 mask = decision_mask(cfg.mode, k, cfg.max_new_items - res.new_items,
                                      len(res.seq), bcfg.max_len, bcfg.vocab)
+                logp = masked_logprobs(row, mask, cfg.temperature)
                 if cfg.temperature == 0:
                     tok = int(np.argmax(np.where(mask, -np.inf, row)))
                 else:
-                    p = np.exp(masked_logprobs(row, mask, cfg.temperature))
-                    tok = int(rngs[g].choice(bcfg.vocab, p=p))
-                res.emissions.append(Emission(len(res.seq), tok, mask))
+                    tok = int(rngs[g].choice(bcfg.vocab, p=np.exp(logp)))
+                res.emissions.append(Emission(len(res.seq), tok, mask, float(logp[tok])))
                 if tok == vocab.EOS_ID:
                     res.seq.append(sq.MixedItem.ctrl(sq.EOS))
                     res.new_items += 1

@@ -158,17 +158,17 @@ def test_condition_identity_and_linearity():
 
     def emit_and_replay():
         cache = bb.DecodeCache(m.store, m.bcfg)
-        cache.append_seq_items(prefix.items)
+        cache.append(*arrays(m, prefix))
         seq, rng, conditions = prefix.copy(), seeded_rng(5, "c"), []
         for _ in range(m.bcfg.k_latent):
             step = df.emit_block([seq], m.store, m.bcfg, m.sched, [rng], cache, [0])
             conditions.append(step.conditions[0])
             seq.append(sq.MixedItem.latent(step.vectors[0]))
-            cache.append_seq_items([seq.items[-1]])
+            cache.append(*arrays(m, sq.MixedSequence(seq.items[-1:])))
         replay = bb.DecodeCache(m.store, m.bcfg)
-        h = [replay.append_seq_items(prefix.items)[0, -1]]
+        h = [replay.append(*arrays(m, prefix))[0, -1]]
         for item in seq.items[len(prefix):-1]:
-            h.append(replay.append_seq_items([item])[0, -1])
+            h.append(replay.append(*arrays(m, sq.MixedSequence([item])))[0, -1])
         return np.array(conditions), np.array(h)
 
     c, h = emit_and_replay()
@@ -277,14 +277,14 @@ def test_decode_cache_matches_forward_batch(length):
     cache = bb.DecodeCache(m.store, m.bcfg)
     got = []
     for chunk in decode_schedule(seq.items, 3, min(length, 7)):
-        got.extend(cache.append_seq_items(chunk)[0])
+        got.extend(cache.append(*arrays(m, sq.MixedSequence(chunk)))[0])
         assert np.max(np.abs(cache.last_logits[0] - logits[len(got) - 1])) <= 1e-12
         assert np.array_equal(cache.last_hidden[0], got[-1])
     assert cache.length == length
     assert np.max(np.abs(np.array(got) - hidden)) <= 1e-12
     if length == m.bcfg.max_len:
         with pytest.raises(ValueError, match="max_len"):
-            cache.append_seq_items([sq.MixedItem.text(30)])
+            cache.append(*arrays(m, sq.MixedSequence([sq.MixedItem.text(30)])))
 
 
 def test_multi_stream_cache_matches_forward_batch():
@@ -303,7 +303,7 @@ def test_multi_stream_cache_matches_forward_batch():
              [start, lat(), lat(), end, sq.MixedItem.text(52), sq.MixedItem.text(9)],
              [sq.MixedItem.text(12), sq.MixedItem.text(13), start, lat(), lat(), end]]
     cache = bb.DecodeCache(m.store, m.bcfg)
-    pre = cache.append_seq_items(prompt)
+    pre = cache.append(*arrays(m, sq.MixedSequence(prompt)))
     cache.select([0] * 3)
     assert cache.streams == 3 and cache.length == len(prompt)
     assert np.array_equal(cache.last_hidden, np.repeat(pre[:, -1], 3, axis=0))

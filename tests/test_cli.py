@@ -5,6 +5,8 @@ import os
 import numpy as np
 import pytest
 
+from latentsketch import cli
+from latentsketch import sequence as sq
 from latentsketch import toyvision as tv
 from latentsketch import vocab
 from latentsketch.cli import (DEFAULT_CONFIG, SECTIONS, ConfigError, _merge_validate, evaluate,
@@ -192,6 +194,82 @@ def test_eval_validation_and_dump_consistency(tmp_path):
     assert report["mode"] == "mixed"
     assert set(report) >= {"task", "mode", "checkpoint", "n_examples",
                            "exact_match_accuracy", "per_seed", "wall_time"}
+
+
+def test_evaluate_batches_equal_per_example_decoding(tmp_path, monkeypatch):
+    """Runs of consecutive examples with one prompt length, cut at
+    EVAL_STREAMS, decode to the dump and report of one generate call per
+    example (wall_time aside)."""
+    from latentsketch import grpo
+    from latentsketch import inference as inf
+
+    monkeypatch.setattr(cli, "EVAL_STREAMS", 3)
+    m = build_model(ModelConfig(**dict(TINY_MODEL, max_len=112)), seed=72)
+    tv.pretrain_encoder(m.store, 2, 1e-2, seed=72)
+    # a head that picks among START, EOS and one letter from the hidden state,
+    # so that examples end at different steps with and without latent blocks
+    w, bias = m.store["backbone/lm_head/w"].data, m.store["backbone/lm_head/b"].data
+    picks = [vocab.START_ID, vocab.EOS_ID, vocab.STR2ID["A"]]
+    w[:], bias[:], bias[picks] = 0.0, -5.0, 0.0
+    w[:, picks] = seeded_rng(1, "head").normal(size=(w.shape[0], len(picks)))
+    grid = tv.generate_dataset("grid_rotation", 6, 21)
+    search = tv.generate_dataset("visual_search", 3, 21)
+    traces = grid[:4] + search[:2] + grid[4:] + search[2:]
+    decodes, batched = [], []
+    real = inf.generate_group
+
+    def spy(prompts, *args):
+        decodes.append(len(prompts))
+        batched.extend(real(prompts, *args))
+        return batched[-len(prompts):]
+
+    monkeypatch.setattr(inf, "generate_group", spy)
+    dump = tmp_path / "dump.jsonl"
+    report = evaluate(m, traces, "mixed", 9, max_new_items=10, dump_path=str(dump))
+    assert decodes == [3, 1, 2, 2, 1]
+    monkeypatch.undo()
+
+    gen_cfg = inf.GenerationConfig(mode="mixed", max_new_items=10, temperature=0.0)
+    lines, results, correct = [], [], 0
+    for i, trace in enumerate(traces):
+        res = inf.generate(inf.build_prompt(m, trace), m, gen_cfg, seeded_rng(9, "eval", i))
+        results.append(res)
+        got = batched[i].seq.items
+        assert [it.kind for it in got] == [it.kind for it in res.seq.items]
+        for x, y in zip(got, res.seq.items):
+            if x.kind == sq.LATENT:
+                assert np.max(np.abs(x.value - y.value)) <= 1e-12 * max(1.0, np.max(np.abs(y.value)))
+            else:
+                assert x.value == y.value
+        pred, gold = inf.extract_answer(res.seq), inf.gold_answer(trace)
+        ok = grpo.reward(pred, gold) == 1.0
+        correct += ok
+        lines.append(json.dumps({"example": i, "correct": bool(ok), "predicted": pred, "gold": gold,
+                                 "generated": res.seq.detokenize(), "truncated": res.truncated},
+                                separators=(",", ":")))
+    assert dump.read_text() == "\n".join(lines) + "\n"
+    assert len({r.new_items for r in results if not r.truncated}) >= 2
+    assert any(r.truncated for r in results)
+    assert any(e.token_id == vocab.START_ID for r in results for e in r.emissions)
+    del report["wall_time"]
+    assert report == {"task": "grid_rotation", "mode": "mixed", "checkpoint": None,
+                      "n_examples": len(traces), "exact_match_accuracy": correct / len(traces),
+                      "per_seed": {"9": correct / len(traces)}}
+
+
+def test_evaluate_rejects_an_empty_trace_list():
+    m = build_model(ModelConfig(**TINY_MODEL), seed=73)
+    with pytest.raises(ValueError, match="at least one example"):
+        evaluate(m, [], "mixed", 1)
+
+
+@pytest.mark.parametrize("key", ["n", "max_new_items"])
+def test_ablate_bad_eval_value_exits_2_before_training(key, tmp_path, capsys):
+    path = tiny_config(tmp_path, eval={"n": 2, "seed": 11, "max_new_items": 8, key: 0})
+    assert main(["ablate", "--suite", "table3", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"eval.{key}" in err
+    assert not (tmp_path / "run" / "table3_joint").exists()
 
 
 def test_eval_truncated_checkpoint_exits_3(tmp_path, capsys):

@@ -286,10 +286,17 @@ def prompt_with_start(model):
     return sq.MixedSequence(items)
 
 
+def prefilled(model, items):
+    """A one-stream decode cache holding the items."""
+    cache = bb.DecodeCache(model.store, model.bcfg)
+    ids, text_mask, latents = sq.to_arrays(sq.MixedSequence(items), model.bcfg.d)
+    cache.append(ids[None], text_mask[None], latents[None])
+    return cache
+
+
 def emit(model, prefix, rng):
     """One emit_block step on one stream, over a decode cache prefilled with the prefix."""
-    cache = bb.DecodeCache(model.store, model.bcfg)
-    cache.append_seq_items(prefix.items)
+    cache = prefilled(model, prefix.items)
     return df.emit_block([prefix], model.store, model.bcfg, model.sched, [rng], cache, [0])
 
 
@@ -315,8 +322,7 @@ def test_emit_block_requires_start(block_model):
     full = prompt_with_start(block_model)
     for _ in range(block_model.bcfg.k_latent):
         full.append(sq.MixedItem.latent(np.zeros(8)))
-    cache = bb.DecodeCache(block_model.store, block_model.bcfg)
-    cache.append_seq_items(full.items)
+    cache = prefilled(block_model, full.items)
     with pytest.raises(ValueError, match="fewer than K"):
         df.emit_block([full], block_model.store, block_model.bcfg, block_model.sched,
                       [seeded_rng(0, "e")], cache, [0])
@@ -324,8 +330,7 @@ def test_emit_block_requires_start(block_model):
 
 def test_emit_block_rejects_out_of_sync_cache(block_model):
     prefix = prompt_with_start(block_model)
-    cache = bb.DecodeCache(block_model.store, block_model.bcfg)
-    cache.append_seq_items(prefix.items[:-1])
+    cache = prefilled(block_model, prefix.items[:-1])
     with pytest.raises(ValueError, match="out of sync"):
         df.emit_block([prefix], block_model.store, block_model.bcfg, block_model.sched,
                       [seeded_rng(0, "e")], cache, [0])
@@ -357,7 +362,7 @@ def test_emit_block_feedback_changes_conditions(block_model, monkeypatch):
     monkeypatch.setattr(df, "emit_block", spy)
     prompt = sq.MixedSequence([sq.MixedItem.ctrl(sq.BOS), sq.MixedItem.text(30)])
     cfg = inf.GenerationConfig(mode="mixed", max_new_items=14, temperature=1.0)
-    group = inf.generate_group(prompt, m, cfg, [seeded_rng(3, "fb", g) for g in range(3)])
+    group = inf.generate_group([prompt] * 3, m, cfg, [seeded_rng(3, "fb", g) for g in range(3)])
     cond_w = m.store["diffusion_head/cond_w"].data
     by_pos = {}
     for seq, n, vec, c in steps:

@@ -233,3 +233,60 @@ def test_sampled_rollouts_pass_grammar_and_store_scored_positions():
             item = r.seq.items[e.position]
             assert item.kind == sq.TEXT or item.value in (sq.START, sq.EOS)
             assert not e.mask[e.token_id]
+
+
+def test_behavior_logprobs_are_the_sampler_logprobs():
+    """Each rollout's logprobs_old are its emissions' sampling log-probabilities,
+    and they equal a fresh score_rollout of the finished rollout."""
+    model = make_rl_model(seed=56)
+    model.store["backbone/lm_head/b"].data[vocab.START_ID] = 2.0
+    cfg = grpo.GrpoConfig(group_size=4, temperature=0.9, max_new_items=14, seed=4)
+    group, _ = sample_tiny_group(model, cfg)
+    assert any(e.token_id == vocab.START_ID for r in group.rollouts for e in r.emissions)
+    for r in group.rollouts:
+        assert np.array_equal(r.logprobs_old, [e.logprob for e in r.emissions])
+        with ad.no_grad():
+            scored = grpo.score_rollout(model, r, cfg.temperature).data
+        assert np.max(np.abs(scored - r.logprobs_old)) <= 1e-12
+
+
+def test_train_rl_mixed_tasks_equal_one_query_at_a_time(tmp_path, monkeypatch):
+    """Queries of two prompt lengths: one decode per length gives the rollout
+    dump and metrics of sampling each query's group on its own."""
+    traces = tv.generate_dataset("grid_rotation", 3, 6) + tv.generate_dataset("visual_search", 3, 6)
+    cfg = grpo.GrpoConfig(group_size=3, temperature=1.0, max_new_items=10, iters=3,
+                          queries_per_iter=4, seed=12)
+
+    def run(name):
+        model = build_model(ModelConfig(layers=1, heads=2, d=8, max_len=112, k_latent=2, t_steps=4),
+                            seed=57)
+        tv.pretrain_encoder(model.store, 2, 1e-2, seed=57)
+        model.store["backbone/lm_head/b"].data[vocab.START_ID] = 1.0
+        metrics, dump = tmp_path / f"{name}.csv", tmp_path / f"{name}.txt"
+        grpo.train_rl(model, traces, cfg, metrics_path=str(metrics), rollout_dump_path=str(dump))
+        return metrics.read_bytes(), dump.read_bytes()
+
+    # a reward that splits most groups, so that the policy moves between iterations
+    monkeypatch.setattr(grpo, "reward", lambda answer, gold: float(len(answer) % 2))
+    decodes = []
+    real_generate_group = inf.generate_group
+
+    def spy(prompts, *args):
+        decodes.append(len(prompts))
+        return real_generate_group(prompts, *args)
+
+    monkeypatch.setattr(inf, "generate_group", spy)
+    batched = run("batched")
+    assert len(decodes) > cfg.iters and sum(decodes) == cfg.iters * cfg.queries_per_iter * cfg.group_size
+    real_sample_groups = grpo.sample_groups
+
+    def one_query_at_a_time(model, qtraces, cfg, iteration, query_indices, query_ids):
+        return [real_sample_groups(model, [t], cfg, iteration, [qi], [qid])[0]
+                for t, qi, qid in zip(qtraces, query_indices, query_ids)]
+
+    monkeypatch.setattr(grpo, "sample_groups", one_query_at_a_time)
+    decodes.clear()
+    assert run("single") == batched
+    assert decodes == [cfg.group_size] * (cfg.iters * cfg.queries_per_iter)
+    frac_degenerate = [float(row.split(b",")[3]) for row in batched[0].splitlines()[1:]]
+    assert max(frac_degenerate) < 1.0

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from latentsketch import backbone as bb
 from latentsketch import diffusion as df
 from latentsketch import inference as inf
 from latentsketch import sequence as sq
@@ -162,7 +163,7 @@ def assert_same_generation(got, want):
 
 
 def group_and_singles(model, prompt, cfg, tag, g=6):
-    group = inf.generate_group(prompt, model, cfg, [seeded_rng(5, tag, i) for i in range(g)])
+    group = inf.generate_group([prompt] * g, model, cfg, [seeded_rng(5, tag, i) for i in range(g)])
     singles = [inf.generate(prompt, model, cfg, seeded_rng(5, tag, i)) for i in range(g)]
     for got, want in zip(group, singles):
         assert_same_generation(got, want)
@@ -212,6 +213,51 @@ def test_generate_group_language_only_never_touches_diffusion():
                               "lo")
     assert df.CALLS["sample_latent"] == 0 and df.CALLS["denoise_step"] == 0
     assert not any(it.kind == sq.CTRL and it.value == sq.START for r in group for it in r.seq.items)
+
+
+def test_generate_group_distinct_prompts_equal_separate_generations(monkeypatch):
+    """Nine streams of three distinct prompts of one length, each prompt
+    shared by three streams: one [3, L] prefill, and every stream equals its own
+    generate call, with streams ending by EOS and by the budget at different
+    steps and with zero, one and two latent blocks."""
+    model = make_model(seed=68)
+    bias = model.store["backbone/lm_head/b"].data
+    bias[vocab.START_ID] = 2.0
+    bias[vocab.EOS_ID] = 1.5
+    prompts = [make_prompt(model, seed=s)[0] for s in (1, 2, 3)]
+    assert len({len(p) for p in prompts}) == 1
+    streams = [prompts[i] for i in (0, 1, 2, 0, 1, 2, 0, 1, 2)]
+    rngs = [seeded_rng(5, "grp", i) for i in range(len(streams))]
+    cfg = inf.GenerationConfig(mode="mixed", max_new_items=16, temperature=1.0)
+    appends = []
+    real = bb.DecodeCache.append
+
+    def spy(cache, ids, *args):
+        appends.append(ids.shape)
+        return real(cache, ids, *args)
+
+    monkeypatch.setattr(bb.DecodeCache, "append", spy)
+    group = inf.generate_group(streams, model, cfg, rngs)
+    assert appends[0] == (3, len(prompts[0]))
+    monkeypatch.undo()
+    for i, got in enumerate(group):
+        assert_same_generation(got, inf.generate(streams[i], model, cfg,
+                                                 seeded_rng(5, "grp", i)))
+    finished = {r.new_items for r in group if not r.truncated}
+    blocks = {sum(e.token_id == vocab.START_ID for e in r.emissions) for r in group}
+    assert len(finished) >= 3 and any(r.truncated for r in group)
+    assert blocks >= {0, 1, 2}
+
+
+def test_generate_group_rejects_prompts_of_unequal_length():
+    model = make_model()
+    grid, _ = make_prompt(model)
+    search = inf.build_prompt(model, tv.generate_dataset("visual_search", 1, 1)[0])
+    cfg = inf.GenerationConfig(max_new_items=4)
+    with pytest.raises(ValueError, match="one length"):
+        inf.generate_group([grid, search], model, cfg, [seeded_rng(0, "u", i) for i in range(2)])
+    with pytest.raises(ValueError, match="generators"):
+        inf.generate_group([grid, grid], model, cfg, [seeded_rng(0, "u")])
 
 
 # -- extract_answer ---------------------------------------------------------------
