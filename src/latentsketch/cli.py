@@ -127,7 +127,7 @@ def load_training_data(cfg: dict) -> list[tv.AnnotatedTrace]:
 # -- evaluation ---------------------------------------------------------------------
 
 
-# examples decoded in one lockstep batch: the streams of a default GRPO
+# examples decoded in one generate_group call: the streams of a default GRPO
 # iteration (4 queries x 8 rollouts)
 EVAL_STREAMS = 32
 
@@ -136,8 +136,8 @@ def evaluate(model: Model, traces: list[tv.AnnotatedTrace], mode: str, seed: int
              max_new_items: int = inf.MAX_NEW_ITEMS, dump_path: str | None = None) -> dict:
     """Greedy exact-match evaluation; returns the report dict.
 
-    Runs of up to EVAL_STREAMS consecutive examples whose prompts have one
-    length are decoded in lockstep; example i samples its latent rows from
+    Runs of EVAL_STREAMS consecutive examples are decoded in one
+    generate_group call; example i samples its latent rows from
     seeded_rng(seed, "eval", i), as a decode of its own would.
     """
     if not traces:
@@ -146,15 +146,13 @@ def evaluate(model: Model, traces: list[tv.AnnotatedTrace], mode: str, seed: int
     t0 = time.time()
     dump_lines = []
     gen_cfg = inf.GenerationConfig(mode=mode, max_new_items=max_new_items, temperature=0.0)
-    batch: list = []  # prompts of the consecutive examples not yet decoded
-
-    def decode_batch() -> None:
-        nonlocal correct
-        first = len(dump_lines)
-        rngs = [seeded_rng(seed, "eval", i) for i in range(first, first + len(batch))]
-        for i, res in enumerate(inf.generate_group(batch, model, gen_cfg, rngs), first):
+    for lo in range(0, len(traces), EVAL_STREAMS):
+        run = traces[lo : lo + EVAL_STREAMS]
+        prompts = [inf.build_prompt(model, t) for t in run]
+        rngs = [seeded_rng(seed, "eval", i) for i in range(lo, lo + len(run))]
+        for i, (trace, res) in enumerate(zip(run, inf.generate_group(prompts, model, gen_cfg, rngs)), lo):
             pred = inf.extract_answer(res.seq)
-            gold = inf.gold_answer(traces[i])
+            gold = inf.gold_answer(trace)
             ok = grpo.reward(pred, gold) == 1.0
             correct += ok
             dump_lines.append(json.dumps({
@@ -162,14 +160,6 @@ def evaluate(model: Model, traces: list[tv.AnnotatedTrace], mode: str, seed: int
                 "predicted": pred, "gold": gold,
                 "generated": res.seq.detokenize(), "truncated": res.truncated,
             }, separators=(",", ":")))
-        batch.clear()
-
-    for trace in traces:
-        prompt = inf.build_prompt(model, trace)
-        if batch and (len(batch) == EVAL_STREAMS or len(prompt) != len(batch[0])):
-            decode_batch()
-        batch.append(prompt)
-    decode_batch()
     wall = time.time() - t0
     report = {
         "task": traces[0].task_id,
@@ -216,10 +206,15 @@ def run_sft_pipeline(cfg: dict, out_dir: str, resume: str | None = None) -> Mode
     start_step = 0
     if resume:
         model, start_step = load_model(resume)
+        mcfg = model.cfg
     else:
         mcfg = section_config(cfg, "model")
         if mcfg.vocab != vocab.VOCAB_SIZE:
             raise ConfigError(f"model.vocab must be {vocab.VOCAB_SIZE} (the committed vocabulary)")
+    # one latent block length: SFT splices m_latent rows, the grammar expects k_latent
+    if scfg.m_latent != mcfg.k_latent:
+        raise ConfigError(f"sft.m_latent ({scfg.m_latent}) must equal model.k_latent ({mcfg.k_latent})")
+    if not resume:
         if scfg.mode == "similarity":
             mcfg.head = "similarity"
         model = build_model(mcfg, cfg["seed"])
@@ -259,6 +254,8 @@ def cmd_train_rl(args) -> int:
 def cmd_eval(args) -> int:
     if args.n < 1:
         raise ConfigError("--n must be >= 1")
+    if args.max_new_items < 1:
+        raise ConfigError("--max-new-items must be >= 1")
     model, _ = load_model(args.checkpoint)
     if model.bcfg.vocab != vocab.VOCAB_SIZE:
         raise ConfigError("checkpoint vocabulary does not match this build")
@@ -276,6 +273,18 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# per ablation suite: the label column of its CSV, and its runs of
+# (label, config overrides by section, eval mode)
+ABLATIONS = {
+    "table3": ("method", [(mode, {"sft": {"mode": mode}},
+                           "language_only" if mode == "text_only" else "mixed")
+                          for mode in sft.MODES]),
+    "lambda": ("lambda", [(lam, {"sft": {"lambda": lam}}, "mixed") for lam in (0.1, 1.0, 10.0)]),
+    "budget": ("latent_tokens", [(m, {"sft": {"m_latent": m}, "model": {"k_latent": m}}, "mixed")
+                                 for m in (1, 2, 4, 8, 16)]),
+}
+
+
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
     for key in ("n", "max_new_items"):  # checked before any of the suite's training runs
@@ -285,46 +294,18 @@ def cmd_ablate(args) -> int:
     write_run_manifest(out_dir, cfg)
     eval_n, eval_seed = cfg["eval"]["n"], cfg["eval"]["seed"]
     eval_traces = tv.generate_dataset(cfg["data"]["task"], eval_n, eval_seed)
-    rows = []
-    if args.suite == "table3":
-        for mode in ("joint", "text_only", "similarity"):
-            sub = copy.deepcopy(cfg)
-            sub["sft"]["mode"] = mode
-            sub["paths"]["out_dir"] = os.path.join(out_dir, f"table3_{mode}")
-            model = run_sft_pipeline(sub, sub["paths"]["out_dir"])
-            eval_mode = "language_only" if mode == "text_only" else "mixed"
-            rep = evaluate(model, eval_traces, eval_mode, eval_seed,
-                           max_new_items=cfg["eval"]["max_new_items"])
-            rows.append((mode, eval_mode, rep["exact_match_accuracy"]))
-        header = "method,eval_mode,exact_match_accuracy"
-        path = os.path.join(out_dir, "table3.csv")
-    elif args.suite == "lambda":
-        for lam in (0.1, 1.0, 10.0):
-            sub = copy.deepcopy(cfg)
-            sub["sft"]["lambda"] = lam
-            sub["paths"]["out_dir"] = os.path.join(out_dir, f"lambda_{lam}")
-            model = run_sft_pipeline(sub, sub["paths"]["out_dir"])
-            rep = evaluate(model, eval_traces, "mixed", eval_seed,
-                           max_new_items=cfg["eval"]["max_new_items"])
-            rows.append((lam, "mixed", rep["exact_match_accuracy"]))
-        header = "lambda,eval_mode,exact_match_accuracy"
-        path = os.path.join(out_dir, "lambda.csv")
-    elif args.suite == "budget":
-        for m in (1, 2, 4, 8, 16):
-            sub = copy.deepcopy(cfg)
-            sub["sft"]["m_latent"] = m
-            sub["model"]["k_latent"] = m
-            sub["paths"]["out_dir"] = os.path.join(out_dir, f"budget_{m}")
-            model = run_sft_pipeline(sub, sub["paths"]["out_dir"])
-            rep = evaluate(model, eval_traces, "mixed", eval_seed,
-                           max_new_items=cfg["eval"]["max_new_items"])
-            rows.append((m, "mixed", rep["exact_match_accuracy"]))
-        header = "latent_tokens,eval_mode,exact_match_accuracy"
-        path = os.path.join(out_dir, "budget.csv")
-    else:
-        raise ConfigError(f"unknown suite {args.suite!r}")
-    lines = [header] + [",".join(str(x) if not isinstance(x, float) else fmt_float(x) for x in r)
-                        for r in rows]
+    label_column, runs = ABLATIONS[args.suite]
+    lines = [f"{label_column},eval_mode,exact_match_accuracy"]
+    for label, overrides, eval_mode in runs:
+        sub = copy.deepcopy(cfg)
+        for section, values in overrides.items():
+            sub[section].update(values)
+        sub["paths"]["out_dir"] = os.path.join(out_dir, f"{args.suite}_{label}")
+        model = run_sft_pipeline(sub, sub["paths"]["out_dir"])
+        rep = evaluate(model, eval_traces, eval_mode, eval_seed,
+                       max_new_items=cfg["eval"]["max_new_items"])
+        lines.append(f"{label},{eval_mode},{fmt_float(rep['exact_match_accuracy'])}")
+    path = os.path.join(out_dir, f"{args.suite}.csv")
     atomic_write_text(path, "\n".join(lines) + "\n")
     print(f"suite {args.suite} -> {path}")
     return 0
@@ -387,6 +368,9 @@ def _timed_tool_cycle(model: Model, prompt, trace: tv.AnnotatedTrace, span: int)
 def cmd_bench_latency(args) -> int:
     if args.repeat < 3:
         raise ConfigError("--repeat must be >= 3")
+    for flag, value in (("--k", args.k), ("--t-steps", args.t_steps)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1")
     model, _ = load_model(args.checkpoint)
     trace = tv.generate_dataset("grid_rotation", 1, 123)[0]
     prompt = inf.build_prompt(model, trace)
@@ -426,6 +410,8 @@ def cmd_bench_latency(args) -> int:
 
 
 def cmd_export_attn(args) -> int:
+    if args.max_new_items < 1:
+        raise ConfigError("--max-new-items must be >= 1")
     model, _ = load_model(args.checkpoint)
     traces = tv.generate_dataset(args.task, args.example_id + 1, args.seed)
     trace = traces[args.example_id]
@@ -474,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(fn=cmd_eval)
 
     a = sub.add_parser("ablate", help="run an ablation suite")
-    a.add_argument("--suite", required=True, choices=("table3", "lambda", "budget"))
+    a.add_argument("--suite", required=True, choices=ABLATIONS)
     a.add_argument("--config", required=True)
     a.set_defaults(fn=cmd_ablate)
 

@@ -173,27 +173,21 @@ def sample_groups(model: Model, traces: list[tv.AnnotatedTrace], cfg: GrpoConfig
     """Sample G rollouts for each query from the current (behavior) parameters.
 
     Rollout g of query j draws from seeded_rng(cfg.seed, "rollout", iteration,
-    query_indices[j], g).  The streams of all queries whose prompts have one
-    length are decoded in one lockstep batch.  A rollout's behavior
-    log-probabilities are the ones its tokens were drawn with.
+    query_indices[j], g).  The streams of all queries are decoded in one
+    generate_group call.  A rollout's behavior log-probabilities are the ones
+    its tokens were drawn with.
     """
     gen_cfg = inf.GenerationConfig(mode="mixed", max_new_items=cfg.max_new_items,
                                    temperature=cfg.temperature)
     G = cfg.group_size
     prompts = [inf.build_prompt(model, t) for t in traces]
-    results: list[list[inf.GenResult]] = [[] for _ in traces]
-    for length in dict.fromkeys(len(p) for p in prompts):
-        js = [j for j, p in enumerate(prompts) if len(p) == length]
-        rngs = [seeded_rng(cfg.seed, "rollout", iteration, query_indices[j], g)
-                for j in js for g in range(G)]
-        out = inf.generate_group([prompts[j] for j in js for _ in range(G)], model, gen_cfg, rngs)
-        for i, j in enumerate(js):
-            results[j] = out[i * G : (i + 1) * G]
+    rngs = [seeded_rng(cfg.seed, "rollout", iteration, qi, g) for qi in query_indices for g in range(G)]
+    results = inf.generate_group([p for p in prompts for _ in range(G)], model, gen_cfg, rngs)
     groups = []
-    for trace, query_id, group_results in zip(traces, query_ids, results):
+    for j, (trace, query_id) in enumerate(zip(traces, query_ids)):
         gold = inf.gold_answer(trace)
         rollouts = []
-        for res in group_results:
+        for res in results[j * G : (j + 1) * G]:
             ans = inf.extract_answer(res.seq)
             rollouts.append(Rollout(res.seq, res.emissions, ans, reward(ans, gold),
                                     np.array([e.logprob for e in res.emissions]), res.new_items))

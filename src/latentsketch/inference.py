@@ -90,31 +90,48 @@ def generate(prompt: sq.MixedSequence, model: Model, cfg: GenerationConfig,
 
 def generate_group(prompts: list[sq.MixedSequence], model: Model, cfg: GenerationConfig,
                    rngs: list[np.random.Generator]) -> list[GenResult]:
-    """Decode stream g from prompts[g] with rngs[g], all streams in lockstep.
+    """Decode stream g from prompts[g] with rngs[g]; results in input order.
 
-    The prompts must have one length.  Each distinct prompt object is
-    prefilled once, all in one batched append, and its keys and values copied
-    to every stream that decodes it.  Each step every live stream appends one
-    item (a text token, START, a latent row or END), so the live streams keep
-    one length: the streams inside a block get their rows from one batched
-    emit_block call, the others draw a token with their own mask from their
-    own generator, and one forward_batch appends the items of all.  Stream g
+    The prompts may have any lengths.  The streams of each prompt length, in
+    order of first appearance, are decoded in one lockstep pass.  Stream g
     equals a one-stream decode of prompts[g] with rngs[g]; every output passes
     grammar validation.
     """
     if not prompts or len(prompts) != len(rngs):
         raise ValueError(f"{len(prompts)} prompts for {len(rngs)} generators")
     k = model.bcfg.k_latent
-    distinct = list({id(p): p for p in prompts}.values())  # each prompt object once
-    slot = {id(p): i for i, p in enumerate(distinct)}  # its prefill stream
-    for p in distinct:
+    for p in {id(p): p for p in prompts}.values():
         sq.validate(p, k)
         if p.items and p.items[-1].kind == sq.CTRL and p.items[-1].value == sq.EOS:
             raise ValueError("prompt already ends with EOS")
-    if len({len(p) for p in distinct}) > 1:
-        raise ValueError("prompts decoded in lockstep must have one length")
-    if len(prompts[0]) > model.bcfg.max_len - cfg.max_new_items:
-        raise ValueError("prompt too long for the requested generation budget")
+        if len(p) > model.bcfg.max_len - cfg.max_new_items:
+            raise ValueError("prompt too long for the requested generation budget")
+    by_length: dict[int, list[int]] = {}
+    for g, p in enumerate(prompts):
+        by_length.setdefault(len(p), []).append(g)
+    results: dict[int, GenResult] = {}
+    for streams in by_length.values():
+        results.update(zip(streams, _generate_lockstep([prompts[g] for g in streams], model, cfg,
+                                                       [rngs[g] for g in streams])))
+    return [results[g] for g in range(len(prompts))]
+
+
+def _generate_lockstep(prompts: list[sq.MixedSequence], model: Model, cfg: GenerationConfig,
+                       rngs: list[np.random.Generator]) -> list[GenResult]:
+    """Decode the streams of prompts of one length in lockstep.
+
+    One length because the decode cache keeps one offset for all its streams.
+    Each distinct prompt object is prefilled once, all in one batched append,
+    and its keys and values copied to every stream that decodes it.  Each step
+    every live stream appends one item (a text token, START, a latent row or
+    END), so the live streams keep one length: the streams inside a block get
+    their rows from one batched emit_block call, the others draw a token with
+    their own mask from their own generator, and one forward_batch appends the
+    items of all.
+    """
+    k = model.bcfg.k_latent
+    distinct = list({id(p): p for p in prompts}.values())  # each prompt object once
+    slot = {id(p): i for i, p in enumerate(distinct)}  # its prefill stream
     store, bcfg = model.store, model.bcfg
     cache = bb.DecodeCache(store, bcfg, streams=len(distinct))
     arrays = [sq.to_arrays(p, bcfg.d) for p in distinct]

@@ -93,9 +93,6 @@ class MixedSequence:
     def copy(self) -> "MixedSequence":
         return MixedSequence(self.items)
 
-    def token_ids(self) -> list[int]:
-        return [it.value for it in self.items if it.kind == TEXT]
-
     def detokenize(self) -> str:
         """Display form; each latent renders as a pad glyph."""
         parts = []

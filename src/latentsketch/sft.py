@@ -18,6 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from . import backbone as bb
 from . import diffusion as df
+from . import inference as inf
 from . import sequence as sq
 from . import toyvision as tv
 from . import vocab
@@ -79,10 +80,8 @@ def build_example(trace: tv.AnnotatedTrace, model: Model, m: int,
     ValueError on max_len overflow; callers drop and count such traces.
     """
     store, cfg = model.store, model.bcfg
-    ctx = tv.encode_image(store, trace.input_image).tokens
-    items = [sq.MixedItem.ctrl(sq.BOS)]
-    items.extend(sq.MixedItem.latent(row) for row in ctx)
-    items.extend(sq.MixedItem.text(t) for t in trace.question)
+    items = inf.build_prompt(model, trace).items
+    prompt_len = len(items)
     targets: list[np.ndarray] = []
     n_blocks = 0
     for step in trace.steps:
@@ -104,8 +103,7 @@ def build_example(trace: tv.AnnotatedTrace, model: Model, m: int,
         raise ValueError(f"example length {len(items)} overflows max_len {cfg.max_len}")
 
     text_pos, ce_targets, cond_pos = [], [], []
-    n_ctx = 1 + ctx.shape[0]
-    prompt_len = n_ctx + len(trace.question)
+    n_ctx = prompt_len - len(trace.question)
     # CE supervises the response only (the prompt is conditioning, not a target)
     for i in range(prompt_len - 1, len(items) - 1):
         nxt = items[i + 1]

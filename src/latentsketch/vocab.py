@@ -24,7 +24,6 @@ CONTROL_IDS = (BOS_ID, EOS_ID, START_ID, END_ID, PAD_ID)
 ANSWER_MARKER_ID = STR2ID["answer:"]
 WHITESPACE_IDS = frozenset({STR2ID["␣"]})
 LETTER_IDS = tuple(STR2ID[s] for s in "ABCD")
-DIGIT_IDS = tuple(STR2ID[str(i)] for i in range(10))
 
 # lowercase option letters fold onto their uppercase ids for reward matching
 CASEFOLD: dict[int, int] = {STR2ID[lo]: STR2ID[up] for lo, up in zip("abcd", "ABCD")}

@@ -137,6 +137,25 @@ def test_train_sft_writes_artifacts_and_resume_is_bitwise(tmp_path):
     assert resumed == final
 
 
+def test_train_sft_block_length_mismatch_exits_2(tmp_path, capsys):
+    path = tiny_config(tmp_path, sft={"steps": 1, "batch_size": 2, "m_latent": 3,
+                                      "encoder_pretrain_steps": 2})
+    assert main(["train-sft", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "sft.m_latent (3)" in err and "model.k_latent (2)" in err
+    assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
+def test_train_sft_resume_block_length_mismatch_exits_2(tmp_path, capsys):
+    ck = make_checkpoint(tmp_path)
+    path = tiny_config(tmp_path, sft={"steps": 1, "batch_size": 2, "m_latent": 3,
+                                      "encoder_pretrain_steps": 2})
+    assert main(["train-sft", "--config", path, "--resume", ck]) == 2
+    err = capsys.readouterr().err
+    assert "sft.m_latent (3)" in err and "model.k_latent (2)" in err
+    assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
 def test_train_rl_requires_checkpoint_flag(tmp_path):
     cfg_path = tiny_config(tmp_path)
     with pytest.raises(SystemExit) as e:
@@ -197,9 +216,9 @@ def test_eval_validation_and_dump_consistency(tmp_path):
 
 
 def test_evaluate_batches_equal_per_example_decoding(tmp_path, monkeypatch):
-    """Runs of consecutive examples with one prompt length, cut at
-    EVAL_STREAMS, decode to the dump and report of one generate call per
-    example (wall_time aside)."""
+    """Runs of EVAL_STREAMS consecutive examples, of one or two prompt
+    lengths, decode to the dump and report of one generate call per example
+    (wall_time aside)."""
     from latentsketch import grpo
     from latentsketch import inference as inf
 
@@ -226,7 +245,7 @@ def test_evaluate_batches_equal_per_example_decoding(tmp_path, monkeypatch):
     monkeypatch.setattr(inf, "generate_group", spy)
     dump = tmp_path / "dump.jsonl"
     report = evaluate(m, traces, "mixed", 9, max_new_items=10, dump_path=str(dump))
-    assert decodes == [3, 1, 2, 2, 1]
+    assert decodes == [3, 3, 3]
     monkeypatch.undo()
 
     gen_cfg = inf.GenerationConfig(mode="mixed", max_new_items=10, temperature=0.0)
@@ -270,6 +289,22 @@ def test_ablate_bad_eval_value_exits_2_before_training(key, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"eval.{key}" in err
     assert not (tmp_path / "run" / "table3_joint").exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["eval", "--task", "grid_rotation", "--n", "1", "--seed", "1", "--max-new-items", "0"],
+     "--max-new-items"),
+    (["eval", "--task", "grid_rotation", "--n", "1", "--seed", "1", "--max-new-items", "-4"],
+     "--max-new-items"),
+    (["export-attn", "--example-id", "0", "--out", "h.pgm", "--max-new-items", "0"],
+     "--max-new-items"),
+    (["bench-latency", "--k", "0"], "--k"),
+    (["bench-latency", "--t-steps", "0"], "--t-steps"),
+], ids=["eval-zero", "eval-negative", "export-attn", "bench-latency-k", "bench-latency-t-steps"])
+def test_generation_flags_below_one_exit_2_before_loading(argv, flag, tmp_path, capsys):
+    missing = str(tmp_path / "absent.lsk")  # loading it would be a runtime failure, exit 3
+    assert main(argv + ["--checkpoint", missing]) == 2
+    assert capsys.readouterr().err == f"error: {flag} must be >= 1\n"
 
 
 def test_eval_truncated_checkpoint_exits_3(tmp_path, capsys):
@@ -331,18 +366,21 @@ def test_random_answer_baseline_near_quarter():
     assert abs(acc - 0.25) < 0.03
 
 
-def test_ablate_table3_three_rows(tmp_path):
+@pytest.mark.parametrize("suite,column,labels,eval_modes", [
+    ("table3", "method", ["joint", "text_only", "similarity"], ["mixed", "language_only", "mixed"]),
+    ("lambda", "lambda", ["0.1", "1.0", "10.0"], ["mixed"] * 3),
+    ("budget", "latent_tokens", ["1", "2", "4", "8", "16"], ["mixed"] * 5),
+])
+def test_ablate_suite_rows(suite, column, labels, eval_modes, tmp_path):
     cfg_path = tiny_config(tmp_path)
-    assert main(["ablate", "--suite", "table3", "--config", cfg_path]) == 0
-    lines = open(tmp_path / "run" / "table3.csv").read().splitlines()
-    assert lines[0] == "method,eval_mode,exact_match_accuracy"
-    assert len(lines) == 4
-    methods = [l.split(",")[0] for l in lines[1:]]
-    assert methods == ["joint", "text_only", "similarity"]
-    # controlled-variable contract: all three sub-runs resolved the same data section
+    assert main(["ablate", "--suite", suite, "--config", cfg_path]) == 0
+    lines = open(tmp_path / "run" / f"{suite}.csv").read().splitlines()
+    assert lines[0] == f"{column},eval_mode,exact_match_accuracy"
+    assert [l.split(",")[:2] for l in lines[1:]] == [list(r) for r in zip(labels, eval_modes)]
+    # controlled-variable contract: every sub-run resolved the same data section
     datas = []
-    for mode in ("joint", "text_only", "similarity"):
-        sub = json.loads((tmp_path / "run" / f"table3_{mode}" / "config.resolved.json").read_text())
+    for label in labels:
+        sub = json.loads((tmp_path / "run" / f"{suite}_{label}" / "config.resolved.json").read_text())
         datas.append(json.dumps(sub["data"], sort_keys=True))
         assert sub["seed"] == 3
     assert len(set(datas)) == 1

@@ -251,8 +251,9 @@ def test_behavior_logprobs_are_the_sampler_logprobs():
 
 
 def test_train_rl_mixed_tasks_equal_one_query_at_a_time(tmp_path, monkeypatch):
-    """Queries of two prompt lengths: one decode per length gives the rollout
-    dump and metrics of sampling each query's group on its own."""
+    """Queries of two prompt lengths: one generate_group call per iteration
+    gives the rollout dump and metrics of sampling each query's group on its
+    own."""
     traces = tv.generate_dataset("grid_rotation", 3, 6) + tv.generate_dataset("visual_search", 3, 6)
     cfg = grpo.GrpoConfig(group_size=3, temperature=1.0, max_new_items=10, iters=3,
                           queries_per_iter=4, seed=12)
@@ -268,16 +269,22 @@ def test_train_rl_mixed_tasks_equal_one_query_at_a_time(tmp_path, monkeypatch):
 
     # a reward that splits most groups, so that the policy moves between iterations
     monkeypatch.setattr(grpo, "reward", lambda answer, gold: float(len(answer) % 2))
-    decodes = []
-    real_generate_group = inf.generate_group
+    decodes, passes = [], []
+    real_generate_group, real_lockstep = inf.generate_group, inf._generate_lockstep
 
     def spy(prompts, *args):
         decodes.append(len(prompts))
         return real_generate_group(prompts, *args)
 
+    def lockstep_spy(prompts, *args):
+        passes.append(len(prompts))
+        return real_lockstep(prompts, *args)
+
     monkeypatch.setattr(inf, "generate_group", spy)
+    monkeypatch.setattr(inf, "_generate_lockstep", lockstep_spy)
     batched = run("batched")
-    assert len(decodes) > cfg.iters and sum(decodes) == cfg.iters * cfg.queries_per_iter * cfg.group_size
+    assert decodes == [cfg.queries_per_iter * cfg.group_size] * cfg.iters
+    assert len(passes) > cfg.iters  # some iteration held prompts of both lengths
     real_sample_groups = grpo.sample_groups
 
     def one_query_at_a_time(model, qtraces, cfg, iteration, query_indices, query_ids):

@@ -215,17 +215,21 @@ def test_generate_group_language_only_never_touches_diffusion():
     assert not any(it.kind == sq.CTRL and it.value == sq.START for r in group for it in r.seq.items)
 
 
-def test_generate_group_distinct_prompts_equal_separate_generations(monkeypatch):
-    """Nine streams of three distinct prompts of one length, each prompt
-    shared by three streams: one [3, L] prefill, and every stream equals its own
-    generate call, with streams ending by EOS and by the budget at different
-    steps and with zero, one and two latent blocks."""
-    model = make_model(seed=68)
+@pytest.mark.parametrize("tasks", [("grid_rotation",) * 3,
+                                   ("grid_rotation", "visual_search", "grid_rotation")],
+                         ids=["one_length", "two_lengths"])
+def test_generate_group_distinct_prompts_equal_separate_generations(tasks, monkeypatch):
+    """Nine streams of three distinct prompts, each prompt shared by three
+    streams: one prefill per prompt length, of its distinct prompts, in order
+    of first appearance, and every stream equals its own generate call, with
+    streams ending by EOS and by the budget at different steps and with zero,
+    one and two latent blocks."""
+    model = make_model(seed=68, max_len=112)  # room for a visual_search prompt
     bias = model.store["backbone/lm_head/b"].data
     bias[vocab.START_ID] = 2.0
     bias[vocab.EOS_ID] = 1.5
-    prompts = [make_prompt(model, seed=s)[0] for s in (1, 2, 3)]
-    assert len({len(p) for p in prompts}) == 1
+    prompts = [inf.build_prompt(model, tv.generate_dataset(task, 1, s)[0])
+               for task, s in zip(tasks, (1, 2, 3))]
     streams = [prompts[i] for i in (0, 1, 2, 0, 1, 2, 0, 1, 2)]
     rngs = [seeded_rng(5, "grp", i) for i in range(len(streams))]
     cfg = inf.GenerationConfig(mode="mixed", max_new_items=16, temperature=1.0)
@@ -238,7 +242,9 @@ def test_generate_group_distinct_prompts_equal_separate_generations(monkeypatch)
 
     monkeypatch.setattr(bb.DecodeCache, "append", spy)
     group = inf.generate_group(streams, model, cfg, rngs)
-    assert appends[0] == (3, len(prompts[0]))
+    lengths = list(dict.fromkeys(len(p) for p in prompts))
+    assert [shape for shape in appends if shape[1] > 1] == \
+           [(sum(len(p) == n for p in prompts), n) for n in lengths]
     monkeypatch.undo()
     for i, got in enumerate(group):
         assert_same_generation(got, inf.generate(streams[i], model, cfg,
@@ -249,13 +255,10 @@ def test_generate_group_distinct_prompts_equal_separate_generations(monkeypatch)
     assert blocks >= {0, 1, 2}
 
 
-def test_generate_group_rejects_prompts_of_unequal_length():
+def test_generate_group_rejects_a_generator_count_mismatch():
     model = make_model()
     grid, _ = make_prompt(model)
-    search = inf.build_prompt(model, tv.generate_dataset("visual_search", 1, 1)[0])
     cfg = inf.GenerationConfig(max_new_items=4)
-    with pytest.raises(ValueError, match="one length"):
-        inf.generate_group([grid, search], model, cfg, [seeded_rng(0, "u", i) for i in range(2)])
     with pytest.raises(ValueError, match="generators"):
         inf.generate_group([grid, grid], model, cfg, [seeded_rng(0, "u")])
 

@@ -74,6 +74,73 @@ def test_build_example_spliced_latents_match_recomputation(tiny_model):
     assert np.array_equal(spliced, want)
 
 
+def assert_same_items(got, want, skip=frozenset()):
+    """Equal item kinds, and equal values outside the positions in skip."""
+    assert len(got.seq) == len(want.seq)
+    for pos, (x, y) in enumerate(zip(got.seq.items, want.seq.items)):
+        assert x.kind == y.kind
+        if pos not in skip:
+            assert np.array_equal(x.value, y.value), pos
+
+
+def test_build_example_latent_noise_perturbs_only_spliced_copies(tiny_model):
+    trace = trace_for(tiny_model)
+    clean = sft.build_example(trace, tiny_model, m=2)
+    noisy = sft.build_example(trace, tiny_model, m=2, latent_noise=0.5,
+                              noise_rng=seeded_rng(0, "noise"))
+    assert np.array_equal(noisy.latent_targets, clean.latent_targets)
+    for name in ("text_positions", "ce_targets", "cond_positions"):
+        assert np.array_equal(getattr(noisy, name), getattr(clean, name)), name
+    # one draw of shape [m, d] per block, in block order
+    rng = seeded_rng(0, "noise")
+    gold = clean.latent_targets
+    want = np.concatenate([gold[i : i + 2] + 0.5 * rng.standard_normal((2, gold.shape[1]))
+                           for i in range(0, len(gold), 2)])
+    assert_same_items(noisy, clean, skip=set((clean.cond_positions + 1).tolist()))
+    got = np.stack([noisy.seq.items[p + 1].value for p in clean.cond_positions])
+    assert np.array_equal(got, want)
+
+
+def test_resample_blocks_full_fraction_samples_every_spliced_row(tiny_model):
+    """Fraction 1.0 replaces each spliced gold row with df.sample_latent at the
+    teacher-forced h @ cond_w, all drawn from the one generator; the targets,
+    the text and the latent-free example stay as they were."""
+    traces = [trace_for(tiny_model, 11), tv.strip_images(trace_for(tiny_model, 12)),
+              trace_for(tiny_model, 13)]
+    examples = [sft.build_example(t, tiny_model, m=2) for t in traces]
+    before = [sft.build_example(t, tiny_model, m=2) for t in traces]
+    sft.resample_blocks(examples, tiny_model, 1.0, seeded_rng(0, "resample"))
+    store = tiny_model.store
+    rng = seeded_rng(0, "resample")
+    for ex in before:  # one pick draw per example that has latent rows
+        if ex.latent_targets.shape[0]:
+            rng.random()
+    for ex, old in zip(examples, before):
+        assert np.array_equal(ex.latent_targets, old.latent_targets)
+        if not old.latent_targets.shape[0]:
+            assert_same_items(ex, old)
+            continue
+        ids, text_mask, latents = sq.to_arrays(old.seq, tiny_model.bcfg.d)
+        with ad.no_grad():
+            hidden, _, _ = bb.forward_batch(store, tiny_model.bcfg, ids[None], text_mask[None],
+                                            latents[None])
+        c = hidden.data[0][old.cond_positions] @ store["diffusion_head/cond_w"].data
+        want = df.sample_latent(c, store, tiny_model.sched, [rng] * len(c))
+        got = np.stack([ex.seq.items[p + 1].value for p in old.cond_positions])
+        assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+        assert not np.array_equal(got, old.latent_targets)
+        assert_same_items(ex, old, skip=set((old.cond_positions + 1).tolist()))
+
+
+def test_resample_blocks_leaves_a_similarity_head_model_unchanged():
+    m = make_trainable(seed=45, head="similarity")
+    traces = tv.generate_dataset("grid_rotation", 2, 4)
+    examples = [sft.build_example(t, m, 2) for t in traces]
+    sft.resample_blocks(examples, m, 1.0, seeded_rng(0, "resample"))
+    for ex, t in zip(examples, traces):
+        assert_same_items(ex, sft.build_example(t, m, 2))
+
+
 def test_build_example_overflow_raises(tiny_model):
     trace = trace_for(tiny_model)
     giant = tv.AnnotatedTrace(trace.input_image, trace.question * 8, trace.steps,
