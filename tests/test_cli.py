@@ -366,12 +366,7 @@ def test_random_answer_baseline_near_quarter():
     assert abs(acc - 0.25) < 0.03
 
 
-@pytest.mark.parametrize("suite,column,labels,eval_modes", [
-    ("table3", "method", ["joint", "text_only", "similarity"], ["mixed", "language_only", "mixed"]),
-    ("lambda", "lambda", ["0.1", "1.0", "10.0"], ["mixed"] * 3),
-    ("budget", "latent_tokens", ["1", "2", "4", "8", "16"], ["mixed"] * 5),
-])
-def test_ablate_suite_rows(suite, column, labels, eval_modes, tmp_path):
+def check_ablate_suite_rows(suite, column, labels, eval_modes, tmp_path):
     cfg_path = tiny_config(tmp_path)
     assert main(["ablate", "--suite", suite, "--config", cfg_path]) == 0
     lines = open(tmp_path / "run" / f"{suite}.csv").read().splitlines()
@@ -384,6 +379,19 @@ def test_ablate_suite_rows(suite, column, labels, eval_modes, tmp_path):
         datas.append(json.dumps(sub["data"], sort_keys=True))
         assert sub["seed"] == 3
     assert len(set(datas)) == 1
+
+
+def test_ablate_table3_three_rows(tmp_path):
+    check_ablate_suite_rows("table3", "method", ["joint", "text_only", "similarity"],
+                            ["mixed", "language_only", "mixed"], tmp_path)
+
+
+@pytest.mark.parametrize("suite,column,labels", [
+    ("lambda", "lambda", ["0.1", "1.0", "10.0"]),
+    ("budget", "latent_tokens", ["1", "2", "4", "8", "16"]),
+], ids=["lambda", "budget"])
+def test_ablate_suite_rows(suite, column, labels, tmp_path):
+    check_ablate_suite_rows(suite, column, labels, ["mixed"] * len(labels), tmp_path)
 
 
 def test_bench_latency_repeat_validation_and_csv(tmp_path):
