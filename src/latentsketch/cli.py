@@ -178,6 +178,15 @@ def evaluate(model: Model, traces: list[tv.AnnotatedTrace], mode: str, seed: int
 # -- commands -----------------------------------------------------------------------
 
 
+def check_budget(name: str, budget: int, max_len: int, traces: list[tv.AnnotatedTrace]) -> None:
+    """Reject a generation budget that max_len leaves no room for after the
+    longest prompt of the traces."""
+    longest = max(inf.prompt_length(t) for t in traces)
+    if budget > max_len - longest:
+        raise ConfigError(f"{name} ({budget}) exceeds {max_len - longest}, the most that max_len "
+                          f"{max_len} leaves after the longest prompt ({longest} items)")
+
+
 def cmd_gen_data(args) -> int:
     if args.count < 1:
         raise ConfigError("--count must be >= 1")
@@ -260,6 +269,7 @@ def cmd_eval(args) -> int:
     if model.bcfg.vocab != vocab.VOCAB_SIZE:
         raise ConfigError("checkpoint vocabulary does not match this build")
     traces = tv.generate_dataset(args.task, args.n, args.seed)
+    check_budget("--max-new-items", args.max_new_items, model.bcfg.max_len, traces)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     dump_path = os.path.join(out_dir, f"eval_{args.task}_{args.mode}_{args.seed}.dump.jsonl")
@@ -290,10 +300,11 @@ def cmd_ablate(args) -> int:
     for key in ("n", "max_new_items"):  # checked before any of the suite's training runs
         if cfg["eval"][key] < 1:
             raise ConfigError(f"eval.{key} must be >= 1")
+    eval_seed = cfg["eval"]["seed"]
+    eval_traces = tv.generate_dataset(cfg["data"]["task"], cfg["eval"]["n"], eval_seed)
+    check_budget("eval.max_new_items", cfg["eval"]["max_new_items"], cfg["model"]["max_len"], eval_traces)
     out_dir = cfg["paths"]["out_dir"]
     write_run_manifest(out_dir, cfg)
-    eval_n, eval_seed = cfg["eval"]["n"], cfg["eval"]["seed"]
-    eval_traces = tv.generate_dataset(cfg["data"]["task"], eval_n, eval_seed)
     label_column, runs = ABLATIONS[args.suite]
     lines = [f"{label_column},eval_mode,exact_match_accuracy"]
     for label, overrides, eval_mode in runs:
@@ -415,6 +426,7 @@ def cmd_export_attn(args) -> int:
     model, _ = load_model(args.checkpoint)
     traces = tv.generate_dataset(args.task, args.example_id + 1, args.seed)
     trace = traces[args.example_id]
+    check_budget("--max-new-items", args.max_new_items, model.bcfg.max_len, [trace])
     layer = args.layer if args.layer is not None else model.bcfg.layers // 2
     gen_cfg = inf.GenerationConfig(mode="mixed", max_new_items=args.max_new_items, temperature=0.0)
     res = inf.generate(inf.build_prompt(model, trace), model, gen_cfg, seeded_rng(args.seed, "attn", args.example_id))

@@ -3,6 +3,10 @@ epsilon predictor with sinusoidal timestep embeddings, an ancestral sampler
 batched over rows with one generator each, the noising/regression training
 loss, and the batched latent step of block emission.
 
+The sampler does not run the autodiff graph: it evaluates the epsilon net
+through a numpy closure prepared once per call (``prepare_eps``), which
+computes the condition and timestep columns of the first layer up front.
+
 Variance-preserving convention throughout: the forward noising uses
 sqrt(alpha_bar[t]) and sqrt(1 - alpha_bar[t]), and the reverse step is the
 standard epsilon-parameterized update
@@ -15,9 +19,11 @@ with sigma_t = sqrt(beta_t) for t > 1 and sigma_1 = 0 (last step noiseless).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import erf
 
 from . import autodiff as ad
 from . import backbone as bb
@@ -26,6 +32,7 @@ from .autodiff import Tensor
 from .optim import ParamStore
 
 T_EMBED_DIM = 32
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 EPS_NET = "diffusion_head/eps"  # parameter-name prefix of the epsilon network
 
 # instrumented call counter: the language-only generation mode must never touch this module
@@ -46,6 +53,7 @@ class NoiseSchedule:
     alpha: np.ndarray = field(repr=False)       # 1 - beta
     alpha_bar: np.ndarray = field(repr=False)   # running product, alpha_bar[0] = 1
     sigma: np.ndarray = field(repr=False)       # sampler noise scale, sigma[1] = 0
+    t_embed: np.ndarray = field(init=False, repr=False)  # [T+1, T_EMBED_DIM] sinusoidal table
 
     def __post_init__(self):
         b = self.beta[1:]
@@ -57,6 +65,7 @@ class NoiseSchedule:
             raise ValueError("alpha_bar must stay below 1 for t >= 1")
         if self.sigma[1] != 0.0:
             raise ValueError("sigma[1] must be zero: the final denoise step is deterministic")
+        self.t_embed = sinusoidal_table(self.t_steps)
 
 
 def linear_schedule(t_steps: int, beta_start: float = 1e-4, beta_end: float = 0.28) -> NoiseSchedule:
@@ -97,8 +106,7 @@ def eps_forward(store: ParamStore, sched: NoiseSchedule, z_t, t_idx: np.ndarray,
     t_idx = np.atleast_1d(np.asarray(t_idx, dtype=np.int64))
     if t_idx.min() < 1 or t_idx.max() > sched.t_steps:
         raise ValueError(f"timestep outside [1, {sched.t_steps}]")
-    table = sinusoidal_table(sched.t_steps)
-    x = ad.concat([ad.as_tensor(z_t), Tensor(table[t_idx]), ad.as_tensor(c)], axis=-1)
+    x = ad.concat([ad.as_tensor(z_t), Tensor(sched.t_embed[t_idx]), ad.as_tensor(c)], axis=-1)
     for i in range(3):
         x = ad.gelu(ad.affine(x, store[f"{EPS_NET}/w{i}"], store[f"{EPS_NET}/b{i}"]))
     return ad.affine(x, store[f"{EPS_NET}/w_out"], store[f"{EPS_NET}/b_out"])
@@ -119,35 +127,70 @@ def noisify(z: np.ndarray, t: int | np.ndarray, eps: np.ndarray, sched: NoiseSch
 
 
 def denoise_step(z_t: np.ndarray, t: int, c: np.ndarray, xi: np.ndarray,
-                 store: ParamStore, sched: NoiseSchedule, eps_fn=None) -> np.ndarray:
-    """One reverse step t -> t-1; xi is injected for testability."""
+                 sched: NoiseSchedule, eps_fn) -> np.ndarray:
+    """One reverse step t -> t-1 with the noise predictor eps_fn(z, t, c);
+    xi is injected for testability."""
     if not 1 <= t <= sched.t_steps:
         raise ValueError(f"timestep {t} outside [1, {sched.t_steps}]")
     CALLS["denoise_step"] += 1
     z2 = np.atleast_2d(z_t)
-    c2 = np.atleast_2d(c)
-    tt = np.full(z2.shape[0], t, dtype=np.int64)
-    if eps_fn is not None:
-        eps = np.atleast_2d(eps_fn(z2, tt, c2))
-    else:
-        with ad.no_grad():
-            eps = eps_forward(store, sched, z2, tt, c2).data
+    eps = np.atleast_2d(eps_fn(z2, np.full(z2.shape[0], t, dtype=np.int64), np.atleast_2d(c)))
     coef = (1.0 - sched.alpha[t]) / np.sqrt(1.0 - sched.alpha_bar[t])
     out = (z2 - coef * eps) / np.sqrt(sched.alpha[t]) + sched.sigma[t] * np.atleast_2d(xi)
     return out.reshape(np.shape(z_t))
 
 
-def _normal_rows(rngs: list[np.random.Generator], d: int) -> np.ndarray:
-    """One standard-normal row of width d per generator, in row order.  A
-    generator shared by all rows draws what one (n, d) draw would."""
-    return np.stack([r.standard_normal(d) for r in rngs])
+def _gelu(x: np.ndarray) -> np.ndarray:
+    return x * (0.5 * (1.0 + erf(x * _INV_SQRT2)))
+
+
+def prepare_eps(store: ParamStore, sched: NoiseSchedule, c: np.ndarray):
+    """The epsilon net at the condition rows c [n, d_c], as a no-grad numpy
+    eps_fn(z, t, c) for denoise_step; its c argument is ignored.
+
+    Layer 0 of eps_forward, concat(z, t_embed[t], c) @ w0 + b0, is split by
+    input columns: the condition part and the timestep part (with the bias,
+    one row per t) are computed here once, so each call multiplies only the
+    d z-columns.  Equals eps_forward to rounding, and raises
+    FloatingPointError on a non-finite output as the autodiff ops do.
+    """
+    w = {name: store[f"{EPS_NET}/{name}"].data for name in ("w0", "b0", "w1", "b1", "w2", "b2", "w_out", "b_out")}
+    d = w["b_out"].shape[0]
+    w0_z, w0_t, w0_c = np.split(w["w0"], [d, d + T_EMBED_DIM])
+    c_part = np.atleast_2d(c) @ w0_c
+    t_part = sched.t_embed @ w0_t + w["b0"]
+
+    def eps_fn(z: np.ndarray, t_idx: np.ndarray, _c) -> np.ndarray:
+        x = _gelu(z @ w0_z + c_part + t_part[t_idx])
+        x = _gelu(x @ w["w1"] + w["b1"])
+        x = _gelu(x @ w["w2"] + w["b2"])
+        out = x @ w["w_out"] + w["b_out"]
+        if not math.isfinite(out.sum()):
+            raise FloatingPointError("non-finite values in the epsilon net")
+        return out
+
+    return eps_fn
+
+
+def _normal_draws(rngs: list[np.random.Generator], steps: int, d: int) -> np.ndarray:
+    """[steps, n, d] standard normals, row i's from rngs[i]: the numbers that
+    one d-row per generator per step, in row order, would draw, taken in one
+    (steps, rows, d) draw per distinct generator."""
+    rows_of: dict[int, tuple[np.random.Generator, list[int]]] = {}
+    for i, r in enumerate(rngs):
+        rows_of.setdefault(id(r), (r, []))[1].append(i)
+    out = np.empty((steps, len(rngs), d))
+    for r, rows in rows_of.values():
+        out[:, rows] = r.standard_normal((steps, len(rows), d))
+    return out
 
 
 def sample_latent(c: np.ndarray, store: ParamStore, sched: NoiseSchedule,
                   rngs: list[np.random.Generator], eps_fn=None, d: int | None = None) -> np.ndarray:
     """Ancestral sampling from pure noise down to z^(0), one generator per row
     of c: row i draws its z_T and each xi from rngs[i], in the order a one-row
-    call draws them.  Deterministic given (c, rngs)."""
+    call draws them.  Deterministic given (c, rngs).  Without eps_fn the
+    store's epsilon net is used, through prepare_eps."""
     CALLS["sample_latent"] += 1
     c2 = np.atleast_2d(np.asarray(c, dtype=np.float64))
     n = c2.shape[0]
@@ -155,10 +198,13 @@ def sample_latent(c: np.ndarray, store: ParamStore, sched: NoiseSchedule,
         raise ValueError(f"{len(rngs)} generators for {n} condition rows")
     if d is None:
         d = store[f"{EPS_NET}/b_out"].data.shape[0] if eps_fn is None else c2.shape[1]
-    z = _normal_rows(rngs, d)
+    if eps_fn is None:
+        eps_fn = prepare_eps(store, sched, c2)
+    draws = iter(_normal_draws(rngs, 1 + int(np.sum(sched.sigma[1:] > 0.0)), d))
+    z = next(draws)
     for t in range(sched.t_steps, 0, -1):
-        xi = _normal_rows(rngs, d) if sched.sigma[t] > 0.0 else np.zeros((n, d))
-        z = denoise_step(z, t, c2, xi, store, sched, eps_fn)
+        xi = next(draws) if sched.sigma[t] > 0.0 else np.zeros((n, d))
+        z = denoise_step(z, t, c2, xi, sched, eps_fn)
     return z.reshape(np.shape(c)[:-1] + (d,)) if np.ndim(c) > 1 else z[0]
 
 

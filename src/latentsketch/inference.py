@@ -270,6 +270,14 @@ def build_prompt(model: Model, trace) -> sq.MixedSequence:
     return sq.MixedSequence(items)
 
 
+def prompt_length(trace) -> int:
+    """len(build_prompt(model, trace)), from the trace alone."""
+    from . import toyvision as tv
+
+    img = trace.input_image
+    return 1 + (img.height // tv.PATCH) * (img.width // tv.PATCH) + len(trace.question)
+
+
 def gold_answer(trace) -> list[int]:
     """The answer span the model is graded against (text after the marker)."""
     ids = list(trace.answer)

@@ -402,9 +402,18 @@ def test_criterion_09_latency_scaling(tmp_path):
             times.append(time.perf_counter() - t0)
         return float(np.median(times))
 
+    # the step counts are timed round-robin within each repeat, so that a
+    # drift in host speed during the run spreads over all of them alike
     k = 32
     ts = [10, 25, 50, 100]
-    lat = {t: median_time(lambda t=t: _timed_latent_block(model, prompt, k, t, 0)) for t in ts}
+    times = {t: [] for t in ts}
+    for repeat in range(6):  # the first round warms up
+        for t in ts:
+            t0 = time.perf_counter()
+            _timed_latent_block(model, prompt, k, t, 0)
+            if repeat:
+                times[t].append(time.perf_counter() - t0)
+    lat = {t: float(np.median(times[t])) for t in ts}
     x = np.array(ts, dtype=float)
     y = np.array([lat[t] for t in ts])
     slope, intercept = np.polyfit(x, y, 1)

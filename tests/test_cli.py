@@ -307,6 +307,36 @@ def test_generation_flags_below_one_exit_2_before_loading(argv, flag, tmp_path, 
     assert capsys.readouterr().err == f"error: {flag} must be >= 1\n"
 
 
+def test_eval_budget_beyond_max_len_exits_2(tmp_path, capsys):
+    from latentsketch import inference as inf
+
+    ck = make_checkpoint(tmp_path)
+    most = TINY_MODEL["max_len"] - max(inf.prompt_length(t) for t in tv.generate_dataset("grid_rotation", 3, 5))
+    argv = ["eval", "--checkpoint", ck, "--task", "grid_rotation", "--n", "3", "--seed", "5",
+            "--out", str(tmp_path / "ev"), "--max-new-items"]
+    assert main(argv + [str(most + 1)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --max-new-items ({most + 1}) exceeds {most},")
+    assert main(argv + [str(most)]) == 0
+
+
+def test_export_attn_budget_beyond_max_len_exits_2(tmp_path, capsys):
+    ck = make_checkpoint(tmp_path)
+    assert main(["export-attn", "--checkpoint", ck, "--task", "grid_rotation", "--example-id", "0",
+                 "--seed", "5", "--max-new-items", "500", "--out", str(tmp_path / "h.pgm")]) == 2
+    assert capsys.readouterr().err.startswith("error: --max-new-items (500) exceeds ")
+
+
+def test_ablate_budget_beyond_max_len_exits_2_before_training(tmp_path, capsys):
+    from latentsketch import inference as inf
+
+    path = tiny_config(tmp_path, eval={"n": 2, "seed": 11, "max_new_items": 500})
+    most = TINY_MODEL["max_len"] - max(inf.prompt_length(t) for t in tv.generate_dataset("grid_rotation", 2, 11))
+    assert main(["ablate", "--suite", "table3", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith(f"error: eval.max_new_items (500) exceeds {most},")
+    assert not (tmp_path / "run" / "table3_joint").exists()
+
+
 def test_eval_truncated_checkpoint_exits_3(tmp_path, capsys):
     ck = make_checkpoint(tmp_path)
     blob = open(ck, "rb").read()

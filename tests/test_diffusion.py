@@ -39,6 +39,7 @@ def test_linear_schedule_identities():
     assert sched.sigma[1] == 0.0
     assert np.all(np.diff(sched.beta[1:]) >= 0.0)
     assert np.all(np.diff(sched.alpha_bar) < 0.0)
+    assert np.array_equal(sched.t_embed, df.sinusoidal_table(50))
 
 
 def test_schedule_invariant_violations_raise():
@@ -89,7 +90,7 @@ def test_noisify_range_check():
 def test_denoise_zero_predictor_closed_form():
     sched = df.linear_schedule(10)
     z = np.array([1.0, -3.0])
-    out = df.denoise_step(z, 5, np.zeros(2), np.zeros(2), None, sched, eps_fn=ZERO_EPS)
+    out = df.denoise_step(z, 5, np.zeros(2), np.zeros(2), sched, eps_fn=ZERO_EPS)
     assert np.allclose(out, z / np.sqrt(sched.alpha[5]), atol=1e-15)
 
 
@@ -98,14 +99,14 @@ def test_denoise_vanishing_noise_limit():
     sched = df.NoiseSchedule(1, beta, 1.0 - beta, np.cumprod(1.0 - beta),
                              np.array([0.0, 0.0]))
     z = np.array([0.7, -0.2])
-    out = df.denoise_step(z, 1, np.zeros(2), np.zeros(2), None, sched, eps_fn=ZERO_EPS)
+    out = df.denoise_step(z, 1, np.zeros(2), np.zeros(2), sched, eps_fn=ZERO_EPS)
     assert np.max(np.abs(out - z)) < 1e-9
 
 
 def test_denoise_t_range():
     sched = df.linear_schedule(5)
     with pytest.raises(ValueError):
-        df.denoise_step(np.zeros(2), 0, np.zeros(2), np.zeros(2), None, sched, eps_fn=ZERO_EPS)
+        df.denoise_step(np.zeros(2), 0, np.zeros(2), np.zeros(2), sched, eps_fn=ZERO_EPS)
 
 
 def test_denoise_posterior_mean_monte_carlo():
@@ -125,7 +126,7 @@ def test_denoise_posterior_mean_monte_carlo():
         post_mean = (np.sqrt(ab) * s0 ** 2 * z + (1 - ab) * mu0) / (ab * s0 ** 2 + (1 - ab))
         return (z - np.sqrt(ab) * post_mean) / np.sqrt(1.0 - ab)
 
-    out = df.denoise_step(z1, 1, np.zeros((n, 1)), np.zeros((n, 1)), None, sched,
+    out = df.denoise_step(z1, 1, np.zeros((n, 1)), np.zeros((n, 1)), sched,
                           eps_fn=optimal_eps)
     se = out.std() / np.sqrt(n)
     assert abs(out.mean() - mu0) < 3 * se + 1e-12
@@ -144,7 +145,7 @@ def test_noisify_denoise_algebraic_round_trip():
         alpha_t = sched.alpha[t]
         eps_hat = (z_t - np.sqrt(ab_t) * z) / np.sqrt(1.0 - ab_t)
         assert np.max(np.abs(eps_hat - eps)) < 1e-9  # predictor recovers the injected noise
-        out = df.denoise_step(z_t, t, np.zeros(4), np.zeros(4), None, sched,
+        out = df.denoise_step(z_t, t, np.zeros(4), np.zeros(4), sched,
                               eps_fn=lambda zz, tt, cc: np.atleast_2d(eps_hat))
         want = (np.sqrt(alpha_t) * (1 - ab_prev) / (1 - ab_t)) * z_t \
              + (np.sqrt(ab_prev) * (1 - alpha_t) / (1 - ab_t)) * z
@@ -196,6 +197,56 @@ def test_sample_latent_rows_draw_from_their_own_generators():
     assert np.array_equal(a.standard_normal((5, 4)), np.stack([b.standard_normal(4) for _ in range(5)]))
     with pytest.raises(ValueError, match="generators"):
         df.sample_latent(c, store, sched, [a, b])
+
+
+def test_prepared_eps_equals_eps_forward_at_every_t():
+    store = make_net(d=4, d_c=5, seed=3)
+    sched = df.linear_schedule(12)
+    rng = seeded_rng(9, "prep")
+    c = rng.normal(size=(7, 5))
+    eps_fn = df.prepare_eps(store, sched, c)
+    for t in range(1, sched.t_steps + 1):
+        z = rng.normal(size=(7, 4)) * 3.0
+        tt = np.full(7, t)
+        with ad.no_grad():
+            want = df.eps_forward(store, sched, z, tt, c).data
+        got = eps_fn(z, tt, c)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_sample_latent_shared_generators_draw_in_row_order():
+    """Generators shared across rows as [a, b, a, e, b, a, e]: the rows equal,
+    bitwise, a reference loop that draws z_T and then each step's xi one row
+    at a time, in row order, and takes the same net on the whole batch."""
+    store = make_net()
+    sched = df.linear_schedule(6)
+    c = seeded_rng(12, "shared").normal(size=(7, 4))
+    layout = "abaebae"
+
+    def rngs():
+        gens = {k: seeded_rng(12, "gen", k) for k in "abe"}
+        return [gens[k] for k in layout]
+
+    def net(z, t, cc):
+        with ad.no_grad():
+            return df.eps_forward(store, sched, z, t, cc).data
+
+    ref = rngs()
+    z = np.stack([r.standard_normal(4) for r in ref])
+    for t in range(sched.t_steps, 0, -1):
+        xi = np.stack([r.standard_normal(4) for r in ref]) if sched.sigma[t] > 0.0 else np.zeros((7, 4))
+        z = df.denoise_step(z, t, c, xi, sched, net)
+    got = df.sample_latent(c, store, sched, rngs(), eps_fn=net)
+    assert np.array_equal(got, z)
+
+
+def test_sample_latent_nan_condition_raises():
+    store = make_net()
+    sched = df.linear_schedule(4)
+    c = np.zeros((3, 4))
+    c[1, 2] = np.nan
+    with pytest.raises(FloatingPointError):
+        df.sample_latent(c, store, sched, [seeded_rng(0, "nan", i) for i in range(3)])
 
 
 def test_sampler_call_counter():

@@ -27,6 +27,13 @@ def make_prompt(model, seed=1):
     return inf.build_prompt(model, trace), trace
 
 
+def test_prompt_length_is_the_built_prompt_length():
+    model = make_model()
+    for task in tv.TASKS:
+        for trace in tv.generate_dataset(task, 3, 4):
+            assert inf.prompt_length(trace) == len(inf.build_prompt(model, trace))
+
+
 def test_language_only_mode_never_touches_diffusion():
     model = make_model()
     prompt, _ = make_prompt(model)
