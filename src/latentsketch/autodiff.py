@@ -438,28 +438,46 @@ def causal_mask(n: int, start: int = 0) -> np.ndarray:
     return m
 
 
-def attention(qkv, heads: int, kv_cache=None, start: int = 0):
+def _split_heads(qkv: np.ndarray, heads: int) -> np.ndarray:
+    """[B, L, 3d] q|k|v rows -> [3, B, heads, L, hd]."""
+    B, L, d3 = qkv.shape
+    return np.ascontiguousarray(qkv.reshape(B, L, 3, heads, d3 // (3 * heads)).transpose(2, 0, 3, 1, 4))
+
+
+def attention(qkv, heads: int, prefix=None, start: int = 0):
     """Fused causal multi-head attention over the [B, L, 3d] q|k|v projection.
 
     Returns the context [B, L, d] (heads side by side) and the post-softmax
-    weights [B, heads, L, start + L] as a plain array.  ``kv_cache`` is one
-    layer's (transposed keys [B, heads, hd, max_len], values [B, heads,
-    max_len, hd]) buffers: this call's keys and values are written at
-    positions start..start+L and its queries attend over 0..start+L.  Cached
-    positions are constants, so backward reaches only this call's rows.
+    weights [B, heads, L, start + L] as a plain array.  The queries may
+    attend over a prefix of earlier positions, in one of two forms:
+
+    - a Tensor [B, P, 3d], the q|k|v rows of an earlier call over
+      positions 0..P (start is then P).  Backward sends the key and value
+      gradients of those positions into it.
+    - one layer's decode-cache buffers (transposed keys [B, heads, hd,
+      max_len], values [B, heads, max_len, hd]).  This call's keys and values
+      are written at positions start..start+L and its queries attend over
+      0..start+L.  Cached positions are constants: backward reaches only
+      this call's rows.
     """
     qkv = as_tensor(qkv)
     B, L, d3 = qkv.data.shape
     hd = d3 // (3 * heads)
-    hi = start + L
-    q, k, v = np.ascontiguousarray(qkv.data.reshape(B, L, 3, heads, hd).transpose(2, 0, 3, 1, 4))
-    if kv_cache is None:
+    q, k, v = _split_heads(qkv.data, heads)
+    parents = (qkv,)
+    if prefix is None:
         kt, vals = np.ascontiguousarray(k.swapaxes(-1, -2)), v
+    elif isinstance(prefix, Tensor):
+        parents = (qkv, prefix)
+        start = prefix.data.shape[1]
+        _, pk, pv = _split_heads(prefix.data, heads)
+        kt = np.concatenate([pk.swapaxes(-1, -2), k.swapaxes(-1, -2)], axis=-1)
+        vals = np.concatenate([pv, v], axis=-2)
     else:
-        kt_buf, v_buf = kv_cache
-        kt_buf[..., start:hi] = k.swapaxes(-1, -2)
-        v_buf[:, :, start:hi] = v
-        kt, vals = kt_buf[..., :hi], v_buf[:, :, :hi]
+        kt_buf, v_buf = prefix
+        kt_buf[..., start : start + L] = k.swapaxes(-1, -2)
+        v_buf[:, :, start : start + L] = v
+        kt, vals = kt_buf[..., : start + L], v_buf[:, :, : start + L]
     scale = 1.0 / np.sqrt(hd)
     s = q @ kt
     s *= scale
@@ -469,21 +487,25 @@ def attention(qkv, heads: int, kv_cache=None, start: int = 0):
     s /= np.sum(s, axis=-1, keepdims=True)
 
     def bw(g):
+        gh = g.reshape(B, L, heads, hd).swapaxes(1, 2)
+        gs = gh @ vals.swapaxes(-1, -2)
+        gv = s.swapaxes(-1, -2) @ gh
+        gs = scale * (s * (gs - np.sum(gs * s, axis=-1, keepdims=True)))
+        gkt = q.swapaxes(-1, -2) @ gs
         if _needs(qkv):
-            gh = g.reshape(B, L, heads, hd).swapaxes(1, 2)
-            gs = gh @ vals.swapaxes(-1, -2)
-            gv = s.swapaxes(-1, -2) @ gh
-            gs = scale * (s * (gs - np.sum(gs * s, axis=-1, keepdims=True)))
-            gq = gs @ kt.swapaxes(-1, -2)
-            gkt = q.swapaxes(-1, -2) @ gs
             out = np.empty((B, L, 3, heads, hd))
-            out[:, :, 0] = gq.swapaxes(1, 2)
+            out[:, :, 0] = (gs @ kt.swapaxes(-1, -2)).swapaxes(1, 2)
             out[:, :, 1] = gkt[..., start:].transpose(0, 3, 1, 2)
             out[:, :, 2] = gv[:, :, start:].swapaxes(1, 2)
             _accum(qkv, out.reshape(B, L, d3), fresh=True)
+        if len(parents) == 2 and _needs(prefix):
+            out = np.zeros((B, start, 3, heads, hd))
+            out[:, :, 1] = gkt[..., :start].transpose(0, 3, 1, 2)
+            out[:, :, 2] = gv[:, :, :start].swapaxes(1, 2)
+            _accum(prefix, out.reshape(B, start, d3), fresh=True)
 
     ctx = (s @ vals).swapaxes(1, 2).reshape(B, L, d3 // 3)
-    return _from_op(ctx, (qkv,), bw, "attention"), s
+    return _from_op(ctx, parents, bw, "attention"), s
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:

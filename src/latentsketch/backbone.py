@@ -79,23 +79,32 @@ def embed_batch(store: ParamStore, cfg: BackboneConfig, ids: np.ndarray,
 
 def forward_batch(store: ParamStore, cfg: BackboneConfig, ids: np.ndarray,
                   text_mask: np.ndarray, latents: np.ndarray,
-                  capture_attn_layer: int | None = None, cache: "DecodeCache | None" = None):
+                  capture_attn_layer: int | None = None, cache: "DecodeCache | None" = None,
+                  prefix: list[Tensor] | None = None, qkv_out: list[Tensor] | None = None):
     """Returns (hidden [B,L,d], text_logits [B,L,V], attn [B,heads,L,start+L] or None).
 
     With a DecodeCache the items continue the cached sequence: they sit at
     positions cache.length.., attend over the cached keys/values, and the
-    cache grows by L.
+    cache grows by L.  With prefix, each layer's q|k|v Tensor [B, P, 3d]
+    of an earlier pass over P items, the items sit at positions P.. and attend
+    over that pass differentiably.  qkv_out, when given, receives this pass's
+    q|k|v Tensor of each layer, to serve as a later pass's prefix.
     """
     L = ids.shape[1]
-    start = 0 if cache is None else cache.length
+    start, kvs = 0, [None] * cfg.layers
+    if cache is not None:
+        start, kvs = cache.length, list(zip(cache.kt, cache.v))
+    elif prefix is not None:
+        start, kvs = prefix[0].shape[1], prefix
     x = embed_batch(store, cfg, ids, text_mask, latents, start)
     captured = None
     for i in range(cfg.layers):
         p = f"backbone/layer{i}"
         a_in = ad.layer_norm(x, store[f"{p}/ln1/g"], store[f"{p}/ln1/b"])
         qkv = ad.affine(a_in, store[f"{p}/attn/wqkv"], store[f"{p}/attn/bqkv"])
-        kv = None if cache is None else (cache.kt[i], cache.v[i])
-        ctx, att = ad.attention(qkv, cfg.heads, kv, start)
+        if qkv_out is not None:
+            qkv_out.append(qkv)
+        ctx, att = ad.attention(qkv, cfg.heads, kvs[i], start)
         if capture_attn_layer == i:
             captured = att.copy()
         x = ad.add(x, ad.affine(ctx, store[f"{p}/attn/wo"], store[f"{p}/attn/bo"]))

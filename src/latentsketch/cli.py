@@ -388,26 +388,32 @@ def cmd_bench_latency(args) -> int:
     if len(prompt) + max(args.k + 1, args.tool_span) + 1 > model.bcfg.max_len:
         raise ConfigError("prompt plus benchmark span exceeds max_len")
 
-    def median_time(fn) -> float:
-        fn()  # warmup
-        times = []
-        for _ in range(args.repeat):
-            t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
-        return float(np.median(times))
+    def median_times(*fns) -> list[float]:
+        """Median seconds of each fn over --repeat rounds after one warm-up
+        round.  Within a round the fns run round-robin, so that a drift in
+        host speed spreads over all of them alike."""
+        times = [[] for _ in fns]
+        for repeat in range(args.repeat + 1):
+            for fn, ts in zip(fns, times):
+                t0 = time.perf_counter()
+                fn()
+                if repeat:
+                    ts.append(time.perf_counter() - t0)
+        return [float(np.median(ts)) for ts in times]
 
     rows = []
-    t_text = median_time(lambda: _timed_text_span(model, prompt, 32))
+    [t_text] = median_times(lambda: _timed_text_span(model, prompt, 32))
     rows.append(("text", "32 tokens", "", t_text, REFERENCE_LATENCY_S["text32"]))
     calls = _timed_latent_block(model, prompt, args.k, args.t_steps, 0)
     if calls != args.k:
         raise RuntimeError(f"latent path made {calls} sampler calls, expected {args.k}")
-    for t_steps in sorted({10, 25, args.t_steps, 100}):
-        t_lat = median_time(lambda ts=t_steps: _timed_latent_block(model, prompt, args.k, ts, 0))
+    steps = sorted({10, 25, args.t_steps, 100})
+    t_lats = median_times(*[lambda ts=t_steps: _timed_latent_block(model, prompt, args.k, ts, 0)
+                            for t_steps in steps])
+    for t_steps, t_lat in zip(steps, t_lats):
         ref = REFERENCE_LATENCY_S["latent32"] if (args.k == 32 and t_steps == 50) else ""
         rows.append(("latent", f"{args.k} latent steps", t_steps, t_lat, ref))
-    t_tool = median_time(lambda: _timed_tool_cycle(model, prompt, trace, args.tool_span))
+    [t_tool] = median_times(lambda: _timed_tool_cycle(model, prompt, trace, args.tool_span))
     rows.append(("tool", f"single tool call ({args.tool_span}-token code span)", "",
                  t_tool, REFERENCE_LATENCY_S["tool_call"]))
 

@@ -64,7 +64,7 @@ class Rollout:
     answer: list[int]
     reward: float
     logprobs_old: np.ndarray | None = None
-    new_items: int = 0
+    new_items: int = 0  # items decoded after the prompt
 
 
 @dataclass
@@ -108,19 +108,56 @@ def advantages(rewards: np.ndarray) -> np.ndarray:
     return (r - np.mean(r)) / std
 
 
-def score_rollout(model: Model, rollout: Rollout, temperature: float) -> Tensor:
+@dataclass
+class PromptPass:
+    """One differentiable forward of the prompt shared by a group's rollouts:
+    its length P, the logits [1, V] of its last row (they predict item P) and
+    each layer's q|k|v Tensor [1, P, 3d], over which the rollouts' continuations
+    attend."""
+    length: int
+    last_logits: Tensor
+    qkv: list[Tensor]
+
+
+def prompt_pass(model: Model, rollouts: list[Rollout]) -> PromptPass:
+    """Forward the rollouts' shared prompt, their first len(seq) - new_items
+    items, once; ValueError unless every rollout starts with that prompt."""
+    first = rollouts[0]
+    P = len(first.seq) - first.new_items
+    prompt = first.seq.items[:P]
+    for r in rollouts[1:]:
+        if len(r.seq) - r.new_items != P or not all(
+                x is y or (x.kind == y.kind and np.array_equal(x.value, y.value))
+                for x, y in zip(r.seq.items, prompt)):
+            raise ValueError("the rollouts of a group must share one prompt")
+    ids, text_mask, latents = sq.to_arrays(sq.MixedSequence(prompt), model.bcfg.d)
+    qkv: list[Tensor] = []
+    _, logits, _ = bb.forward_batch(model.store, model.bcfg, ids[None], text_mask[None],
+                                    latents[None], qkv_out=qkv)
+    return PromptPass(P, ad.getitem(logits, (0, slice(P - 1, P))), qkv)
+
+
+def score_rollout(model: Model, rollout: Rollout, temperature: float, prompt: PromptPass) -> Tensor:
     """Log-probabilities of the scored emissions under the current parameters,
-    using the same masked, tempered distribution the sampler drew from."""
+    using the same masked, tempered distribution the sampler drew from.
+
+    Only the continuation after the prompt is forwarded, over the group's
+    prompt pass: the first emission is scored from the prompt's last row,
+    the others from the continuation's rows."""
     if not rollout.emissions:
         raise ValueError("rollout has no scored emissions")
-    store, bcfg = model.store, model.bcfg
-    ids, text_mask, latents = sq.to_arrays(rollout.seq, bcfg.d)
-    _, logits, _ = bb.forward_batch(store, bcfg, ids[None], text_mask[None], latents[None])
-    flat = ad.getitem(logits, 0)
-    pos = np.array([e.position - 1 for e in rollout.emissions], dtype=np.int64)
+    P = prompt.length
+    rows = prompt.last_logits
+    cont = rollout.seq.items[P:-1]  # the last item predicts nothing
+    if cont:
+        ids, text_mask, latents = sq.to_arrays(sq.MixedSequence(cont), model.bcfg.d)
+        _, logits, _ = bb.forward_batch(model.store, model.bcfg, ids[None], text_mask[None],
+                                        latents[None], prefix=prompt.qkv)
+        rows = ad.concat([rows, ad.reshape(logits, logits.shape[1:])])
+    pos = np.array([e.position - P for e in rollout.emissions], dtype=np.int64)
     tok = np.array([e.token_id for e in rollout.emissions], dtype=np.int64)
     mask_add = np.stack([np.where(e.mask, inf.MASK_NEG, 0.0) for e in rollout.emissions])
-    rows = ad.take_rows(flat, pos)
+    rows = ad.take_rows(rows, pos)
     scaled = ad.add(ad.mul(rows, 1.0 / (temperature if temperature > 0 else 1.0)), Tensor(mask_add))
     return ad.mul(ad.cross_entropy(scaled, tok), -1.0)
 
@@ -129,20 +166,23 @@ def grpo_objective(group: RolloutGroup, model: Model, clip_eps: float, temperatu
                    variant: str = "token", stats: dict | None = None) -> Tensor:
     """The clipped surrogate to MAXIMIZE, averaged over the group.
 
-    Token variant: per-position ratios with the rollout's advantage; sequence
-    variant: a single ratio from summed log-probabilities (numerically fragile
-    for long traces, kept for fidelity runs).
+    The group's shared prompt is forwarded once (prompt_pass) and each
+    rollout's continuation over it (score_rollout).  Token variant:
+    per-position ratios with the rollout's advantage; sequence variant: a
+    single ratio from summed log-probabilities (numerically fragile for long
+    traces, kept for fidelity runs).
     """
     if group.advantages.size != len(group.rollouts):
         raise ValueError("advantages not computed for this group")
+    if any(r.logprobs_old is None for r in group.rollouts):
+        raise ValueError("rollout is missing behavior-policy log-probabilities")
+    prompt = prompt_pass(model, group.rollouts)
     terms = []
     clipped_active = 0
     positions = 0
     for rollout, adv in zip(group.rollouts, group.advantages):
-        if rollout.logprobs_old is None:
-            raise ValueError("rollout is missing behavior-policy log-probabilities")
         a = float(adv)
-        new_lp = score_rollout(model, rollout, temperature)
+        new_lp = score_rollout(model, rollout, temperature, prompt)
         old_lp = rollout.logprobs_old
         if variant == "sequence":
             rho = ad.exp(ad.sub(ad.sum_(new_lp), float(np.sum(old_lp))))
@@ -234,8 +274,16 @@ def train_rl(model: Model, traces: list[tv.AnnotatedTrace], cfg: GrpoConfig,
                 live = [g for g in chunk if not g.degenerate]
                 if not live:
                     continue  # pure-degenerate minibatch: no learning signal, no step
+                for g in chunk:
+                    if g.degenerate:
+                        # all-zero advantages add exactly 0 to the loss and to every
+                        # gradient, so the group is not scored; its ratios still
+                        # count in the clip_fraction denominator
+                        stats["positions"] = stats.get("positions", 0) + sum(
+                            1 if cfg.ratio_variant == "sequence" else len(r.emissions)
+                            for r in g.rollouts)
                 objs = [grpo_objective(g, model, cfg.clip_eps, cfg.temperature,
-                                       cfg.ratio_variant, stats) for g in chunk]
+                                       cfg.ratio_variant, stats) for g in live]
                 acc = objs[0]
                 for o in objs[1:]:
                     acc = ad.add(acc, o)

@@ -346,11 +346,12 @@ def test_criterion_05_grpo_suite(monkeypatch):
     # analytic two-action bandit at eps=0
     theta = ad.Tensor(np.array([0.4, -0.1]), requires_grad=True)
 
-    def stub_score(model, rollout, temperature):
+    def stub_score(model, rollout, temperature, prompt):
         return ad.mul(ad.cross_entropy(ad.reshape(theta, (1, 2)),
                                        np.array([rollout.answer[0]])), -1.0)
 
     monkeypatch.setattr(grpo, "score_rollout", stub_score)
+    monkeypatch.setattr(grpo, "prompt_pass", lambda model, rollouts: None)
     actions = [0, 1, 1, 0]
     rewards = np.array([1.0, 0.0, 1.0, 0.0])
     adv = grpo.advantages(rewards)
@@ -359,7 +360,7 @@ def test_criterion_05_grpo_suite(monkeypatch):
         for a in actions:
             r = grpo.Rollout(seq=None, emissions=[inf.Emission(0, a, np.zeros(2, dtype=bool))],
                              answer=[a], reward=0.0)
-            r.logprobs_old = stub_score(None, r, 1.0).data.copy()
+            r.logprobs_old = stub_score(None, r, 1.0, None).data.copy()
             rollouts.append(r)
     bandit_group = grpo.RolloutGroup(0, rollouts, adv)
     obj = grpo.grpo_objective(bandit_group, None, clip_eps=0.0, temperature=1.0)

@@ -237,6 +237,25 @@ def test_attention_grads_with_cached_prefix(seed):
     gradcheck(lambda: ad.mul(ad.attention(qkv, heads, (kt, v), n_pre)[0], w).sum(), [qkv])
 
 
+@pytest.mark.parametrize("seed,batch", [(0, 1), (1, 1), (2, 2), (3, 2)])
+def test_attention_grads_with_tensor_prefix(seed, batch):
+    """Rows attending over a Tensor prefix (the q|k|v of an earlier call)
+    equal the matching rows of one full-sequence call, and their gradient
+    reaches both the prefix and their own q|k|v."""
+    rng = np.random.default_rng(seed)
+    heads, hd, n_pre, n = 2, 2, 2 + seed, 3
+    prefix = randt(rng, batch, n_pre, 3 * heads * hd)
+    qkv = randt(rng, batch, n, 3 * heads * hd)
+    ctx, s = ad.attention(qkv, heads, prefix)
+    assert s.shape == (batch, heads, n, n_pre + n)
+    full = attention_reference(np.concatenate([prefix.data, qkv.data], axis=1), heads)
+    assert np.max(np.abs(ctx.data - full[:, n_pre:])) < 1e-13
+    w = ad.Tensor(rng.normal(size=(batch, n, heads * hd)))
+    gradcheck(lambda: ad.mul(ad.attention(qkv, heads, prefix)[0], w).sum(), [qkv, prefix])
+    # the prefix's query columns feed nothing in this call
+    assert np.all(prefix.grad.reshape(batch, n_pre, 3, -1)[:, :, 0] == 0.0)
+
+
 def test_fused_softmax_masked_entries_exactly_zero():
     rng = np.random.default_rng(0)
     _, s = ad.attention(ad.Tensor(rng.normal(size=(1, 5, 6))), 1)

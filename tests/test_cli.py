@@ -437,6 +437,23 @@ def test_bench_latency_repeat_validation_and_csv(tmp_path):
     assert paths.count("latent") >= 3
 
 
+def test_bench_latency_times_step_counts_round_robin(tmp_path, monkeypatch):
+    """After the sampler-count check, each round times every step count once:
+    a warm-up round, then --repeat rounds."""
+    ck = make_checkpoint(tmp_path)
+    seen = []
+    real = cli._timed_latent_block
+
+    def spy(model, prompt, k, t_steps, seed):
+        seen.append(t_steps)
+        return real(model, prompt, k, t_steps, seed)
+
+    monkeypatch.setattr(cli, "_timed_latent_block", spy)
+    assert main(["bench-latency", "--checkpoint", ck, "--k", "2", "--t-steps", "4",
+                 "--repeat", "3", "--tool-span", "4", "--out", str(tmp_path / "bench.csv")]) == 0
+    assert seen == [4] + [4, 10, 25, 100] * 4
+
+
 def test_export_attn_fails_cleanly_without_blocks(tmp_path):
     ck = make_checkpoint(tmp_path)  # untrained: never emits START greedily
     out = str(tmp_path / "h.pgm")

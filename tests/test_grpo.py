@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from latentsketch import autodiff as ad
+from latentsketch import backbone as bb
 from latentsketch import grpo
 from latentsketch import inference as inf
 from latentsketch import sequence as sq
 from latentsketch import toyvision as tv
 from latentsketch import vocab
 from latentsketch.model import ModelConfig, build_model
+from latentsketch.optim import adamw_step, clip_grad_norm
 from latentsketch.util import seeded_rng
 
 
@@ -159,11 +161,12 @@ def test_bandit_gradient_matches_analytic_policy_gradient(monkeypatch):
     equals the vanilla REINFORCE estimator sum_i (A_i/G) (onehot(a_i) - pi)."""
     theta = ad.Tensor(np.array([0.3, -0.2]), requires_grad=True)
 
-    def stub_score(model, rollout, temperature):
+    def stub_score(model, rollout, temperature, prompt):
         logits = ad.reshape(theta, (1, 2))
         return ad.mul(ad.cross_entropy(logits, np.array([rollout.answer[0]])), -1.0)
 
     monkeypatch.setattr(grpo, "score_rollout", stub_score)
+    monkeypatch.setattr(grpo, "prompt_pass", lambda model, rollouts: None)
     actions = [0, 1, 0, 0]
     rewards = np.array([1.0, 0.0, 1.0, 0.0])
     adv = grpo.advantages(rewards)
@@ -172,7 +175,7 @@ def test_bandit_gradient_matches_analytic_policy_gradient(monkeypatch):
         for a in actions:
             r = grpo.Rollout(seq=None, emissions=[inf.Emission(0, a, np.zeros(2, dtype=bool))],
                              answer=[a], reward=0.0)
-            r.logprobs_old = stub_score(None, r, 1.0).data.copy()
+            r.logprobs_old = stub_score(None, r, 1.0, None).data.copy()
             rollouts.append(r)
     group = grpo.RolloutGroup(0, rollouts, adv)
     obj = grpo.grpo_objective(group, None, clip_eps=0.0, temperature=1.0)
@@ -243,11 +246,149 @@ def test_behavior_logprobs_are_the_sampler_logprobs():
     cfg = grpo.GrpoConfig(group_size=4, temperature=0.9, max_new_items=14, seed=4)
     group, _ = sample_tiny_group(model, cfg)
     assert any(e.token_id == vocab.START_ID for r in group.rollouts for e in r.emissions)
+    with ad.no_grad():
+        prompt = grpo.prompt_pass(model, group.rollouts)
     for r in group.rollouts:
         assert np.array_equal(r.logprobs_old, [e.logprob for e in r.emissions])
         with ad.no_grad():
-            scored = grpo.score_rollout(model, r, cfg.temperature).data
+            scored = grpo.score_rollout(model, r, cfg.temperature, prompt).data
         assert np.max(np.abs(scored - r.logprobs_old)) <= 1e-12
+
+
+# -- scoring over the shared prompt pass ------------------------------------------------
+
+
+def two_groups_of_many_lengths(seed=58):
+    """A 2-layer model and two sampled groups of 5 rollouts whose prompts have
+    one length; an EOS bias gives rollouts of many lengths, one of them EOS at
+    its first emission."""
+    model = build_model(ModelConfig(layers=2, heads=2, d=8, max_len=96, k_latent=2, t_steps=4),
+                        seed=seed)
+    tv.pretrain_encoder(model.store, 2, 1e-2, seed=seed)
+    model.store["backbone/lm_head/b"].data[vocab.START_ID] = 1.0
+    model.store["backbone/lm_head/b"].data[vocab.EOS_ID] = 2.0
+    cfg = grpo.GrpoConfig(group_size=5, temperature=1.0, max_new_items=14, seed=9)
+    traces = tv.generate_dataset("grid_rotation", 2, 8)
+    return model, cfg, grpo.sample_groups(model, traces, cfg, 0, [0, 1], [0, 1])
+
+
+def full_sequence_logprobs(model, rollout, temperature):
+    """The scored log-probabilities from one forward of the whole rollout:
+    row position - 1 of its logits, tempered and masked."""
+    ids, text_mask, latents = sq.to_arrays(rollout.seq, model.bcfg.d)
+    _, logits, _ = bb.forward_batch(model.store, model.bcfg, ids[None], text_mask[None], latents[None])
+    rows = ad.take_rows(ad.getitem(logits, 0), np.array([e.position - 1 for e in rollout.emissions]))
+    mask_add = np.stack([np.where(e.mask, inf.MASK_NEG, 0.0) for e in rollout.emissions])
+    tok = np.array([e.token_id for e in rollout.emissions])
+    return ad.mul(ad.cross_entropy(ad.add(ad.mul(rows, 1.0 / temperature), ad.Tensor(mask_add)), tok), -1.0)
+
+
+def full_sequence_objective(group, model, clip_eps, temperature, variant):
+    """The clipped surrogate with each rollout forwarded whole."""
+    acc = ad.Tensor(0.0)
+    for r, a in zip(group.rollouts, group.advantages):
+        new_lp = full_sequence_logprobs(model, r, temperature)
+        if variant == "sequence":
+            rho = ad.exp(ad.sub(ad.sum_(new_lp), float(np.sum(r.logprobs_old))))
+        else:
+            rho = ad.exp(ad.sub(new_lp, ad.Tensor(r.logprobs_old)))
+        term = ad.minimum(ad.mul(rho, a), ad.mul(ad.clip(rho, 1.0 - clip_eps, 1.0 + clip_eps), a))
+        acc = ad.add(acc, ad.mean_(term))
+    return ad.mul(acc, 1.0 / len(group.rollouts))
+
+
+def test_score_rollout_over_shared_prompt_equals_full_forward():
+    model, cfg, groups = two_groups_of_many_lengths()
+    lengths = [r.new_items for g in groups for r in g.rollouts]
+    assert 1 in lengths and len(set(lengths)) >= 5
+    for group in groups:
+        with ad.no_grad():
+            prompt = grpo.prompt_pass(model, group.rollouts)
+            for r in group.rollouts:
+                got = grpo.score_rollout(model, r, cfg.temperature, prompt).data
+                want = full_sequence_logprobs(model, r, cfg.temperature).data
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("variant", ["token", "sequence"])
+def test_objective_gradients_equal_full_forward(variant):
+    model, cfg, groups = two_groups_of_many_lengths()
+    rng = np.random.default_rng(3)
+    group = groups[0]
+    group.advantages = np.array([1.0, -1.0, 0.5, -0.5, 0.25])
+    for r in group.rollouts:  # off-policy ratios, some of them clipped
+        r.logprobs_old = r.logprobs_old + rng.normal(0.0, 0.2, len(r.logprobs_old))
+
+    def grads(objective):
+        model.store.zero_grad()
+        ad.backward(objective, model.store)
+        return {n: t.grad.copy() for n, t in model.store.entries.items()}
+
+    got = grads(grpo.grpo_objective(group, model, 0.2, cfg.temperature, variant))
+    want = grads(full_sequence_objective(group, model, 0.2, cfg.temperature, variant))
+    assert any(np.any(g != 0.0) for g in want.values())
+    for name, g in want.items():
+        assert np.max(np.abs(got[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+
+
+@pytest.mark.parametrize("tasks", [("grid_rotation", "grid_rotation"), ("grid_rotation", "visual_search")],
+                         ids=["same-length", "other-length"])
+def test_rollouts_of_different_prompts_raise(tasks):
+    model = make_rl_model()
+    cfg = grpo.GrpoConfig(group_size=2, temperature=0.9, max_new_items=6, seed=3)
+    traces = [tv.generate_dataset(task, 2, 8)[i] for i, task in enumerate(tasks)]
+    a, b = grpo.sample_groups(model, traces, cfg, 0, [0, 1], [0, 1])
+    same_length = len(inf.build_prompt(model, traces[0])) == len(inf.build_prompt(model, traces[1]))
+    assert same_length == (tasks[0] == tasks[1])
+    mixed = grpo.RolloutGroup(0, [a.rollouts[0], b.rollouts[0]], np.array([1.0, -1.0]))
+    with pytest.raises(ValueError, match="share one prompt"):
+        grpo.grpo_objective(mixed, model, 0.2, cfg.temperature)
+
+
+@pytest.mark.parametrize("variant", ["token", "sequence"])
+@pytest.mark.parametrize("degenerate_first", [True, False])
+def test_train_rl_does_not_score_degenerate_groups(variant, degenerate_first, monkeypatch):
+    """A minibatch of one live and one degenerate group: the degenerate group
+    is never scored, the step leaves the parameters bitwise equal to a step
+    over the objectives of both, and its ratios still count in clip_fraction."""
+    model, _, groups = two_groups_of_many_lengths()
+    reference, _, _ = two_groups_of_many_lengths()
+    cfg = grpo.GrpoConfig(group_size=5, temperature=1.0, max_new_items=14, seed=9, iters=1,
+                          queries_per_iter=2, groups_per_step=2, ratio_variant=variant)
+    live, dead = groups
+    live.advantages = np.array([1.0, -1.0, 0.5, -0.5, 0.25])
+    dead.advantages = np.zeros(5)
+    rng = np.random.default_rng(4)
+    for r in live.rollouts:
+        r.logprobs_old = r.logprobs_old + rng.normal(0.0, 0.2, len(r.logprobs_old))
+    chunk = [dead, live] if degenerate_first else [live, dead]
+
+    # the step over both groups, written out
+    stats = {}
+    objs = [grpo.grpo_objective(g, reference, cfg.clip_eps, cfg.temperature, variant, stats)
+            for g in chunk]
+    loss = ad.mul(ad.add(objs[0], objs[1]), -1.0 / len(chunk))
+    reference.store.zero_grad()
+    ad.backward(loss, reference.store)
+    clip_grad_norm(reference.store, cfg.clip_norm)
+    adamw_step(reference.store, {"backbone": cfg.lr, "diffusion_head": cfg.lr, "vision_encoder": 0.0},
+               weight_decay=cfg.weight_decay)
+
+    scored = []
+    real_score = grpo.score_rollout
+
+    def spy(m, rollout, temperature, prompt):
+        scored.append(rollout)
+        return real_score(m, rollout, temperature, prompt)
+
+    monkeypatch.setattr(grpo, "score_rollout", spy)
+    monkeypatch.setattr(grpo, "sample_groups", lambda *args: chunk)
+    metrics = grpo.train_rl(model, tv.generate_dataset("grid_rotation", 2, 8), cfg)
+    assert [id(r) for r in scored] == [id(r) for r in live.rollouts]
+    for name, t in reference.store.entries.items():
+        assert np.array_equal(model.store[name].data, t.data), name
+    assert stats["clipped"] > 0
+    assert metrics[0]["clip_fraction"] == stats["clipped"] / stats["positions"]
 
 
 def test_train_rl_mixed_tasks_equal_one_query_at_a_time(tmp_path, monkeypatch):
