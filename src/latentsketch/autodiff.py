@@ -273,14 +273,26 @@ def sqrt(a) -> Tensor:
 def gelu(a) -> Tensor:
     """Exact GELU: x * Phi(x) with the Gaussian CDF (not the tanh approximation)."""
     a = as_tensor(a)
-    phi = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
+    x = a.data
+    # 0.5 * (1 + erf(x / sqrt 2)), one buffer updated in place
+    phi = x * _INV_SQRT2
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
 
     def bw(g):
         if _needs(a):
-            pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT2PI
-            _accum(a, g * (phi + a.data * pdf), fresh=True)
+            # g * (phi + x * pdf(x)), pdf(x) = exp(-x^2 / 2) / sqrt(2 pi)
+            t = x * -0.5
+            t *= x
+            np.exp(t, out=t)
+            t *= _INV_SQRT2PI
+            t *= x
+            t += phi
+            t *= g
+            _accum(a, t, fresh=True)
 
-    return _from_op(a.data * phi, (a,), bw, "gelu")
+    return _from_op(x * phi, (a,), bw, "gelu")
 
 
 # -- shape ops ---------------------------------------------------------------
@@ -389,18 +401,27 @@ def matmul(a, b) -> Tensor:
 
 
 def affine(x, w, b) -> Tensor:
-    """Fused x @ w + b (b broadcast over the leading axes)."""
+    """Fused x @ w + b for a [d, n] matrix w (b broadcast over the leading axes).
+
+    The leading axes of x are folded into rows, so the product and the input
+    gradient are one GEMM each rather than one per batch entry.
+    """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    rows = x.data.reshape(-1, x.data.shape[-1])
+    out = rows @ w.data
+    out += b.data
 
     def bw(g):
         if _needs(x):
-            _accum(x, _unbroadcast(g @ w.data.swapaxes(-1, -2), x.data.shape), fresh=True)
+            _accum(x, (g.reshape(len(rows), -1) @ w.data.T).reshape(x.data.shape), fresh=True)
         if _needs(w):
+            # one product per batch entry, summed after: folding the rows here
+            # would change the order in which the weight gradient is summed
             _accum(w, _unbroadcast(x.data.swapaxes(-1, -2) @ g, w.data.shape), fresh=True)
         if _needs(b):
             _accum(b, _unbroadcast(g, b.data.shape), fresh=True)
 
-    return _from_op(x.data @ w.data + b.data, (x, w, b), bw, "affine")
+    return _from_op(out.reshape(x.data.shape[:-1] + out.shape[1:]), (x, w, b), bw, "affine")
 
 
 def mixed_embed(table, pos_table, ids: np.ndarray, text_mask: np.ndarray,
@@ -427,15 +448,26 @@ def mixed_embed(table, pos_table, ids: np.ndarray, text_mask: np.ndarray,
     return _from_op(out_data, (table, pos_table), bw, "mixed_embed")
 
 
-_MASKS: dict[tuple[int, int], np.ndarray] = {}
+# Scores per block of the batch axis in attention: forward and backward run
+# block by block so that one block's [heads, L, start + L] score arrays stay in
+# L2 cache instead of streaming the whole batch's through memory each pass.
+ATTN_BLOCK = 1 << 18
+
+_MASKS: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _masks(n: int, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """Additive causal mask [n, start + n] and its 0/1 keep-mask."""
+    m = _MASKS.get((n, start))
+    if m is None:
+        add = np.triu(np.full((n, start + n), MASK_VALUE), k=start + 1)
+        m = _MASKS[(n, start)] = (add, (add == 0.0).astype(np.float64))
+    return m
 
 
 def causal_mask(n: int, start: int = 0) -> np.ndarray:
     """Additive mask [n, start + n]: query row j sees key columns 0..start + j."""
-    m = _MASKS.get((n, start))
-    if m is None:
-        m = _MASKS[(n, start)] = np.triu(np.full((n, start + n), MASK_VALUE), k=start + 1)
-    return m
+    return _masks(n, start)[0]
 
 
 def _split_heads(qkv: np.ndarray, heads: int) -> np.ndarray:
@@ -459,6 +491,10 @@ def attention(qkv, heads: int, prefix=None, start: int = 0):
       are written at positions start..start+L and its queries attend over
       0..start+L.  Cached positions are constants: backward reaches only
       this call's rows.
+
+    Forward and backward run over blocks of ATTN_BLOCK scores along the
+    batch axis; each block makes the same per-matrix products and per-row
+    reductions as the whole batch would, so the values do not depend on it.
     """
     qkv = as_tensor(qkv)
     B, L, d3 = qkv.data.shape
@@ -479,57 +515,97 @@ def attention(qkv, heads: int, prefix=None, start: int = 0):
         v_buf[:, :, start : start + L] = v
         kt, vals = kt_buf[..., : start + L], v_buf[:, :, : start + L]
     scale = 1.0 / np.sqrt(hd)
-    s = q @ kt
-    s *= scale
-    s += causal_mask(L, start)
-    s -= np.max(s, axis=-1, keepdims=True)
-    np.exp(s, out=s)
-    s /= np.sum(s, axis=-1, keepdims=True)
+    mask, keep = _masks(L, start)
+    per = max(1, ATTN_BLOCK // max(heads * L * (start + L), 1))  # examples per block
+    blocks = [slice(b0, b0 + per) for b0 in range(0, B, per)]
+    s = np.empty((B, heads, L, start + L))
+    ctx = np.empty((B, L, heads, hd))
+    for blk in blocks:
+        sb = s[blk]
+        np.matmul(q[blk], kt[blk], out=sb)
+        sb *= scale
+        sb += mask
+        sb -= np.max(sb, axis=-1, keepdims=True)
+        # masked entries go -0.0 -> exp 1.0 -> +0.0, which is exp(MASK_VALUE),
+        # without the slow path np.exp takes on huge negative inputs
+        sb *= keep
+        np.exp(sb, out=sb)
+        sb *= keep
+        sb /= np.sum(sb, axis=-1, keepdims=True)
+        ctx[blk] = (sb @ vals[blk]).swapaxes(1, 2)
 
     def bw(g):
         gh = g.reshape(B, L, heads, hd).swapaxes(1, 2)
-        gs = gh @ vals.swapaxes(-1, -2)
-        gv = s.swapaxes(-1, -2) @ gh
-        gs = scale * (s * (gs - np.sum(gs * s, axis=-1, keepdims=True)))
-        gkt = q.swapaxes(-1, -2) @ gs
-        if _needs(qkv):
+        to_qkv = _needs(qkv)
+        to_prefix = len(parents) == 2 and _needs(prefix)
+        if to_qkv:
             out = np.empty((B, L, 3, heads, hd))
-            out[:, :, 0] = (gs @ kt.swapaxes(-1, -2)).swapaxes(1, 2)
-            out[:, :, 1] = gkt[..., start:].transpose(0, 3, 1, 2)
-            out[:, :, 2] = gv[:, :, start:].swapaxes(1, 2)
+        if to_prefix:
+            pout = np.zeros((B, start, 3, heads, hd))
+        for blk in blocks:
+            sb, ghb = s[blk], gh[blk]
+            gs = ghb @ vals[blk].swapaxes(-1, -2)
+            gv = sb.swapaxes(-1, -2) @ ghb
+            gs -= np.sum(gs * sb, axis=-1, keepdims=True)
+            gs *= sb
+            gs *= scale
+            gkt = q[blk].swapaxes(-1, -2) @ gs
+            if to_qkv:
+                out[blk, :, 0] = (gs @ kt[blk].swapaxes(-1, -2)).swapaxes(1, 2)
+                out[blk, :, 1] = gkt[..., start:].transpose(0, 3, 1, 2)
+                out[blk, :, 2] = gv[:, :, start:].swapaxes(1, 2)
+            if to_prefix:
+                pout[blk, :, 1] = gkt[..., :start].transpose(0, 3, 1, 2)
+                pout[blk, :, 2] = gv[:, :, :start].swapaxes(1, 2)
+        if to_qkv:
             _accum(qkv, out.reshape(B, L, d3), fresh=True)
-        if len(parents) == 2 and _needs(prefix):
-            out = np.zeros((B, start, 3, heads, hd))
-            out[:, :, 1] = gkt[..., :start].transpose(0, 3, 1, 2)
-            out[:, :, 2] = gv[:, :, :start].swapaxes(1, 2)
-            _accum(prefix, out.reshape(B, start, d3), fresh=True)
+        if to_prefix:
+            _accum(prefix, pout.reshape(B, start, d3), fresh=True)
 
-    ctx = (s @ vals).swapaxes(1, 2).reshape(B, L, d3 // 3)
-    return _from_op(ctx, parents, bw, "attention"), s
+    return _from_op(ctx.reshape(B, L, d3 // 3), parents, bw, "attention"), s
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     n = x.data.shape[-1]
-    # add.reduce / n is np.mean's arithmetic without its per-call overhead
-    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / n
-    xc = x.data - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
-    r = 1.0 / np.sqrt(var + eps)
-    xhat = xc * r
+    # add.reduce / n is np.mean's arithmetic without its per-call overhead;
+    # the passes below update two [..., n] buffers in place
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
+    mu /= n
+    xhat = x.data - mu
+    out = xhat * xhat
+    r = np.add.reduce(out, axis=-1, keepdims=True)
+    r /= n
+    r += eps
+    np.sqrt(r, out=r)
+    np.divide(1.0, r, out=r)
+    xhat *= r
+    np.multiply(xhat, gamma.data, out=out)
+    out += beta.data
 
     def bw(g):
+        t = None
         if _needs(gamma):
-            _accum(gamma, (g * xhat).reshape(-1, n).sum(axis=0), fresh=True)
+            t = g * xhat
+            _accum(gamma, t.reshape(-1, n).sum(axis=0), fresh=True)
         if _needs(beta):
             _accum(beta, g.reshape(-1, n).sum(axis=0), fresh=True)
         if _needs(x):
+            # r * (gx - mean(gx) - xhat * mean(gx * xhat)), gx = g * gamma
             gx = g * gamma.data
-            _accum(x, r * (gx - np.add.reduce(gx, axis=-1, keepdims=True) / n
-                           - xhat * (np.add.reduce(gx * xhat, axis=-1, keepdims=True) / n)), fresh=True)
+            t = np.multiply(gx, xhat, out=t)
+            m = np.add.reduce(t, axis=-1, keepdims=True)
+            m /= n
+            np.multiply(xhat, m, out=t)
+            m = np.add.reduce(gx, axis=-1, keepdims=True)
+            m /= n
+            gx -= m
+            gx -= t
+            gx *= r
+            _accum(x, gx, fresh=True)
 
-    return _from_op(xhat * gamma.data + beta.data, (x, gamma, beta), bw, "layer_norm")
+    return _from_op(out, (x, gamma, beta), bw, "layer_norm")
 
 
 def cross_entropy(logits, targets) -> Tensor:

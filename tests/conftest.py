@@ -1,9 +1,17 @@
-import numpy as np
-import pytest
+import os
 
-from latentsketch import autodiff as ad
-from latentsketch import toyvision as tv
-from latentsketch.model import Model, ModelConfig, build_model
+# One BLAS/OpenMP thread for the whole suite, set before numpy loads: timing
+# tests (criterion 09) then do not depend on how busy the host's other cores
+# are, and results match the single-thread benchmark processes.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from latentsketch import autodiff as ad  # noqa: E402
+from latentsketch import toyvision as tv  # noqa: E402
+from latentsketch.model import Model, ModelConfig, build_model  # noqa: E402
 
 
 def rel_error(a: np.ndarray, b: np.ndarray) -> float:

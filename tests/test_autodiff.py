@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from latentsketch import autodiff as ad
 
@@ -265,6 +266,147 @@ def test_fused_softmax_masked_entries_exactly_zero():
     _, s = ad.attention(ad.Tensor(rng.normal(size=(1, 4, 6))), 1, (kt, v), 3)
     assert np.all(s[0, 0][np.triu_indices(4, k=4, m=7)] == 0.0)
     assert np.all(s[0, 0][np.tril_indices(4, k=3, m=7)] > 0.0)
+
+
+def attention_unblocked(qkv, heads, g, prefix=None, start=0):
+    """The attention formula over the whole batch at once: the additive mask
+    alone, np.exp over the masked scores, and the backward written out.
+    Returns (context, weights, q|k|v gradient, Tensor-prefix gradient)."""
+    B, L, d3 = qkv.shape
+    hd = d3 // (3 * heads)
+
+    def split(a):
+        return np.ascontiguousarray(a.reshape(a.shape[0], a.shape[1], 3, heads, hd).transpose(2, 0, 3, 1, 4))
+
+    q, k, v = split(qkv)
+    if prefix is None:
+        kt, vals = np.ascontiguousarray(k.swapaxes(-1, -2)), v
+    elif isinstance(prefix, np.ndarray):
+        start = prefix.shape[1]
+        _, pk, pv = split(prefix)
+        kt = np.concatenate([pk.swapaxes(-1, -2), k.swapaxes(-1, -2)], axis=-1)
+        vals = np.concatenate([pv, v], axis=-2)
+    else:
+        kt_buf, v_buf = prefix
+        kt_buf[..., start : start + L] = k.swapaxes(-1, -2)
+        v_buf[:, :, start : start + L] = v
+        kt, vals = kt_buf[..., : start + L], v_buf[:, :, : start + L]
+    scale = 1.0 / np.sqrt(hd)
+    s = q @ kt
+    s *= scale
+    s += np.triu(np.full((L, start + L), ad.MASK_VALUE), k=start + 1)
+    s -= np.max(s, axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= np.sum(s, axis=-1, keepdims=True)
+    ctx = (s @ vals).swapaxes(1, 2).reshape(B, L, d3 // 3)
+    gh = g.reshape(B, L, heads, hd).swapaxes(1, 2)
+    gs = gh @ vals.swapaxes(-1, -2)
+    gv = s.swapaxes(-1, -2) @ gh
+    gs = scale * (s * (gs - np.sum(gs * s, axis=-1, keepdims=True)))
+    gkt = q.swapaxes(-1, -2) @ gs
+    gq = np.empty((B, L, 3, heads, hd))
+    gq[:, :, 0] = (gs @ kt.swapaxes(-1, -2)).swapaxes(1, 2)
+    gq[:, :, 1] = gkt[..., start:].transpose(0, 3, 1, 2)
+    gq[:, :, 2] = gv[:, :, start:].swapaxes(1, 2)
+    gp = np.zeros((B, start, 3, heads, hd))
+    gp[:, :, 1] = gkt[..., :start].transpose(0, 3, 1, 2)
+    gp[:, :, 2] = gv[:, :, :start].swapaxes(1, 2)
+    return ctx, s, gq.reshape(B, L, d3), gp.reshape(B, start, d3)
+
+
+# one example has heads * L * (P + L) = 2 * 4 * 7 = 56 scores: blocks of 1, of
+# 2 (5 = 2 + 2 + 1, a ragged last block) and one block of the whole batch
+@pytest.mark.parametrize("block", [1, 112, 1 << 30])
+@pytest.mark.parametrize("form", ["none", "tensor", "cache"])
+def test_blocked_attention_equals_unblocked(monkeypatch, block, form):
+    """attention over blocks of the batch axis gives bit for bit the values and
+    gradients of the formula over the whole batch; masked weights are +0.0."""
+    monkeypatch.setattr(ad, "ATTN_BLOCK", block)
+    rng = np.random.default_rng(block % 97)
+    B, heads, hd, P, L = 5, 2, 3, 3, 4
+    qkv = randt(rng, B, L, 3 * heads * hd)
+    g = rng.normal(size=(B, L, heads * hd))
+    prefix_rows = rng.normal(size=(B, P, 3 * heads * hd))
+    if form == "none":
+        prefix = ref_prefix = None
+        start = 0
+    elif form == "tensor":
+        prefix, ref_prefix = ad.Tensor(prefix_rows, requires_grad=True), prefix_rows
+        start = P
+    else:
+        kt, v = np.zeros((B, heads, hd, 10)), np.zeros((B, heads, 10, hd))
+        ad.attention(ad.Tensor(prefix_rows), heads, (kt, v))
+        prefix, ref_prefix = (kt, v), (kt.copy(), v.copy())
+        start = P
+    ctx, s = ad.attention(qkv, heads, prefix, start)
+    ad.backward(ad.mul(ctx, ad.Tensor(g)).sum())
+    ref_ctx, ref_s, ref_gq, ref_gp = attention_unblocked(qkv.data, heads, g, ref_prefix, start)
+    assert np.array_equal(ctx.data, ref_ctx)
+    assert np.array_equal(s, ref_s)
+    assert np.array_equal(qkv.grad, ref_gq)
+    if form == "tensor":
+        assert np.array_equal(prefix.grad, ref_gp)
+    if form == "cache":
+        assert np.array_equal(prefix[0], ref_prefix[0]) and np.array_equal(prefix[1], ref_prefix[1])
+    masked = np.triu(np.ones((L, start + L), dtype=bool), k=start + 1)
+    assert np.all(s[..., masked] == 0.0) and not np.any(np.signbit(s))
+
+
+def gelu_old(x, g):
+    """GELU forward and backward as whole-array expressions."""
+    phi = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+    pdf = np.exp(-0.5 * x * x) * (1.0 / np.sqrt(2.0 * np.pi))
+    return x * phi, g * (phi + x * pdf)
+
+
+def layer_norm_old(x, gamma, beta, g, eps=1e-5):
+    """Layer norm forward and backward as whole-array expressions."""
+    n = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / n
+    xc = x - mu
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
+    r = 1.0 / np.sqrt(var + eps)
+    xhat = xc * r
+    gx = g * gamma
+    dx = r * (gx - np.add.reduce(gx, axis=-1, keepdims=True) / n
+              - xhat * (np.add.reduce(gx * xhat, axis=-1, keepdims=True) / n))
+    dgamma = (g * xhat).reshape(-1, n).sum(axis=0)
+    dbeta = g.reshape(-1, n).sum(axis=0)
+    return xhat * gamma + beta, dx, dgamma, dbeta
+
+
+@pytest.mark.parametrize("shape", [(3, 7, 16), (3, 1, 16)])
+def test_in_place_gelu_and_layer_norm_equal_array_expressions(shape):
+    rng = np.random.default_rng(len(shape) + shape[1])
+    x, g = randt(rng, *shape), rng.normal(size=shape)
+    out = ad.gelu(x)
+    ad.backward(ad.mul(out, ad.Tensor(g)).sum())
+    ref_out, ref_dx = gelu_old(x.data, g)
+    assert np.array_equal(out.data, ref_out)
+    assert np.array_equal(x.grad, ref_dx)
+
+    x, gamma, beta = randt(rng, *shape), randt(rng, shape[-1]), randt(rng, shape[-1])
+    out = ad.layer_norm(x, gamma, beta)
+    ad.backward(ad.mul(out, ad.Tensor(g)).sum())
+    for got, want in zip((out.data, x.grad, gamma.grad, beta.grad),
+                         layer_norm_old(x.data, gamma.data, beta.data, g)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(3, 7, 16), (3, 1, 16), (5, 16)])
+def test_affine_one_gemm_matches_batched_matmul(shape):
+    """affine folds the leading axes into one GEMM; it agrees with a batched
+    np.matmul to rounding."""
+    rng = np.random.default_rng(shape[0])
+    x, w, b = randt(rng, *shape), randt(rng, 16, 24), randt(rng, 24)
+    g = rng.normal(size=shape[:-1] + (24,))
+    out = ad.affine(x, w, b)
+    ad.backward(ad.mul(out, ad.Tensor(g)).sum())
+    assert out.shape == shape[:-1] + (24,)
+    assert rel_error(out.data, np.matmul(x.data, w.data) + b.data) < 1e-12
+    assert rel_error(x.grad, np.matmul(g, w.data.T)) < 1e-12
+    xm, gm = x.data.reshape(-1, 1, 16), g.reshape(-1, 1, 24)
+    assert rel_error(w.grad, np.matmul(xm.swapaxes(-1, -2), gm).sum(axis=0)) < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(3))
