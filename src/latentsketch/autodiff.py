@@ -465,11 +465,6 @@ def _masks(n: int, start: int) -> tuple[np.ndarray, np.ndarray]:
     return m
 
 
-def causal_mask(n: int, start: int = 0) -> np.ndarray:
-    """Additive mask [n, start + n]: query row j sees key columns 0..start + j."""
-    return _masks(n, start)[0]
-
-
 def _split_heads(qkv: np.ndarray, heads: int) -> np.ndarray:
     """[B, L, 3d] q|k|v rows -> [3, B, heads, L, hd]."""
     B, L, d3 = qkv.shape
@@ -625,22 +620,6 @@ def cross_entropy(logits, targets) -> Tensor:
             _accum(logits, p * g[..., None], fresh=True)
 
     return _from_op(-picked, (logits,), bw, "cross_entropy")
-
-
-def mse(pred, target) -> Tensor:
-    """Mean over all entries of the squared difference."""
-    pred, target = as_tensor(pred), as_tensor(target)
-    diff = pred.data - target.data
-    n = diff.size
-
-    def bw(g):
-        scaled = (2.0 / n) * diff * g
-        if _needs(pred):
-            _accum(pred, scaled, fresh=True)
-        if _needs(target):
-            _accum(target, -scaled, fresh=True)
-
-    return _from_op(np.array(np.mean(diff * diff)), (pred, target), bw, "mse")
 
 
 # -- reverse pass -------------------------------------------------------------

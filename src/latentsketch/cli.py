@@ -28,7 +28,7 @@ from . import sft
 from . import toyvision as tv
 from . import vocab
 from .model import Model, ModelConfig, build_model, load_model, save_model
-from .util import atomic_write_text, fmt_float, seeded_rng
+from .util import atomic_write, fmt_float, seeded_rng
 
 
 class ConfigError(ValueError):
@@ -38,6 +38,9 @@ class ConfigError(ValueError):
 # config sections whose keys and defaults are the fields of a dataclass; a
 # dataclass's own seed field is set from the config's global seed instead
 SECTIONS = {"model": ModelConfig, "sft": sft.SftConfig, "rl": grpo.GrpoConfig}
+# ModelConfig fields with one legal value per run, so not config keys: the
+# vocabulary is the committed one, and the latent head follows sft.mode
+NOT_KEYS = ("vocab", "head")
 
 
 def _key(field_name: str) -> str:
@@ -46,7 +49,7 @@ def _key(field_name: str) -> str:
 
 
 def _section_defaults(cls) -> dict:
-    return {_key(f.name): f.default for f in fields(cls) if f.name != "seed"}
+    return {_key(f.name): f.default for f in fields(cls) if f.name not in ("seed",) + NOT_KEYS}
 
 
 DEFAULT_CONFIG: dict = {
@@ -96,8 +99,8 @@ def write_run_manifest(out_dir: str, cfg: dict) -> None:
     os.makedirs(out_dir, exist_ok=True)
     resolved = dict(cfg)
     resolved["code_version"] = CODE_VERSION
-    atomic_write_text(os.path.join(out_dir, "config.resolved.json"),
-                      json.dumps(resolved, indent=2, sort_keys=True) + "\n")
+    atomic_write(os.path.join(out_dir, "config.resolved.json"),
+                 json.dumps(resolved, indent=2, sort_keys=True) + "\n")
 
 
 def section_config(cfg: dict, name: str):
@@ -105,7 +108,7 @@ def section_config(cfg: dict, name: str):
     cls, section = SECTIONS[name], cfg[name]
     try:
         return cls(**{f.name: cfg["seed"] if f.name == "seed" else section[_key(f.name)]
-                      for f in fields(cls)})
+                      for f in fields(cls) if f.name not in NOT_KEYS})
     except ValueError as e:
         raise ConfigError(f"invalid {name} config: {e}") from e
 
@@ -171,7 +174,7 @@ def evaluate(model: Model, traces: list[tv.AnnotatedTrace], mode: str, seed: int
         "wall_time": wall,
     }
     if dump_path:
-        atomic_write_text(dump_path, "\n".join(dump_lines) + "\n")
+        atomic_write(dump_path, "\n".join(dump_lines) + "\n")
     return report
 
 
@@ -193,7 +196,7 @@ def cmd_gen_data(args) -> int:
     if os.path.exists(args.out) and not args.force:
         raise ConfigError(f"{args.out} exists; pass --force to overwrite")
     traces = tv.generate_dataset(args.task, args.count, args.seed)
-    atomic_write_text(args.out, tv.dump_dataset(traces))
+    atomic_write(args.out, tv.dump_dataset(traces))
     if args.pgm:
         pgm_dir = args.out + ".pgm"
         os.makedirs(pgm_dir, exist_ok=True)
@@ -218,8 +221,6 @@ def run_sft_pipeline(cfg: dict, out_dir: str, resume: str | None = None) -> Mode
         mcfg = model.cfg
     else:
         mcfg = section_config(cfg, "model")
-        if mcfg.vocab != vocab.VOCAB_SIZE:
-            raise ConfigError(f"model.vocab must be {vocab.VOCAB_SIZE} (the committed vocabulary)")
     # one latent block length: SFT splices m_latent rows, the grammar expects k_latent
     if scfg.m_latent != mcfg.k_latent:
         raise ConfigError(f"sft.m_latent ({scfg.m_latent}) must equal model.k_latent ({mcfg.k_latent})")
@@ -277,7 +278,7 @@ def cmd_eval(args) -> int:
                       max_new_items=args.max_new_items, dump_path=dump_path)
     report["checkpoint"] = os.path.abspath(args.checkpoint)
     report_path = os.path.join(out_dir, f"eval_{args.task}_{args.mode}_{args.seed}.json")
-    atomic_write_text(report_path, json.dumps(report, indent=2) + "\n")
+    atomic_write(report_path, json.dumps(report, indent=2) + "\n")
     print(f"exact_match_accuracy {report['exact_match_accuracy']:.4f} on {args.n} examples "
           f"({args.task}, {args.mode}) -> {report_path}")
     return 0
@@ -317,7 +318,7 @@ def cmd_ablate(args) -> int:
                        max_new_items=cfg["eval"]["max_new_items"])
         lines.append(f"{label},{eval_mode},{fmt_float(rep['exact_match_accuracy'])}")
     path = os.path.join(out_dir, f"{args.suite}.csv")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
     print(f"suite {args.suite} -> {path}")
     return 0
 
@@ -421,7 +422,7 @@ def cmd_bench_latency(args) -> int:
     for r in rows:
         lines.append(",".join(fmt_float(x) if isinstance(x, float) else str(x) for x in r))
     out = args.out or "bench_latency.csv"
-    atomic_write_text(out, "\n".join(lines) + "\n")
+    atomic_write(out, "\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0
 

@@ -1,7 +1,7 @@
 """Conditional diffusion latent decoder: DDPM noise schedule, stacked-MLP
 epsilon predictor with sinusoidal timestep embeddings, an ancestral sampler
-batched over rows with one generator each, the noising/regression training
-loss, and the batched latent step of block emission.
+batched over rows with one generator each, the per-row noise-regression
+training loss, and the batched latent step of block emission.
 
 The sampler does not run the autodiff graph: it evaluates the epsilon net
 through a numpy closure prepared once per call (``prepare_eps``), which
@@ -35,13 +35,9 @@ T_EMBED_DIM = 32
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 EPS_NET = "diffusion_head/eps"  # parameter-name prefix of the epsilon network
 
-# instrumented call counter: the language-only generation mode must never touch this module
+# instrumented call counter, read as before/after deltas: the language-only
+# generation mode must never touch this module
 CALLS = {"sample_latent": 0, "denoise_step": 0}
-
-
-def reset_call_counter() -> None:
-    CALLS["sample_latent"] = 0
-    CALLS["denoise_step"] = 0
 
 
 @dataclass
@@ -126,15 +122,15 @@ def noisify(z: np.ndarray, t: int | np.ndarray, eps: np.ndarray, sched: NoiseSch
     return np.sqrt(ab) * z + np.sqrt(1.0 - ab) * eps
 
 
-def denoise_step(z_t: np.ndarray, t: int, c: np.ndarray, xi: np.ndarray,
-                 sched: NoiseSchedule, eps_fn) -> np.ndarray:
-    """One reverse step t -> t-1 with the noise predictor eps_fn(z, t, c);
-    xi is injected for testability."""
+def denoise_step(z_t: np.ndarray, t: int, xi: np.ndarray, sched: NoiseSchedule,
+                 eps_fn) -> np.ndarray:
+    """One reverse step t -> t-1 with the noise predictor eps_fn(z, t), which
+    holds its condition rows; xi is injected for testability."""
     if not 1 <= t <= sched.t_steps:
         raise ValueError(f"timestep {t} outside [1, {sched.t_steps}]")
     CALLS["denoise_step"] += 1
     z2 = np.atleast_2d(z_t)
-    eps = np.atleast_2d(eps_fn(z2, np.full(z2.shape[0], t, dtype=np.int64), np.atleast_2d(c)))
+    eps = np.atleast_2d(eps_fn(z2, np.full(z2.shape[0], t, dtype=np.int64)))
     coef = (1.0 - sched.alpha[t]) / np.sqrt(1.0 - sched.alpha_bar[t])
     out = (z2 - coef * eps) / np.sqrt(sched.alpha[t]) + sched.sigma[t] * np.atleast_2d(xi)
     return out.reshape(np.shape(z_t))
@@ -146,7 +142,7 @@ def _gelu(x: np.ndarray) -> np.ndarray:
 
 def prepare_eps(store: ParamStore, sched: NoiseSchedule, c: np.ndarray):
     """The epsilon net at the condition rows c [n, d_c], as a no-grad numpy
-    eps_fn(z, t, c) for denoise_step; its c argument is ignored.
+    eps_fn(z, t) for denoise_step.
 
     Layer 0 of eps_forward, concat(z, t_embed[t], c) @ w0 + b0, is split by
     input columns: the condition part and the timestep part (with the bias,
@@ -160,7 +156,7 @@ def prepare_eps(store: ParamStore, sched: NoiseSchedule, c: np.ndarray):
     c_part = np.atleast_2d(c) @ w0_c
     t_part = sched.t_embed @ w0_t + w["b0"]
 
-    def eps_fn(z: np.ndarray, t_idx: np.ndarray, _c) -> np.ndarray:
+    def eps_fn(z: np.ndarray, t_idx: np.ndarray) -> np.ndarray:
         x = _gelu(z @ w0_z + c_part + t_part[t_idx])
         x = _gelu(x @ w["w1"] + w["b1"])
         x = _gelu(x @ w["w2"] + w["b2"])
@@ -186,48 +182,51 @@ def _normal_draws(rngs: list[np.random.Generator], steps: int, d: int) -> np.nda
 
 
 def sample_latent(c: np.ndarray, store: ParamStore, sched: NoiseSchedule,
-                  rngs: list[np.random.Generator], eps_fn=None, d: int | None = None) -> np.ndarray:
+                  rngs: list[np.random.Generator], eps_fn=None) -> np.ndarray:
     """Ancestral sampling from pure noise down to z^(0), one generator per row
     of c: row i draws its z_T and each xi from rngs[i], in the order a one-row
     call draws them.  Deterministic given (c, rngs).  Without eps_fn the
-    store's epsilon net is used, through prepare_eps."""
+    store's epsilon net is used, through prepare_eps; a given eps_fn(z, t)
+    holds its own conditions and samples rows as wide as c."""
     CALLS["sample_latent"] += 1
     c2 = np.atleast_2d(np.asarray(c, dtype=np.float64))
     n = c2.shape[0]
     if len(rngs) != n:
         raise ValueError(f"{len(rngs)} generators for {n} condition rows")
-    if d is None:
-        d = store[f"{EPS_NET}/b_out"].data.shape[0] if eps_fn is None else c2.shape[1]
     if eps_fn is None:
+        d = store[f"{EPS_NET}/b_out"].data.shape[0]
         eps_fn = prepare_eps(store, sched, c2)
+    else:
+        d = c2.shape[1]
     draws = iter(_normal_draws(rngs, 1 + int(np.sum(sched.sigma[1:] > 0.0)), d))
     z = next(draws)
     for t in range(sched.t_steps, 0, -1):
         xi = next(draws) if sched.sigma[t] > 0.0 else np.zeros((n, d))
-        z = denoise_step(z, t, c2, xi, sched, eps_fn)
+        z = denoise_step(z, t, xi, sched, eps_fn)
     return z.reshape(np.shape(c)[:-1] + (d,)) if np.ndim(c) > 1 else z[0]
 
 
 # -- training loss and block emission ----------------------------------------------
 
 
-def diffusion_loss(z_clean: np.ndarray, c, store: ParamStore, sched: NoiseSchedule,
-                   rng: np.random.Generator, draws: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
-    """Noise-regression loss, mean over all K*d residual scalars.
+def noise_regression(z_clean: np.ndarray, c, store: ParamStore, sched: NoiseSchedule,
+                     rng: np.random.Generator | None,
+                     draws: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
+    """Per-row noise-regression loss [n]: the mean over d of the squared residual
+    eps_forward(z_t, t, c) - eps, with z_t = noisify(z_clean, t, eps).
 
-    Each row independently draws t ~ Uniform{1..T} and eps ~ N(0, I); `draws`
-    lets tests inject the (t, eps) pair.  Differentiable w.r.t. the net and c.
+    Each row draws t ~ Uniform{1..T}, then all rows draw eps ~ N(0, I), from rng;
+    `draws` injects the (t, eps) pair instead.  Differentiable w.r.t. the net and c.
     """
     z_clean = np.atleast_2d(np.asarray(z_clean, dtype=np.float64))
-    k = z_clean.shape[0]
     if draws is None:
-        t = rng.integers(1, sched.t_steps + 1, size=k)
+        t = rng.integers(1, sched.t_steps + 1, size=z_clean.shape[0])
         eps = rng.standard_normal(z_clean.shape)
     else:
         t, eps = draws
-    z_t = noisify(z_clean, t, eps, sched)
-    pred = eps_forward(store, sched, z_t, t, c)
-    return ad.mse(pred, Tensor(eps))
+    pred = eps_forward(store, sched, noisify(z_clean, t, eps, sched), t, c)
+    resid = ad.sub(pred, Tensor(eps))
+    return ad.mean_(ad.mul(resid, resid), axis=1)
 
 
 @dataclass

@@ -17,7 +17,7 @@ from . import diffusion as df
 from . import sequence as sq
 from . import vocab
 from .model import Model, HEAD_SIMILARITY
-from .util import atomic_write_bytes, atomic_write_text
+from .util import atomic_write
 
 MASK_NEG = -1e30
 
@@ -247,7 +247,7 @@ def export_attention(seq: sq.MixedSequence, model: Model, layer: int, out_path: 
     pixels = np.zeros_like(grid, dtype=np.uint8) if peak <= 0 else \
         np.round(grid / peak * 255.0).astype(np.uint8)
     header = f"P5\n{side} {side}\n255\n".encode("ascii")
-    atomic_write_bytes(out_path, header + pixels.tobytes())
+    atomic_write(out_path, header + pixels.tobytes())
     sidecar = {
         "layer": layer,
         "patch_grid": [side, side],
@@ -255,7 +255,7 @@ def export_attention(seq: sq.MixedSequence, model: Model, layer: int, out_path: 
         "context_positions": ctx_positions,
         "values": grid.tolist(),
     }
-    atomic_write_text(out_path + ".values.json", json.dumps(sidecar, indent=2) + "\n")
+    atomic_write(out_path + ".values.json", json.dumps(sidecar, indent=2) + "\n")
     return grid
 
 

@@ -7,12 +7,12 @@ from __future__ import annotations
 import math
 import os
 import struct
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor
+from .util import atomic_write
 
 GROUPS = ("backbone", "diffusion_head", "vision_encoder")
 
@@ -151,26 +151,14 @@ def adamw_step(
 
 def write_records(path: str, records: dict[str, np.ndarray]) -> None:
     """Atomically write named float64 arrays in the checkpoint format."""
-    dirname = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".tmp-ckpt-")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<I", CHECKPOINT_VERSION))
-            for name in sorted(records):
-                arr = np.ascontiguousarray(records[name], dtype=np.float64)
-                nb = name.encode("utf-8")
-                f.write(struct.pack("<I", len(nb)))
-                f.write(nb)
-                f.write(struct.pack("<I", arr.ndim))
-                for dim in arr.shape:
-                    f.write(struct.pack("<I", dim))
-                f.write(arr.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    parts = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
+    for name in sorted(records):
+        arr = np.ascontiguousarray(records[name], dtype=np.float64)
+        nb = name.encode("utf-8")
+        parts += [struct.pack("<I", len(nb)), nb, struct.pack("<I", arr.ndim)]
+        parts += [struct.pack("<I", dim) for dim in arr.shape]
+        parts.append(arr.tobytes())
+    atomic_write(path, b"".join(parts))
 
 
 class CheckpointError(ValueError):

@@ -142,14 +142,6 @@ def validate(seq: MixedSequence, k: int, allow_context: bool = True) -> None:
             raise GrammarError(f"unexpected control item {it.value} at position {i}")
 
 
-def is_valid(seq: MixedSequence, k: int, allow_context: bool = True) -> bool:
-    try:
-        validate(seq, k, allow_context)
-        return True
-    except GrammarError:
-        return False
-
-
 def to_arrays(seq: MixedSequence, d: int):
     """Flatten to (ids [L], text_mask [L], latents [L, d]) for the backbone.
 

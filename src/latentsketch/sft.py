@@ -158,7 +158,7 @@ def joint_loss(examples: list[SupervisedExample], model: Model, lam: float,
         ce_tgt.append(ex.ce_targets)
         ce_w.append(np.full(ex.text_positions.size, 1.0 / (B * ex.text_positions.size)))
         rows = ex.latent_targets.shape[0]
-        if rows and mode != "text_only":
+        if rows:
             lat_pos.append(b * L + ex.cond_positions)
             lat_tgt.append(ex.latent_targets)
             lat_w.append(np.full(rows, 1.0 / (B * rows)))
@@ -179,16 +179,7 @@ def joint_loss(examples: list[SupervisedExample], model: Model, lam: float,
         row_term = _cosine_rows(ad.add(ad.matmul(h_cond, store["diffusion_head/sim_w"]),
                                        store["diffusion_head/sim_b"]), tgt)
     else:
-        n_rows = tgt.shape[0]
-        if draws is None:
-            t = rng.integers(1, model.sched.t_steps + 1, size=n_rows)
-            eps = rng.standard_normal(tgt.shape)
-        else:
-            t, eps = draws
-        z_t = df.noisify(tgt, t, eps, model.sched)
-        pred = df.eps_forward(store, model.sched, z_t, t, c)
-        resid = ad.sub(pred, Tensor(eps))
-        row_term = ad.mean_(ad.mul(resid, resid), axis=1)
+        row_term = df.noise_regression(tgt, c, store, model.sched, rng, draws)
     latent_term = ad.sum_(ad.mul(row_term, weights))
     total = ad.add(ce, ad.mul(latent_term, lam))
     return total, ce.item(), latent_term.item()
@@ -303,9 +294,8 @@ def train_sft(model: Model, traces: list[tv.AnnotatedTrace], cfg: SftConfig,
             if cfg.sampled_block_fraction > 0.0 and cfg.mode == "joint":
                 resample_blocks(examples, model, cfg.sampled_block_fraction,
                                 seeded_rng(cfg.seed, "resample", step))
-            lam = 0.0 if cfg.mode == "text_only" else cfg.lam
             try:
-                total, ce, diff = joint_loss(examples, model, lam, rng, mode=cfg.mode)
+                total, ce, diff = joint_loss(examples, model, cfg.lam, rng, mode=cfg.mode)
                 model.store.zero_grad()
                 ad.backward(total, model.store)
             except FloatingPointError as e:

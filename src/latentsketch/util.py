@@ -30,22 +30,11 @@ def seeded_rng(*keys) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    dirname = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def atomic_write_bytes(path: str, blob: bytes) -> None:
-    dirname = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=dirname, prefix=".tmp-")
+def atomic_write(path: str, data: bytes | str) -> None:
+    """Write data (str as UTF-8) to a temporary file beside path, then rename
+    it over path, so a reader never sees a partial file."""
+    blob = data.encode("utf-8") if isinstance(data, str) else data
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(blob)

@@ -225,7 +225,7 @@ def test_attention_maps_match_qk_recompute(model):
                 q = qkv[:, head * hd : (head + 1) * hd]
                 k = qkv[:, d + head * hd : d + (head + 1) * hd]
                 v = qkv[:, 2 * d + head * hd : 2 * d + (head + 1) * hd]
-                s = q @ k.T / np.sqrt(hd) + ad.causal_mask(L)
+                s = q @ k.T / np.sqrt(hd) + np.triu(np.full((L, L), ad.MASK_VALUE), k=1)
                 w = np.exp(s - s.max(axis=-1, keepdims=True))
                 w /= w.sum(axis=-1, keepdims=True)
                 out[:, head * hd : (head + 1) * hd] = w @ v
@@ -242,7 +242,7 @@ def test_attention_maps_match_qk_recompute(model):
         for head in range(h):
             q = qkv[:, head * hd : (head + 1) * hd]
             k = qkv[:, d + head * hd : d + (head + 1) * hd]
-            s = q @ k.T / np.sqrt(hd) + ad.causal_mask(L)
+            s = q @ k.T / np.sqrt(hd) + np.triu(np.full((L, L), ad.MASK_VALUE), k=1)
             w = np.exp(s - s.max(axis=-1, keepdims=True))
             ref[head] = w / w.sum(axis=-1, keepdims=True)
 

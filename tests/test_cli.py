@@ -53,8 +53,8 @@ def test_env_seed_override(tmp_path, monkeypatch):
 # every key of each dataclass-backed section, set to a valid value that differs
 # from its default and from the section's other values
 NON_DEFAULT = {
-    "model": {"layers": 3, "heads": 2, "d": 12, "vocab": 97, "max_len": 200, "k_latent": 5,
-              "t_steps": 40, "beta_start": 2e-4, "beta_end": 0.3, "head": "similarity"},
+    "model": {"layers": 3, "heads": 2, "d": 12, "max_len": 200, "k_latent": 5,
+              "t_steps": 40, "beta_start": 2e-4, "beta_end": 0.3},
     "sft": {"mode": "text_only", "lambda": 0.5, "lr_backbone": 2e-3, "lr_diffusion": 3e-2,
             "steps": 11, "batch_size": 3, "m_latent": 2, "weight_decay": 0.02,
             "warmup_frac": 0.05, "floor_frac": 0.2, "clip_norm": 1.5, "checkpoint_interval": 5,
@@ -73,15 +73,18 @@ def test_every_config_key_reaches_its_dataclass(section, tmp_path, monkeypatch):
     assert len(set(map(repr, values.values()))) == len(values)
     for key, val in values.items():
         assert val != DEFAULT_CONFIG[section][key], key
-    # every dataclass field but the seed has a config key, and no key lacks a field
-    names = {f.name for f in dataclasses.fields(SECTIONS[section])}
-    assert {"lambda" if n == "lam" else n for n in names - {"seed"}} == set(values)
+    # every dataclass field but the seed, the vocabulary size and the latent head
+    # has a config key, and no key lacks a field
+    names = {f.name for f in dataclasses.fields(SECTIONS[section])} - {"seed", "vocab", "head"}
+    assert {"lambda" if n == "lam" else n for n in names} == set(values)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 123, section: values}))
     built = section_config(load_config(str(path)), section)
-    for name in names - {"seed"}:
+    for name in names:
         assert getattr(built, name) == values["lambda" if name == "lam" else name], name
-    if "seed" in names:
+    if section == "model":
+        assert built.vocab == vocab.VOCAB_SIZE and built.head == "diffusion"
+    else:
         assert built.seed == 123
 
 
@@ -144,6 +147,16 @@ def test_train_sft_block_length_mismatch_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "sft.m_latent (3)" in err and "model.k_latent (2)" in err
     assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [("head", "similarity"), ("vocab", 96)])
+def test_model_head_and_vocab_are_not_config_keys(key, value, tmp_path, capsys):
+    """The head follows sft.mode and the vocabulary is the committed one, so
+    setting either exits 2, even to its only legal value."""
+    path = tiny_config(tmp_path, model={**TINY_MODEL, key: value})
+    assert main(["train-sft", "--config", path]) == 2
+    assert capsys.readouterr().err == f"error: unknown config key: model.{key}\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_sft_resume_block_length_mismatch_exits_2(tmp_path, capsys):

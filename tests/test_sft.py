@@ -44,6 +44,23 @@ def test_build_example_latent_free_trace(tiny_model):
     assert ex.text_positions.size == n_response_text + 1  # +1 for the EOS target
 
 
+def test_build_example_text_only_mode_emits_no_latent_rows(tiny_model):
+    """A text_only example of a trace with sketches equals the example of the
+    stripped trace: no latent rows, so joint_loss gives it CE alone."""
+    trace = trace_for(tiny_model)
+    assert any(s.image is not None for s in trace.steps)
+    ex = sft.build_example(trace, tiny_model, m=2, mode="text_only")
+    assert ex.latent_targets.shape == (0, tiny_model.bcfg.d)
+    assert ex.cond_positions.size == 0 and ex.blocks == 0
+    stripped = sft.build_example(tv.strip_images(trace), tiny_model, m=2)
+    for a, b in zip(sq.to_arrays(ex.seq, tiny_model.bcfg.d), sq.to_arrays(stripped.seq, tiny_model.bcfg.d)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(ex.text_positions, stripped.text_positions)
+    assert np.array_equal(ex.ce_targets, stripped.ce_targets)
+    total, ce, diff = sft.joint_loss([ex], tiny_model, 5.0, seeded_rng(0, "to"), mode="text_only")
+    assert diff == 0.0 and total.item() == ce
+
+
 def test_build_example_ce_targets_include_start_end_eos(tiny_model):
     trace = trace_for(tiny_model)
     ex = sft.build_example(trace, tiny_model, m=2)
@@ -196,8 +213,8 @@ def test_joint_loss_term_decomposition(tiny_model):
                                         ids[None], mask[None], lat[None])
         h = hidden.data[0][ex.cond_positions]
         c = h @ tiny_model.store["diffusion_head/cond_w"].data
-        standalone = df.diffusion_loss(ex.latent_targets, c, tiny_model.store,
-                                       tiny_model.sched, None, draws=draws)
+        standalone = ad.mean_(df.noise_regression(ex.latent_targets, c, tiny_model.store,
+                                                  tiny_model.sched, None, draws=draws))
     assert abs(total.item() - (ce + standalone.item())) < 1e-9
     assert abs(diff - standalone.item()) < 1e-9
 
