@@ -27,7 +27,7 @@ from . import inference as inf
 from . import sft
 from . import toyvision as tv
 from . import vocab
-from .model import Model, ModelConfig, build_model, load_model, save_model
+from .model import Model, ModelConfig, build_model, load_model
 from .util import atomic_write, fmt_float, seeded_rng
 
 
@@ -56,12 +56,11 @@ DEFAULT_CONFIG: dict = {
     "seed": 7,
     "model": _section_defaults(ModelConfig),
     "data": {
-        "task": "grid_rotation", "train_count": 8000, "train_seed": 7,
-        "text_only_fraction": 0.0, "file": None,
+        "task": "grid_rotation", "train_count": 8000, "train_seed": 7, "file": None,
     },
     "sft": _section_defaults(sft.SftConfig),
     "rl": _section_defaults(grpo.GrpoConfig),
-    "eval": {"n": 1000, "seed": 7000, "mode": "mixed", "max_new_items": inf.MAX_NEW_ITEMS},
+    "eval": {"n": 1000, "seed": 7000, "max_new_items": inf.MAX_NEW_ITEMS},
     "paths": {"out_dir": "runs/latest"},
 }
 
@@ -117,14 +116,8 @@ def load_training_data(cfg: dict) -> list[tv.AnnotatedTrace]:
     d = cfg["data"]
     if d["file"]:
         with open(d["file"], "r", encoding="utf-8") as f:
-            traces = tv.load_dataset(f.read())
-    else:
-        traces = tv.generate_dataset(d["task"], d["train_count"], d["train_seed"])
-    frac = d["text_only_fraction"]
-    if frac > 0:
-        traces = [tv.strip_images(t) if seeded_rng(d["train_seed"], "textonly", i).random() < frac
-                  else t for i, t in enumerate(traces)]
-    return traces
+            return tv.load_dataset(f.read())
+    return tv.generate_dataset(d["task"], d["train_count"], d["train_seed"])
 
 
 # -- evaluation ---------------------------------------------------------------------
@@ -215,22 +208,25 @@ def run_sft_pipeline(cfg: dict, out_dir: str, resume: str | None = None) -> Mode
     write_run_manifest(out_dir, cfg)
     traces = load_training_data(cfg)
     scfg = section_config(cfg, "sft")
+    # the latent head that sft.mode trains
+    head = "similarity" if scfg.mode == "similarity" else "diffusion"
     start_step = 0
     if resume:
         model, start_step = load_model(resume)
         mcfg = model.cfg
+        if mcfg.head != head:
+            raise ConfigError(f"checkpoint {resume} has the {mcfg.head} head, but sft.mode "
+                              f"{scfg.mode} trains the {head} head")
     else:
         mcfg = section_config(cfg, "model")
+        mcfg.head = head
     # one latent block length: SFT splices m_latent rows, the grammar expects k_latent
     if scfg.m_latent != mcfg.k_latent:
         raise ConfigError(f"sft.m_latent ({scfg.m_latent}) must equal model.k_latent ({mcfg.k_latent})")
     if not resume:
-        if scfg.mode == "similarity":
-            mcfg.head = "similarity"
         model = build_model(mcfg, cfg["seed"])
         tv.pretrain_encoder(model.store, scfg.encoder_pretrain_steps, scfg.encoder_lr, cfg["seed"])
-        if scfg.align_pattern_tokens:
-            tv.align_pattern_tokens(model.store)
+        tv.align_pattern_tokens(model.store)
     sft.train_sft(model, traces, scfg,
                   metrics_path=os.path.join(out_dir, "metrics.csv"),
                   checkpoint_path=os.path.join(out_dir, "checkpoint.lsk"),

@@ -38,7 +38,6 @@ class GrpoConfig:
     seed: int = 0
     queries_per_iter: int = 4
     groups_per_step: int = 2
-    ratio_variant: str = "token"    # "token" (per-position ratios) or "sequence"
     weight_decay: float = 0.0
     clip_norm: float = 1.0
 
@@ -53,8 +52,6 @@ class GrpoConfig:
         # greedy rollouts of a group are identical, so every group would be degenerate
         if self.temperature <= 0:
             raise ValueError("temperature must be > 0")
-        if self.ratio_variant not in ("token", "sequence"):
-            raise ValueError(f"unknown ratio variant {self.ratio_variant!r}")
 
 
 @dataclass
@@ -163,14 +160,13 @@ def score_rollout(model: Model, rollout: Rollout, temperature: float, prompt: Pr
 
 
 def grpo_objective(group: RolloutGroup, model: Model, clip_eps: float, temperature: float,
-                   variant: str = "token", stats: dict | None = None) -> Tensor:
+                   stats: dict | None = None) -> Tensor:
     """The clipped surrogate to MAXIMIZE, averaged over the group.
 
     The group's shared prompt is forwarded once (prompt_pass) and each
-    rollout's continuation over it (score_rollout).  Token variant:
-    per-position ratios with the rollout's advantage; sequence variant: a
-    single ratio from summed log-probabilities (numerically fragile for long
-    traces, kept for fidelity runs).
+    rollout's continuation over it (score_rollout).  Each scored position
+    has its own ratio, clipped and weighted by the rollout's advantage, and
+    a rollout's term is the mean over its positions.
     """
     if group.advantages.size != len(group.rollouts):
         raise ValueError("advantages not computed for this group")
@@ -183,22 +179,14 @@ def grpo_objective(group: RolloutGroup, model: Model, clip_eps: float, temperatu
     for rollout, adv in zip(group.rollouts, group.advantages):
         a = float(adv)
         new_lp = score_rollout(model, rollout, temperature, prompt)
-        old_lp = rollout.logprobs_old
-        if variant == "sequence":
-            rho = ad.exp(ad.sub(ad.sum_(new_lp), float(np.sum(old_lp))))
-            term = ad.minimum(ad.mul(rho, a), ad.mul(ad.clip(rho, 1.0 - clip_eps, 1.0 + clip_eps), a))
-            rho_vals = np.array([rho.data.item()])
-        else:
-            rho = ad.exp(ad.sub(new_lp, Tensor(old_lp)))
-            per_tok = ad.minimum(ad.mul(rho, a), ad.mul(ad.clip(rho, 1.0 - clip_eps, 1.0 + clip_eps), a))
-            term = ad.mean_(per_tok)
-            rho_vals = rho.data
+        rho = ad.exp(ad.sub(new_lp, Tensor(rollout.logprobs_old)))
+        per_tok = ad.minimum(ad.mul(rho, a), ad.mul(ad.clip(rho, 1.0 - clip_eps, 1.0 + clip_eps), a))
         if a > 0:
-            clipped_active += int(np.sum(rho_vals > 1.0 + clip_eps))
+            clipped_active += int(np.sum(rho.data > 1.0 + clip_eps))
         elif a < 0:
-            clipped_active += int(np.sum(rho_vals < 1.0 - clip_eps))
-        positions += rho_vals.size
-        terms.append(term)
+            clipped_active += int(np.sum(rho.data < 1.0 - clip_eps))
+        positions += rho.data.size
+        terms.append(ad.mean_(per_tok))
     if stats is not None:
         stats["clipped"] = stats.get("clipped", 0) + clipped_active
         stats["positions"] = stats.get("positions", 0) + positions
@@ -280,10 +268,9 @@ def train_rl(model: Model, traces: list[tv.AnnotatedTrace], cfg: GrpoConfig,
                         # gradient, so the group is not scored; its ratios still
                         # count in the clip_fraction denominator
                         stats["positions"] = stats.get("positions", 0) + sum(
-                            1 if cfg.ratio_variant == "sequence" else len(r.emissions)
-                            for r in g.rollouts)
-                objs = [grpo_objective(g, model, cfg.clip_eps, cfg.temperature,
-                                       cfg.ratio_variant, stats) for g in live]
+                            len(r.emissions) for r in g.rollouts)
+                objs = [grpo_objective(g, model, cfg.clip_eps, cfg.temperature, stats)
+                        for g in live]
                 acc = objs[0]
                 for o in objs[1:]:
                     acc = ad.add(acc, o)

@@ -11,12 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from . import backbone as bb
 from . import diffusion as df
 from . import sequence as sq
 from . import vocab
-from .model import Model, HEAD_SIMILARITY
+from .model import Model
 from .util import atomic_write
 
 MASK_NEG = -1e30

@@ -47,12 +47,9 @@ class SftConfig:
     floor_frac: float = 0.1
     clip_norm: float = 1.0
     checkpoint_interval: int = 0
-    latent_noise: float = 0.0
-    sampled_block_fraction: float = 0.0  # scheduled sampling: train on own samples
     # set-up of a fresh model before training (cli.run_sft_pipeline)
     encoder_pretrain_steps: int = 200
     encoder_lr: float = 1e-2
-    align_pattern_tokens: bool = True
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -70,14 +67,10 @@ class SupervisedExample:
 
 
 def build_example(trace: tv.AnnotatedTrace, model: Model, m: int,
-                  mode: str = "joint", latent_noise: float = 0.0,
-                  noise_rng: np.random.Generator | None = None) -> SupervisedExample:
+                  mode: str = "joint") -> SupervisedExample:
     """Assemble the teacher-forced sequence and its supervision indices.
 
-    latent_noise > 0 perturbs the spliced (context) copies of the gold latents
-    so downstream reads stay robust to sampler error at decode time; the
-    regression targets themselves remain the clean gold rows.  Raises
-    ValueError on max_len overflow; callers drop and count such traces.
+    Raises ValueError on max_len overflow; callers drop and count such traces.
     """
     store, cfg = model.store, model.bcfg
     items = inf.build_prompt(model, trace).items
@@ -89,11 +82,8 @@ def build_example(trace: tv.AnnotatedTrace, model: Model, m: int,
         if step.image is None or mode == "text_only":
             continue
         pooled = tv.compress_latents(tv.encode_image(store, step.image, "intermediate"), m)
-        spliced = pooled
-        if latent_noise > 0.0 and noise_rng is not None:
-            spliced = pooled + latent_noise * noise_rng.standard_normal(pooled.shape)
         items.append(sq.MixedItem.ctrl(sq.START))
-        items.extend(sq.MixedItem.latent(row) for row in spliced)
+        items.extend(sq.MixedItem.latent(row) for row in pooled)
         items.append(sq.MixedItem.ctrl(sq.END))
         targets.append(pooled)
         n_blocks += 1
@@ -197,34 +187,6 @@ def _cosine_rows(pred: Tensor, target: np.ndarray) -> Tensor:
 # -- training loop ------------------------------------------------------------------
 
 
-def resample_blocks(examples: list[SupervisedExample], model: Model, fraction: float,
-                    rng: np.random.Generator) -> None:
-    """Scheduled sampling: with the given probability per example, replace the
-    spliced gold-latent context rows with rows sampled from the diffusion head,
-    conditioned on the teacher-forced hidden states.
-
-    The regression targets stay gold.  Rows are sampled in parallel from the
-    gold-prefix conditions (no within-block feedback), which is enough to
-    expose the text pathway to its own decoder's output distribution.
-    """
-    if model.cfg.head != "diffusion":
-        return
-    picked = [ex for ex in examples
-              if ex.latent_targets.shape[0] and rng.random() < fraction]
-    if not picked:
-        return
-    store, cfg = model.store, model.bcfg
-    ids, text_mask, latents, L = _collate(picked, cfg.d)
-    with ad.no_grad():
-        hidden, _, _ = bb.forward_batch(store, cfg, ids, text_mask, latents)
-        for b, ex in enumerate(picked):
-            h = hidden.data[b][ex.cond_positions]
-            c = h @ store["diffusion_head/cond_w"].data
-            sampled = df.sample_latent(c, store, model.sched, [rng] * len(c))
-            for pos, row in zip(ex.cond_positions, np.atleast_2d(sampled)):
-                ex.seq.items[pos + 1] = sq.MixedItem.latent(row)
-
-
 def periodic_checkpoint_path(final_path: str, step: int) -> str:
     base, ext = os.path.splitext(final_path)
     return f"{base}_{step:06d}{ext}"
@@ -280,20 +242,15 @@ def train_sft(model: Model, traces: list[tv.AnnotatedTrace], cfg: SftConfig,
     try:
         for step in range(start_step, stop):
             idx = batch_indices(step, cfg.batch_size, n, cfg.seed)
-            noise_rng = seeded_rng(cfg.seed, "latent-noise", step) if cfg.latent_noise > 0 else None
             examples = []
             for i in idx:
                 try:
-                    examples.append(build_example(traces[i], model, cfg.m_latent, cfg.mode,
-                                                  cfg.latent_noise, noise_rng))
+                    examples.append(build_example(traces[i], model, cfg.m_latent, cfg.mode))
                 except ValueError:
                     dropped += 1
             if not examples:
                 continue
             rng = seeded_rng(cfg.seed, "sft-step", step)
-            if cfg.sampled_block_fraction > 0.0 and cfg.mode == "joint":
-                resample_blocks(examples, model, cfg.sampled_block_fraction,
-                                seeded_rng(cfg.seed, "resample", step))
             try:
                 total, ce, diff = joint_loss(examples, model, cfg.lam, rng, mode=cfg.mode)
                 model.store.zero_grad()

@@ -296,13 +296,6 @@ def generate_dataset(task_id: str, count: int, seed: int) -> list[AnnotatedTrace
     return [maker(seed, i) for i in range(count)]
 
 
-def strip_images(trace: AnnotatedTrace) -> AnnotatedTrace:
-    """Text-only variant: keep step rationales, drop intermediate images."""
-    steps = [TraceStep(text=list(s.text), image=None) for s in trace.steps]
-    return AnnotatedTrace(trace.input_image, list(trace.question), steps, list(trace.answer),
-                          trace.task_id, trace.seed)
-
-
 # -- dataset serialization -------------------------------------------------------
 
 

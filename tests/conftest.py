@@ -72,6 +72,14 @@ def gradcheck(f, tensors, h: float = 1e-5, tol: float = 1e-6, rng=None, max_coor
     return worst
 
 
+def strip_images(trace: tv.AnnotatedTrace) -> tv.AnnotatedTrace:
+    """The trace with its step texts and without its intermediate images: the
+    latent-free traces that a data.file may hold."""
+    steps = [tv.TraceStep(text=list(s.text), image=None) for s in trace.steps]
+    return tv.AnnotatedTrace(trace.input_image, list(trace.question), steps, list(trace.answer),
+                             trace.task_id, trace.seed)
+
+
 @pytest.fixture()
 def tiny_model() -> Model:
     """1-layer, d=8 model with a frozen (pre-passed) encoder; cheap per-test."""

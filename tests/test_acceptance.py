@@ -26,7 +26,7 @@ from latentsketch.cli import evaluate, load_config, run_sft_pipeline
 from latentsketch.model import Model, ModelConfig, build_model, load_model, save_model
 from latentsketch.util import seeded_rng
 
-from conftest import fd_grad, rel_error
+from conftest import fd_grad, rel_error, strip_images
 
 pytestmark = pytest.mark.slow
 
@@ -270,7 +270,7 @@ def test_criterion_04_joint_loss_reductions():
     total0, ce0, _ = sft.joint_loss(examples, m, 0.0, seeded_rng(0, "c4"))
     lam0_gap = abs(total0.item() - ce0)
 
-    stripped = [sft.build_example(tv.strip_images(t), m, 2) for t in traces]
+    stripped = [sft.build_example(strip_images(t), m, 2) for t in traces]
     total_s, ce_s, diff_s = sft.joint_loss(stripped, m, 7.3, seeded_rng(1, "c4"))
     latent_free_gap = abs(total_s.item() - ce_s)
 

@@ -58,11 +58,10 @@ NON_DEFAULT = {
     "sft": {"mode": "text_only", "lambda": 0.5, "lr_backbone": 2e-3, "lr_diffusion": 3e-2,
             "steps": 11, "batch_size": 3, "m_latent": 2, "weight_decay": 0.02,
             "warmup_frac": 0.05, "floor_frac": 0.2, "clip_norm": 1.5, "checkpoint_interval": 5,
-            "latent_noise": 0.1, "sampled_block_fraction": 0.25, "encoder_pretrain_steps": 13,
-            "encoder_lr": 4e-2, "align_pattern_tokens": False},
+            "encoder_pretrain_steps": 13, "encoder_lr": 4e-2},
     "rl": {"group_size": 4, "clip_eps": 0.1, "lr": 2e-4, "temperature": 0.9,
            "max_new_items": 40, "iters": 7, "queries_per_iter": 3, "groups_per_step": 1,
-           "ratio_variant": "sequence", "weight_decay": 0.05, "clip_norm": 2.0},
+           "weight_decay": 0.05, "clip_norm": 2.0},
 }
 
 
@@ -149,13 +148,26 @@ def test_train_sft_block_length_mismatch_exits_2(tmp_path, capsys):
     assert not (tmp_path / "run" / "metrics.csv").exists()
 
 
-@pytest.mark.parametrize("key, value", [("head", "similarity"), ("vocab", 96)])
-def test_model_head_and_vocab_are_not_config_keys(key, value, tmp_path, capsys):
-    """The head follows sft.mode and the vocabulary is the committed one, so
-    setting either exits 2, even to its only legal value."""
-    path = tiny_config(tmp_path, model={**TINY_MODEL, key: value})
-    assert main(["train-sft", "--config", path]) == 2
-    assert capsys.readouterr().err == f"error: unknown config key: model.{key}\n"
+# (section, key, value) of keys that are not config keys: the head follows
+# sft.mode and the vocabulary is the committed one; the others are settings
+# the program does not have (removed ones, and the eval mode that ablate
+# takes from its suite)
+UNKNOWN_KEYS = [("model", "head", "similarity"), ("model", "vocab", 96),
+                ("sft", "latent_noise", 0.1), ("sft", "sampled_block_fraction", 0.25),
+                ("sft", "align_pattern_tokens", False), ("rl", "ratio_variant", "sequence"),
+                ("data", "text_only_fraction", 0.5), ("eval", "mode", "mixed")]
+
+
+@pytest.mark.parametrize("section, key, value", UNKNOWN_KEYS, ids=[f"{k}-{v}" for _, k, v in UNKNOWN_KEYS])
+def test_model_head_and_vocab_are_not_config_keys(section, key, value, tmp_path, capsys):
+    """Setting any of them exits 2 before anything is written, even to its
+    only legal or its former default value."""
+    cfg = json.loads(open(tiny_config(tmp_path)).read())
+    cfg.setdefault(section, {})[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["train-sft", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: unknown config key: {section}.{key}\n"
     assert not (tmp_path / "run").exists()
 
 
@@ -166,6 +178,19 @@ def test_train_sft_resume_block_length_mismatch_exits_2(tmp_path, capsys):
     assert main(["train-sft", "--config", path, "--resume", ck]) == 2
     err = capsys.readouterr().err
     assert "sft.m_latent (3)" in err and "model.k_latent (2)" in err
+    assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("head, mode", [("similarity", "joint"), ("diffusion", "similarity")])
+def test_train_sft_resume_head_mismatch_exits_2(head, mode, tmp_path, capsys):
+    """The head a resumed checkpoint has must be the one sft.mode trains."""
+    ck = make_checkpoint(tmp_path, head=head)
+    path = tiny_config(tmp_path, sft={"mode": mode, "steps": 1, "batch_size": 2, "m_latent": 2,
+                                      "encoder_pretrain_steps": 2})
+    assert main(["train-sft", "--config", path, "--resume", ck]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint") and f"has the {head} head" in err
+    assert f"sft.mode {mode}" in err
     assert not (tmp_path / "run" / "metrics.csv").exists()
 
 
@@ -191,8 +216,8 @@ def test_train_rl_smoke_from_sft_checkpoint(tmp_path):
     assert (tmp_path / "rl_run" / "rl_checkpoint.lsk").exists()
 
 
-def make_checkpoint(tmp_path, seed=71):
-    m = build_model(ModelConfig(**TINY_MODEL), seed=seed)
+def make_checkpoint(tmp_path, seed=71, head="diffusion"):
+    m = build_model(ModelConfig(**TINY_MODEL, head=head), seed=seed)
     tv.pretrain_encoder(m.store, 2, 1e-2, seed=seed)
     path = str(tmp_path / "m.lsk")
     save_model(path, m)

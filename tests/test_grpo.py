@@ -127,19 +127,6 @@ def test_clip_arithmetic_positive_and_negative_advantage():
     assert stats["clipped"] == 2 and stats["positions"] == 2
 
 
-def test_sequence_variant_matches_single_position_token_variant():
-    model = make_rl_model()
-    cfg = grpo.GrpoConfig(group_size=2, temperature=0.8, max_new_items=6, seed=8)
-    group, _ = sample_tiny_group(model, cfg)
-    for rollout in group.rollouts:
-        rollout.emissions = rollout.emissions[:1]
-        rollout.logprobs_old = rollout.logprobs_old[:1]
-    group.advantages = np.array([1.0, -1.0])
-    a = grpo.grpo_objective(group, model, 0.2, cfg.temperature, variant="token").item()
-    b = grpo.grpo_objective(group, model, 0.2, cfg.temperature, variant="sequence").item()
-    assert a == pytest.approx(b, abs=1e-12)
-
-
 def test_gradient_isolation_diffusion_head_zero():
     model = make_rl_model()
     cfg = grpo.GrpoConfig(group_size=4, temperature=0.9, max_new_items=10, seed=5)
@@ -283,15 +270,12 @@ def full_sequence_logprobs(model, rollout, temperature):
     return ad.mul(ad.cross_entropy(ad.add(ad.mul(rows, 1.0 / temperature), ad.Tensor(mask_add)), tok), -1.0)
 
 
-def full_sequence_objective(group, model, clip_eps, temperature, variant):
+def full_sequence_objective(group, model, clip_eps, temperature):
     """The clipped surrogate with each rollout forwarded whole."""
     acc = ad.Tensor(0.0)
     for r, a in zip(group.rollouts, group.advantages):
         new_lp = full_sequence_logprobs(model, r, temperature)
-        if variant == "sequence":
-            rho = ad.exp(ad.sub(ad.sum_(new_lp), float(np.sum(r.logprobs_old))))
-        else:
-            rho = ad.exp(ad.sub(new_lp, ad.Tensor(r.logprobs_old)))
+        rho = ad.exp(ad.sub(new_lp, ad.Tensor(r.logprobs_old)))
         term = ad.minimum(ad.mul(rho, a), ad.mul(ad.clip(rho, 1.0 - clip_eps, 1.0 + clip_eps), a))
         acc = ad.add(acc, ad.mean_(term))
     return ad.mul(acc, 1.0 / len(group.rollouts))
@@ -310,8 +294,7 @@ def test_score_rollout_over_shared_prompt_equals_full_forward():
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("variant", ["token", "sequence"])
-def test_objective_gradients_equal_full_forward(variant):
+def test_objective_gradients_equal_full_forward():
     model, cfg, groups = two_groups_of_many_lengths()
     rng = np.random.default_rng(3)
     group = groups[0]
@@ -324,8 +307,8 @@ def test_objective_gradients_equal_full_forward(variant):
         ad.backward(objective, model.store)
         return {n: t.grad.copy() for n, t in model.store.entries.items()}
 
-    got = grads(grpo.grpo_objective(group, model, 0.2, cfg.temperature, variant))
-    want = grads(full_sequence_objective(group, model, 0.2, cfg.temperature, variant))
+    got = grads(grpo.grpo_objective(group, model, 0.2, cfg.temperature))
+    want = grads(full_sequence_objective(group, model, 0.2, cfg.temperature))
     assert any(np.any(g != 0.0) for g in want.values())
     for name, g in want.items():
         assert np.max(np.abs(got[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
@@ -345,16 +328,15 @@ def test_rollouts_of_different_prompts_raise(tasks):
         grpo.grpo_objective(mixed, model, 0.2, cfg.temperature)
 
 
-@pytest.mark.parametrize("variant", ["token", "sequence"])
 @pytest.mark.parametrize("degenerate_first", [True, False])
-def test_train_rl_does_not_score_degenerate_groups(variant, degenerate_first, monkeypatch):
+def test_train_rl_does_not_score_degenerate_groups(degenerate_first, monkeypatch):
     """A minibatch of one live and one degenerate group: the degenerate group
     is never scored, the step leaves the parameters bitwise equal to a step
     over the objectives of both, and its ratios still count in clip_fraction."""
     model, _, groups = two_groups_of_many_lengths()
     reference, _, _ = two_groups_of_many_lengths()
     cfg = grpo.GrpoConfig(group_size=5, temperature=1.0, max_new_items=14, seed=9, iters=1,
-                          queries_per_iter=2, groups_per_step=2, ratio_variant=variant)
+                          queries_per_iter=2, groups_per_step=2)
     live, dead = groups
     live.advantages = np.array([1.0, -1.0, 0.5, -0.5, 0.25])
     dead.advantages = np.zeros(5)
@@ -365,7 +347,7 @@ def test_train_rl_does_not_score_degenerate_groups(variant, degenerate_first, mo
 
     # the step over both groups, written out
     stats = {}
-    objs = [grpo.grpo_objective(g, reference, cfg.clip_eps, cfg.temperature, variant, stats)
+    objs = [grpo.grpo_objective(g, reference, cfg.clip_eps, cfg.temperature, stats)
             for g in chunk]
     loss = ad.mul(ad.add(objs[0], objs[1]), -1.0 / len(chunk))
     reference.store.zero_grad()

@@ -1,11 +1,15 @@
 """No public API that only tests call: every public top-level function or class
 in the package is referenced by the program (``src/``) or the benchmark
-(``perfbench/``), outside its own definition."""
+(``perfbench/``), outside its own definition.  And no config key that the
+program never reads."""
 
 import ast
 import glob
 import os
 from collections import Counter
+from dataclasses import fields
+
+from latentsketch.cli import DEFAULT_CONFIG, SECTIONS, _key
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -32,8 +36,20 @@ def _names(tree: ast.AST) -> Counter:
     return out
 
 
+def _src() -> list[ast.Module]:
+    return [_parse(p) for p in sorted(glob.glob(os.path.join(ROOT, "src", "latentsketch", "*.py")))]
+
+
+def _walk_outside(node: ast.AST, class_name: str):
+    """ast.walk that does not enter a class definition of the given name."""
+    yield node
+    for child in ast.iter_child_nodes(node):
+        if not (isinstance(child, ast.ClassDef) and child.name == class_name):
+            yield from _walk_outside(child, class_name)
+
+
 def test_every_public_name_has_a_caller_outside_tests():
-    src = [_parse(p) for p in sorted(glob.glob(os.path.join(ROOT, "src", "latentsketch", "*.py")))]
+    src = _src()
     program = sum((_names(t) for t in src), Counter())
     program += sum((_names(_parse(p)) for p in glob.glob(os.path.join(ROOT, "perfbench", "*.py"))), Counter())
     tests = sum((_names(_parse(p)) for p in glob.glob(os.path.join(ROOT, "tests", "*.py"))), Counter())
@@ -44,3 +60,21 @@ def test_every_public_name_has_a_caller_outside_tests():
     test_only = [node.name for node in defs
                  if program[node.name] == _names(node)[node.name] and tests[node.name]]
     assert not test_only, f"public names that only tests call: {test_only}"
+
+
+def test_every_config_key_is_read_by_the_program():
+    """A key of a plain section is read as a constant subscript (d["file"]); a
+    key of a dataclass section is its field, read as an attribute outside the
+    dataclass itself (cfg.lam for sft.lambda)."""
+    assert set(DEFAULT_CONFIG) == {"seed", "data", "eval", "paths"} | set(SECTIONS)
+    src = _src()
+    subscripts = {node.slice.value for tree in src for node in ast.walk(tree)
+                  if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)}
+    unread = [f"{section}.{key}" for section in ("data", "eval", "paths")
+              for key in DEFAULT_CONFIG[section] if key not in subscripts]
+    for section, cls in SECTIONS.items():
+        reads = {node.attr for tree in src for node in _walk_outside(tree, cls.__name__)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{section}.{_key(f.name)}" for f in fields(cls)
+                   if _key(f.name) in DEFAULT_CONFIG[section] and f.name not in reads]
+    assert not unread, f"config keys the program never reads: {unread}"

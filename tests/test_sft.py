@@ -13,7 +13,7 @@ from latentsketch import vocab
 from latentsketch.model import ModelConfig, build_model, load_model, save_model
 from latentsketch.util import seeded_rng
 
-from conftest import gradcheck
+from conftest import gradcheck, strip_images
 
 
 def trace_for(model, seed=11):
@@ -34,7 +34,7 @@ def test_build_example_structure(tiny_model):
 
 
 def test_build_example_latent_free_trace(tiny_model):
-    trace = tv.strip_images(trace_for(tiny_model))
+    trace = strip_images(trace_for(tiny_model))
     ex = sft.build_example(trace, tiny_model, m=2)
     assert ex.latent_targets.shape[0] == 0
     assert not any(it.kind == sq.CTRL and it.value in (sq.START, sq.END)
@@ -52,7 +52,7 @@ def test_build_example_text_only_mode_emits_no_latent_rows(tiny_model):
     ex = sft.build_example(trace, tiny_model, m=2, mode="text_only")
     assert ex.latent_targets.shape == (0, tiny_model.bcfg.d)
     assert ex.cond_positions.size == 0 and ex.blocks == 0
-    stripped = sft.build_example(tv.strip_images(trace), tiny_model, m=2)
+    stripped = sft.build_example(strip_images(trace), tiny_model, m=2)
     for a, b in zip(sq.to_arrays(ex.seq, tiny_model.bcfg.d), sq.to_arrays(stripped.seq, tiny_model.bcfg.d)):
         assert np.array_equal(a, b)
     assert np.array_equal(ex.text_positions, stripped.text_positions)
@@ -91,73 +91,6 @@ def test_build_example_spliced_latents_match_recomputation(tiny_model):
     assert np.array_equal(spliced, want)
 
 
-def assert_same_items(got, want, skip=frozenset()):
-    """Equal item kinds, and equal values outside the positions in skip."""
-    assert len(got.seq) == len(want.seq)
-    for pos, (x, y) in enumerate(zip(got.seq.items, want.seq.items)):
-        assert x.kind == y.kind
-        if pos not in skip:
-            assert np.array_equal(x.value, y.value), pos
-
-
-def test_build_example_latent_noise_perturbs_only_spliced_copies(tiny_model):
-    trace = trace_for(tiny_model)
-    clean = sft.build_example(trace, tiny_model, m=2)
-    noisy = sft.build_example(trace, tiny_model, m=2, latent_noise=0.5,
-                              noise_rng=seeded_rng(0, "noise"))
-    assert np.array_equal(noisy.latent_targets, clean.latent_targets)
-    for name in ("text_positions", "ce_targets", "cond_positions"):
-        assert np.array_equal(getattr(noisy, name), getattr(clean, name)), name
-    # one draw of shape [m, d] per block, in block order
-    rng = seeded_rng(0, "noise")
-    gold = clean.latent_targets
-    want = np.concatenate([gold[i : i + 2] + 0.5 * rng.standard_normal((2, gold.shape[1]))
-                           for i in range(0, len(gold), 2)])
-    assert_same_items(noisy, clean, skip=set((clean.cond_positions + 1).tolist()))
-    got = np.stack([noisy.seq.items[p + 1].value for p in clean.cond_positions])
-    assert np.array_equal(got, want)
-
-
-def test_resample_blocks_full_fraction_samples_every_spliced_row(tiny_model):
-    """Fraction 1.0 replaces each spliced gold row with df.sample_latent at the
-    teacher-forced h @ cond_w, all drawn from the one generator; the targets,
-    the text and the latent-free example stay as they were."""
-    traces = [trace_for(tiny_model, 11), tv.strip_images(trace_for(tiny_model, 12)),
-              trace_for(tiny_model, 13)]
-    examples = [sft.build_example(t, tiny_model, m=2) for t in traces]
-    before = [sft.build_example(t, tiny_model, m=2) for t in traces]
-    sft.resample_blocks(examples, tiny_model, 1.0, seeded_rng(0, "resample"))
-    store = tiny_model.store
-    rng = seeded_rng(0, "resample")
-    for ex in before:  # one pick draw per example that has latent rows
-        if ex.latent_targets.shape[0]:
-            rng.random()
-    for ex, old in zip(examples, before):
-        assert np.array_equal(ex.latent_targets, old.latent_targets)
-        if not old.latent_targets.shape[0]:
-            assert_same_items(ex, old)
-            continue
-        ids, text_mask, latents = sq.to_arrays(old.seq, tiny_model.bcfg.d)
-        with ad.no_grad():
-            hidden, _, _ = bb.forward_batch(store, tiny_model.bcfg, ids[None], text_mask[None],
-                                            latents[None])
-        c = hidden.data[0][old.cond_positions] @ store["diffusion_head/cond_w"].data
-        want = df.sample_latent(c, store, tiny_model.sched, [rng] * len(c))
-        got = np.stack([ex.seq.items[p + 1].value for p in old.cond_positions])
-        assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
-        assert not np.array_equal(got, old.latent_targets)
-        assert_same_items(ex, old, skip=set((old.cond_positions + 1).tolist()))
-
-
-def test_resample_blocks_leaves_a_similarity_head_model_unchanged():
-    m = make_trainable(seed=45, head="similarity")
-    traces = tv.generate_dataset("grid_rotation", 2, 4)
-    examples = [sft.build_example(t, m, 2) for t in traces]
-    sft.resample_blocks(examples, m, 1.0, seeded_rng(0, "resample"))
-    for ex, t in zip(examples, traces):
-        assert_same_items(ex, sft.build_example(t, m, 2))
-
-
 def test_build_example_overflow_raises(tiny_model):
     trace = trace_for(tiny_model)
     giant = tv.AnnotatedTrace(trace.input_image, trace.question * 8, trace.steps,
@@ -183,7 +116,7 @@ def test_joint_loss_lambda_zero_equals_text_ce(tiny_model):
 
 
 def test_joint_loss_latent_free_batch_zero_diffusion(tiny_model):
-    examples = [sft.build_example(tv.strip_images(trace_for(tiny_model, s)), tiny_model, 2)
+    examples = [sft.build_example(strip_images(trace_for(tiny_model, s)), tiny_model, 2)
                 for s in (1, 2)]
     total, ce, diff = sft.joint_loss(examples, tiny_model, 5.0, seeded_rng(0, "lf"))
     assert diff == 0.0
@@ -275,9 +208,9 @@ def test_batch_indices_stateless_and_wrapping():
     assert sorted(flat[10:20]) == list(range(10))
 
 
-def make_trainable(seed=41, head="diffusion"):
-    m = build_model(ModelConfig(layers=1, heads=2, d=8, max_len=160, k_latent=2,
-                                t_steps=5, head=head), seed=seed)
+def make_trainable(seed=41):
+    m = build_model(ModelConfig(layers=1, heads=2, d=8, max_len=160, k_latent=2, t_steps=5),
+                    seed=seed)
     tv.pretrain_encoder(m.store, 2, 1e-2, seed=seed)
     return m
 
@@ -300,7 +233,7 @@ def test_train_sft_requires_frozen_encoder():
 
 
 def test_train_text_only_equals_joint_lambda_zero_on_latent_free_data():
-    traces = [tv.strip_images(t) for t in tv.generate_dataset("grid_rotation", 6, 3)]
+    traces = [strip_images(t) for t in tv.generate_dataset("grid_rotation", 6, 3)]
     m1 = make_trainable(seed=43)
     m2 = make_trainable(seed=43)
     cfg1 = sft.SftConfig(mode="text_only", steps=4, batch_size=2, m_latent=2, seed=5)

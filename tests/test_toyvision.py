@@ -200,14 +200,6 @@ def test_answer_letter_marginal_uniform(task):
         assert abs(n / 10_000 - 0.25) < 0.03, (letter, n)
 
 
-def test_strip_images_keeps_text():
-    t = tv.generate_dataset("grid_rotation", 1, 5)[0]
-    stripped = tv.strip_images(t)
-    assert all(s.image is None for s in stripped.steps)
-    assert [s.text for s in stripped.steps] == [s.text for s in t.steps]
-    assert stripped.answer == t.answer
-
-
 def test_dataset_roundtrip_and_record_fields():
     traces = tv.generate_dataset("visual_search", 3, 1)
     text = tv.dump_dataset(traces)
