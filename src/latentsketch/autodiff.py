@@ -625,8 +625,21 @@ def cross_entropy(logits, targets) -> Tensor:
 # -- reverse pass -------------------------------------------------------------
 
 
+def _spent(g):
+    """Stands in for the closure of a node that backward has consumed."""
+    raise RuntimeError("backward through a graph that an earlier backward consumed")
+
+
 def backward(loss: Tensor, store=None) -> None:
     """Reverse-propagate from a scalar loss; optionally zero-fill untouched params.
+
+    The walk consumes the graph: once a node's closure has run, the node
+    lets go of the closure (and the activations it saved), of its parent
+    links and, unless it is the loss or a leaf, of its gradient.  So the
+    memory of each intermediate is freed as soon as backward is done with
+    it, and only the leaves' and the loss's gradients remain.  A consumed
+    node raises RuntimeError when a later backward reaches it, whether from
+    the same loss or from a new graph built on top of it.
 
     When ``store`` (a ParamStore) is given, every requires_grad entry that the
     graph never reached gets an all-zero grad buffer.
@@ -643,22 +656,29 @@ def backward(loss: Tensor, store=None) -> None:
             continue
         if id(node) in visited:
             continue
+        if node._backward is _spent:
+            _spent(None)  # refuse before any gradient moves
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
             if p._backward is not None or p.requires_grad:
                 stack.append((p, False))
+    leaves = [node for node in topo if node._backward is None]
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()  # post-order, so the loss comes first
         if node._backward is None:
             continue
         node._backward(node.grad)
+        node._backward = _spent
+        node._parents = ()
+        if node is not loss:
+            node.grad = None
     # NaN/Inf anywhere upstream necessarily reaches a leaf, so checking leaves
     # catches every non-finite reverse-pass value with a single pass
-    for node in topo:
-        if node.requires_grad and node._backward is None and node.grad is not None:
-            if not np.isfinite(np.sum(node.grad)):
-                raise FloatingPointError("NaN encountered during reverse pass")
+    for node in leaves:
+        if node.grad is not None and not np.isfinite(np.sum(node.grad)):
+            raise FloatingPointError("NaN encountered during reverse pass")
     if store is not None:
         for t in store.entries.values():
             if t.requires_grad and t.grad is None:

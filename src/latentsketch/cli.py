@@ -205,8 +205,6 @@ def cmd_gen_data(args) -> int:
 
 
 def run_sft_pipeline(cfg: dict, out_dir: str, resume: str | None = None) -> Model:
-    write_run_manifest(out_dir, cfg)
-    traces = load_training_data(cfg)
     scfg = section_config(cfg, "sft")
     # the latent head that sft.mode trains
     head = "similarity" if scfg.mode == "similarity" else "diffusion"
@@ -223,6 +221,9 @@ def run_sft_pipeline(cfg: dict, out_dir: str, resume: str | None = None) -> Mode
     # one latent block length: SFT splices m_latent rows, the grammar expects k_latent
     if scfg.m_latent != mcfg.k_latent:
         raise ConfigError(f"sft.m_latent ({scfg.m_latent}) must equal model.k_latent ({mcfg.k_latent})")
+    # a rejected config writes nothing and builds no data
+    write_run_manifest(out_dir, cfg)
+    traces = load_training_data(cfg)
     if not resume:
         model = build_model(mcfg, cfg["seed"])
         tv.pretrain_encoder(model.store, scfg.encoder_pretrain_steps, scfg.encoder_lr, cfg["seed"])

@@ -5,7 +5,6 @@ module is marked slow.  Run with `pytest tests/test_acceptance.py -v -m slow`
 (or just `pytest` for everything).
 """
 
-import json
 import os
 import time
 
@@ -13,7 +12,6 @@ import numpy as np
 import pytest
 
 from latentsketch import autodiff as ad
-from latentsketch import backbone as bb
 from latentsketch import diffusion as df
 from latentsketch import grpo
 from latentsketch import inference as inf
@@ -21,9 +19,7 @@ from latentsketch import optim
 from latentsketch import sequence as sq
 from latentsketch import sft
 from latentsketch import toyvision as tv
-from latentsketch import vocab
-from latentsketch.cli import evaluate, load_config, run_sft_pipeline
-from latentsketch.model import Model, ModelConfig, build_model, load_model, save_model
+from latentsketch.model import Model, ModelConfig, build_model
 from latentsketch.util import seeded_rng
 
 from conftest import fd_grad, rel_error, strip_images

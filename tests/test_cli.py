@@ -139,13 +139,34 @@ def test_train_sft_writes_artifacts_and_resume_is_bitwise(tmp_path):
     assert resumed == final
 
 
-def test_train_sft_block_length_mismatch_exits_2(tmp_path, capsys):
+@pytest.fixture()
+def data_loads(monkeypatch):
+    """The calls run_sft_pipeline makes to load_training_data."""
+    calls = []
+
+    def spy(cfg):
+        calls.append(cfg)
+        return load_training_data(cfg)
+
+    load_training_data = cli.load_training_data
+    monkeypatch.setattr(cli, "load_training_data", spy)
+    return calls
+
+
+def assert_rejected_before_any_work(tmp_path, data_loads):
+    """A rejected train-sft writes no run manifest and builds no data."""
+    assert not (tmp_path / "run" / "config.resolved.json").exists()
+    assert not (tmp_path / "run" / "metrics.csv").exists()
+    assert data_loads == []
+
+
+def test_train_sft_block_length_mismatch_exits_2(tmp_path, capsys, data_loads):
     path = tiny_config(tmp_path, sft={"steps": 1, "batch_size": 2, "m_latent": 3,
                                       "encoder_pretrain_steps": 2})
     assert main(["train-sft", "--config", path]) == 2
     err = capsys.readouterr().err
     assert "sft.m_latent (3)" in err and "model.k_latent (2)" in err
-    assert not (tmp_path / "run" / "metrics.csv").exists()
+    assert_rejected_before_any_work(tmp_path, data_loads)
 
 
 # (section, key, value) of keys that are not config keys: the head follows
@@ -171,18 +192,18 @@ def test_model_head_and_vocab_are_not_config_keys(section, key, value, tmp_path,
     assert not (tmp_path / "run").exists()
 
 
-def test_train_sft_resume_block_length_mismatch_exits_2(tmp_path, capsys):
+def test_train_sft_resume_block_length_mismatch_exits_2(tmp_path, capsys, data_loads):
     ck = make_checkpoint(tmp_path)
     path = tiny_config(tmp_path, sft={"steps": 1, "batch_size": 2, "m_latent": 3,
                                       "encoder_pretrain_steps": 2})
     assert main(["train-sft", "--config", path, "--resume", ck]) == 2
     err = capsys.readouterr().err
     assert "sft.m_latent (3)" in err and "model.k_latent (2)" in err
-    assert not (tmp_path / "run" / "metrics.csv").exists()
+    assert_rejected_before_any_work(tmp_path, data_loads)
 
 
 @pytest.mark.parametrize("head, mode", [("similarity", "joint"), ("diffusion", "similarity")])
-def test_train_sft_resume_head_mismatch_exits_2(head, mode, tmp_path, capsys):
+def test_train_sft_resume_head_mismatch_exits_2(head, mode, tmp_path, capsys, data_loads):
     """The head a resumed checkpoint has must be the one sft.mode trains."""
     ck = make_checkpoint(tmp_path, head=head)
     path = tiny_config(tmp_path, sft={"mode": mode, "steps": 1, "batch_size": 2, "m_latent": 2,
@@ -191,7 +212,7 @@ def test_train_sft_resume_head_mismatch_exits_2(head, mode, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: checkpoint") and f"has the {head} head" in err
     assert f"sft.mode {mode}" in err
-    assert not (tmp_path / "run" / "metrics.csv").exists()
+    assert_rejected_before_any_work(tmp_path, data_loads)
 
 
 def test_train_rl_requires_checkpoint_flag(tmp_path):

@@ -1,7 +1,7 @@
 """No public API that only tests call: every public top-level function or class
 in the package is referenced by the program (``src/``) or the benchmark
-(``perfbench/``), outside its own definition.  And no config key that the
-program never reads."""
+(``perfbench/``), outside its own definition.  No config key that the
+program never reads.  And no import that its own module never uses."""
 
 import ast
 import glob
@@ -78,3 +78,27 @@ def test_every_config_key_is_read_by_the_program():
         unread += [f"{section}.{_key(f.name)}" for f in fields(cls)
                    if _key(f.name) in DEFAULT_CONFIG[section] and f.name not in reads]
     assert not unread, f"config keys the program never reads: {unread}"
+
+
+def _bound_imports(tree: ast.Module) -> dict[str, int]:
+    """Each name an import statement binds in the module, with its line."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out.update((a.asname or a.name, node.lineno) for a in node.names)
+    return out
+
+
+def test_every_import_is_used_by_its_module():
+    paths = sorted(glob.glob(os.path.join(ROOT, "src", "latentsketch", "*.py"))
+                   + glob.glob(os.path.join(ROOT, "tests", "*.py")))
+    assert len(paths) > 20  # the scan found the package and its tests
+    unused = []
+    for path in paths:
+        tree = _parse(path)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{os.path.relpath(path, ROOT)}:{line} {name}"
+                   for name, line in sorted(_bound_imports(tree).items()) if name not in used]
+    assert not unused, f"imports their module never uses: {unused}"

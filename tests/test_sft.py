@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,7 @@ from latentsketch import sequence as sq
 from latentsketch import sft
 from latentsketch import toyvision as tv
 from latentsketch import vocab
-from latentsketch.model import ModelConfig, build_model, load_model, save_model
+from latentsketch.model import ModelConfig, build_model
 from latentsketch.util import seeded_rng
 
 from conftest import gradcheck, strip_images
