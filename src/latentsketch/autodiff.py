@@ -1,6 +1,7 @@
 """Reverse-mode automatic differentiation over dense float64 numpy arrays.
 
-Every op validates that its output is finite; a NaN/Inf anywhere raises
+Every op is a module function (a Tensor has no arithmetic operators) and
+validates that its output is finite; a NaN/Inf anywhere raises
 FloatingPointError at the op boundary rather than propagating silently.
 Gradients are accumulated into ``Tensor.grad`` numpy buffers by ``backward``.
 """
@@ -15,6 +16,7 @@ from scipy.special import erf
 _GRAD_ENABLED = True
 
 MASK_VALUE = -1e30  # additive attention mask; exp underflows to exactly 0
+LN_EPS = 1e-5  # added to the variance in layer_norm
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -59,60 +61,11 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return getitem(self, key)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean_(self, axis, keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 or isinstance(shape[0], int) else shape[0])
 
 
 def as_tensor(x) -> Tensor:
@@ -307,18 +260,6 @@ def reshape(a, shape) -> Tensor:
             _accum(a, g.reshape(old))
 
     return _from_op(a.data.reshape(shape), (a,), bw, "reshape")
-
-
-def getitem(a, key) -> Tensor:
-    a = as_tensor(a)
-
-    def bw(g):
-        if _needs(a):
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, key, g)
-
-    return _from_op(np.array(a.data[key]), (a,), bw, "getitem")
 
 
 def take_rows(a, idx: np.ndarray) -> Tensor:
@@ -560,7 +501,7 @@ def attention(qkv, heads: int, prefix=None, start: int = 0):
     return _from_op(ctx.reshape(B, L, d3 // 3), parents, bw, "attention"), s
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gamma, beta) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     n = x.data.shape[-1]
@@ -572,7 +513,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     out = xhat * xhat
     r = np.add.reduce(out, axis=-1, keepdims=True)
     r /= n
-    r += eps
+    r += LN_EPS
     np.sqrt(r, out=r)
     np.divide(1.0, r, out=r)
     xhat *= r

@@ -24,6 +24,7 @@ from . import backbone as bb
 from . import diffusion as df
 from . import grpo
 from . import inference as inf
+from . import sequence as sq
 from . import sft
 from . import toyvision as tv
 from . import vocab
@@ -329,7 +330,6 @@ def _timed_text_span(model: Model, prompt, n_tokens: int) -> None:
     """Append n greedy non-control tokens (EOS masked) — raw generation cost."""
     work = prompt.copy()
     store, bcfg = model.store, model.bcfg
-    from . import sequence as sq
     for _ in range(n_tokens):
         ids, text_mask, latents = sq.to_arrays(work, bcfg.d)
         with ad.no_grad():
@@ -341,7 +341,6 @@ def _timed_text_span(model: Model, prompt, n_tokens: int) -> None:
 
 def _timed_latent_block(model: Model, prompt, k: int, t_steps: int, seed: int) -> int:
     """Emit one k-latent block at the given denoise step count; returns sampler calls."""
-    from . import sequence as sq
     sched = df.linear_schedule(t_steps, model.cfg.beta_start, model.cfg.beta_end)
     work = prompt.copy()
     work.append(sq.MixedItem.ctrl(sq.START))
@@ -361,13 +360,11 @@ def _timed_latent_block(model: Model, prompt, k: int, t_steps: int, seed: int) -
 def _timed_tool_cycle(model: Model, prompt, trace: tv.AnnotatedTrace, span: int) -> None:
     """Simulated tool call: generate a code span, apply a host-side transform,
     re-encode the edited image, and prefill it through the backbone."""
-    from . import sequence as sq
     _timed_text_span(model, prompt, span)
     edited = tv.ToyImage(trace.input_image.height, trace.input_image.width,
                          tv.rotate_quarter(trace.input_image.cells, 1))
-    emb = tv.encode_image(model.store, edited, "intermediate")
     work = prompt.copy()
-    for row in emb.tokens:
+    for row in tv.encode_image(model.store, edited):
         work.append(sq.MixedItem.latent(row))
     ids, text_mask, latents = sq.to_arrays(work, model.bcfg.d)
     with ad.no_grad():
@@ -427,11 +424,15 @@ def cmd_bench_latency(args) -> int:
 def cmd_export_attn(args) -> int:
     if args.max_new_items < 1:
         raise ConfigError("--max-new-items must be >= 1")
+    if args.example_id < 0:
+        raise ConfigError("--example-id must be >= 0")
     model, _ = load_model(args.checkpoint)
+    layer = args.layer if args.layer is not None else model.bcfg.layers // 2
+    if not 0 <= layer < model.bcfg.layers:
+        raise ConfigError(f"--layer {layer} out of range [0, {model.bcfg.layers})")
     traces = tv.generate_dataset(args.task, args.example_id + 1, args.seed)
     trace = traces[args.example_id]
     check_budget("--max-new-items", args.max_new_items, model.bcfg.max_len, [trace])
-    layer = args.layer if args.layer is not None else model.bcfg.layers // 2
     gen_cfg = inf.GenerationConfig(mode="mixed", max_new_items=args.max_new_items, temperature=0.0)
     res = inf.generate(inf.build_prompt(model, trace), model, gen_cfg, seeded_rng(args.seed, "attn", args.example_id))
     inf.export_attention(res.seq, model, layer, args.out)

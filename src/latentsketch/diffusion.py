@@ -26,8 +26,6 @@ import numpy as np
 from scipy.special import erf
 
 from . import autodiff as ad
-from . import backbone as bb
-from . import sequence as sq
 from .autodiff import Tensor
 from .optim import ParamStore
 
@@ -64,7 +62,7 @@ class NoiseSchedule:
         self.t_embed = sinusoidal_table(self.t_steps)
 
 
-def linear_schedule(t_steps: int, beta_start: float = 1e-4, beta_end: float = 0.28) -> NoiseSchedule:
+def linear_schedule(t_steps: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     beta = np.concatenate([[0.0], np.linspace(beta_start, beta_end, t_steps)])
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)
@@ -76,10 +74,10 @@ def linear_schedule(t_steps: int, beta_start: float = 1e-4, beta_end: float = 0.
 # -- epsilon network -------------------------------------------------------------
 
 
-def sinusoidal_table(t_steps: int, dim: int = T_EMBED_DIM) -> np.ndarray:
-    """Fixed timestep embedding table [T+1, dim]."""
+def sinusoidal_table(t_steps: int) -> np.ndarray:
+    """Fixed timestep embedding table [T+1, T_EMBED_DIM]."""
     t = np.arange(t_steps + 1, dtype=np.float64)[:, None]
-    half = dim // 2
+    half = T_EMBED_DIM // 2
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / half)[None, :]
     ang = t * freqs
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
@@ -229,40 +227,16 @@ def noise_regression(z_clean: np.ndarray, c, store: ParamStore, sched: NoiseSche
     return ad.mean_(ad.mul(resid, resid), axis=1)
 
 
-@dataclass
-class LatentBlock:
-    vectors: np.ndarray     # [n, d], one row per stream
-    conditions: np.ndarray  # [n, d_c]
+def emit_block(h_last: np.ndarray, store: ParamStore, sched: NoiseSchedule,
+               rngs: list[np.random.Generator], head: str) -> np.ndarray:
+    """One batched latent step: the next latent row [n, d] of each of n streams
+    inside a block, from their last hidden states h_last [n, d].
 
-
-def emit_block(prefixes: list[sq.MixedSequence], store: ParamStore, cfg: bb.BackboneConfig,
-               sched: NoiseSchedule, rngs: list[np.random.Generator], cache: bb.DecodeCache,
-               rows: list[int], head: str = "diffusion") -> LatentBlock:
-    """One batched latent step: the next latent row of each stream inside a block.
-
-    prefixes[i] is decode-cache stream rows[i]: it ends in START and fewer
-    than K latent rows, and the cache holds it.  The stream's condition is
-    c = h_last @ cond_w, h_last its last hidden state; its row is an ancestral
-    sample at c drawn from rngs[i], or for the similarity head the projection
-    of h_last.  The caller appends the rows, so the next step conditions on
+    Row i conditions on c = h_last[i] @ cond_w and is an ancestral sample at c
+    drawn from rngs[i]; for the similarity head it is the projection of
+    h_last[i].  The caller appends the rows, so the next step conditions on
     them.
     """
-    for seq in prefixes:
-        items = seq.items
-        j = 0  # latent rows of the open block
-        while j < len(items) and items[-1 - j].kind == sq.LATENT:
-            j += 1
-        if j >= cfg.k_latent or j == len(items) or items[-1 - j].kind != sq.CTRL \
-                or items[-1 - j].value != sq.START:
-            raise ValueError("emit_block requires a prefix ending in START and fewer than K latent rows")
-        if len(items) + cfg.k_latent - j + 1 > cfg.max_len:
-            raise ValueError("latent block would overflow max_len")
-        if cache.length != len(items):
-            raise ValueError("decode cache out of sync with the prefix")
-    h_last = cache.last_hidden[rows]
-    c = h_last @ store["diffusion_head/cond_w"].data
     if head == "similarity":
-        e = h_last @ store["diffusion_head/sim_w"].data + store["diffusion_head/sim_b"].data
-    else:
-        e = sample_latent(c, store, sched, rngs)
-    return LatentBlock(e, c)
+        return h_last @ store["diffusion_head/sim_w"].data + store["diffusion_head/sim_b"].data
+    return sample_latent(h_last @ store["diffusion_head/cond_w"].data, store, sched, rngs)

@@ -20,7 +20,7 @@ from . import sequence as sq
 from . import toyvision as tv
 from . import vocab
 from .autodiff import Tensor
-from .model import Model
+from .model import Model, save_model
 from .optim import adamw_step, clip_grad_norm
 from .util import fmt_float, seeded_rng
 
@@ -131,7 +131,7 @@ def prompt_pass(model: Model, rollouts: list[Rollout]) -> PromptPass:
     qkv: list[Tensor] = []
     _, logits, _ = bb.forward_batch(model.store, model.bcfg, ids[None], text_mask[None],
                                     latents[None], qkv_out=qkv)
-    return PromptPass(P, ad.getitem(logits, (0, slice(P - 1, P))), qkv)
+    return PromptPass(P, ad.take_rows(ad.reshape(logits, logits.shape[1:]), [P - 1]), qkv)
 
 
 def score_rollout(model: Model, rollout: Rollout, temperature: float, prompt: PromptPass) -> Tensor:
@@ -153,7 +153,7 @@ def score_rollout(model: Model, rollout: Rollout, temperature: float, prompt: Pr
         rows = ad.concat([rows, ad.reshape(logits, logits.shape[1:])])
     pos = np.array([e.position - P for e in rollout.emissions], dtype=np.int64)
     tok = np.array([e.token_id for e in rollout.emissions], dtype=np.int64)
-    mask_add = np.stack([np.where(e.mask, inf.MASK_NEG, 0.0) for e in rollout.emissions])
+    mask_add = np.stack([np.where(e.mask, ad.MASK_VALUE, 0.0) for e in rollout.emissions])
     rows = ad.take_rows(rows, pos)
     scaled = ad.add(ad.mul(rows, 1.0 / (temperature if temperature > 0 else 1.0)), Tensor(mask_add))
     return ad.mul(ad.cross_entropy(scaled, tok), -1.0)
@@ -236,8 +236,6 @@ def train_rl(model: Model, traces: list[tv.AnnotatedTrace], cfg: GrpoConfig,
              rollout_dump_path: str | None = None) -> list[dict]:
     """GRPO loop: per iteration, sample groups under the frozen behavior policy,
     then ascend the surrogate over minibatches of groups (one inner epoch)."""
-    from .model import save_model
-
     if not traces:
         raise ValueError("empty task dataset")
     metrics: list[dict] = []

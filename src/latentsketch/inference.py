@@ -11,14 +11,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from . import backbone as bb
 from . import diffusion as df
 from . import sequence as sq
+from . import toyvision as tv
 from . import vocab
 from .model import Model
 from .util import atomic_write
-
-MASK_NEG = -1e30
 
 # default generation budget in items: the longest gold response is a 3-turn
 # grid_rotation answer of 52 items at K=4 (visual_search needs at most 21)
@@ -76,7 +76,7 @@ def decision_mask(cfg_mode: str, k: int, remaining_budget: int, seq_len: int, ma
 
 def masked_logprobs(logits: np.ndarray, mask: np.ndarray, temperature: float) -> np.ndarray:
     """Log-probabilities of the tempered, masked sampling distribution."""
-    z = logits / (temperature if temperature > 0 else 1.0) + np.where(mask, MASK_NEG, 0.0)
+    z = logits / (temperature if temperature > 0 else 1.0) + np.where(mask, ad.MASK_VALUE, 0.0)
     m = np.max(z)
     return z - (m + np.log(np.sum(np.exp(z - m))))
 
@@ -175,11 +175,10 @@ def _generate_lockstep(prompts: list[sq.MixedSequence], model: Model, cfg: Gener
             keep.append(s)
             items.append(item)
         if block_rows:
-            streams = [live[keep[i]] for i in block_rows]
-            block = df.emit_block([results[g].seq for g in streams], store, bcfg, model.sched,
-                                  [rngs[g] for g in streams], cache, [keep[i] for i in block_rows],
-                                  head=model.cfg.head)
-            for i, vec in zip(block_rows, block.vectors):
+            block = [keep[i] for i in block_rows]  # the cache streams inside a block
+            rows = df.emit_block(cache.last_hidden[block], store, model.sched,
+                                 [rngs[live[s]] for s in block], model.cfg.head)
+            for i, vec in zip(block_rows, rows):
                 items[i] = sq.MixedItem.latent(vec)
         live = [live[s] for s in keep]
         for g, item in zip(live, items):
@@ -260,9 +259,7 @@ def export_attention(seq: sq.MixedSequence, model: Model, layer: int, out_path: 
 
 def build_prompt(model: Model, trace) -> sq.MixedSequence:
     """BOS, the raw input-image context rows, then the question tokens."""
-    from . import toyvision as tv
-
-    ctx = tv.encode_image(model.store, trace.input_image).tokens
+    ctx = tv.encode_image(model.store, trace.input_image)
     items = [sq.MixedItem.ctrl(sq.BOS)]
     items.extend(sq.MixedItem.latent(row) for row in ctx)
     items.extend(sq.MixedItem.text(t) for t in trace.question)
@@ -271,8 +268,6 @@ def build_prompt(model: Model, trace) -> sq.MixedSequence:
 
 def prompt_length(trace) -> int:
     """len(build_prompt(model, trace)), from the trace alone."""
-    from . import toyvision as tv
-
     img = trace.input_image
     return 1 + (img.height // tv.PATCH) * (img.width // tv.PATCH) + len(trace.question)
 

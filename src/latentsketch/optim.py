@@ -19,6 +19,9 @@ GROUPS = ("backbone", "diffusion_head", "vision_encoder")
 CHECKPOINT_MAGIC = b"LSK1"
 CHECKPOINT_VERSION = 1
 
+ADAM_BETAS = (0.9, 0.999)  # moment decay rates
+ADAM_EPS = 1e-8  # added to the second-moment root
+
 
 class ParamStore:
     """Named parameters, each tagged with exactly one group, plus AdamW moments."""
@@ -47,9 +50,6 @@ class ParamStore:
 
     def __getitem__(self, name: str) -> Tensor:
         return self.entries[name]
-
-    def names(self):
-        return list(self.entries)
 
     def zero_grad(self) -> None:
         for t in self.entries.values():
@@ -101,15 +101,9 @@ def clip_grad_norm(store: ParamStore, max_norm: float) -> float:
     return norm
 
 
-def adamw_step(
-    store: ParamStore,
-    lr_by_group: dict[str, float],
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
-    weight_decay: float = 0.01,
-) -> None:
+def adamw_step(store: ParamStore, lr_by_group: dict[str, float], weight_decay: float) -> None:
     """One decoupled-weight-decay Adam step over every unfrozen parameter with a grad."""
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     for name, t in store.entries.items():
         group = store.group[name]
         if group in store.frozen_groups:
@@ -133,7 +127,7 @@ def adamw_step(
         v *= b2
         v += (1.0 - b2) * g * g
         denom = np.sqrt(v / (1.0 - b2 ** state["t"]))
-        denom += eps
+        denom += ADAM_EPS
         update = m / (1.0 - b1 ** state["t"])
         update /= denom
         if weight_decay:

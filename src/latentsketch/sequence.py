@@ -106,20 +106,16 @@ class MixedSequence:
         return " ".join(parts)
 
 
-def validate(seq: MixedSequence, k: int, allow_context: bool = True) -> None:
-    """Raise GrammarError unless the sequence is in the accepted language.
-
-    With allow_context=False the optional leading latent run is rejected, and
-    the accepted language is exactly BOS . (text* . START . Latent^K . END)* . text* . EOS?
-    """
+def validate(seq: MixedSequence, k: int) -> None:
+    """Raise GrammarError unless the sequence is in the language of the module
+    docstring."""
     items = seq.items
     if not items or items[0].kind != CTRL or items[0].value != BOS:
         raise GrammarError("sequence must begin with BOS")
     i = 1
     n = len(items)
-    if allow_context:
-        while i < n and items[i].kind == LATENT:
-            i += 1
+    while i < n and items[i].kind == LATENT:
+        i += 1
     while i < n:
         it = items[i]
         if it.kind == TEXT:

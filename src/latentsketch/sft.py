@@ -23,7 +23,7 @@ from . import sequence as sq
 from . import toyvision as tv
 from . import vocab
 from .autodiff import Tensor
-from .model import Model
+from .model import Model, save_model
 from .optim import LrSchedule, adamw_step, clip_grad_norm, cosine_lr
 from .util import fmt_float, seeded_rng
 
@@ -63,7 +63,6 @@ class SupervisedExample:
     ce_targets: np.ndarray        # token ids, aligned with text_positions
     cond_positions: np.ndarray    # positions conditioning each gold latent row
     latent_targets: np.ndarray    # [n_rows, d] pooled encoder rows
-    blocks: int = 0
 
 
 def build_example(trace: tv.AnnotatedTrace, model: Model, m: int,
@@ -76,17 +75,15 @@ def build_example(trace: tv.AnnotatedTrace, model: Model, m: int,
     items = inf.build_prompt(model, trace).items
     prompt_len = len(items)
     targets: list[np.ndarray] = []
-    n_blocks = 0
     for step in trace.steps:
         items.extend(sq.MixedItem.text(t) for t in step.text)
         if step.image is None or mode == "text_only":
             continue
-        pooled = tv.compress_latents(tv.encode_image(store, step.image, "intermediate"), m)
+        pooled = tv.compress_latents(tv.encode_image(store, step.image), m)
         items.append(sq.MixedItem.ctrl(sq.START))
         items.extend(sq.MixedItem.latent(row) for row in pooled)
         items.append(sq.MixedItem.ctrl(sq.END))
         targets.append(pooled)
-        n_blocks += 1
     items.extend(sq.MixedItem.text(t) for t in trace.answer)
     items.append(sq.MixedItem.ctrl(sq.EOS))
     if len(items) > cfg.max_len:
@@ -107,7 +104,7 @@ def build_example(trace: tv.AnnotatedTrace, model: Model, m: int,
         raise AssertionError("condition positions out of sync with latent targets")
     return SupervisedExample(sq.MixedSequence(items), np.array(text_pos, dtype=np.int64),
                              np.array(ce_targets, dtype=np.int64),
-                             np.array(cond_pos, dtype=np.int64), latent_targets, n_blocks)
+                             np.array(cond_pos, dtype=np.int64), latent_targets)
 
 
 def _collate(examples: list[SupervisedExample], d: int):
@@ -214,8 +211,6 @@ def train_sft(model: Model, traces: list[tv.AnnotatedTrace], cfg: SftConfig,
     statelessly from (seed, step), so a resumed run is bitwise identical to an
     uninterrupted one.
     """
-    from .model import save_model  # local import to avoid a cycle
-
     if not traces:
         raise ValueError("empty dataset")
     if not model.frozen_encoder:

@@ -32,6 +32,7 @@ PATCH = 2
 FRAME_COLOR = 1
 OPTION_COLORS = (2, 3, 4, 5)
 MAX_PATCH_GRID = 8   # 16x16 cells at patch size 2
+PATTERN_TOKEN_SCALE = 0.06  # align_pattern_tokens' scale on the encoder rows
 
 TASKS = ("grid_rotation", "visual_search")
 
@@ -48,12 +49,6 @@ class ToyImage:
             raise ValueError("cell grid does not match declared dimensions")
         if self.cells.min() < 0 or self.cells.max() >= PALETTE:
             raise ValueError(f"cell code outside palette [0, {PALETTE})")
-
-
-@dataclass
-class VisualEmbeddings:
-    tokens: np.ndarray  # [N, d]
-    source: str         # "input" | "intermediate"
 
 
 @dataclass
@@ -93,20 +88,19 @@ def _patch_onehot(img: ToyImage) -> np.ndarray:
     return onehot
 
 
-def encode_image(store: ParamStore, img: ToyImage, source: str = "input") -> VisualEmbeddings:
-    """Patch one-hot -> linear projection to d, plus 2-D patch-position embedding."""
+def encode_image(store: ParamStore, img: ToyImage) -> np.ndarray:
+    """Patch one-hot -> linear projection to d, plus 2-D patch-position
+    embedding: one row [N, d] per patch, raster order."""
     onehot = _patch_onehot(img)
     gh, gw = img.height // PATCH, img.width // PATCH
     if gh > MAX_PATCH_GRID or gw > MAX_PATCH_GRID:
         raise ValueError("image larger than the encoder's position table")
     pos = store["vision_encoder/pos"].data[:gh, :gw].reshape(gh * gw, -1)
-    tokens = onehot @ store["vision_encoder/proj"].data + pos
-    return VisualEmbeddings(tokens=tokens, source=source)
+    return onehot @ store["vision_encoder/proj"].data + pos
 
 
-def compress_latents(v: VisualEmbeddings | np.ndarray, m: int) -> np.ndarray:
-    """Average-pool N rows to m rows over contiguous groups."""
-    rows = v.tokens if isinstance(v, VisualEmbeddings) else np.asarray(v, dtype=np.float64)
+def compress_latents(rows: np.ndarray, m: int) -> np.ndarray:
+    """Average-pool N rows [N, d] to m rows over contiguous groups."""
     n = rows.shape[0]
     if m < 1 or n % m:
         raise ValueError(f"m={m} must divide the {n} embedding rows")
@@ -144,7 +138,7 @@ def pretrain_encoder(store: ParamStore, steps: int, lr: float, seed: int) -> flo
                      ad.take_rows(pos_flat, pos_idx))
         logits = ad.add(ad.matmul(emb, store["vision_encoder/probe_w"]), store["vision_encoder/probe_b"])
         logits = ad.reshape(logits, (onehot.shape[0] * PATCH * PATCH, PALETTE))
-        loss = ad.cross_entropy(logits, target).mean()
+        loss = ad.mean_(ad.cross_entropy(logits, target))
         store.zero_grad()
         ad.backward(loss)
         adamw_step(store, {"vision_encoder": lr}, weight_decay=0.0)
@@ -155,7 +149,7 @@ def pretrain_encoder(store: ParamStore, steps: int, lr: float, seed: int) -> flo
     return last
 
 
-def align_pattern_tokens(store: ParamStore, scale: float = 0.06) -> None:
+def align_pattern_tokens(store: ParamStore) -> None:
     """Initialize the 16 pattern-word embeddings from the frozen encoder.
 
     The desk stand-in for a pretrained VLM's text-vision alignment: token
@@ -171,7 +165,7 @@ def align_pattern_tokens(store: ParamStore, scale: float = 0.06) -> None:
         for color in OPTION_COLORS:
             cols = [slot * PALETTE + (color if b else 0) for slot, b in enumerate(bits)]
             acc += proj[cols].sum(axis=0)
-        tok[vocab.STR2ID[f"p{code}"]] = scale * acc / len(OPTION_COLORS)
+        tok[vocab.STR2ID[f"p{code}"]] = PATTERN_TOKEN_SCALE * acc / len(OPTION_COLORS)
 
 
 def _pos_index(gh: int, gw: int) -> np.ndarray:

@@ -55,27 +55,27 @@ def _check_primitive_grads(seed: int) -> float:
 
     a = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     b = ad.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-    fd_vs(lambda: ad.matmul(a, b).sum(), a)
+    fd_vs(lambda: ad.sum_(ad.matmul(a, b)), a)
     c = ad.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-    fd_vs(lambda: ad.mul(ad.add(ad.matmul(a, b), c), c).mean(), c)
+    fd_vs(lambda: ad.mean_(ad.mul(ad.add(ad.matmul(a, b), c), c)), c)
     x = ad.Tensor(rng.normal(size=(3, 6)), requires_grad=True)
     w = ad.Tensor(rng.normal(size=(3, 6)))
     qkv = ad.Tensor(rng.normal(size=(2, 3, 18)), requires_grad=True)
-    fd_vs(lambda: ad.mul(ad.attention(qkv, 2)[0], w).sum(), qkv)
+    fd_vs(lambda: ad.sum_(ad.mul(ad.attention(qkv, 2)[0], w)), qkv)
     g = ad.Tensor(rng.normal(size=6), requires_grad=True)
     be = ad.Tensor(rng.normal(size=6), requires_grad=True)
-    fd_vs(lambda: ad.mul(ad.layer_norm(x, g, be), w).sum(), g)
-    fd_vs(lambda: ad.gelu(x).sum(), x)
+    fd_vs(lambda: ad.sum_(ad.mul(ad.layer_norm(x, g, be), w)), g)
+    fd_vs(lambda: ad.sum_(ad.gelu(x)), x)
     table = ad.Tensor(rng.normal(size=(7, 4)), requires_grad=True)
     idx = rng.integers(0, 7, size=(1, 5))
     text_mask = (rng.random((1, 5)) < 0.6).astype(np.float64)
     latents = rng.normal(size=(1, 5, 4)) * (1.0 - text_mask)[..., None]
     pos = ad.Tensor(rng.normal(size=(6, 4)))
     wt = ad.Tensor(rng.normal(size=(1, 5, 4)))
-    fd_vs(lambda: ad.mul(ad.mixed_embed(table, pos, idx, text_mask, latents), wt).sum(), table)
+    fd_vs(lambda: ad.sum_(ad.mul(ad.mixed_embed(table, pos, idx, text_mask, latents), wt)), table)
     logits = ad.Tensor(rng.normal(size=(5, 6)), requires_grad=True)
     tgt = rng.integers(0, 6, size=5)
-    fd_vs(lambda: ad.cross_entropy(logits, tgt).mean(), logits)
+    fd_vs(lambda: ad.mean_(ad.cross_entropy(logits, tgt)), logits)
     return worst
 
 
@@ -159,7 +159,7 @@ def test_criterion_01_gradient_suite():
 def test_criterion_02_diffusion_oracle():
     t0 = time.time()
     d = 2
-    sched = df.linear_schedule(50)
+    sched = ModelConfig(t_steps=50).schedule()
     store = optim.ParamStore()
     df.init_epsilon_net(store, d, d, seeded_rng(0, "mix-init"), width=128)
     mu = {0: np.array([-2.0, -2.0]), 1: np.array([2.0, 2.0])}
@@ -203,7 +203,7 @@ def test_criterion_02_diffusion_oracle():
     # zero-net expected loss over 10,000 rows
     zstore = optim.ParamStore()
     df.init_epsilon_net(zstore, d, d, seeded_rng(3, "z"), width=16)
-    for name in zstore.names():
+    for name in zstore.entries:
         zstore[name].data[:] = 0.0
     rng = seeded_rng(4, "zero")
     zero_loss = ad.mean_(df.noise_regression(rng.normal(size=(10_000, d)) * 0.5,

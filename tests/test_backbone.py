@@ -149,27 +149,36 @@ def test_forward_matches_independent_reimplementation():
     assert np.max(np.abs(logits - l_ref)) < 1e-9
 
 
-def test_condition_identity_and_linearity():
-    """Each latent's condition is the decoder's last hidden state times cond_w, no bias."""
+def test_condition_identity_and_linearity(monkeypatch):
+    """Each latent's condition, the row that emit_block hands the sampler, is
+    the decoder's last hidden state times cond_w, no bias."""
     m = build_model(ModelConfig(layers=1, heads=2, d=8, max_len=32, k_latent=3, t_steps=3), seed=13)
     prefix = sq.MixedSequence([sq.MixedItem.ctrl(sq.BOS), sq.MixedItem.text(30),
                                sq.MixedItem.ctrl(sq.START)])
     w = m.store["diffusion_head/cond_w"]
+    conditions = []
+    sample_latent = df.sample_latent
+
+    def spy(c, *args, **kwargs):
+        conditions.append(c.copy())
+        return sample_latent(c, *args, **kwargs)
+
+    monkeypatch.setattr(df, "sample_latent", spy)
 
     def emit_and_replay():
+        conditions.clear()
         cache = bb.DecodeCache(m.store, m.bcfg)
         cache.append(*arrays(m, prefix))
-        seq, rng, conditions = prefix.copy(), seeded_rng(5, "c"), []
+        seq, rng = prefix.copy(), seeded_rng(5, "c")
         for _ in range(m.bcfg.k_latent):
-            step = df.emit_block([seq], m.store, m.bcfg, m.sched, [rng], cache, [0])
-            conditions.append(step.conditions[0])
-            seq.append(sq.MixedItem.latent(step.vectors[0]))
+            [row] = df.emit_block(cache.last_hidden, m.store, m.sched, [rng], m.cfg.head)
+            seq.append(sq.MixedItem.latent(row))
             cache.append(*arrays(m, sq.MixedSequence(seq.items[-1:])))
         replay = bb.DecodeCache(m.store, m.bcfg)
         h = [replay.append(*arrays(m, prefix))[0, -1]]
         for item in seq.items[len(prefix):-1]:
             h.append(replay.append(*arrays(m, sq.MixedSequence([item])))[0, -1])
-        return np.array(conditions), np.array(h)
+        return np.concatenate(conditions), np.array(h)
 
     c, h = emit_and_replay()
     assert np.allclose(c, h @ w.data, rtol=0, atol=1e-12)

@@ -350,20 +350,33 @@ def test_ablate_bad_eval_value_exits_2_before_training(key, tmp_path, capsys):
     assert not (tmp_path / "run" / "table3_joint").exists()
 
 
-@pytest.mark.parametrize("argv,flag", [
+@pytest.mark.parametrize("argv,err", [
     (["eval", "--task", "grid_rotation", "--n", "1", "--seed", "1", "--max-new-items", "0"],
-     "--max-new-items"),
+     "--max-new-items must be >= 1"),
     (["eval", "--task", "grid_rotation", "--n", "1", "--seed", "1", "--max-new-items", "-4"],
-     "--max-new-items"),
+     "--max-new-items must be >= 1"),
     (["export-attn", "--example-id", "0", "--out", "h.pgm", "--max-new-items", "0"],
-     "--max-new-items"),
-    (["bench-latency", "--k", "0"], "--k"),
-    (["bench-latency", "--t-steps", "0"], "--t-steps"),
-], ids=["eval-zero", "eval-negative", "export-attn", "bench-latency-k", "bench-latency-t-steps"])
-def test_generation_flags_below_one_exit_2_before_loading(argv, flag, tmp_path, capsys):
+     "--max-new-items must be >= 1"),
+    (["export-attn", "--example-id", "-1", "--out", "h.pgm"], "--example-id must be >= 0"),
+    (["bench-latency", "--k", "0"], "--k must be >= 1"),
+    (["bench-latency", "--t-steps", "0"], "--t-steps must be >= 1"),
+], ids=["eval-zero", "eval-negative", "export-attn", "export-attn-example-id", "bench-latency-k",
+        "bench-latency-t-steps"])
+def test_generation_flags_below_one_exit_2_before_loading(argv, err, tmp_path, capsys):
     missing = str(tmp_path / "absent.lsk")  # loading it would be a runtime failure, exit 3
     assert main(argv + ["--checkpoint", missing]) == 2
-    assert capsys.readouterr().err == f"error: {flag} must be >= 1\n"
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("layer", ["-1", str(TINY_MODEL["layers"]), "9"])
+def test_export_attn_layer_out_of_range_exits_2_before_decoding(layer, tmp_path, capsys, monkeypatch):
+    from latentsketch import inference as inf
+
+    ck = make_checkpoint(tmp_path)
+    monkeypatch.setattr(inf, "generate", lambda *a, **k: pytest.fail("decoded before checking --layer"))
+    assert main(["export-attn", "--checkpoint", ck, "--example-id", "0", "--layer", layer,
+                 "--out", str(tmp_path / "h.pgm")]) == 2
+    assert capsys.readouterr().err == f"error: --layer {layer} out of range [0, {TINY_MODEL['layers']})\n"
 
 
 def test_eval_budget_beyond_max_len_exits_2(tmp_path, capsys):

@@ -22,7 +22,7 @@ def make_net(d=4, d_c=4, seed=0):
 
 
 def zero_net(store):
-    for name in store.names():
+    for name in store.entries:
         store[name].data[:] = 0.0
 
 
@@ -33,7 +33,7 @@ ZERO_EPS = lambda z, t: np.zeros_like(z)
 
 
 def test_linear_schedule_identities():
-    sched = df.linear_schedule(50)
+    sched = ModelConfig(t_steps=50).schedule()
     assert sched.alpha_bar[0] == 1.0
     assert np.array_equal(sched.alpha_bar, np.cumprod(sched.alpha))
     assert sched.sigma[1] == 0.0
@@ -46,7 +46,7 @@ def test_schedule_invariant_violations_raise():
     with pytest.raises(ValueError):
         df.NoiseSchedule(2, np.array([0.0, 0.2, 0.1]), np.array([1.0, 0.8, 0.9]),
                          np.array([1.0, 0.8, 0.72]), np.array([0.0, 0.0, 0.1]))
-    sched = df.linear_schedule(5)
+    sched = ModelConfig(t_steps=5).schedule()
     bad_sigma = sched.sigma.copy()
     bad_sigma[1] = 0.5
     with pytest.raises(ValueError):
@@ -57,14 +57,14 @@ def test_schedule_invariant_violations_raise():
 
 
 def test_noisify_boundary_t0_identity():
-    sched = df.linear_schedule(10)
+    sched = ModelConfig(t_steps=10).schedule()
     z = np.array([1.5, -2.0])
     eps = np.array([0.3, 0.7])
     assert np.array_equal(df.noisify(z, 0, eps, sched), z)
 
 
 def test_noisify_zero_eps_pure_scaling():
-    sched = df.linear_schedule(10)
+    sched = ModelConfig(t_steps=10).schedule()
     z = np.array([2.0, 4.0])
     out = df.noisify(z, 7, np.zeros(2), sched)
     assert np.allclose(out, np.sqrt(sched.alpha_bar[7]) * z, atol=0)
@@ -79,7 +79,7 @@ def test_noisify_hand_example_quarter_alpha_bar():
 
 
 def test_noisify_range_check():
-    sched = df.linear_schedule(5)
+    sched = ModelConfig(t_steps=5).schedule()
     with pytest.raises(ValueError):
         df.noisify(np.zeros(2), 6, np.zeros(2), sched)
 
@@ -88,7 +88,7 @@ def test_noisify_range_check():
 
 
 def test_denoise_zero_predictor_closed_form():
-    sched = df.linear_schedule(10)
+    sched = ModelConfig(t_steps=10).schedule()
     z = np.array([1.0, -3.0])
     out = df.denoise_step(z, 5, np.zeros(2), sched, eps_fn=ZERO_EPS)
     assert np.allclose(out, z / np.sqrt(sched.alpha[5]), atol=1e-15)
@@ -104,7 +104,7 @@ def test_denoise_vanishing_noise_limit():
 
 
 def test_denoise_t_range():
-    sched = df.linear_schedule(5)
+    sched = ModelConfig(t_steps=5).schedule()
     with pytest.raises(ValueError):
         df.denoise_step(np.zeros(2), 0, np.zeros(2), sched, eps_fn=ZERO_EPS)
 
@@ -134,7 +134,7 @@ def test_denoise_posterior_mean_monte_carlo():
 def test_noisify_denoise_algebraic_round_trip():
     """With the analytically optimal predictor substituted, one denoise step at
     fixed t reproduces the posterior-mean coefficients to 1e-9."""
-    sched = df.linear_schedule(20)
+    sched = ModelConfig(t_steps=20).schedule()
     rng = seeded_rng(3, "rt")
     z = rng.normal(size=4)
     eps = rng.standard_normal(4)
@@ -156,7 +156,7 @@ def test_noisify_denoise_algebraic_round_trip():
 
 def test_sample_latent_deterministic_and_shaped():
     store = make_net()
-    sched = df.linear_schedule(8)
+    sched = ModelConfig(t_steps=8).schedule()
     c = np.array([0.2, -0.1, 0.4, 0.0])
     a = df.sample_latent(c, store, sched, [seeded_rng(5, "s")])
     b = df.sample_latent(c, store, sched, [seeded_rng(5, "s")])
@@ -169,7 +169,7 @@ def test_sample_latent_deterministic_and_shaped():
 def test_sample_latent_zero_net_variance_closed_form():
     """Zero predictor: the sampler is linear-Gaussian, variance follows the
     recursion v_{t-1} = v_t / alpha_t + sigma_t^2 from v_T = 1."""
-    sched = df.linear_schedule(10)
+    sched = ModelConfig(t_steps=10).schedule()
     v = 1.0
     for t in range(10, 0, -1):
         v = v / sched.alpha[t] + sched.sigma[t] ** 2
@@ -186,7 +186,7 @@ def test_sample_latent_rows_draw_from_their_own_generators():
     that share one generator across rows ([rng] * n) draw what a single (n, d)
     draw would, so their numbers do not change."""
     store = make_net()
-    sched = df.linear_schedule(6)
+    sched = ModelConfig(t_steps=6).schedule()
     c = seeded_rng(7, "rows").normal(size=(3, 4))
     got = df.sample_latent(c, store, sched, [seeded_rng(7, "row", i) for i in range(3)])
     for i in range(3):
@@ -200,7 +200,7 @@ def test_sample_latent_rows_draw_from_their_own_generators():
 
 def test_prepared_eps_equals_eps_forward_at_every_t():
     store = make_net(d=4, d_c=5, seed=3)
-    sched = df.linear_schedule(12)
+    sched = ModelConfig(t_steps=12).schedule()
     rng = seeded_rng(9, "prep")
     c = rng.normal(size=(7, 5))
     eps_fn = df.prepare_eps(store, sched, c)
@@ -218,7 +218,7 @@ def test_sample_latent_shared_generators_draw_in_row_order():
     bitwise, a reference loop that draws z_T and then each step's xi one row
     at a time, in row order, and takes the same net on the whole batch."""
     store = make_net()
-    sched = df.linear_schedule(6)
+    sched = ModelConfig(t_steps=6).schedule()
     c = seeded_rng(12, "shared").normal(size=(7, 4))
     layout = "abaebae"
 
@@ -241,7 +241,7 @@ def test_sample_latent_shared_generators_draw_in_row_order():
 
 def test_sample_latent_nan_condition_raises():
     store = make_net()
-    sched = df.linear_schedule(4)
+    sched = ModelConfig(t_steps=4).schedule()
     c = np.zeros((3, 4))
     c[1, 2] = np.nan
     with pytest.raises(FloatingPointError):
@@ -250,7 +250,7 @@ def test_sample_latent_nan_condition_raises():
 
 def test_sampler_call_counter():
     store = make_net()
-    sched = df.linear_schedule(4)
+    sched = ModelConfig(t_steps=4).schedule()
     before = dict(df.CALLS)
     df.sample_latent(np.zeros(4), store, sched, [seeded_rng(0, "c")])
     assert df.CALLS["sample_latent"] - before["sample_latent"] == 1
@@ -261,7 +261,7 @@ def test_sampler_call_counter():
 
 
 def test_loss_zero_for_oracle_net():
-    sched = df.linear_schedule(6)
+    sched = ModelConfig(t_steps=6).schedule()
     rng = seeded_rng(1, "dl")
     z = rng.normal(size=(3, 4))
     t = np.array([2, 4, 6])
@@ -288,7 +288,7 @@ def test_loss_zero_net_expectation_near_one():
     """Identically-zero predictor: expected loss is Var(eps) = 1 per scalar."""
     store = make_net()
     zero_net(store)
-    sched = df.linear_schedule(10)
+    sched = ModelConfig(t_steps=10).schedule()
     rng = seeded_rng(2, "mc1")
     z = rng.normal(size=(10_000, 4)) * 0.5
     loss = ad.mean_(df.noise_regression(z, np.zeros((10_000, 4)), store, sched, rng))
@@ -297,7 +297,7 @@ def test_loss_zero_net_expectation_near_one():
 
 def test_loss_gradient_wrt_condition_matches_fd():
     store = make_net()
-    sched = df.linear_schedule(6)
+    sched = ModelConfig(t_steps=6).schedule()
     rng = seeded_rng(3, "fd")
     z = rng.normal(size=(2, 4))
     draws = (np.array([2, 5]), rng.standard_normal((2, 4)))
@@ -308,7 +308,7 @@ def test_loss_gradient_wrt_condition_matches_fd():
 
 def test_loss_row_permutation_invariant_with_matched_draws():
     store = make_net()
-    sched = df.linear_schedule(6)
+    sched = ModelConfig(t_steps=6).schedule()
     rng = seeded_rng(4, "perm")
     z = rng.normal(size=(4, 4))
     c = rng.normal(size=(4, 4))
@@ -326,7 +326,7 @@ def test_noise_regression_grads(seed):
     """Gradients of a weighted sum of the per-row losses, as joint_loss takes,
     w.r.t. the conditions and the net match central differences."""
     store = make_net(seed=seed)
-    sched = df.linear_schedule(6)
+    sched = ModelConfig(t_steps=6).schedule()
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(3, 4))
     draws = (rng.integers(1, 7, size=3), rng.standard_normal((3, 4)))
@@ -340,7 +340,7 @@ def test_noise_regression_rows_value():
     """Row i is the mean over d of (eps_net(z_t, t, c) - eps)^2 at
     z_t = sqrt(ab_t) z + sqrt(1 - ab_t) eps, and rng draws t, then eps."""
     store = make_net(seed=4)
-    sched = df.linear_schedule(6)
+    sched = ModelConfig(t_steps=6).schedule()
     z = seeded_rng(5, "val").normal(size=(5, 4))
     c = seeded_rng(6, "val").normal(size=(5, 4))
     rows = df.noise_regression(z, c, store, sched, seeded_rng(7, "val"))
@@ -365,26 +365,6 @@ def block_model():
     return m
 
 
-def prompt_with_start(model):
-    items = [sq.MixedItem.ctrl(sq.BOS), sq.MixedItem.text(30),
-             sq.MixedItem.ctrl(sq.START)]
-    return sq.MixedSequence(items)
-
-
-def prefilled(model, items):
-    """A one-stream decode cache holding the items."""
-    cache = bb.DecodeCache(model.store, model.bcfg)
-    ids, text_mask, latents = sq.to_arrays(sq.MixedSequence(items), model.bcfg.d)
-    cache.append(ids[None], text_mask[None], latents[None])
-    return cache
-
-
-def emit(model, prefix, rng):
-    """One emit_block step on one stream, over a decode cache prefilled with the prefix."""
-    cache = prefilled(model, prefix.items)
-    return df.emit_block([prefix], model.store, model.bcfg, model.sched, [rng], cache, [0])
-
-
 def start_biased(model, bias=50.0):
     model.store["backbone/lm_head/b"].data[vocab.START_ID] = bias
     return model
@@ -400,27 +380,6 @@ def one_block(model, rng):
     return np.array(rows)
 
 
-def test_emit_block_requires_start(block_model):
-    bad = sq.MixedSequence([sq.MixedItem.ctrl(sq.BOS), sq.MixedItem.text(30)])
-    with pytest.raises(ValueError):
-        emit(block_model, bad, seeded_rng(0, "e"))
-    full = prompt_with_start(block_model)
-    for _ in range(block_model.bcfg.k_latent):
-        full.append(sq.MixedItem.latent(np.zeros(8)))
-    cache = prefilled(block_model, full.items)
-    with pytest.raises(ValueError, match="fewer than K"):
-        df.emit_block([full], block_model.store, block_model.bcfg, block_model.sched,
-                      [seeded_rng(0, "e")], cache, [0])
-
-
-def test_emit_block_rejects_out_of_sync_cache(block_model):
-    prefix = prompt_with_start(block_model)
-    cache = prefilled(block_model, prefix.items[:-1])
-    with pytest.raises(ValueError, match="out of sync"):
-        df.emit_block([prefix], block_model.store, block_model.bcfg, block_model.sched,
-                      [seeded_rng(0, "e")], cache, [0])
-
-
 def test_emit_block_counts_and_determinism(block_model):
     m = start_biased(block_model)
     before = dict(df.CALLS)
@@ -432,35 +391,41 @@ def test_emit_block_counts_and_determinism(block_model):
 
 
 def test_emit_block_feedback_changes_conditions(block_model, monkeypatch):
-    """Inside generate_group, each latent row of each stream is sampled at
-    c = h_last @ cond_w of a cache-free forward over that stream's prefix,
+    """Inside generate_group, each latent row of each stream is sampled from
+    the last hidden state of a cache-free forward over that stream's prefix,
     the rows already emitted included, so successive conditions differ."""
     m = start_biased(block_model, 2.0)
-    steps = []
+    calls = []
     real = df.emit_block
 
-    def spy(prefixes, *args, **kwargs):
-        blk = real(prefixes, *args, **kwargs)
-        steps.extend((seq, len(seq), v, c) for seq, v, c in zip(prefixes, blk.vectors, blk.conditions))
-        return blk
+    def spy(h_last, *args, **kwargs):
+        rows = real(h_last, *args, **kwargs)
+        calls.append((h_last.copy(), rows))
+        return rows
 
     monkeypatch.setattr(df, "emit_block", spy)
     prompt = sq.MixedSequence([sq.MixedItem.ctrl(sq.BOS), sq.MixedItem.text(30)])
     cfg = inf.GenerationConfig(mode="mixed", max_new_items=14, temperature=1.0)
     group = inf.generate_group([prompt] * 3, m, cfg, [seeded_rng(3, "fb", g) for g in range(3)])
+    # the prompt holds no latent rows, so each emitted row is found by its value
+    emitted = {it.value.tobytes(): (g, n) for g, res in enumerate(group)
+               for n, it in enumerate(res.seq.items) if it.kind == sq.LATENT}
     cond_w = m.store["diffusion_head/cond_w"].data
     by_pos = {}
-    for seq, n, vec, c in steps:
-        ids, text_mask, latents = sq.to_arrays(sq.MixedSequence(seq.items[:n]), m.bcfg.d)
-        with ad.no_grad():
-            hidden, _, _ = bb.forward_batch(m.store, m.bcfg, ids[None], text_mask[None], latents[None])
-        want = hidden.data[0, -1] @ cond_w
-        assert np.max(np.abs(c - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
-        assert np.array_equal(seq.items[n].value, vec)
-        by_pos[id(seq), n] = c
-    streams = {id(seq) for seq, *_ in steps}
-    assert streams <= {id(r.seq) for r in group} and len(streams) >= 2
-    pairs = [(c, by_pos[key, n + 1]) for (key, n), c in by_pos.items() if (key, n + 1) in by_pos]
+    for h_last, rows in calls:
+        assert h_last.shape == rows.shape == (len(rows), m.bcfg.d)
+        for h, row in zip(h_last, rows):
+            g, n = emitted[row.tobytes()]
+            ids, text_mask, latents = sq.to_arrays(sq.MixedSequence(group[g].seq.items[:n]), m.bcfg.d)
+            with ad.no_grad():
+                hidden, _, _ = bb.forward_batch(m.store, m.bcfg, ids[None], text_mask[None], latents[None])
+            want = hidden.data[0, -1]
+            assert np.max(np.abs(h - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+            by_pos[g, n] = h @ cond_w
+    assert len(by_pos) == len(emitted)
+    streams = {g for g, _ in by_pos}
+    assert len(streams) >= 2
+    pairs = [(c, by_pos[g, n + 1]) for (g, n), c in by_pos.items() if (g, n + 1) in by_pos]
     assert len(pairs) >= 2 * len(streams)
     for c0, c1 in pairs:
         assert not np.allclose(c0, c1)
@@ -473,12 +438,6 @@ def test_emit_block_k1_single_calls():
     rows = one_block(m, seeded_rng(0, "k1"))
     assert rows.shape == (1, 8)
     assert df.CALLS["sample_latent"] - before["sample_latent"] == 1
-
-
-def test_emit_block_max_len_overflow():
-    m = build_model(ModelConfig(layers=1, heads=2, d=8, max_len=4, k_latent=3), seed=23)
-    with pytest.raises(ValueError, match="max_len"):
-        emit(m, prompt_with_start(m), seeded_rng(0, "o"))
 
 
 def test_sinusoidal_table_shape_and_range():

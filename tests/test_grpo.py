@@ -139,7 +139,7 @@ def test_gradient_isolation_diffusion_head_zero():
         g = model.store.group[name]
         if g in ("diffusion_head", "vision_encoder"):
             assert np.all(t.grad == 0.0), name
-    assert any(np.any(model.store[n].grad != 0.0) for n in model.store.names()
+    assert any(np.any(model.store[n].grad != 0.0) for n in model.store.entries
                if model.store.group[n] == "backbone")
 
 
@@ -264,8 +264,8 @@ def full_sequence_logprobs(model, rollout, temperature):
     row position - 1 of its logits, tempered and masked."""
     ids, text_mask, latents = sq.to_arrays(rollout.seq, model.bcfg.d)
     _, logits, _ = bb.forward_batch(model.store, model.bcfg, ids[None], text_mask[None], latents[None])
-    rows = ad.take_rows(ad.getitem(logits, 0), np.array([e.position - 1 for e in rollout.emissions]))
-    mask_add = np.stack([np.where(e.mask, inf.MASK_NEG, 0.0) for e in rollout.emissions])
+    rows = ad.take_rows(ad.reshape(logits, logits.shape[1:]), np.array([e.position - 1 for e in rollout.emissions]))
+    mask_add = np.stack([np.where(e.mask, ad.MASK_VALUE, 0.0) for e in rollout.emissions])
     tok = np.array([e.token_id for e in rollout.emissions])
     return ad.mul(ad.cross_entropy(ad.add(ad.mul(rows, 1.0 / temperature), ad.Tensor(mask_add)), tok), -1.0)
 

@@ -12,9 +12,9 @@ def test_build_deterministic_by_seed():
     a = build_model(ModelConfig(layers=1, heads=2, d=8), seed=3)
     b = build_model(ModelConfig(layers=1, heads=2, d=8), seed=3)
     c = build_model(ModelConfig(layers=1, heads=2, d=8), seed=4)
-    for name in a.store.names():
+    for name in a.store.entries:
         assert np.array_equal(a.store[name].data, b.store[name].data)
-    assert any(not np.array_equal(a.store[n].data, c.store[n].data) for n in a.store.names())
+    assert any(not np.array_equal(a.store[n].data, c.store[n].data) for n in a.store.entries)
 
 
 def test_save_load_roundtrip_preserves_config_and_values(tmp_path):
@@ -26,7 +26,7 @@ def test_save_load_roundtrip_preserves_config_and_values(tmp_path):
     assert step == 17
     assert loaded.cfg == m.cfg
     assert loaded.frozen_encoder
-    for name in m.store.names():
+    for name in m.store.entries:
         assert np.array_equal(loaded.store[name].data, m.store[name].data), name
 
 

@@ -41,7 +41,7 @@ def test_first_step_hand_evaluated():
     store = ParamStore()
     p = store.add("backbone/x", np.array([0.0]), "backbone")
     p.grad = np.array([1.0])
-    adamw_step(store, {"backbone": 0.1}, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0)
+    adamw_step(store, {"backbone": 0.1}, weight_decay=0.0)
     assert p.data[0] == pytest.approx(-0.1, rel=1e-6)
 
 
@@ -51,7 +51,7 @@ def test_frozen_group_untouched():
     for t in store.entries.values():
         t.grad = np.ones_like(t.data)
     before = store["vision_encoder/w"].data.copy()
-    adamw_step(store, LRS)
+    adamw_step(store, LRS, weight_decay=0.01)
     assert np.array_equal(store["vision_encoder/w"].data, before)
     assert not np.array_equal(store["backbone/w"].data, np.array([1.0, -2.0, 3.0]))
 
@@ -60,14 +60,14 @@ def test_missing_group_lr_errors():
     store = make_store()
     store["backbone/w"].grad = np.ones(3)
     with pytest.raises(KeyError):
-        adamw_step(store, {"diffusion_head": 0.1, "vision_encoder": 0.1})
+        adamw_step(store, {"diffusion_head": 0.1, "vision_encoder": 0.1}, weight_decay=0.01)
 
 
 def test_non_finite_grad_errors():
     store = make_store()
     store["backbone/w"].grad = np.array([1.0, np.nan, 0.0])
     with pytest.raises(FloatingPointError):
-        adamw_step(store, LRS)
+        adamw_step(store, LRS, weight_decay=0.01)
 
 
 def test_decoupled_weight_decay_direction():
@@ -111,7 +111,7 @@ def test_clip_grad_norm_scales_to_bound():
 def test_checkpoint_roundtrip_bitwise(tmp_path):
     store = make_store()
     store["backbone/w"].grad = np.ones(3)
-    adamw_step(store, LRS)  # create optimizer state
+    adamw_step(store, LRS, weight_decay=0.01)  # create optimizer state
     path = str(tmp_path / "ck.lsk")
     write_records(path, store_to_records(store))
     records = read_records(path)
@@ -137,7 +137,7 @@ def test_checkpoint_magic_rejected(tmp_path):
 def test_opt_state_under_opt_prefix():
     store = make_store()
     store["backbone/w"].grad = np.ones(3)
-    adamw_step(store, LRS)
+    adamw_step(store, LRS, weight_decay=0.01)
     records = store_to_records(store)
     assert "opt/m/backbone/w" in records
     assert "opt/v/backbone/w" in records
@@ -165,7 +165,7 @@ def record_starts(records):
 def test_every_truncation_is_detected_or_a_record_boundary(tmp_path):
     store = make_store()
     store["backbone/w"].grad = np.ones(3)
-    adamw_step(store, LRS)
+    adamw_step(store, LRS, weight_decay=0.01)
     path = tmp_path / "ck.lsk"
     write_records(str(path), store_to_records(store))
     blob = path.read_bytes()

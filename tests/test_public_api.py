@@ -1,7 +1,8 @@
 """No public API that only tests call: every public top-level function or class
 in the package is referenced by the program (``src/``) or the benchmark
-(``perfbench/``), outside its own definition.  No config key that the
-program never reads.  And no import that its own module never uses."""
+(``perfbench/``), outside its own definition, and so is every public method
+and dataclass field.  No config key that the program never reads.  And no
+import that its own module never uses, nor one inside a function."""
 
 import ast
 import glob
@@ -40,12 +41,13 @@ def _src() -> list[ast.Module]:
     return [_parse(p) for p in sorted(glob.glob(os.path.join(ROOT, "src", "latentsketch", "*.py")))]
 
 
-def _walk_outside(node: ast.AST, class_name: str):
-    """ast.walk that does not enter a class definition of the given name."""
+def _walk_outside(node: ast.AST, skip):
+    """ast.walk that does not enter skip: a definition node, or the class
+    definitions of that name."""
     yield node
     for child in ast.iter_child_nodes(node):
-        if not (isinstance(child, ast.ClassDef) and child.name == class_name):
-            yield from _walk_outside(child, class_name)
+        if not (child is skip or (isinstance(child, ast.ClassDef) and child.name == skip)):
+            yield from _walk_outside(child, skip)
 
 
 def test_every_public_name_has_a_caller_outside_tests():
@@ -60,6 +62,28 @@ def test_every_public_name_has_a_caller_outside_tests():
     test_only = [node.name for node in defs
                  if program[node.name] == _names(node)[node.name] and tests[node.name]]
     assert not test_only, f"public names that only tests call: {test_only}"
+
+
+def test_every_public_member_is_read_outside_tests():
+    """A public method or dataclass field of a class in the package is read as
+    an attribute (obj.name) by the program outside the member's own
+    definition, or by the benchmark."""
+    src = _src()
+    bench = {node.attr for p in glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
+             for node in ast.walk(_parse(p)) if isinstance(node, ast.Attribute)}
+    members = []
+    for tree in src:
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            members += [(cls.name, node.name, node) for node in cls.body
+                        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+            if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in cls.decorator_list):
+                members += [(cls.name, node.target.id, node) for node in cls.body
+                            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)]
+    assert len(members) > 50  # the scan found the classes
+    unread = [f"{cls}.{name}" for cls, name, defn in members if name not in bench
+              and not any(isinstance(node, ast.Attribute) and node.attr == name
+                          for tree in src for node in _walk_outside(tree, defn))]
+    assert not unread, f"public members that only tests read: {unread}"
 
 
 def test_every_config_key_is_read_by_the_program():
@@ -102,3 +126,13 @@ def test_every_import_is_used_by_its_module():
         unused += [f"{os.path.relpath(path, ROOT)}:{line} {name}"
                    for name, line in sorted(_bound_imports(tree).items()) if name not in used]
     assert not unused, f"imports their module never uses: {unused}"
+
+
+def test_no_import_inside_a_function():
+    """The package's modules import each other at the top: none of them needs
+    a deferred import to break a cycle."""
+    nested = [f"src/latentsketch/{os.path.basename(path)}:{node.lineno}"
+              for path in sorted(glob.glob(os.path.join(ROOT, "src", "latentsketch", "*.py")))
+              for fn in ast.walk(_parse(path)) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not nested, f"imports inside functions: {nested}"

@@ -28,20 +28,16 @@ def test_minimal_valid_sequences():
     sq.validate(sq.MixedSequence([ctrl(sq.BOS)]), k=2)
     sq.validate(sq.MixedSequence([ctrl(sq.BOS), txt(), ctrl(sq.EOS)]), k=2)
     sq.validate(sq.MixedSequence([ctrl(sq.BOS), txt()] + block(2) + [txt(), ctrl(sq.EOS)]), k=2)
-
-
-def test_context_prefix_allowed_only_when_enabled():
-    seq = sq.MixedSequence([ctrl(sq.BOS), lat(), lat(), txt(), ctrl(sq.EOS)])
-    sq.validate(seq, k=2, allow_context=True)
-    with pytest.raises(sq.GrammarError):
-        sq.validate(seq, k=2, allow_context=False)
+    # a leading latent run after BOS is the input-image context
+    sq.validate(sq.MixedSequence([ctrl(sq.BOS), lat()]), k=2)
+    sq.validate(sq.MixedSequence([ctrl(sq.BOS), lat(), lat(), txt()] + block(2) + [ctrl(sq.EOS)]), k=2)
 
 
 @pytest.mark.parametrize("items", [
     [],
     [txt()],
     [ctrl(sq.EOS)],
-    [ctrl(sq.BOS), lat()],                                     # latent outside block (strict)
+    [ctrl(sq.BOS), lat()] + block(2) + [lat()],                # context run only right after BOS
     [ctrl(sq.BOS), txt(), lat()],                              # latent after text, no START
     [ctrl(sq.BOS), ctrl(sq.START), lat(), ctrl(sq.END)],       # block of 1, k=2
     [ctrl(sq.BOS), ctrl(sq.START), lat(), lat(), lat(), ctrl(sq.END)],  # block of 3, k=2
@@ -53,12 +49,12 @@ def test_context_prefix_allowed_only_when_enabled():
 ])
 def test_invalid_sequences_rejected(items):
     with pytest.raises(sq.GrammarError):
-        sq.validate(sq.MixedSequence(items), k=2, allow_context=False)
+        sq.validate(sq.MixedSequence(items), k=2)
 
 
 def random_valid_sequence(rng, k):
-    """Sample from BOS . (text* START Latent^k END)* . text* . EOS?"""
-    items = [ctrl(sq.BOS)]
+    """Sample from BOS . Latent* . (text* START Latent^k END)* . text* . EOS?"""
+    items = [ctrl(sq.BOS)] + [lat() for _ in range(rng.integers(0, 3))]
     for _ in range(rng.integers(0, 4)):
         for _ in range(rng.integers(0, 3)):
             items.append(txt(int(rng.integers(5, vocab.VOCAB_SIZE))))
@@ -75,23 +71,29 @@ def test_grammar_accepts_exactly_the_language(seed):
     rng = seeded_rng(seed, "grammar")
     k = int(rng.integers(1, 4))
     seq = random_valid_sequence(rng, k)
-    sq.validate(seq, k, allow_context=False)
+    sq.validate(seq, k)
     # any single corruption leaves the language
     items = list(seq.items)
     mutation = rng.integers(0, 3)
     if mutation == 0:
-        # outside a block a latent is out of place; inside one it makes K + 1 rows
-        items.insert(int(rng.integers(1, len(items) + 1)), lat())
+        # past the context run a latent is out of place outside a block, and
+        # makes K + 1 rows inside one
+        n_ctx = 0
+        while 1 + n_ctx < len(items) and items[1 + n_ctx].kind == sq.LATENT:
+            n_ctx += 1
+        if len(items) == 1 + n_ctx:
+            items.append(ctrl(sq.EOS))
+        items.insert(int(rng.integers(n_ctx + 2, len(items) + 1)), lat())
         with pytest.raises(sq.GrammarError):
-            sq.validate(sq.MixedSequence(items), k, allow_context=False)
+            sq.validate(sq.MixedSequence(items), k)
     elif mutation == 1:
         items.insert(int(rng.integers(1, len(items) + 1)), ctrl(sq.PAD))
         with pytest.raises(sq.GrammarError):
-            sq.validate(sq.MixedSequence(items), k, allow_context=False)
+            sq.validate(sq.MixedSequence(items), k)
     else:
         items[0] = txt()
         with pytest.raises(sq.GrammarError):
-            sq.validate(sq.MixedSequence(items), k, allow_context=False)
+            sq.validate(sq.MixedSequence(items), k)
 
 
 def test_text_item_rejects_control_ids():

@@ -49,7 +49,7 @@ def test_build_example_text_only_mode_emits_no_latent_rows(tiny_model):
     assert any(s.image is not None for s in trace.steps)
     ex = sft.build_example(trace, tiny_model, m=2, mode="text_only")
     assert ex.latent_targets.shape == (0, tiny_model.bcfg.d)
-    assert ex.cond_positions.size == 0 and ex.blocks == 0
+    assert ex.cond_positions.size == 0
     stripped = sft.build_example(strip_images(trace), tiny_model, m=2)
     for a, b in zip(sq.to_arrays(ex.seq, tiny_model.bcfg.d), sq.to_arrays(stripped.seq, tiny_model.bcfg.d)):
         assert np.array_equal(a, b)
@@ -66,7 +66,7 @@ def test_build_example_ce_targets_include_start_end_eos(tiny_model):
     assert vocab.END_ID in ex.ce_targets
     assert vocab.EOS_ID in ex.ce_targets
     # but CE never targets prompt (question) positions
-    prompt_len = 1 + tv.encode_image(tiny_model.store, trace.input_image).tokens.shape[0] \
+    prompt_len = 1 + tv.encode_image(tiny_model.store, trace.input_image).shape[0] \
         + len(trace.question)
     assert ex.text_positions.min() >= prompt_len - 1
 
@@ -78,13 +78,12 @@ def test_build_example_spliced_latents_match_recomputation(tiny_model):
     for step in trace.steps:
         if step.image is None:
             continue
-        emb = tv.encode_image(tiny_model.store, step.image, "intermediate")
-        rows.append(tv.compress_latents(emb, 2))
+        rows.append(tv.compress_latents(tv.encode_image(tiny_model.store, step.image), 2))
     want = np.concatenate(rows, axis=0)
     assert np.array_equal(ex.latent_targets, want)
     # and those same rows are spliced into the sequence between START/END
     latent_items = [it.value for it in ex.seq.items if it.kind == sq.LATENT]
-    n_ctx = tv.encode_image(tiny_model.store, trace.input_image).tokens.shape[0]
+    n_ctx = tv.encode_image(tiny_model.store, trace.input_image).shape[0]
     spliced = np.stack(latent_items[n_ctx:])
     assert np.array_equal(spliced, want)
 
@@ -238,14 +237,14 @@ def test_train_text_only_equals_joint_lambda_zero_on_latent_free_data():
     cfg2 = sft.SftConfig(mode="joint", lam=0.0, steps=4, batch_size=2, m_latent=2, seed=5)
     sft.train_sft(m1, traces, cfg1)
     sft.train_sft(m2, traces, cfg2)
-    for name in m1.store.names():
+    for name in m1.store.entries:
         assert np.array_equal(m1.store[name].data, m2.store[name].data), name
 
 
 def test_train_sft_deterministic_and_encoder_frozen(tmp_path):
     def run():
         m = make_trainable(seed=44)
-        enc_before = {n: m.store[n].data.copy() for n in m.store.names()
+        enc_before = {n: m.store[n].data.copy() for n in m.store.entries
                       if m.store.group[n] == "vision_encoder"}
         traces = tv.generate_dataset("grid_rotation", 6, 2)
         cfg = sft.SftConfig(mode="joint", steps=6, batch_size=2, m_latent=2, seed=3)
@@ -254,7 +253,7 @@ def test_train_sft_deterministic_and_encoder_frozen(tmp_path):
 
     m1, enc1 = run()
     m2, _ = run()
-    for name in m1.store.names():
+    for name in m1.store.entries:
         assert np.array_equal(m1.store[name].data, m2.store[name].data)
     for name, val in enc1.items():
         assert np.array_equal(m1.store[name].data, val)
@@ -282,5 +281,5 @@ def test_train_sft_resume_chunks_match_uninterrupted(tmp_path):
     m_chunk = make_trainable(seed=46)
     sft.train_sft(m_chunk, traces, cfg, end_step=3)
     sft.train_sft(m_chunk, traces, cfg, start_step=3)
-    for name in m_full.store.names():
+    for name in m_full.store.entries:
         assert np.array_equal(m_full.store[name].data, m_chunk.store[name].data), name
