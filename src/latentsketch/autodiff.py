@@ -85,16 +85,14 @@ def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
         t.grad += g
 
 
-def _needs(t: Tensor) -> bool:
-    return t.requires_grad or t._backward is not None
-
-
 def _from_op(data: np.ndarray, parents, backward_fn, ctx: str) -> Tensor:
     _assert_finite(data, ctx)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if _GRAD_ENABLED and any(_needs(p) for p in parents):
+    # an op's output needs a gradient iff a parent does, and then it has a
+    # closure; so requires_grad alone says whether backward must reach a node
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -125,10 +123,10 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def bw(g):
-        if _needs(a):
+        if a.requires_grad:
             ga = _unbroadcast(g, a.data.shape)
             _accum(a, ga, fresh=ga is not g)
-        if _needs(b):
+        if b.requires_grad:
             gb = _unbroadcast(g, b.data.shape)
             _accum(b, gb, fresh=gb is not g)
 
@@ -139,10 +137,10 @@ def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def bw(g):
-        if _needs(a):
+        if a.requires_grad:
             ga = _unbroadcast(g, a.data.shape)
             _accum(a, ga, fresh=ga is not g)
-        if _needs(b):
+        if b.requires_grad:
             _accum(b, _unbroadcast(-g, b.data.shape), fresh=True)
 
     return _from_op(a.data - b.data, (a, b), bw, "sub")
@@ -152,9 +150,9 @@ def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def bw(g):
-        if _needs(a):
+        if a.requires_grad:
             _accum(a, _unbroadcast(g * b.data, a.data.shape), fresh=True)
-        if _needs(b):
+        if b.requires_grad:
             _accum(b, _unbroadcast(g * a.data, b.data.shape), fresh=True)
 
     return _from_op(a.data * b.data, (a, b), bw, "mul")
@@ -164,9 +162,9 @@ def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def bw(g):
-        if _needs(a):
+        if a.requires_grad:
             _accum(a, _unbroadcast(g / b.data, a.data.shape), fresh=True)
-        if _needs(b):
+        if b.requires_grad:
             _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape), fresh=True)
 
     return _from_op(a.data / b.data, (a, b), bw, "div")
@@ -178,9 +176,9 @@ def minimum(a, b) -> Tensor:
     take_a = a.data <= b.data
 
     def bw(g):
-        if _needs(a):
+        if a.requires_grad:
             _accum(a, _unbroadcast(g * take_a, a.data.shape), fresh=True)
-        if _needs(b):
+        if b.requires_grad:
             _accum(b, _unbroadcast(g * ~take_a, b.data.shape), fresh=True)
 
     return _from_op(np.where(take_a, a.data, b.data), (a, b), bw, "minimum")
@@ -192,7 +190,7 @@ def clip(a, lo: float, hi: float) -> Tensor:
     inner = (a.data > lo) & (a.data < hi)
 
     def bw(g):
-        if _needs(a):
+        if a.requires_grad:
             _accum(a, g * inner, fresh=True)
 
     return _from_op(np.clip(a.data, lo, hi), (a,), bw, "clip")
@@ -206,7 +204,7 @@ def exp(a) -> Tensor:
     out_data = np.exp(a.data)
 
     def bw(g):
-        if _needs(a):
+        if a.requires_grad:
             _accum(a, g * out_data, fresh=True)
 
     return _from_op(out_data, (a,), bw, "exp")
@@ -217,7 +215,7 @@ def sqrt(a) -> Tensor:
     out_data = np.sqrt(a.data)
 
     def bw(g):
-        if _needs(a):
+        if a.requires_grad:
             _accum(a, g * 0.5 / out_data, fresh=True)
 
     return _from_op(out_data, (a,), bw, "sqrt")
@@ -234,7 +232,7 @@ def gelu(a) -> Tensor:
     phi *= 0.5
 
     def bw(g):
-        if _needs(a):
+        if a.requires_grad:
             # g * (phi + x * pdf(x)), pdf(x) = exp(-x^2 / 2) / sqrt(2 pi)
             t = x * -0.5
             t *= x
@@ -256,7 +254,7 @@ def reshape(a, shape) -> Tensor:
     old = a.data.shape
 
     def bw(g):
-        if _needs(a):
+        if a.requires_grad:
             _accum(a, g.reshape(old))
 
     return _from_op(a.data.reshape(shape), (a,), bw, "reshape")
@@ -268,7 +266,7 @@ def take_rows(a, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
 
     def bw(g):
-        if _needs(a):
+        if a.requires_grad:
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
             np.add.at(a.grad, idx, g)
@@ -283,7 +281,7 @@ def concat(parts, axis: int = 0) -> Tensor:
 
     def bw(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if _needs(p):
+            if p.requires_grad:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(lo, hi)
                 _accum(p, g[tuple(sl)])
@@ -294,31 +292,31 @@ def concat(parts, axis: int = 0) -> Tensor:
 # -- reductions --------------------------------------------------------------
 
 
-def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
+def sum_(a, axis=None) -> Tensor:
     a = as_tensor(a)
     shp = a.data.shape
 
     def bw(g):
-        if _needs(a):
-            if axis is not None and not keepdims:
+        if a.requires_grad:
+            if axis is not None:
                 g = np.expand_dims(g, axis)
             _accum(a, np.broadcast_to(g, shp).copy(), fresh=True)
 
-    return _from_op(np.sum(a.data, axis=axis, keepdims=keepdims), (a,), bw, "sum")
+    return _from_op(np.sum(a.data, axis=axis), (a,), bw, "sum")
 
 
-def mean_(a, axis=None, keepdims: bool = False) -> Tensor:
+def mean_(a, axis=None) -> Tensor:
     a = as_tensor(a)
     shp = a.data.shape
     n = a.data.size if axis is None else np.prod([shp[ax] for ax in np.atleast_1d(axis)])
 
     def bw(g):
-        if _needs(a):
-            if axis is not None and not keepdims:
+        if a.requires_grad:
+            if axis is not None:
                 g = np.expand_dims(g, axis)
             _accum(a, np.broadcast_to(g / n, shp).copy(), fresh=True)
 
-    return _from_op(np.mean(a.data, axis=axis, keepdims=keepdims), (a,), bw, "mean")
+    return _from_op(np.mean(a.data, axis=axis), (a,), bw, "mean")
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -330,9 +328,9 @@ def matmul(a, b) -> Tensor:
         raise ValueError("matmul requires operands of rank >= 2")
 
     def bw(g):
-        if _needs(a):
+        if a.requires_grad:
             _accum(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape), fresh=True)
-        if _needs(b):
+        if b.requires_grad:
             _accum(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape), fresh=True)
 
     return _from_op(a.data @ b.data, (a, b), bw, "matmul")
@@ -353,13 +351,13 @@ def affine(x, w, b) -> Tensor:
     out += b.data
 
     def bw(g):
-        if _needs(x):
+        if x.requires_grad:
             _accum(x, (g.reshape(len(rows), -1) @ w.data.T).reshape(x.data.shape), fresh=True)
-        if _needs(w):
+        if w.requires_grad:
             # one product per batch entry, summed after: folding the rows here
             # would change the order in which the weight gradient is summed
             _accum(w, _unbroadcast(x.data.swapaxes(-1, -2) @ g, w.data.shape), fresh=True)
-        if _needs(b):
+        if b.requires_grad:
             _accum(b, _unbroadcast(g, b.data.shape), fresh=True)
 
     return _from_op(out.reshape(x.data.shape[:-1] + out.shape[1:]), (x, w, b), bw, "affine")
@@ -377,11 +375,11 @@ def mixed_embed(table, pos_table, ids: np.ndarray, text_mask: np.ndarray,
     out_data = table.data[ids] * m + latents + pos_table.data[start : start + L]
 
     def bw(g):
-        if _needs(table):
+        if table.requires_grad:
             if table.grad is None:
                 table.grad = np.zeros_like(table.data)
             np.add.at(table.grad, ids.ravel(), (g * m).reshape(-1, table.data.shape[1]))
-        if _needs(pos_table):
+        if pos_table.requires_grad:
             if pos_table.grad is None:
                 pos_table.grad = np.zeros_like(pos_table.data)
             pos_table.grad[start : start + L] += g.reshape(-1, L, g.shape[-1]).sum(axis=0)
@@ -472,8 +470,8 @@ def attention(qkv, heads: int, prefix=None, start: int = 0):
 
     def bw(g):
         gh = g.reshape(B, L, heads, hd).swapaxes(1, 2)
-        to_qkv = _needs(qkv)
-        to_prefix = len(parents) == 2 and _needs(prefix)
+        to_qkv = qkv.requires_grad
+        to_prefix = len(parents) == 2 and prefix.requires_grad
         if to_qkv:
             out = np.empty((B, L, 3, heads, hd))
         if to_prefix:
@@ -522,12 +520,12 @@ def layer_norm(x, gamma, beta) -> Tensor:
 
     def bw(g):
         t = None
-        if _needs(gamma):
+        if gamma.requires_grad:
             t = g * xhat
             _accum(gamma, t.reshape(-1, n).sum(axis=0), fresh=True)
-        if _needs(beta):
+        if beta.requires_grad:
             _accum(beta, g.reshape(-1, n).sum(axis=0), fresh=True)
-        if _needs(x):
+        if x.requires_grad:
             # r * (gx - mean(gx) - xhat * mean(gx * xhat)), gx = g * gamma
             gx = g * gamma.data
             t = np.multiply(gx, xhat, out=t)
@@ -555,7 +553,7 @@ def cross_entropy(logits, targets) -> Tensor:
     picked = np.take_along_axis(logp, targets[..., None], axis=-1)[..., 0]
 
     def bw(g):
-        if _needs(logits):
+        if logits.requires_grad:
             p = np.exp(logp)
             np.put_along_axis(p, targets[..., None], np.take_along_axis(p, targets[..., None], axis=-1) - 1.0, axis=-1)
             _accum(logits, p * g[..., None], fresh=True)
@@ -602,7 +600,7 @@ def backward(loss: Tensor, store=None) -> None:
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if p._backward is not None or p.requires_grad:
+            if p.requires_grad:
                 stack.append((p, False))
     leaves = [node for node in topo if node._backward is None]
     loss.grad = np.ones_like(loss.data)

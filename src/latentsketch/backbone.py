@@ -16,6 +16,7 @@ from . import autodiff as ad
 from . import sequence as sq
 from .autodiff import Tensor
 from .optim import ParamStore
+from .vocab import VOCAB_SIZE
 
 
 @dataclass
@@ -23,7 +24,7 @@ class BackboneConfig:
     layers: int = 4
     heads: int = 4
     d: int = 64
-    vocab: int = 96
+    vocab: int = VOCAB_SIZE
     max_len: int = 256
     k_latent: int = 4
 
@@ -144,14 +145,13 @@ class DecodeCache:
     def streams(self) -> int:
         return self.kt.shape[1]
 
-    def append(self, ids: np.ndarray, text_mask: np.ndarray, latents: np.ndarray) -> np.ndarray:
-        """Process n new items per stream (ids [B, n]); returns their hidden
-        rows [B, n, d] and caches their K/V."""
+    def append(self, ids: np.ndarray, text_mask: np.ndarray, latents: np.ndarray) -> None:
+        """Process n new items per stream (ids [B, n]): cache their K/V and
+        keep the hidden and logits rows of the last one."""
         with ad.no_grad():
             hidden, logits, _ = forward_batch(self.store, self.cfg, ids, text_mask, latents, cache=self)
         self.last_hidden = hidden.data[:, -1]
         self.last_logits = logits.data[:, -1]
-        return hidden.data
 
     def select(self, rows) -> None:
         """Keep the streams at `rows`, in that order; the others are dropped.

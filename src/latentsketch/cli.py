@@ -28,7 +28,7 @@ from . import sequence as sq
 from . import sft
 from . import toyvision as tv
 from . import vocab
-from .model import Model, ModelConfig, build_model, load_model
+from .model import HEAD_DIFFUSION, Model, ModelConfig, build_model, load_model
 from .util import atomic_write, fmt_float, seeded_rng
 
 
@@ -326,17 +326,26 @@ def cmd_ablate(args) -> int:
 REFERENCE_LATENCY_S = {"text32": 1.0311, "tool_call": 8.3575, "latent32": 3.1001}
 
 
+def _reforward(model: Model, work: sq.MixedSequence, n: int, next_item) -> None:
+    """Append n items to work, each next_item(hidden, logits) of a cache-free
+    forward of all of work so far ([1, L, d] and [1, L, V] arrays)."""
+    for _ in range(n):
+        ids, text_mask, latents = sq.to_arrays(work, model.bcfg.d)
+        with ad.no_grad():
+            hidden, logits, _ = bb.forward_batch(model.store, model.bcfg, ids[None], text_mask[None], latents[None])
+        work.append(next_item(hidden.data, logits.data))
+
+
+def _greedy_text(hidden: np.ndarray, logits: np.ndarray) -> sq.MixedItem:
+    """The most likely non-control token after the last position."""
+    row = logits[0, -1].copy()
+    row[list(vocab.CONTROL_IDS)] = -np.inf
+    return sq.MixedItem.text(int(np.argmax(row)))
+
+
 def _timed_text_span(model: Model, prompt, n_tokens: int) -> None:
     """Append n greedy non-control tokens (EOS masked) — raw generation cost."""
-    work = prompt.copy()
-    store, bcfg = model.store, model.bcfg
-    for _ in range(n_tokens):
-        ids, text_mask, latents = sq.to_arrays(work, bcfg.d)
-        with ad.no_grad():
-            _, logits, _ = bb.forward_batch(store, bcfg, ids[None], text_mask[None], latents[None])
-        row = logits.data[0, -1].copy()
-        row[list(vocab.CONTROL_IDS)] = -np.inf
-        work.append(sq.MixedItem.text(int(np.argmax(row))))
+    _reforward(model, prompt.copy(), n_tokens, _greedy_text)
 
 
 def _timed_latent_block(model: Model, prompt, k: int, t_steps: int, seed: int) -> int:
@@ -344,16 +353,10 @@ def _timed_latent_block(model: Model, prompt, k: int, t_steps: int, seed: int) -
     sched = df.linear_schedule(t_steps, model.cfg.beta_start, model.cfg.beta_end)
     work = prompt.copy()
     work.append(sq.MixedItem.ctrl(sq.START))
-    rng = seeded_rng(seed, "bench")
+    rngs = [seeded_rng(seed, "bench")]
     before = df.CALLS["sample_latent"]
-    store, bcfg = model.store, model.bcfg
-    for _ in range(k):
-        ids, text_mask, latents = sq.to_arrays(work, bcfg.d)
-        with ad.no_grad():
-            hidden, _, _ = bb.forward_batch(store, bcfg, ids[None], text_mask[None], latents[None])
-            c = hidden.data[0, -1] @ store["diffusion_head/cond_w"].data
-            e = df.sample_latent(c, store, sched, [rng])
-        work.append(sq.MixedItem.latent(e))
+    _reforward(model, work, k, lambda hidden, _: sq.MixedItem.latent(
+        df.emit_block(hidden[0, -1:], model.store, sched, rngs, model.cfg.head)[0]))
     return df.CALLS["sample_latent"] - before
 
 
@@ -366,9 +369,7 @@ def _timed_tool_cycle(model: Model, prompt, trace: tv.AnnotatedTrace, span: int)
     work = prompt.copy()
     for row in tv.encode_image(model.store, edited):
         work.append(sq.MixedItem.latent(row))
-    ids, text_mask, latents = sq.to_arrays(work, model.bcfg.d)
-    with ad.no_grad():
-        bb.forward_batch(model.store, model.bcfg, ids[None], text_mask[None], latents[None])
+    _reforward(model, work, 1, _greedy_text)
 
 
 def cmd_bench_latency(args) -> int:
@@ -378,7 +379,7 @@ def cmd_bench_latency(args) -> int:
         if value < 1:
             raise ConfigError(f"{flag} must be >= 1")
     model, _ = load_model(args.checkpoint)
-    trace = tv.generate_dataset("grid_rotation", 1, 123)[0]
+    trace = tv.make_trace("grid_rotation", 123, 0)
     prompt = inf.build_prompt(model, trace)
     if len(prompt) + max(args.k + 1, args.tool_span) + 1 > model.bcfg.max_len:
         raise ConfigError("prompt plus benchmark span exceeds max_len")
@@ -400,8 +401,9 @@ def cmd_bench_latency(args) -> int:
     [t_text] = median_times(lambda: _timed_text_span(model, prompt, 32))
     rows.append(("text", "32 tokens", "", t_text, REFERENCE_LATENCY_S["text32"]))
     calls = _timed_latent_block(model, prompt, args.k, args.t_steps, 0)
-    if calls != args.k:
-        raise RuntimeError(f"latent path made {calls} sampler calls, expected {args.k}")
+    expected = args.k if model.cfg.head == HEAD_DIFFUSION else 0  # the similarity head samples nothing
+    if calls != expected:
+        raise RuntimeError(f"latent path made {calls} sampler calls, expected {expected}")
     steps = sorted({10, 25, args.t_steps, 100})
     t_lats = median_times(*[lambda ts=t_steps: _timed_latent_block(model, prompt, args.k, ts, 0)
                             for t_steps in steps])
@@ -430,8 +432,7 @@ def cmd_export_attn(args) -> int:
     layer = args.layer if args.layer is not None else model.bcfg.layers // 2
     if not 0 <= layer < model.bcfg.layers:
         raise ConfigError(f"--layer {layer} out of range [0, {model.bcfg.layers})")
-    traces = tv.generate_dataset(args.task, args.example_id + 1, args.seed)
-    trace = traces[args.example_id]
+    trace = tv.make_trace(args.task, args.seed, args.example_id)
     check_budget("--max-new-items", args.max_new_items, model.bcfg.max_len, [trace])
     gen_cfg = inf.GenerationConfig(mode="mixed", max_new_items=args.max_new_items, temperature=0.0)
     res = inf.generate(inf.build_prompt(model, trace), model, gen_cfg, seeded_rng(args.seed, "attn", args.example_id))

@@ -122,16 +122,15 @@ def noisify(z: np.ndarray, t: int | np.ndarray, eps: np.ndarray, sched: NoiseSch
 
 def denoise_step(z_t: np.ndarray, t: int, xi: np.ndarray, sched: NoiseSchedule,
                  eps_fn) -> np.ndarray:
-    """One reverse step t -> t-1 with the noise predictor eps_fn(z, t), which
-    holds its condition rows; xi is injected for testability."""
+    """One reverse step t -> t-1 of the rows z_t [n, d] with the noise
+    predictor eps_fn(z, t), which holds its condition rows; xi [n, d] is
+    injected for testability."""
     if not 1 <= t <= sched.t_steps:
         raise ValueError(f"timestep {t} outside [1, {sched.t_steps}]")
     CALLS["denoise_step"] += 1
-    z2 = np.atleast_2d(z_t)
-    eps = np.atleast_2d(eps_fn(z2, np.full(z2.shape[0], t, dtype=np.int64)))
+    eps = eps_fn(z_t, np.full(z_t.shape[0], t, dtype=np.int64))
     coef = (1.0 - sched.alpha[t]) / np.sqrt(1.0 - sched.alpha_bar[t])
-    out = (z2 - coef * eps) / np.sqrt(sched.alpha[t]) + sched.sigma[t] * np.atleast_2d(xi)
-    return out.reshape(np.shape(z_t))
+    return (z_t - coef * eps) / np.sqrt(sched.alpha[t]) + sched.sigma[t] * xi
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
@@ -151,7 +150,7 @@ def prepare_eps(store: ParamStore, sched: NoiseSchedule, c: np.ndarray):
     w = {name: store[f"{EPS_NET}/{name}"].data for name in ("w0", "b0", "w1", "b1", "w2", "b2", "w_out", "b_out")}
     d = w["b_out"].shape[0]
     w0_z, w0_t, w0_c = np.split(w["w0"], [d, d + T_EMBED_DIM])
-    c_part = np.atleast_2d(c) @ w0_c
+    c_part = c @ w0_c
     t_part = sched.t_embed @ w0_t + w["b0"]
 
     def eps_fn(z: np.ndarray, t_idx: np.ndarray) -> np.ndarray:
@@ -181,27 +180,27 @@ def _normal_draws(rngs: list[np.random.Generator], steps: int, d: int) -> np.nda
 
 def sample_latent(c: np.ndarray, store: ParamStore, sched: NoiseSchedule,
                   rngs: list[np.random.Generator], eps_fn=None) -> np.ndarray:
-    """Ancestral sampling from pure noise down to z^(0), one generator per row
-    of c: row i draws its z_T and each xi from rngs[i], in the order a one-row
-    call draws them.  Deterministic given (c, rngs).  Without eps_fn the
-    store's epsilon net is used, through prepare_eps; a given eps_fn(z, t)
-    holds its own conditions and samples rows as wide as c."""
+    """Ancestral sampling from pure noise down to z^(0), one row [n, d] per
+    condition row of c [n, d_c] and one generator per row: row i draws its z_T
+    and each xi from rngs[i], in the order a one-row call draws them.
+    Deterministic given (c, rngs).  Without eps_fn the store's epsilon net is
+    used, through prepare_eps; a given eps_fn(z, t) holds its own conditions
+    and samples rows as wide as c."""
     CALLS["sample_latent"] += 1
-    c2 = np.atleast_2d(np.asarray(c, dtype=np.float64))
-    n = c2.shape[0]
+    n = c.shape[0]
     if len(rngs) != n:
         raise ValueError(f"{len(rngs)} generators for {n} condition rows")
     if eps_fn is None:
         d = store[f"{EPS_NET}/b_out"].data.shape[0]
-        eps_fn = prepare_eps(store, sched, c2)
+        eps_fn = prepare_eps(store, sched, c)
     else:
-        d = c2.shape[1]
+        d = c.shape[1]
     draws = iter(_normal_draws(rngs, 1 + int(np.sum(sched.sigma[1:] > 0.0)), d))
     z = next(draws)
     for t in range(sched.t_steps, 0, -1):
         xi = next(draws) if sched.sigma[t] > 0.0 else np.zeros((n, d))
         z = denoise_step(z, t, xi, sched, eps_fn)
-    return z.reshape(np.shape(c)[:-1] + (d,)) if np.ndim(c) > 1 else z[0]
+    return z
 
 
 # -- training loss and block emission ----------------------------------------------

@@ -4,7 +4,8 @@ For each query, G trajectories are sampled from the frozen behavior policy,
 scored with an exact-match reward, and group-normalized into advantages.  The
 clipped-ratio surrogate is ascended on text-token positions only: latent
 positions carry no log-probability, so the diffusion head receives exactly
-zero gradient by construction.
+zero gradient by construction, and its learning rate is 0 so that AdamW
+moments left by SFT do not move it either.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ class GrpoConfig:
 class Rollout:
     seq: sq.MixedSequence
     emissions: list[inf.Emission]
-    answer: list[int]
     reward: float
     logprobs_old: np.ndarray | None = None
     new_items: int = 0  # items decoded after the prompt
@@ -216,8 +216,7 @@ def sample_groups(model: Model, traces: list[tv.AnnotatedTrace], cfg: GrpoConfig
         gold = inf.gold_answer(trace)
         rollouts = []
         for res in results[j * G : (j + 1) * G]:
-            ans = inf.extract_answer(res.seq)
-            rollouts.append(Rollout(res.seq, res.emissions, ans, reward(ans, gold),
+            rollouts.append(Rollout(res.seq, res.emissions, reward(inf.extract_answer(res.seq), gold),
                                     np.array([e.logprob for e in res.emissions]), res.new_items))
         group = RolloutGroup(query_id, rollouts)
         group.advantages = advantages(np.array([r.reward for r in rollouts]))
@@ -276,7 +275,7 @@ def train_rl(model: Model, traces: list[tv.AnnotatedTrace], cfg: GrpoConfig,
                 model.store.zero_grad()
                 ad.backward(loss, model.store)
                 clip_grad_norm(model.store, cfg.clip_norm)
-                adamw_step(model.store, {"backbone": cfg.lr, "diffusion_head": cfg.lr,
+                adamw_step(model.store, {"backbone": cfg.lr, "diffusion_head": 0.0,
                                          "vision_encoder": 0.0},
                            weight_decay=cfg.weight_decay)
 

@@ -1,9 +1,11 @@
 """Whole-model assembly: configuration, parameter initialization across the
-three groups, and checkpoint save/load with self-describing metadata.
+three groups, and checkpoint save/load: which records a checkpoint holds,
+with self-describing metadata.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -11,8 +13,7 @@ import numpy as np
 from . import backbone as bb
 from . import diffusion as df
 from . import toyvision as tv
-from .optim import (ParamStore, read_records, records_into_store, require_records,
-                    store_to_records, write_records)
+from .optim import CheckpointError, ParamStore, read_records, write_records
 from .util import seeded_rng
 
 HEAD_DIFFUSION = "diffusion"
@@ -66,7 +67,15 @@ _META_FIELDS = tuple(f for f in fields(ModelConfig) if f.name != "head")
 
 
 def save_model(path: str, model: Model, step: int = 0, include_opt: bool = True) -> None:
-    records = store_to_records(model.store, include_opt=include_opt)
+    """Write each parameter under its own name, its AdamW moments under
+    "opt/m/", "opt/v/" and "opt/t/" plus its name, and scalar metadata under
+    "meta/": the _META_FIELDS, the head, the step and the frozen encoder."""
+    records = {name: t.data for name, t in model.store.entries.items()}
+    if include_opt:
+        for name, state in model.store.opt_state.items():
+            records[f"opt/m/{name}"] = state["m"]
+            records[f"opt/v/{name}"] = state["v"]
+            records[f"opt/t/{name}"] = np.array([float(state["t"])])
     for f in _META_FIELDS:
         records[f"meta/{f.name}"] = np.array([float(getattr(model.cfg, f.name))])
     records["meta/head"] = np.array([0.0 if model.cfg.head == HEAD_DIFFUSION else 1.0])
@@ -77,14 +86,29 @@ def save_model(path: str, model: Model, step: int = 0, include_opt: bool = True)
 
 def load_model(path: str) -> tuple[Model, int]:
     records = read_records(path)
-    require_records(path, records, [f"meta/{f.name}" for f in _META_FIELDS] + ["meta/head", "meta/step"])
+
+    def require(names) -> None:
+        # records are written whole and in name order, so a complete checkpoint
+        # holds every expected name; a missing one means the file was cut short
+        for name in names:
+            if name not in records:
+                raise CheckpointError(f"truncated checkpoint {path}: no record {name!r} "
+                                      f"before the file ends at byte {os.path.getsize(path)}")
+
+    require([f"meta/{f.name}" for f in _META_FIELDS] + ["meta/head", "meta/step", "meta/frozen_encoder"])
     # each value is cast back to the type of its field's default (int or float)
     kwargs = {f.name: type(f.default)(records[f"meta/{f.name}"][0]) for f in _META_FIELDS}
     kwargs["head"] = HEAD_DIFFUSION if records["meta/head"][0] == 0.0 else HEAD_SIMILARITY
-    cfg = ModelConfig(**kwargs)
-    model = build_model(cfg, seed=0)
-    require_records(path, records, model.store.entries)
-    records_into_store(records, model.store)
-    if records.get("meta/frozen_encoder", np.zeros(1))[0] == 1.0:
-        model.store.freeze("vision_encoder")
+    model = build_model(ModelConfig(**kwargs), seed=0)
+    store = model.store
+    require(store.entries)
+    for name, t in store.entries.items():
+        if records[name].shape != t.data.shape:
+            raise ValueError(f"shape mismatch for {name!r}")
+        t.data = records[name]  # read_records returns fresh float64 arrays
+        if f"opt/m/{name}" in records:
+            store.opt_state[name] = {"m": records[f"opt/m/{name}"], "v": records[f"opt/v/{name}"],
+                                     "t": int(records[f"opt/t/{name}"][0])}
+    if records["meta/frozen_encoder"][0] == 1.0:
+        store.freeze("vision_encoder")
     return model, int(records["meta/step"][0])

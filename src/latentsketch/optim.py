@@ -1,5 +1,6 @@
 """Parameter store with group tags, AdamW with per-group learning rates,
-cosine learning-rate schedule, global-norm clipping, and checkpoint I/O.
+cosine learning-rate schedule, global-norm clipping, and the checkpoint's
+byte format: named float64 records.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def adamw_step(store: ParamStore, lr_by_group: dict[str, float], weight_decay: f
 #
 # magic "LSK1" | version u32 LE | records:
 #   [name-length u32 LE][UTF-8 name][rank u32 LE][dims u32 LE each][payload f64 LE]
-# Optimizer state lives under the "opt/" name prefix, scalar metadata under "meta/".
+# model.save_model decides which records a checkpoint holds.
 
 
 def write_records(path: str, records: dict[str, np.ndarray]) -> None:
@@ -187,42 +188,3 @@ def read_records(path: str) -> dict[str, np.ndarray]:
             payload = take(8 * math.prod(dims), f"payload of {name!r}")
             out[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
         return out
-
-
-def require_records(path: str, records: dict[str, np.ndarray], names) -> None:
-    """Records are written whole and in name order, so a complete checkpoint
-    holds every expected name; a missing one means the file was cut short."""
-    for name in names:
-        if name not in records:
-            raise CheckpointError(f"truncated checkpoint {path}: no record {name!r} "
-                                  f"before the file ends at byte {os.path.getsize(path)}")
-
-
-def store_to_records(store: ParamStore, include_opt: bool = True) -> dict[str, np.ndarray]:
-    records: dict[str, np.ndarray] = {}
-    for name, t in store.entries.items():
-        records[name] = t.data
-    if include_opt:
-        for name, state in store.opt_state.items():
-            records[f"opt/m/{name}"] = state["m"]
-            records[f"opt/v/{name}"] = state["v"]
-            records[f"opt/t/{name}"] = np.array([float(state["t"])])
-    return records
-
-
-def records_into_store(records: dict[str, np.ndarray], store: ParamStore) -> None:
-    """Load parameter and optimizer records into an already-built store."""
-    for name, t in store.entries.items():
-        if name not in records:
-            raise KeyError(f"checkpoint is missing parameter {name!r}")
-        if records[name].shape != t.data.shape:
-            raise ValueError(f"shape mismatch for {name!r}")
-        t.data = records[name].astype(np.float64).copy()
-    for name in store.entries:
-        key = f"opt/m/{name}"
-        if key in records:
-            store.opt_state[name] = {
-                "m": records[f"opt/m/{name}"].copy(),
-                "v": records[f"opt/v/{name}"].copy(),
-                "t": int(records[f"opt/t/{name}"][0]),
-            }

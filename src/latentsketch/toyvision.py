@@ -76,15 +76,21 @@ def init_encoder(store: ParamStore, d: int, rng: np.random.Generator) -> None:
     store.add("vision_encoder/pos", rng.normal(0.0, 0.02, (MAX_PATCH_GRID, MAX_PATCH_GRID, d)), "vision_encoder")
 
 
+def _patches(cells: np.ndarray) -> np.ndarray:
+    """The PATCH x PATCH patches of a cell grid in raster order, each one's
+    cells row-major -> [N, PATCH * PATCH]."""
+    gh, gw = cells.shape[0] // PATCH, cells.shape[1] // PATCH
+    return cells.reshape(gh, PATCH, gw, PATCH).transpose(0, 2, 1, 3).reshape(gh * gw, PATCH * PATCH)
+
+
 def _patch_onehot(img: ToyImage) -> np.ndarray:
     """One-hot-flatten every PATCH x PATCH patch, raster order -> [N, patch*patch*PALETTE]."""
     if img.height % PATCH or img.width % PATCH:
         raise ValueError("image dimensions must be divisible by the patch size")
-    gh, gw = img.height // PATCH, img.width // PATCH
-    blocks = img.cells.reshape(gh, PATCH, gw, PATCH).transpose(0, 2, 1, 3).reshape(gh * gw, PATCH * PATCH)
-    onehot = np.zeros((gh * gw, PATCH * PATCH * PALETTE), dtype=np.float64)
+    blocks = _patches(img.cells)
+    onehot = np.zeros((len(blocks), PATCH * PATCH * PALETTE), dtype=np.float64)
     cols = np.arange(PATCH * PATCH) * PALETTE + blocks
-    onehot[np.arange(gh * gw)[:, None], cols] = 1.0
+    onehot[np.arange(len(blocks))[:, None], cols] = 1.0
     return onehot
 
 
@@ -126,10 +132,8 @@ def pretrain_encoder(store: ParamStore, steps: int, lr: float, seed: int) -> flo
         onehots, codes, poss = [], [], []
         for img in imgs:
             onehots.append(_patch_onehot(img))
-            gh, gw = img.height // PATCH, img.width // PATCH
-            poss.append(_pos_index(gh, gw))
-            blk = img.cells.reshape(gh, PATCH, gw, PATCH).transpose(0, 2, 1, 3).reshape(gh * gw, PATCH * PATCH)
-            codes.append(blk)
+            poss.append(_pos_index(img.height // PATCH, img.width // PATCH))
+            codes.append(_patches(img.cells))
         onehot = np.concatenate(onehots, axis=0)
         pos_idx = np.concatenate(poss, axis=0)
         target = np.concatenate(codes, axis=0).reshape(-1)
@@ -184,15 +188,14 @@ def rotate_quarter(cells: np.ndarray, turns: int) -> np.ndarray:
 
 
 def serialize_core(core: np.ndarray) -> list[str]:
-    """Candidate glyph as one pattern-code word per 2x2 patch, raster order.
+    """Candidate glyph as one pattern-code word per encoder patch, raster order.
 
-    The code packs the patch's four cells (row-major) into 0..15, matching the
-    encoder's patch geometry so candidates and visual tokens align.
+    The code packs the patch's binary cells (row-major, first cell highest)
+    into 0..15, matching the encoder's patch geometry so candidates and
+    visual tokens align.
     """
-    gh, gw = core.shape[0] // 2, core.shape[1] // 2
-    blocks = core.reshape(gh, 2, gw, 2).transpose(0, 2, 1, 3).reshape(gh * gw, 4)
-    weights = np.array([8, 4, 2, 1])
-    return [f"p{int(b @ weights)}" for b in blocks]
+    weights = 1 << np.arange(PATCH * PATCH)[::-1]
+    return [f"p{int(b @ weights)}" for b in _patches(core)]
 
 
 def _sample_core(rng: np.random.Generator) -> np.ndarray:
@@ -281,13 +284,18 @@ def _visual_search_trace(seed: int, index: int) -> AnnotatedTrace:
     return AnnotatedTrace(ToyImage(16, 16, cells), question, steps, answer, "visual_search", seed)
 
 
-def generate_dataset(task_id: str, count: int, seed: int) -> list[AnnotatedTrace]:
+def make_trace(task_id: str, seed: int, index: int) -> AnnotatedTrace:
+    """Trace `index` of the task's dataset under `seed`, a pure function of the three."""
     if task_id not in TASKS:
         raise ValueError(f"unknown task {task_id!r}; expected one of {TASKS}")
+    maker = _grid_rotation_trace if task_id == "grid_rotation" else _visual_search_trace
+    return maker(seed, index)
+
+
+def generate_dataset(task_id: str, count: int, seed: int) -> list[AnnotatedTrace]:
     if count < 1:
         raise ValueError("count must be >= 1")
-    maker = _grid_rotation_trace if task_id == "grid_rotation" else _visual_search_trace
-    return [maker(seed, i) for i in range(count)]
+    return [make_trace(task_id, seed, i) for i in range(count)]
 
 
 # -- dataset serialization -------------------------------------------------------

@@ -5,6 +5,7 @@ module is marked slow.  Run with `pytest tests/test_acceptance.py -v -m slow`
 (or just `pytest` for everything).
 """
 
+import csv
 import os
 import time
 
@@ -19,7 +20,8 @@ from latentsketch import optim
 from latentsketch import sequence as sq
 from latentsketch import sft
 from latentsketch import toyvision as tv
-from latentsketch.model import Model, ModelConfig, build_model
+from latentsketch.cli import main
+from latentsketch.model import Model, ModelConfig, build_model, save_model
 from latentsketch.util import seeded_rng
 
 from conftest import fd_grad, rel_error, strip_images
@@ -341,7 +343,7 @@ def test_criterion_05_grpo_suite(monkeypatch):
 
     def stub_score(model, rollout, temperature, prompt):
         return ad.mul(ad.cross_entropy(ad.reshape(theta, (1, 2)),
-                                       np.array([rollout.answer[0]])), -1.0)
+                                       np.array([rollout.emissions[0].token_id])), -1.0)
 
     monkeypatch.setattr(grpo, "score_rollout", stub_score)
     monkeypatch.setattr(grpo, "prompt_pass", lambda model, rollouts: None)
@@ -352,7 +354,7 @@ def test_criterion_05_grpo_suite(monkeypatch):
     with ad.no_grad():
         for a in actions:
             r = grpo.Rollout(seq=None, emissions=[inf.Emission(0, a, np.zeros(2, dtype=bool))],
-                             answer=[a], reward=0.0)
+                             reward=0.0)
             r.logprobs_old = stub_score(None, r, 1.0, None).data.copy()
             rollouts.append(r)
     bandit_group = grpo.RolloutGroup(0, rollouts, adv)
@@ -380,34 +382,22 @@ def test_criterion_05_grpo_suite(monkeypatch):
 
 
 def test_criterion_09_latency_scaling(tmp_path):
-    from latentsketch.cli import _timed_latent_block, _timed_text_span, _timed_tool_cycle
-
+    """Runs the bench-latency command on a default model and reads its CSV:
+    the latent block at each step count, the tool cycle and the text span are
+    each a median of 5 rounds after a warm-up, the step counts round-robin."""
     model = build_model(ModelConfig(), seed=909)
     tv.pretrain_encoder(model.store, 2, 1e-2, seed=909)
-    trace = tv.generate_dataset("grid_rotation", 1, 123)[0]
-    prompt = inf.build_prompt(model, trace)
-
-    def median_time(fn, repeats=5):
-        fn()
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            fn()
-            times.append(time.perf_counter() - t0)
-        return float(np.median(times))
-
-    # the step counts are timed round-robin within each repeat, so that a
-    # drift in host speed during the run spreads over all of them alike
-    k = 32
+    ck, out = str(tmp_path / "m.lsk"), str(tmp_path / "bench.csv")
+    save_model(ck, model)
+    assert main(["bench-latency", "--checkpoint", ck, "--k", "32", "--t-steps", "50",
+                 "--repeat", "5", "--tool-span", "128", "--out", out]) == 0
+    with open(out, encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    lat = {int(r["t_steps"]): float(r["median_s"]) for r in rows if r["path"] == "latent"}
+    [t_tool] = [float(r["median_s"]) for r in rows if r["path"] == "tool"]
+    [t_text] = [float(r["median_s"]) for r in rows if r["path"] == "text"]
     ts = [10, 25, 50, 100]
-    times = {t: [] for t in ts}
-    for repeat in range(6):  # the first round warms up
-        for t in ts:
-            t0 = time.perf_counter()
-            _timed_latent_block(model, prompt, k, t, 0)
-            if repeat:
-                times[t].append(time.perf_counter() - t0)
-    lat = {t: float(np.median(times[t])) for t in ts}
+    assert sorted(lat) == ts
     x = np.array(ts, dtype=float)
     y = np.array([lat[t] for t in ts])
     slope, intercept = np.polyfit(x, y, 1)
@@ -417,12 +407,11 @@ def test_criterion_09_latency_scaling(tmp_path):
     r2 = 1.0 - ss_res / ss_tot
 
     t_latent = lat[50]
-    t_tool = median_time(lambda: _timed_tool_cycle(model, prompt, trace, 128))
-    t_text = median_time(lambda: _timed_text_span(model, prompt, 32))
-
     ok = r2 >= 0.95 and t_latent < t_tool
     report(9, "latency scaling", ok,
-           f"R2={r2:.4f}, latent32@T50={t_latent:.3f}s, tool={t_tool:.3f}s, text32={t_text:.3f}s "
+           f"R2={r2:.4f} (latent32 at T={'/'.join(str(t) for t in ts)}: "
+           f"{'/'.join(f'{lat[t]:.3f}' for t in ts)}s), "
+           f"latent32@T50={t_latent:.3f}s, tool={t_tool:.3f}s, text32={t_text:.3f}s "
            f"(full-scale reference, recorded only: 3.1001s / 8.3575s / 1.0311s)")
     assert r2 >= 0.95
     assert t_latent < t_tool

@@ -175,9 +175,11 @@ def test_condition_identity_and_linearity(monkeypatch):
             seq.append(sq.MixedItem.latent(row))
             cache.append(*arrays(m, sq.MixedSequence(seq.items[-1:])))
         replay = bb.DecodeCache(m.store, m.bcfg)
-        h = [replay.append(*arrays(m, prefix))[0, -1]]
+        replay.append(*arrays(m, prefix))
+        h = [replay.last_hidden[0]]
         for item in seq.items[len(prefix):-1]:
-            h.append(replay.append(*arrays(m, sq.MixedSequence([item])))[0, -1])
+            replay.append(*arrays(m, sq.MixedSequence([item])))
+            h.append(replay.last_hidden[0])
         return np.concatenate(conditions), np.array(h)
 
     c, h = emit_and_replay()
@@ -283,14 +285,16 @@ def test_decode_cache_matches_forward_batch(length):
                                                   for _ in range(3)] + [sq.MixedItem.ctrl(sq.END)]
     seq = sq.MixedSequence(items[:length])
     hidden, logits = forward(m, seq)
-    cache = bb.DecodeCache(m.store, m.bcfg)
-    got = []
-    for chunk in decode_schedule(seq.items, 3, min(length, 7)):
-        got.extend(cache.append(*arrays(m, sq.MixedSequence(chunk)))[0])
-        assert np.max(np.abs(cache.last_logits[0] - logits[len(got) - 1])) <= 1e-12
-        assert np.array_equal(cache.last_hidden[0], got[-1])
-    assert cache.length == length
-    assert np.max(np.abs(np.array(got) - hidden)) <= 1e-12
+    # in the chunks of a decode, then one item at a time, so that every row is checked
+    for schedule in (decode_schedule(seq.items, 3, min(length, 7)), [[it] for it in seq.items]):
+        cache = bb.DecodeCache(m.store, m.bcfg)
+        done = 0
+        for chunk in schedule:
+            cache.append(*arrays(m, sq.MixedSequence(chunk)))
+            done += len(chunk)
+            assert np.max(np.abs(cache.last_hidden[0] - hidden[done - 1])) <= 1e-12
+            assert np.max(np.abs(cache.last_logits[0] - logits[done - 1])) <= 1e-12
+        assert cache.length == length
     if length == m.bcfg.max_len:
         with pytest.raises(ValueError, match="max_len"):
             cache.append(*arrays(m, sq.MixedSequence([sq.MixedItem.text(30)])))
@@ -312,21 +316,19 @@ def test_multi_stream_cache_matches_forward_batch():
              [start, lat(), lat(), end, sq.MixedItem.text(52), sq.MixedItem.text(9)],
              [sq.MixedItem.text(12), sq.MixedItem.text(13), start, lat(), lat(), end]]
     cache = bb.DecodeCache(m.store, m.bcfg)
-    pre = cache.append(*arrays(m, sq.MixedSequence(prompt)))
+    cache.append(*arrays(m, sq.MixedSequence(prompt)))
+    pre = cache.last_hidden.copy()
+    assert np.max(np.abs(pre[0] - forward(m, sq.MixedSequence(prompt))[0][-1])) <= 1e-12
     cache.select([0] * 3)
     assert cache.streams == 3 and cache.length == len(prompt)
-    assert np.array_equal(cache.last_hidden, np.repeat(pre[:, -1], 3, axis=0))
-    got = [list(pre[0]) for _ in range(3)]
+    assert np.array_equal(cache.last_hidden, np.repeat(pre, 3, axis=0))
     for step in range(len(tails[0])):
         ids, text_mask, latents = sq.to_arrays(sq.MixedSequence([t[step] for t in tails]), 16)
-        hidden = cache.append(ids[:, None], text_mask[:, None], latents[:, None])
+        cache.append(ids[:, None], text_mask[:, None], latents[:, None])
         for b in range(3):
-            got[b].append(hidden[b, 0])
-            _, logits = forward(m, sq.MixedSequence(prompt + tails[b][: step + 1]))
+            hidden, logits = forward(m, sq.MixedSequence(prompt + tails[b][: step + 1]))
+            assert np.max(np.abs(cache.last_hidden[b] - hidden[-1])) <= 1e-12
             assert np.max(np.abs(cache.last_logits[b] - logits[-1])) <= 1e-12
-    refs = [forward(m, sq.MixedSequence(prompt + tails[b])) for b in range(3)]
-    for b in range(3):
-        assert np.max(np.abs(np.array(got[b]) - refs[b][0])) <= 1e-12
 
     # dropping stream 1 leaves streams 0 and 2 as they were
     kt, v = cache.kt.copy(), cache.v.copy()

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from latentsketch import cli
+from latentsketch import diffusion as df
+from latentsketch import inference as inf
 from latentsketch import sequence as sq
 from latentsketch import toyvision as tv
 from latentsketch import vocab
@@ -511,19 +513,57 @@ def test_bench_latency_repeat_validation_and_csv(tmp_path):
 
 def test_bench_latency_times_step_counts_round_robin(tmp_path, monkeypatch):
     """After the sampler-count check, each round times every step count once:
-    a warm-up round, then --repeat rounds."""
+    a warm-up round, then --repeat rounds.  Every path re-forwards through
+    the one cache-free loop, at the lengths each path times: the text span
+    and the latent block after the prompt, then the tool cycle's code span
+    and its prefill of the 16 re-encoded patch rows."""
     ck = make_checkpoint(tmp_path)
-    seen = []
-    real = cli._timed_latent_block
+    seen, forwards = [], []
+    real_block, real_reforward = cli._timed_latent_block, cli._reforward
+    prompt_len = inf.prompt_length(tv.make_trace("grid_rotation", 123, 0))
 
-    def spy(model, prompt, k, t_steps, seed):
+    def spy_block(model, prompt, k, t_steps, seed):
         seen.append(t_steps)
-        return real(model, prompt, k, t_steps, seed)
+        return real_block(model, prompt, k, t_steps, seed)
 
-    monkeypatch.setattr(cli, "_timed_latent_block", spy)
+    def spy_reforward(model, work, n, next_item):
+        forwards.append((len(work) - prompt_len, n))
+        real_reforward(model, work, n, next_item)
+
+    monkeypatch.setattr(cli, "_timed_latent_block", spy_block)
+    monkeypatch.setattr(cli, "_reforward", spy_reforward)
     assert main(["bench-latency", "--checkpoint", ck, "--k", "2", "--t-steps", "4",
                  "--repeat", "3", "--tool-span", "4", "--out", str(tmp_path / "bench.csv")]) == 0
     assert seen == [4] + [4, 10, 25, 100] * 4
+    # (items after the prompt, items appended): START opens the latent block
+    assert forwards == [(0, 32)] * 4 + [(1, 2)] * 17 + [(0, 4), (16, 1)] * 4
+
+
+def test_bench_latency_on_a_similarity_head_samples_nothing(tmp_path):
+    ck = make_checkpoint(tmp_path, head="similarity")
+    out = str(tmp_path / "bench.csv")
+    before = dict(df.CALLS)
+    assert main(["bench-latency", "--checkpoint", ck, "--k", "2", "--t-steps", "4",
+                 "--repeat", "3", "--tool-span", "4", "--out", out]) == 0
+    assert df.CALLS == before
+    paths = [line.split(",")[0] for line in open(out).read().splitlines()[1:]]
+    assert paths == ["text"] + ["latent"] * 4 + ["tool"]
+
+
+def test_export_attn_builds_only_the_trace_it_exports(tmp_path, monkeypatch):
+    ck = make_checkpoint(tmp_path)
+    built = []
+    real = tv.make_trace
+
+    def spy(task_id, seed, index):
+        built.append((task_id, seed, index))
+        return real(task_id, seed, index)
+
+    monkeypatch.setattr(tv, "make_trace", spy)
+    code = main(["export-attn", "--checkpoint", ck, "--task", "grid_rotation", "--example-id", "20000",
+                 "--seed", "5", "--max-new-items", "6", "--out", str(tmp_path / "h.pgm")])
+    assert code == 3  # this greedy decode emits no latent block
+    assert built == [("grid_rotation", 5, 20000)]
 
 
 def test_export_attn_fails_cleanly_without_blocks(tmp_path):

@@ -89,8 +89,8 @@ def test_noisify_range_check():
 
 def test_denoise_zero_predictor_closed_form():
     sched = ModelConfig(t_steps=10).schedule()
-    z = np.array([1.0, -3.0])
-    out = df.denoise_step(z, 5, np.zeros(2), sched, eps_fn=ZERO_EPS)
+    z = np.array([[1.0, -3.0]])
+    out = df.denoise_step(z, 5, np.zeros((1, 2)), sched, eps_fn=ZERO_EPS)
     assert np.allclose(out, z / np.sqrt(sched.alpha[5]), atol=1e-15)
 
 
@@ -98,15 +98,15 @@ def test_denoise_vanishing_noise_limit():
     beta = np.array([0.0, 1e-12])
     sched = df.NoiseSchedule(1, beta, 1.0 - beta, np.cumprod(1.0 - beta),
                              np.array([0.0, 0.0]))
-    z = np.array([0.7, -0.2])
-    out = df.denoise_step(z, 1, np.zeros(2), sched, eps_fn=ZERO_EPS)
+    z = np.array([[0.7, -0.2]])
+    out = df.denoise_step(z, 1, np.zeros((1, 2)), sched, eps_fn=ZERO_EPS)
     assert np.max(np.abs(out - z)) < 1e-9
 
 
 def test_denoise_t_range():
     sched = ModelConfig(t_steps=5).schedule()
     with pytest.raises(ValueError):
-        df.denoise_step(np.zeros(2), 0, np.zeros(2), sched, eps_fn=ZERO_EPS)
+        df.denoise_step(np.zeros((1, 2)), 0, np.zeros((1, 2)), sched, eps_fn=ZERO_EPS)
 
 
 def test_denoise_posterior_mean_monte_carlo():
@@ -136,16 +136,15 @@ def test_noisify_denoise_algebraic_round_trip():
     fixed t reproduces the posterior-mean coefficients to 1e-9."""
     sched = ModelConfig(t_steps=20).schedule()
     rng = seeded_rng(3, "rt")
-    z = rng.normal(size=4)
-    eps = rng.standard_normal(4)
+    z = rng.normal(size=(1, 4))
+    eps = rng.standard_normal((1, 4))
     for t in (1, 7, 20):
         z_t = df.noisify(z, t, eps, sched)
         ab_t, ab_prev = sched.alpha_bar[t], sched.alpha_bar[t - 1]
         alpha_t = sched.alpha[t]
         eps_hat = (z_t - np.sqrt(ab_t) * z) / np.sqrt(1.0 - ab_t)
         assert np.max(np.abs(eps_hat - eps)) < 1e-9  # predictor recovers the injected noise
-        out = df.denoise_step(z_t, t, np.zeros(4), sched,
-                              eps_fn=lambda zz, tt: np.atleast_2d(eps_hat))
+        out = df.denoise_step(z_t, t, np.zeros((1, 4)), sched, eps_fn=lambda zz, tt: eps_hat)
         want = (np.sqrt(alpha_t) * (1 - ab_prev) / (1 - ab_t)) * z_t \
              + (np.sqrt(ab_prev) * (1 - alpha_t) / (1 - ab_t)) * z
         assert np.max(np.abs(out - want)) < 1e-9
@@ -157,10 +156,10 @@ def test_noisify_denoise_algebraic_round_trip():
 def test_sample_latent_deterministic_and_shaped():
     store = make_net()
     sched = ModelConfig(t_steps=8).schedule()
-    c = np.array([0.2, -0.1, 0.4, 0.0])
+    c = np.array([[0.2, -0.1, 0.4, 0.0]])
     a = df.sample_latent(c, store, sched, [seeded_rng(5, "s")])
     b = df.sample_latent(c, store, sched, [seeded_rng(5, "s")])
-    assert a.shape == (4,)
+    assert a.shape == (1, 4)
     assert np.array_equal(a, b)
     c2 = df.sample_latent(c, store, sched, [seeded_rng(6, "s")])
     assert not np.array_equal(a, c2)
@@ -190,7 +189,7 @@ def test_sample_latent_rows_draw_from_their_own_generators():
     c = seeded_rng(7, "rows").normal(size=(3, 4))
     got = df.sample_latent(c, store, sched, [seeded_rng(7, "row", i) for i in range(3)])
     for i in range(3):
-        want = df.sample_latent(c[i], store, sched, [seeded_rng(7, "row", i)])
+        [want] = df.sample_latent(c[i : i + 1], store, sched, [seeded_rng(7, "row", i)])
         assert np.max(np.abs(got[i] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
     a, b = seeded_rng(8, "n"), seeded_rng(8, "n")
     assert np.array_equal(a.standard_normal((5, 4)), np.stack([b.standard_normal(4) for _ in range(5)]))
@@ -252,7 +251,7 @@ def test_sampler_call_counter():
     store = make_net()
     sched = ModelConfig(t_steps=4).schedule()
     before = dict(df.CALLS)
-    df.sample_latent(np.zeros(4), store, sched, [seeded_rng(0, "c")])
+    df.sample_latent(np.zeros((1, 4)), store, sched, [seeded_rng(0, "c")])
     assert df.CALLS["sample_latent"] - before["sample_latent"] == 1
     assert df.CALLS["denoise_step"] - before["denoise_step"] == 4
 

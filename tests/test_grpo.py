@@ -150,7 +150,7 @@ def test_bandit_gradient_matches_analytic_policy_gradient(monkeypatch):
 
     def stub_score(model, rollout, temperature, prompt):
         logits = ad.reshape(theta, (1, 2))
-        return ad.mul(ad.cross_entropy(logits, np.array([rollout.answer[0]])), -1.0)
+        return ad.mul(ad.cross_entropy(logits, np.array([rollout.emissions[0].token_id])), -1.0)
 
     monkeypatch.setattr(grpo, "score_rollout", stub_score)
     monkeypatch.setattr(grpo, "prompt_pass", lambda model, rollouts: None)
@@ -161,7 +161,7 @@ def test_bandit_gradient_matches_analytic_policy_gradient(monkeypatch):
     with ad.no_grad():
         for a in actions:
             r = grpo.Rollout(seq=None, emissions=[inf.Emission(0, a, np.zeros(2, dtype=bool))],
-                             answer=[a], reward=0.0)
+                             reward=0.0)
             r.logprobs_old = stub_score(None, r, 1.0, None).data.copy()
             rollouts.append(r)
     group = grpo.RolloutGroup(0, rollouts, adv)
@@ -187,6 +187,32 @@ def test_train_rl_degenerate_only_leaves_params_unchanged(tmp_path):
     assert metrics[0]["frac_degenerate"] == 1.0
     for name, val in before.items():
         assert np.array_equal(model.store[name].data, val), name
+
+
+def test_train_rl_leaves_the_diffusion_head_alone(monkeypatch):
+    """From a model with optimizer state for every parameter, as an SFT
+    checkpoint holds, GRPO steps move the backbone and leave every
+    diffusion_head tensor bitwise as it was: the head gets no gradient, and
+    its stale moments must not move it either."""
+    model = make_rl_model(seed=58)
+    rng = seeded_rng(58, "moments")
+    for t in model.store.entries.values():
+        t.grad = rng.normal(size=t.data.shape)
+    adamw_step(model.store, {"backbone": 1e-3, "diffusion_head": 1e-3}, weight_decay=0.0)
+    before = model.store.clone_values()
+    # a stand-in random 0/1 reward, so that groups are live and steps are taken
+    monkeypatch.setattr(grpo, "reward", lambda answer, gold: float(rng.integers(2)))
+    cfg = grpo.GrpoConfig(group_size=4, temperature=1.0, max_new_items=10, iters=2,
+                          queries_per_iter=2, seed=13)
+    metrics = grpo.train_rl(model, tv.generate_dataset("grid_rotation", 4, 9), cfg)
+    assert min(m["frac_degenerate"] for m in metrics) < 1.0
+    groups = model.store.group
+    head = [name for name in groups if groups[name] == "diffusion_head"]
+    assert len(head) == 9
+    for name in head:
+        assert np.array_equal(model.store[name].data, before[name]), name
+    assert any(not np.array_equal(model.store[name].data, before[name])
+               for name in groups if groups[name] == "backbone")
 
 
 def test_train_rl_metrics_schema_and_grammar(tmp_path):
@@ -353,7 +379,7 @@ def test_train_rl_does_not_score_degenerate_groups(degenerate_first, monkeypatch
     reference.store.zero_grad()
     ad.backward(loss, reference.store)
     clip_grad_norm(reference.store, cfg.clip_norm)
-    adamw_step(reference.store, {"backbone": cfg.lr, "diffusion_head": cfg.lr, "vision_encoder": 0.0},
+    adamw_step(reference.store, {"backbone": cfg.lr, "diffusion_head": 0.0, "vision_encoder": 0.0},
                weight_decay=cfg.weight_decay)
 
     scored = []

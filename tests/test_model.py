@@ -3,7 +3,7 @@ import pytest
 
 from latentsketch import toyvision as tv
 from latentsketch.model import ModelConfig, build_model, load_model, save_model
-from latentsketch.optim import CheckpointError, read_records
+from latentsketch.optim import CheckpointError, read_records, write_records
 
 from test_optim import record_starts
 
@@ -69,3 +69,16 @@ def test_truncated_checkpoint_raises_named_error(tmp_path):
         with pytest.raises(CheckpointError, match=rf"truncated checkpoint {cut_path}: .*byte"):
             load_model(str(cut_path))
     assert load_model(str(path))[0].cfg == m.cfg
+
+
+def test_every_meta_record_is_required(tmp_path):
+    """A checkpoint without meta/frozen_encoder is refused, as one without any
+    other meta record is; every checkpoint save_model writes has it."""
+    path = str(tmp_path / "m.lsk")
+    save_model(path, build_model(ModelConfig(layers=1, heads=1, d=4, max_len=8), seed=1))
+    records = read_records(path)
+    assert records["meta/frozen_encoder"][0] == 0.0
+    del records["meta/frozen_encoder"]
+    write_records(path, records)
+    with pytest.raises(CheckpointError, match="no record 'meta/frozen_encoder'"):
+        load_model(path)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from latentsketch.model import ModelConfig, build_model, load_model, save_model
 from latentsketch.optim import (
     CheckpointError,
     LrSchedule,
@@ -9,8 +10,6 @@ from latentsketch.optim import (
     clip_grad_norm,
     cosine_lr,
     read_records,
-    records_into_store,
-    store_to_records,
     write_records,
 )
 
@@ -108,23 +107,34 @@ def test_clip_grad_norm_scales_to_bound():
     assert np.linalg.norm(store["backbone/w"].grad) == pytest.approx(0.5)
 
 
+def stepped_model():
+    """A tiny model after one AdamW step on every parameter, so it has optimizer state."""
+    m = build_model(ModelConfig(layers=1, heads=2, d=8, max_len=16), seed=5)
+    for t in m.store.entries.values():
+        t.grad = np.ones_like(t.data)
+    adamw_step(m.store, LRS, weight_decay=0.01)
+    return m
+
+
 def test_checkpoint_roundtrip_bitwise(tmp_path):
-    store = make_store()
-    store["backbone/w"].grad = np.ones(3)
-    adamw_step(store, LRS, weight_decay=0.01)  # create optimizer state
+    m = stepped_model()
     path = str(tmp_path / "ck.lsk")
-    write_records(path, store_to_records(store))
-    records = read_records(path)
-    fresh = make_store()
-    records_into_store(records, fresh)
-    for name in store.entries:
-        assert np.array_equal(fresh[name].data, store[name].data)
-    assert fresh.opt_state["backbone/w"]["t"] == 1
-    assert np.array_equal(fresh.opt_state["backbone/w"]["m"], store.opt_state["backbone/w"]["m"])
+    save_model(path, m, step=3)
+    fresh, step = load_model(path)
+    assert step == 3
+    for name in m.store.entries:
+        assert np.array_equal(fresh.store[name].data, m.store[name].data)
+        assert fresh.store.opt_state[name]["t"] == 1
+        for k in ("m", "v"):
+            assert np.array_equal(fresh.store.opt_state[name][k], m.store.opt_state[name][k])
     # re-serialization is byte-identical
     path2 = str(tmp_path / "ck2.lsk")
-    write_records(path2, store_to_records(fresh))
+    save_model(path2, fresh, step=3)
     assert open(path, "rb").read() == open(path2, "rb").read()
+    # so is the byte format alone
+    path3 = str(tmp_path / "ck3.lsk")
+    write_records(path3, read_records(path))
+    assert open(path, "rb").read() == open(path3, "rb").read()
 
 
 def test_checkpoint_magic_rejected(tmp_path):
@@ -134,14 +144,15 @@ def test_checkpoint_magic_rejected(tmp_path):
         read_records(str(p))
 
 
-def test_opt_state_under_opt_prefix():
-    store = make_store()
-    store["backbone/w"].grad = np.ones(3)
-    adamw_step(store, LRS, weight_decay=0.01)
-    records = store_to_records(store)
-    assert "opt/m/backbone/w" in records
-    assert "opt/v/backbone/w" in records
-    assert records["opt/t/backbone/w"][0] == 1.0
+def test_opt_state_under_opt_prefix(tmp_path):
+    path = str(tmp_path / "ck.lsk")
+    save_model(path, stepped_model())
+    records = read_records(path)
+    assert "opt/m/backbone/tok_emb" in records
+    assert "opt/v/backbone/tok_emb" in records
+    assert records["opt/t/backbone/tok_emb"][0] == 1.0
+    save_model(path, stepped_model(), include_opt=False)
+    assert not any(name.startswith("opt/") for name in read_records(path))
 
 
 def test_duplicate_and_unknown_group_rejected():
@@ -163,11 +174,8 @@ def record_starts(records):
 
 
 def test_every_truncation_is_detected_or_a_record_boundary(tmp_path):
-    store = make_store()
-    store["backbone/w"].grad = np.ones(3)
-    adamw_step(store, LRS, weight_decay=0.01)
     path = tmp_path / "ck.lsk"
-    write_records(str(path), store_to_records(store))
+    write_records(str(path), {name: t.data for name, t in make_store().entries.items()})
     blob = path.read_bytes()
     records = read_records(str(path))
     starts = record_starts(records)

@@ -136,3 +136,59 @@ def test_no_import_inside_a_function():
               for fn in ast.walk(_parse(path)) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
               for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not nested, f"imports inside functions: {nested}"
+
+
+# defaulted parameters that no program call sets, kept as seams for callers
+# outside the program: the command line's argv, the epsilon net's width (the
+# diffusion oracle's small net) and the sampler's eps_fn (the oracle tests' fake)
+SEAMS = {("cli", "main", "argv"), ("diffusion", "init_epsilon_net", "width"),
+         ("diffusion", "sample_latent", "eps_fn")}
+
+
+def _defaulted(fn: ast.FunctionDef, method: bool) -> list[tuple[str, int | None]]:
+    """Each defaulted parameter of fn with its position in a call (None for a
+    keyword-only one); a method's self or cls takes no position."""
+    positional = fn.args.posonlyargs + fn.args.args
+    skip = 1 if method else 0
+    out = [(a.arg, i - skip) for i, a in enumerate(positional)
+           if i >= len(positional) - len(fn.args.defaults)]
+    out += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return out
+
+
+def test_every_defaulted_parameter_is_passed_by_the_program():
+    """A defaulted parameter of a public function, a public method or an
+    explicit __init__ in the package is passed, by keyword or by position,
+    by some call in the program or the benchmark; a call of a class counts
+    for its __init__."""
+    defs = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "latentsketch", "*.py"))):
+        module = os.path.basename(path)[:-3]
+        for node in _parse(path).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                defs.append((module, node.name, node.name, node, False))
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                defs += [(module, fn.name, node.name if fn.name == "__init__" else fn.name, fn,
+                          not any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list))
+                         for fn in node.body if isinstance(fn, ast.FunctionDef)
+                         and (fn.name == "__init__" or not fn.name.startswith("_"))]
+    calls = [node for p in glob.glob(os.path.join(ROOT, "src", "latentsketch", "*.py"))
+             + glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
+             for node in ast.walk(_parse(p)) if isinstance(node, ast.Call)]
+
+    def passed(callee: str, name: str, pos: int | None) -> bool:
+        for call in calls:
+            called = call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+            if called != callee:
+                continue
+            if any(k.arg in (name, None) for k in call.keywords):  # None: **kwargs
+                return True
+            if pos is not None and (len(call.args) > pos or any(isinstance(a, ast.Starred) for a in call.args)):
+                return True
+        return False
+
+    assert len(defs) > 50  # the scan found the package
+    unpassed = [f"{module}.{fn}({name})" for module, fn, callee, node, method in defs
+                for name, pos in _defaulted(node, method)
+                if (module, fn, name) not in SEAMS and not passed(callee, name, pos)]
+    assert not unpassed, f"defaulted parameters that only tests pass: {unpassed}"

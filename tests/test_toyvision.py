@@ -114,6 +114,13 @@ def test_generate_rejects_bad_args():
         tv.generate_dataset("grid_rotation", 0, 0)
 
 
+@pytest.mark.parametrize("task", tv.TASKS)
+def test_make_trace_equals_its_dataset_entry(task):
+    for i in (0, 3, 9):
+        want = tv.generate_dataset(task, i + 1, 13)[i]
+        assert tv.dump_dataset([tv.make_trace(task, 13, i)]) == tv.dump_dataset([want])
+
+
 def test_generate_deterministic_and_seed_sensitive():
     a = tv.generate_dataset("grid_rotation", 4, 11)
     b = tv.generate_dataset("grid_rotation", 4, 11)
