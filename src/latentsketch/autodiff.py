@@ -221,15 +221,21 @@ def sqrt(a) -> Tensor:
     return _from_op(out_data, (a,), bw, "sqrt")
 
 
-def gelu(a) -> Tensor:
-    """Exact GELU: x * Phi(x) with the Gaussian CDF (not the tanh approximation)."""
-    a = as_tensor(a)
-    x = a.data
-    # 0.5 * (1 + erf(x / sqrt 2)), one buffer updated in place
+def normal_cdf(x: np.ndarray) -> np.ndarray:
+    """The Gaussian CDF Phi(x) = 0.5 * (1 + erf(x / sqrt 2)), one new buffer
+    updated in place."""
     phi = x * _INV_SQRT2
     erf(phi, out=phi)
     phi += 1.0
     phi *= 0.5
+    return phi
+
+
+def gelu(a) -> Tensor:
+    """Exact GELU: x * Phi(x) with the Gaussian CDF (not the tanh approximation)."""
+    a = as_tensor(a)
+    x = a.data
+    phi = normal_cdf(x)
 
     def bw(g):
         if a.requires_grad:
@@ -319,36 +325,24 @@ def mean_(a, axis=None) -> Tensor:
     return _from_op(np.mean(a.data, axis=axis), (a,), bw, "mean")
 
 
-# -- linear algebra ----------------------------------------------------------
-
-
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ValueError("matmul requires operands of rank >= 2")
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape), fresh=True)
-        if b.requires_grad:
-            _accum(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape), fresh=True)
-
-    return _from_op(a.data @ b.data, (a, b), bw, "matmul")
-
-
 # -- neural-net primitives ---------------------------------------------------
 
 
-def affine(x, w, b) -> Tensor:
-    """Fused x @ w + b for a [d, n] matrix w (b broadcast over the leading axes).
+def affine(x, w, b=None) -> Tensor:
+    """Fused x @ w + b for a [d, n] matrix w (b, if given, broadcast over the
+    leading axes).
 
     The leading axes of x are folded into rows, so the product and the input
     gradient are one GEMM each rather than one per batch entry.
     """
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    x, w = as_tensor(x), as_tensor(w)
     rows = x.data.reshape(-1, x.data.shape[-1])
     out = rows @ w.data
-    out += b.data
+    parents = (x, w)
+    if b is not None:
+        b = as_tensor(b)
+        out += b.data
+        parents = (x, w, b)
 
     def bw(g):
         if x.requires_grad:
@@ -357,10 +351,10 @@ def affine(x, w, b) -> Tensor:
             # one product per batch entry, summed after: folding the rows here
             # would change the order in which the weight gradient is summed
             _accum(w, _unbroadcast(x.data.swapaxes(-1, -2) @ g, w.data.shape), fresh=True)
-        if b.requires_grad:
+        if b is not None and b.requires_grad:
             _accum(b, _unbroadcast(g, b.data.shape), fresh=True)
 
-    return _from_op(out.reshape(x.data.shape[:-1] + out.shape[1:]), (x, w, b), bw, "affine")
+    return _from_op(out.reshape(x.data.shape[:-1] + out.shape[1:]), parents, bw, "affine")
 
 
 def mixed_embed(table, pos_table, ids: np.ndarray, text_mask: np.ndarray,

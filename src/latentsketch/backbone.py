@@ -8,7 +8,7 @@ Logits at position i predict item i+1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -16,26 +16,12 @@ from . import autodiff as ad
 from . import sequence as sq
 from .autodiff import Tensor
 from .optim import ParamStore
-from .vocab import VOCAB_SIZE
+
+if TYPE_CHECKING:  # model imports this module
+    from .model import ModelConfig
 
 
-@dataclass
-class BackboneConfig:
-    layers: int = 4
-    heads: int = 4
-    d: int = 64
-    vocab: int = VOCAB_SIZE
-    max_len: int = 256
-    k_latent: int = 4
-
-    def __post_init__(self):
-        if self.d % self.heads:
-            raise ValueError("model width must be divisible by head count")
-        if self.k_latent < 1:
-            raise ValueError("k_latent must be >= 1")
-
-
-def init_backbone(store: ParamStore, cfg: BackboneConfig, rng: np.random.Generator) -> None:
+def init_backbone(store: ParamStore, cfg: ModelConfig, rng: np.random.Generator) -> None:
     d, v = cfg.d, cfg.vocab
     std = 0.02
 
@@ -66,19 +52,17 @@ def init_backbone(store: ParamStore, cfg: BackboneConfig, rng: np.random.Generat
     store.add("diffusion_head/cond_w", rng.normal(0.0, std, (d, d)), "diffusion_head")
 
 
-def embed_batch(store: ParamStore, cfg: BackboneConfig, ids: np.ndarray,
+def embed_batch(store: ParamStore, cfg: ModelConfig, ids: np.ndarray,
                 text_mask: np.ndarray, latents: np.ndarray, start: int = 0) -> Tensor:
     """Embeddings [B, L, d] of items at positions start..start+L."""
     L = ids.shape[-1]
     if start + L > cfg.max_len:
         raise ValueError(f"sequence length {start + L} exceeds max_len {cfg.max_len}")
-    if ids.max(initial=0) >= cfg.vocab:
-        raise ValueError("token id outside vocabulary")
     return ad.mixed_embed(store["backbone/tok_emb"], store["backbone/pos_emb"],
                           ids, text_mask, latents, start)
 
 
-def forward_batch(store: ParamStore, cfg: BackboneConfig, ids: np.ndarray,
+def forward_batch(store: ParamStore, cfg: ModelConfig, ids: np.ndarray,
                   text_mask: np.ndarray, latents: np.ndarray,
                   capture_attn_layer: int | None = None, cache: "DecodeCache | None" = None,
                   prefix: list[Tensor] | None = None, qkv_out: list[Tensor] | None = None):
@@ -131,7 +115,7 @@ class DecodeCache:
     copies one prompt to B streams); select also drops finished streams.
     """
 
-    def __init__(self, store: ParamStore, cfg: BackboneConfig, streams: int = 1):
+    def __init__(self, store: ParamStore, cfg: ModelConfig, streams: int = 1):
         self.store = store
         self.cfg = cfg
         hd = cfg.d // cfg.heads
@@ -163,7 +147,7 @@ class DecodeCache:
             self.last_logits = self.last_logits[rows]
 
 
-def attention_maps(store: ParamStore, cfg: BackboneConfig, seq: sq.MixedSequence, layer: int) -> np.ndarray:
+def attention_maps(store: ParamStore, cfg: ModelConfig, seq: sq.MixedSequence, layer: int) -> np.ndarray:
     """Post-softmax attention weights [heads, L, L] at one layer."""
     if not 0 <= layer < cfg.layers:
         raise ValueError(f"layer {layer} out of range [0, {cfg.layers})")

@@ -91,7 +91,15 @@ def load_config(path: str) -> dict:
     cfg = _merge_validate(user, DEFAULT_CONFIG)
     env_seed = os.environ.get("LATENT_SKETCH_SEED")
     if env_seed is not None:
-        cfg["seed"] = int(env_seed)
+        try:
+            cfg["seed"] = int(env_seed)
+        except ValueError:
+            raise ConfigError(f"LATENT_SKETCH_SEED must be an integer, not {env_seed!r}") from None
+    data = cfg["data"]
+    if data["task"] not in tv.TASKS:
+        raise ConfigError(f"data.task must be one of {', '.join(tv.TASKS)}, not {data['task']!r}")
+    if not isinstance(data["train_count"], int) or data["train_count"] < 1:
+        raise ConfigError(f"data.train_count must be an integer >= 1, not {data['train_count']!r}")
     return cfg
 
 
@@ -196,29 +204,27 @@ def cmd_gen_data(args) -> int:
         os.makedirs(pgm_dir, exist_ok=True)
         for i, t in enumerate(traces[: args.pgm_limit]):
             with open(os.path.join(pgm_dir, f"trace{i}_input.pgm"), "wb") as f:
-                f.write(tv.render_pgm(t.input_image))
+                f.write(tv.render_pgm(t.input_image.cells, tv.PALETTE - 1))
             for j, s in enumerate(t.steps):
                 if s.image is not None:
                     with open(os.path.join(pgm_dir, f"trace{i}_step{j}.pgm"), "wb") as f:
-                        f.write(tv.render_pgm(s.image))
+                        f.write(tv.render_pgm(s.image.cells, tv.PALETTE - 1))
     print(f"wrote {len(traces)} traces to {args.out}")
     return 0
 
 
 def run_sft_pipeline(cfg: dict, out_dir: str, resume: str | None = None) -> Model:
     scfg = section_config(cfg, "sft")
-    # the latent head that sft.mode trains
-    head = "similarity" if scfg.mode == "similarity" else "diffusion"
     start_step = 0
     if resume:
         model, start_step = load_model(resume)
         mcfg = model.cfg
-        if mcfg.head != head:
+        if mcfg.head != scfg.head:
             raise ConfigError(f"checkpoint {resume} has the {mcfg.head} head, but sft.mode "
-                              f"{scfg.mode} trains the {head} head")
+                              f"{scfg.mode} trains the {scfg.head} head")
     else:
         mcfg = section_config(cfg, "model")
-        mcfg.head = head
+        mcfg.head = scfg.head
     # one latent block length: SFT splices m_latent rows, the grammar expects k_latent
     if scfg.m_latent != mcfg.k_latent:
         raise ConfigError(f"sft.m_latent ({scfg.m_latent}) must equal model.k_latent ({mcfg.k_latent})")
@@ -265,10 +271,10 @@ def cmd_eval(args) -> int:
     if args.max_new_items < 1:
         raise ConfigError("--max-new-items must be >= 1")
     model, _ = load_model(args.checkpoint)
-    if model.bcfg.vocab != vocab.VOCAB_SIZE:
+    if model.cfg.vocab != vocab.VOCAB_SIZE:
         raise ConfigError("checkpoint vocabulary does not match this build")
     traces = tv.generate_dataset(args.task, args.n, args.seed)
-    check_budget("--max-new-items", args.max_new_items, model.bcfg.max_len, traces)
+    check_budget("--max-new-items", args.max_new_items, model.cfg.max_len, traces)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     dump_path = os.path.join(out_dir, f"eval_{args.task}_{args.mode}_{args.seed}.dump.jsonl")
@@ -330,9 +336,9 @@ def _reforward(model: Model, work: sq.MixedSequence, n: int, next_item) -> None:
     """Append n items to work, each next_item(hidden, logits) of a cache-free
     forward of all of work so far ([1, L, d] and [1, L, V] arrays)."""
     for _ in range(n):
-        ids, text_mask, latents = sq.to_arrays(work, model.bcfg.d)
+        ids, text_mask, latents = sq.to_arrays(work, model.cfg.d)
         with ad.no_grad():
-            hidden, logits, _ = bb.forward_batch(model.store, model.bcfg, ids[None], text_mask[None], latents[None])
+            hidden, logits, _ = bb.forward_batch(model.store, model.cfg, ids[None], text_mask[None], latents[None])
         work.append(next_item(hidden.data, logits.data))
 
 
@@ -341,11 +347,6 @@ def _greedy_text(hidden: np.ndarray, logits: np.ndarray) -> sq.MixedItem:
     row = logits[0, -1].copy()
     row[list(vocab.CONTROL_IDS)] = -np.inf
     return sq.MixedItem.text(int(np.argmax(row)))
-
-
-def _timed_text_span(model: Model, prompt, n_tokens: int) -> None:
-    """Append n greedy non-control tokens (EOS masked) — raw generation cost."""
-    _reforward(model, prompt.copy(), n_tokens, _greedy_text)
 
 
 def _timed_latent_block(model: Model, prompt, k: int, t_steps: int, seed: int) -> int:
@@ -363,7 +364,7 @@ def _timed_latent_block(model: Model, prompt, k: int, t_steps: int, seed: int) -
 def _timed_tool_cycle(model: Model, prompt, trace: tv.AnnotatedTrace, span: int) -> None:
     """Simulated tool call: generate a code span, apply a host-side transform,
     re-encode the edited image, and prefill it through the backbone."""
-    _timed_text_span(model, prompt, span)
+    _reforward(model, prompt.copy(), span, _greedy_text)
     edited = tv.ToyImage(trace.input_image.height, trace.input_image.width,
                          tv.rotate_quarter(trace.input_image.cells, 1))
     work = prompt.copy()
@@ -375,13 +376,13 @@ def _timed_tool_cycle(model: Model, prompt, trace: tv.AnnotatedTrace, span: int)
 def cmd_bench_latency(args) -> int:
     if args.repeat < 3:
         raise ConfigError("--repeat must be >= 3")
-    for flag, value in (("--k", args.k), ("--t-steps", args.t_steps)):
+    for flag, value in (("--k", args.k), ("--t-steps", args.t_steps), ("--tool-span", args.tool_span)):
         if value < 1:
             raise ConfigError(f"{flag} must be >= 1")
     model, _ = load_model(args.checkpoint)
     trace = tv.make_trace("grid_rotation", 123, 0)
     prompt = inf.build_prompt(model, trace)
-    if len(prompt) + max(args.k + 1, args.tool_span) + 1 > model.bcfg.max_len:
+    if len(prompt) + max(args.k + 1, args.tool_span) + 1 > model.cfg.max_len:
         raise ConfigError("prompt plus benchmark span exceeds max_len")
 
     def median_times(*fns) -> list[float]:
@@ -398,7 +399,7 @@ def cmd_bench_latency(args) -> int:
         return [float(np.median(ts)) for ts in times]
 
     rows = []
-    [t_text] = median_times(lambda: _timed_text_span(model, prompt, 32))
+    [t_text] = median_times(lambda: _reforward(model, prompt.copy(), 32, _greedy_text))
     rows.append(("text", "32 tokens", "", t_text, REFERENCE_LATENCY_S["text32"]))
     calls = _timed_latent_block(model, prompt, args.k, args.t_steps, 0)
     expected = args.k if model.cfg.head == HEAD_DIFFUSION else 0  # the similarity head samples nothing
@@ -429,11 +430,11 @@ def cmd_export_attn(args) -> int:
     if args.example_id < 0:
         raise ConfigError("--example-id must be >= 0")
     model, _ = load_model(args.checkpoint)
-    layer = args.layer if args.layer is not None else model.bcfg.layers // 2
-    if not 0 <= layer < model.bcfg.layers:
-        raise ConfigError(f"--layer {layer} out of range [0, {model.bcfg.layers})")
+    layer = args.layer if args.layer is not None else model.cfg.layers // 2
+    if not 0 <= layer < model.cfg.layers:
+        raise ConfigError(f"--layer {layer} out of range [0, {model.cfg.layers})")
     trace = tv.make_trace(args.task, args.seed, args.example_id)
-    check_budget("--max-new-items", args.max_new_items, model.bcfg.max_len, [trace])
+    check_budget("--max-new-items", args.max_new_items, model.cfg.max_len, [trace])
     gen_cfg = inf.GenerationConfig(mode="mixed", max_new_items=args.max_new_items, temperature=0.0)
     res = inf.generate(inf.build_prompt(model, trace), model, gen_cfg, seeded_rng(args.seed, "attn", args.example_id))
     inf.export_attention(res.seq, model, layer, args.out)

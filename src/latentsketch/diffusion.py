@@ -23,14 +23,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .optim import ParamStore
 
 T_EMBED_DIM = 32
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 EPS_NET = "diffusion_head/eps"  # parameter-name prefix of the epsilon network
 
 # instrumented call counter, read as before/after deltas: the language-only
@@ -134,7 +132,7 @@ def denoise_step(z_t: np.ndarray, t: int, xi: np.ndarray, sched: NoiseSchedule,
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    return x * (0.5 * (1.0 + erf(x * _INV_SQRT2)))
+    return x * ad.normal_cdf(x)
 
 
 def prepare_eps(store: ParamStore, sched: NoiseSchedule, c: np.ndarray):

@@ -60,8 +60,8 @@ class Rollout:
     seq: sq.MixedSequence
     emissions: list[inf.Emission]
     reward: float
-    logprobs_old: np.ndarray | None = None
-    new_items: int = 0  # items decoded after the prompt
+    logprobs_old: np.ndarray
+    new_items: int  # items decoded after the prompt
 
 
 @dataclass
@@ -127,9 +127,9 @@ def prompt_pass(model: Model, rollouts: list[Rollout]) -> PromptPass:
                 x is y or (x.kind == y.kind and np.array_equal(x.value, y.value))
                 for x, y in zip(r.seq.items, prompt)):
             raise ValueError("the rollouts of a group must share one prompt")
-    ids, text_mask, latents = sq.to_arrays(sq.MixedSequence(prompt), model.bcfg.d)
+    ids, text_mask, latents = sq.to_arrays(sq.MixedSequence(prompt), model.cfg.d)
     qkv: list[Tensor] = []
-    _, logits, _ = bb.forward_batch(model.store, model.bcfg, ids[None], text_mask[None],
+    _, logits, _ = bb.forward_batch(model.store, model.cfg, ids[None], text_mask[None],
                                     latents[None], qkv_out=qkv)
     return PromptPass(P, ad.take_rows(ad.reshape(logits, logits.shape[1:]), [P - 1]), qkv)
 
@@ -147,8 +147,8 @@ def score_rollout(model: Model, rollout: Rollout, temperature: float, prompt: Pr
     rows = prompt.last_logits
     cont = rollout.seq.items[P:-1]  # the last item predicts nothing
     if cont:
-        ids, text_mask, latents = sq.to_arrays(sq.MixedSequence(cont), model.bcfg.d)
-        _, logits, _ = bb.forward_batch(model.store, model.bcfg, ids[None], text_mask[None],
+        ids, text_mask, latents = sq.to_arrays(sq.MixedSequence(cont), model.cfg.d)
+        _, logits, _ = bb.forward_batch(model.store, model.cfg, ids[None], text_mask[None],
                                         latents[None], prefix=prompt.qkv)
         rows = ad.concat([rows, ad.reshape(logits, logits.shape[1:])])
     pos = np.array([e.position - P for e in rollout.emissions], dtype=np.int64)

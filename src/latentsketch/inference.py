@@ -27,9 +27,9 @@ MAX_NEW_ITEMS = 64
 
 @dataclass
 class GenerationConfig:
-    mode: str = "mixed"            # mixed | language_only
-    max_new_items: int = MAX_NEW_ITEMS
-    temperature: float = 0.0       # 0 = greedy, ties break at lowest token id
+    mode: str                      # mixed | language_only
+    max_new_items: int
+    temperature: float             # 0 = greedy, ties break at lowest token id
 
     def __post_init__(self):
         if self.mode not in ("mixed", "language_only"):
@@ -46,7 +46,7 @@ class Emission:
     position: int
     token_id: int
     mask: np.ndarray  # bool [V], True = masked out
-    logprob: float = float("nan")  # nan: not drawn by the sampler
+    logprob: float
 
 
 @dataclass
@@ -98,12 +98,12 @@ def generate_group(prompts: list[sq.MixedSequence], model: Model, cfg: Generatio
     """
     if not prompts or len(prompts) != len(rngs):
         raise ValueError(f"{len(prompts)} prompts for {len(rngs)} generators")
-    k = model.bcfg.k_latent
+    k = model.cfg.k_latent
     for p in {id(p): p for p in prompts}.values():
         sq.validate(p, k)
         if p.items and p.items[-1].kind == sq.CTRL and p.items[-1].value == sq.EOS:
             raise ValueError("prompt already ends with EOS")
-        if len(p) > model.bcfg.max_len - cfg.max_new_items:
+        if len(p) > model.cfg.max_len - cfg.max_new_items:
             raise ValueError("prompt too long for the requested generation budget")
     by_length: dict[int, list[int]] = {}
     for g, p in enumerate(prompts):
@@ -128,12 +128,12 @@ def _generate_lockstep(prompts: list[sq.MixedSequence], model: Model, cfg: Gener
     their own mask from their own generator, and one forward_batch appends the
     items of all.
     """
-    k = model.bcfg.k_latent
+    k = model.cfg.k_latent
     distinct = list({id(p): p for p in prompts}.values())  # each prompt object once
     slot = {id(p): i for i, p in enumerate(distinct)}  # its prefill stream
-    store, bcfg = model.store, model.bcfg
-    cache = bb.DecodeCache(store, bcfg, streams=len(distinct))
-    arrays = [sq.to_arrays(p, bcfg.d) for p in distinct]
+    store, mcfg = model.store, model.cfg
+    cache = bb.DecodeCache(store, mcfg, streams=len(distinct))
+    arrays = [sq.to_arrays(p, mcfg.d) for p in distinct]
     cache.append(*(np.stack(a) for a in zip(*arrays)))
     cache.select([slot[id(p)] for p in prompts])
     results = [GenResult(p.copy(), truncated=False) for p in prompts]
@@ -150,18 +150,18 @@ def _generate_lockstep(prompts: list[sq.MixedSequence], model: Model, cfg: Gener
                     item = None  # a latent row, drawn below
                 else:
                     item = sq.MixedItem.ctrl(sq.END)
-            elif res.new_items >= cfg.max_new_items or len(res.seq) >= bcfg.max_len:
+            elif res.new_items >= cfg.max_new_items or len(res.seq) >= mcfg.max_len:
                 res.truncated = True
                 continue
             else:
                 row = cache.last_logits[s]
                 mask = decision_mask(cfg.mode, k, cfg.max_new_items - res.new_items,
-                                     len(res.seq), bcfg.max_len, bcfg.vocab)
+                                     len(res.seq), mcfg.max_len, mcfg.vocab)
                 logp = masked_logprobs(row, mask, cfg.temperature)
                 if cfg.temperature == 0:
                     tok = int(np.argmax(np.where(mask, -np.inf, row)))
                 else:
-                    tok = int(rngs[g].choice(bcfg.vocab, p=np.exp(logp)))
+                    tok = int(rngs[g].choice(mcfg.vocab, p=np.exp(logp)))
                 res.emissions.append(Emission(len(res.seq), tok, mask, float(logp[tok])))
                 if tok == vocab.EOS_ID:
                     res.seq.append(sq.MixedItem.ctrl(sq.EOS))
@@ -188,7 +188,7 @@ def _generate_lockstep(prompts: list[sq.MixedSequence], model: Model, cfg: Gener
             break
         if len(keep) < cache.streams:
             cache.select(keep)
-        ids, text_mask, latents = sq.to_arrays(sq.MixedSequence(items), bcfg.d)
+        ids, text_mask, latents = sq.to_arrays(sq.MixedSequence(items), mcfg.d)
         cache.append(ids[:, None], text_mask[:, None], latents[:, None])
     for res in results:
         sq.validate(res.seq, k)
@@ -235,17 +235,12 @@ def export_attention(seq: sq.MixedSequence, model: Model, layer: int, out_path: 
         raise ValueError("sequence contains no latent block")
     if not ctx_positions:
         raise ValueError("sequence has no input-image context to project onto")
-    att = bb.attention_maps(model.store, model.bcfg, seq, layer)  # [heads, L, L]
+    att = bb.attention_maps(model.store, model.cfg, seq, layer)  # [heads, L, L]
     rows = att[:, block_positions, :][:, :, ctx_positions]
     heat = rows.mean(axis=(0, 1))
     side = int(round(np.sqrt(len(ctx_positions))))
     grid = heat.reshape(side, side)
-
-    peak = grid.max()
-    pixels = np.zeros_like(grid, dtype=np.uint8) if peak <= 0 else \
-        np.round(grid / peak * 255.0).astype(np.uint8)
-    header = f"P5\n{side} {side}\n255\n".encode("ascii")
-    atomic_write(out_path, header + pixels.tobytes())
+    atomic_write(out_path, tv.render_pgm(grid, grid.max()))
     sidecar = {
         "layer": layer,
         "patch_grid": [side, side],

@@ -15,19 +15,32 @@ from . import diffusion as df
 from . import toyvision as tv
 from .optim import CheckpointError, ParamStore, read_records, write_records
 from .util import seeded_rng
+from .vocab import VOCAB_SIZE
 
 HEAD_DIFFUSION = "diffusion"
 HEAD_SIMILARITY = "similarity"
 
 
 @dataclass
-class ModelConfig(bb.BackboneConfig):
+class ModelConfig:
     """The backbone's fields, then the diffusion schedule and the latent head."""
 
+    layers: int = 4
+    heads: int = 4
+    d: int = 64
+    vocab: int = VOCAB_SIZE
+    max_len: int = 256
+    k_latent: int = 4
     t_steps: int = 50
     beta_start: float = 1e-4
     beta_end: float = 0.28
     head: str = HEAD_DIFFUSION
+
+    def __post_init__(self):
+        if self.d % self.heads:
+            raise ValueError("model width must be divisible by head count")
+        if self.k_latent < 1:
+            raise ValueError("k_latent must be >= 1")
 
     def schedule(self) -> df.NoiseSchedule:
         return df.linear_schedule(self.t_steps, self.beta_start, self.beta_end)
@@ -39,7 +52,7 @@ class Model:
     def __init__(self, cfg: ModelConfig, store: ParamStore):
         self.cfg = cfg
         self.store = store
-        self.bcfg = cfg  # a ModelConfig is the backbone's config
+        self.bcfg = cfg  # the name the benchmark (perfbench/) reads; the program reads cfg
         self.sched = cfg.schedule()
 
     @property

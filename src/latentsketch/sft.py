@@ -23,7 +23,7 @@ from . import sequence as sq
 from . import toyvision as tv
 from . import vocab
 from .autodiff import Tensor
-from .model import Model, save_model
+from .model import HEAD_DIFFUSION, HEAD_SIMILARITY, Model, save_model
 from .optim import LrSchedule, adamw_step, clip_grad_norm, cosine_lr
 from .util import fmt_float, seeded_rng
 
@@ -55,6 +55,12 @@ class SftConfig:
         if self.mode not in MODES:
             raise ValueError(f"unknown sft mode {self.mode!r}")
 
+    @property
+    def head(self) -> str:
+        """The latent head this mode trains: the similarity head for
+        similarity, the diffusion head otherwise."""
+        return HEAD_SIMILARITY if self.mode == "similarity" else HEAD_DIFFUSION
+
 
 @dataclass
 class SupervisedExample:
@@ -71,7 +77,7 @@ def build_example(trace: tv.AnnotatedTrace, model: Model, m: int,
 
     Raises ValueError on max_len overflow; callers drop and count such traces.
     """
-    store, cfg = model.store, model.bcfg
+    store, cfg = model.store, model.cfg
     items = inf.build_prompt(model, trace).items
     prompt_len = len(items)
     targets: list[np.ndarray] = []
@@ -123,9 +129,11 @@ def _collate(examples: list[SupervisedExample], d: int):
 
 
 def joint_loss(examples: list[SupervisedExample], model: Model, lam: float,
-               rng: np.random.Generator, draws=None, mode: str = "joint"):
+               rng: np.random.Generator, draws=None):
     """Batch loss: mean CE over each example's text positions plus lambda times
-    the mean per-row latent term, each batch-averaged.
+    the mean per-row latent term, each batch-averaged.  The latent term is the
+    one of the model's head: noise regression for the diffusion head, the
+    cosine loss for the similarity head.
 
     Returns (total Tensor, ce float, latent-term float).
     """
@@ -133,7 +141,7 @@ def joint_loss(examples: list[SupervisedExample], model: Model, lam: float,
         raise ValueError("empty batch")
     if all(ex.text_positions.size == 0 for ex in examples):
         raise ValueError("batch has no supervised text positions")
-    store, cfg = model.store, model.bcfg
+    store, cfg = model.store, model.cfg
     B = len(examples)
     ids, text_mask, latents, L = _collate(examples, cfg.d)
     hidden, logits, _ = bb.forward_batch(store, cfg, ids, text_mask, latents)
@@ -159,13 +167,13 @@ def joint_loss(examples: list[SupervisedExample], model: Model, lam: float,
 
     hidden_flat = ad.reshape(hidden, (B * L, cfg.d))
     h_cond = ad.take_rows(hidden_flat, np.concatenate(lat_pos))
-    c = ad.matmul(h_cond, store["diffusion_head/cond_w"])
     tgt = np.concatenate(lat_tgt)
     weights = Tensor(np.concatenate(lat_w))
-    if mode == "similarity":
-        row_term = _cosine_rows(ad.add(ad.matmul(h_cond, store["diffusion_head/sim_w"]),
-                                       store["diffusion_head/sim_b"]), tgt)
+    if cfg.head == HEAD_SIMILARITY:
+        row_term = _cosine_rows(ad.affine(h_cond, store["diffusion_head/sim_w"],
+                                          store["diffusion_head/sim_b"]), tgt)
     else:
+        c = ad.affine(h_cond, store["diffusion_head/cond_w"])
         row_term = df.noise_regression(tgt, c, store, model.sched, rng, draws)
     latent_term = ad.sum_(ad.mul(row_term, weights))
     total = ad.add(ce, ad.mul(latent_term, lam))
@@ -213,10 +221,11 @@ def train_sft(model: Model, traces: list[tv.AnnotatedTrace], cfg: SftConfig,
     """
     if not traces:
         raise ValueError("empty dataset")
+    if model.cfg.head != cfg.head:
+        raise ValueError(f"sft mode {cfg.mode} trains the {cfg.head} head, but the model has "
+                         f"the {model.cfg.head} head")
     if not model.frozen_encoder:
         raise RuntimeError("vision encoder must be frozen before SFT (run the encoder pre-pass)")
-    if cfg.mode == "similarity" and "diffusion_head/sim_w" not in model.store.entries:
-        raise ValueError("similarity mode requires a model built with the similarity head")
 
     warmup = int(round(cfg.warmup_frac * cfg.steps))
     scheds = {
@@ -247,7 +256,7 @@ def train_sft(model: Model, traces: list[tv.AnnotatedTrace], cfg: SftConfig,
                 continue
             rng = seeded_rng(cfg.seed, "sft-step", step)
             try:
-                total, ce, diff = joint_loss(examples, model, cfg.lam, rng, mode=cfg.mode)
+                total, ce, diff = joint_loss(examples, model, cfg.lam, rng)
                 model.store.zero_grad()
                 ad.backward(total, model.store)
             except FloatingPointError as e:

@@ -138,9 +138,9 @@ def pretrain_encoder(store: ParamStore, steps: int, lr: float, seed: int) -> flo
         pos_idx = np.concatenate(poss, axis=0)
         target = np.concatenate(codes, axis=0).reshape(-1)
         pos_flat = ad.reshape(store["vision_encoder/pos"], (MAX_PATCH_GRID * MAX_PATCH_GRID, d))
-        emb = ad.add(ad.matmul(ad.Tensor(onehot), store["vision_encoder/proj"]),
+        emb = ad.add(ad.affine(onehot, store["vision_encoder/proj"]),
                      ad.take_rows(pos_flat, pos_idx))
-        logits = ad.add(ad.matmul(emb, store["vision_encoder/probe_w"]), store["vision_encoder/probe_b"])
+        logits = ad.affine(emb, store["vision_encoder/probe_w"], store["vision_encoder/probe_b"])
         logits = ad.reshape(logits, (onehot.shape[0] * PATCH * PATCH, PALETTE))
         loss = ad.mean_(ad.cross_entropy(logits, target))
         store.zero_grad()
@@ -336,9 +336,10 @@ def load_dataset(text: str) -> list[AnnotatedTrace]:
     return [record_to_trace(json.loads(line)) for line in text.splitlines() if line.strip()]
 
 
-def render_pgm(img: ToyImage) -> bytes:
-    """Portable graymap (P5) with cell codes spread over the 8-bit range."""
-    scale = 255 // (PALETTE - 1)
-    pixels = (img.cells * scale).astype(np.uint8)
-    header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    return header + pixels.tobytes()
+def render_pgm(values: np.ndarray, peak: float) -> bytes:
+    """Portable graymap (P5) of a [height, width] grid: values 0..peak spread
+    over the 8-bit range, all black when peak is not positive."""
+    height, width = values.shape
+    pixels = np.zeros((height, width)) if peak <= 0 else np.round(values / peak * 255.0)
+    header = f"P5\n{width} {height}\n255\n".encode("ascii")
+    return header + pixels.astype(np.uint8).tobytes()

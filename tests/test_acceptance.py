@@ -57,9 +57,9 @@ def _check_primitive_grads(seed: int) -> float:
 
     a = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     b = ad.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-    fd_vs(lambda: ad.sum_(ad.matmul(a, b)), a)
+    fd_vs(lambda: ad.sum_(ad.affine(a, b)), a)
     c = ad.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-    fd_vs(lambda: ad.mean_(ad.mul(ad.add(ad.matmul(a, b), c), c)), c)
+    fd_vs(lambda: ad.mean_(ad.mul(ad.add(ad.affine(a, b), c), c)), c)
     x = ad.Tensor(rng.normal(size=(3, 6)), requires_grad=True)
     w = ad.Tensor(rng.normal(size=(3, 6)))
     qkv = ad.Tensor(rng.normal(size=(2, 3, 18)), requires_grad=True)
@@ -78,6 +78,8 @@ def _check_primitive_grads(seed: int) -> float:
     logits = ad.Tensor(rng.normal(size=(5, 6)), requires_grad=True)
     tgt = rng.integers(0, 6, size=5)
     fd_vs(lambda: ad.mean_(ad.cross_entropy(logits, tgt)), logits)
+    bias = ad.Tensor(rng.normal(size=5), requires_grad=True)
+    fd_vs(lambda: ad.mean_(ad.mul(ad.affine(a, b, bias), c)), bias)
     return worst
 
 
@@ -243,7 +245,7 @@ def test_criterion_03_grammar_at_scale():
             cfg = inf.GenerationConfig(mode=mode, max_new_items=10, temperature=temp)
             res = inf.generate(prompts[i % len(prompts)], model, cfg,
                                seeded_rng(i, mode, int(temp * 10)))
-            sq.validate(res.seq, model.bcfg.k_latent)  # raises on violation
+            sq.validate(res.seq, model.cfg.k_latent)  # raises on violation
             total += 1
         if mode == "language_only":
             lang_calls += sum(df.CALLS[k] - before[k] for k in ("sample_latent", "denoise_step"))
@@ -273,7 +275,7 @@ def test_criterion_04_joint_loss_reductions():
     latent_free_gap = abs(total_s.item() - ce_s)
 
     rows = sum(ex.latent_targets.shape[0] for ex in examples)
-    draws = (np.full(rows, 2), seeded_rng(2, "c4").standard_normal((rows, m.bcfg.d)))
+    draws = (np.full(rows, 2), seeded_rng(2, "c4").standard_normal((rows, m.cfg.d)))
     ls = [sft.joint_loss(examples, m, lam, None, draws=draws)[0].item()
           for lam in (0.0, 1.0, 2.0)]
     collinearity = abs(ls[0] + ls[2] - 2.0 * ls[1])
@@ -353,8 +355,8 @@ def test_criterion_05_grpo_suite(monkeypatch):
     rollouts = []
     with ad.no_grad():
         for a in actions:
-            r = grpo.Rollout(seq=None, emissions=[inf.Emission(0, a, np.zeros(2, dtype=bool))],
-                             reward=0.0)
+            r = grpo.Rollout(seq=None, emissions=[inf.Emission(0, a, np.zeros(2, dtype=bool), 0.0)],
+                             reward=0.0, logprobs_old=None, new_items=1)
             r.logprobs_old = stub_score(None, r, 1.0, None).data.copy()
             rollouts.append(r)
     bandit_group = grpo.RolloutGroup(0, rollouts, adv)

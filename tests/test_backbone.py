@@ -15,27 +15,27 @@ def make_seq(model, n_text=3, n_latent=0, rng=None):
     rng = rng or seeded_rng(0, "seq")
     items = [sq.MixedItem.ctrl(sq.BOS)]
     for _ in range(n_latent):
-        items.append(sq.MixedItem.latent(rng.normal(size=model.bcfg.d)))
+        items.append(sq.MixedItem.latent(rng.normal(size=model.cfg.d)))
     for _ in range(n_text):
         items.append(sq.MixedItem.text(int(rng.integers(5, vocab.VOCAB_SIZE))))
     return sq.MixedSequence(items)
 
 
 def arrays(model, seq):
-    ids, text_mask, latents = sq.to_arrays(seq, model.bcfg.d)
+    ids, text_mask, latents = sq.to_arrays(seq, model.cfg.d)
     return ids[None], text_mask[None], latents[None]
 
 
 def forward(model, seq):
     """forward_batch over one sequence: (hidden [L, d], logits [L, V]) arrays."""
     with ad.no_grad():
-        hidden, logits, _ = bb.forward_batch(model.store, model.bcfg, *arrays(model, seq))
+        hidden, logits, _ = bb.forward_batch(model.store, model.cfg, *arrays(model, seq))
     return hidden.data[0], logits.data[0]
 
 
 def embed(model, seq):
     with ad.no_grad():
-        return bb.embed_batch(model.store, model.bcfg, *arrays(model, seq)).data[0]
+        return bb.embed_batch(model.store, model.cfg, *arrays(model, seq)).data[0]
 
 
 @pytest.fixture(scope="module")
@@ -85,13 +85,13 @@ def test_forward_causality_bitwise(model):
 
 
 def test_forward_overflow_and_bad_token(model):
-    too_long = make_seq(model, n_text=model.bcfg.max_len + 1)
+    too_long = make_seq(model, n_text=model.cfg.max_len + 1)
     with pytest.raises(ValueError, match="max_len"):
         forward(model, too_long)
     ids, text_mask, latents = arrays(model, make_seq(model, n_text=2))
-    ids[0, 1] = model.bcfg.vocab
-    with pytest.raises(ValueError, match="vocabulary"):
-        bb.forward_batch(model.store, model.bcfg, ids, text_mask, latents)
+    ids[0, 1] = model.cfg.vocab
+    with pytest.raises(IndexError, match="embedding table"):
+        bb.forward_batch(model.store, model.cfg, ids, text_mask, latents)
 
 
 def straight_line_forward(store, cfg, ids, text_mask, latents):
@@ -144,7 +144,7 @@ def test_forward_matches_independent_reimplementation():
     seq = sq.MixedSequence(items)
     ids, text_mask, latents = sq.to_arrays(seq, 8)
     hidden, logits = forward(m, seq)
-    h_ref, l_ref = straight_line_forward(m.store, m.bcfg, ids, text_mask, latents)
+    h_ref, l_ref = straight_line_forward(m.store, m.cfg, ids, text_mask, latents)
     assert np.max(np.abs(hidden - h_ref)) < 1e-9
     assert np.max(np.abs(logits - l_ref)) < 1e-9
 
@@ -167,14 +167,14 @@ def test_condition_identity_and_linearity(monkeypatch):
 
     def emit_and_replay():
         conditions.clear()
-        cache = bb.DecodeCache(m.store, m.bcfg)
+        cache = bb.DecodeCache(m.store, m.cfg)
         cache.append(*arrays(m, prefix))
         seq, rng = prefix.copy(), seeded_rng(5, "c")
-        for _ in range(m.bcfg.k_latent):
+        for _ in range(m.cfg.k_latent):
             [row] = df.emit_block(cache.last_hidden, m.store, m.sched, [rng], m.cfg.head)
             seq.append(sq.MixedItem.latent(row))
             cache.append(*arrays(m, sq.MixedSequence(seq.items[-1:])))
-        replay = bb.DecodeCache(m.store, m.bcfg)
+        replay = bb.DecodeCache(m.store, m.cfg)
         replay.append(*arrays(m, prefix))
         h = [replay.last_hidden[0]]
         for item in seq.items[len(prefix):-1]:
@@ -186,7 +186,7 @@ def test_condition_identity_and_linearity(monkeypatch):
     assert np.allclose(c, h @ w.data, rtol=0, atol=1e-12)
     orig = w.data.copy()
     try:
-        w.data = np.eye(m.bcfg.d)
+        w.data = np.eye(m.cfg.d)
         c, h = emit_and_replay()
         assert np.array_equal(c, h)
         w.data = np.zeros_like(orig)
@@ -198,9 +198,9 @@ def test_condition_identity_and_linearity(monkeypatch):
 
 def test_attention_rows_normalized_and_causal(model):
     seq = make_seq(model, n_text=6, n_latent=2)
-    att = bb.attention_maps(model.store, model.bcfg, seq, layer=1)
+    att = bb.attention_maps(model.store, model.cfg, seq, layer=1)
     L = len(seq)
-    assert att.shape == (model.bcfg.heads, L, L)
+    assert att.shape == (model.cfg.heads, L, L)
     assert np.allclose(att.sum(axis=-1), 1.0, atol=1e-9)
     for i in range(L):
         assert np.all(att[:, i, i + 1 :] == 0.0)
@@ -209,19 +209,19 @@ def test_attention_rows_normalized_and_causal(model):
 def test_attention_maps_layer_range(model):
     seq = make_seq(model, n_text=2)
     with pytest.raises(ValueError):
-        bb.attention_maps(model.store, model.bcfg, seq, layer=model.bcfg.layers)
+        bb.attention_maps(model.store, model.cfg, seq, layer=model.cfg.layers)
 
 
 def test_attention_maps_match_qk_recompute(model):
     """Middle-layer latent-row averaging equals a direct softmax(QK^T) recompute."""
     rng = seeded_rng(8, "qk")
     seq = make_seq(model, n_text=4, n_latent=3, rng=rng)
-    layer = model.bcfg.layers // 2
-    att = bb.attention_maps(model.store, model.bcfg, seq, layer)
+    layer = model.cfg.layers // 2
+    att = bb.attention_maps(model.store, model.cfg, seq, layer)
 
     # recompute the layer's attention from the ln1 input of that layer
-    ids, text_mask, latents = sq.to_arrays(seq, model.bcfg.d)
-    store, cfg = model.store, model.bcfg
+    ids, text_mask, latents = sq.to_arrays(seq, model.cfg.d)
+    store, cfg = model.store, model.cfg
     d, h = cfg.d, cfg.heads
     hd = d // h
     with ad.no_grad():
@@ -279,7 +279,7 @@ def test_decode_cache_matches_forward_batch(length):
     m = build_model(ModelConfig(layers=2, heads=2, d=16, max_len=64, k_latent=3), seed=19)
     rng = seeded_rng(length, "dc")
     items = [sq.MixedItem.ctrl(sq.BOS)] + [sq.MixedItem.latent(rng.normal(size=16)) for _ in range(4)]
-    while len(items) < m.bcfg.max_len:
+    while len(items) < m.cfg.max_len:
         items += [sq.MixedItem.text(int(t)) for t in rng.integers(5, vocab.VOCAB_SIZE, size=3)]
         items += [sq.MixedItem.ctrl(sq.START)] + [sq.MixedItem.latent(rng.normal(size=16))
                                                   for _ in range(3)] + [sq.MixedItem.ctrl(sq.END)]
@@ -287,7 +287,7 @@ def test_decode_cache_matches_forward_batch(length):
     hidden, logits = forward(m, seq)
     # in the chunks of a decode, then one item at a time, so that every row is checked
     for schedule in (decode_schedule(seq.items, 3, min(length, 7)), [[it] for it in seq.items]):
-        cache = bb.DecodeCache(m.store, m.bcfg)
+        cache = bb.DecodeCache(m.store, m.cfg)
         done = 0
         for chunk in schedule:
             cache.append(*arrays(m, sq.MixedSequence(chunk)))
@@ -295,7 +295,7 @@ def test_decode_cache_matches_forward_batch(length):
             assert np.max(np.abs(cache.last_hidden[0] - hidden[done - 1])) <= 1e-12
             assert np.max(np.abs(cache.last_logits[0] - logits[done - 1])) <= 1e-12
         assert cache.length == length
-    if length == m.bcfg.max_len:
+    if length == m.cfg.max_len:
         with pytest.raises(ValueError, match="max_len"):
             cache.append(*arrays(m, sq.MixedSequence([sq.MixedItem.text(30)])))
 
@@ -315,7 +315,7 @@ def test_multi_stream_cache_matches_forward_batch():
     tails = [[sq.MixedItem.text(41), start, lat(), lat(), end, sq.MixedItem.text(7)],
              [start, lat(), lat(), end, sq.MixedItem.text(52), sq.MixedItem.text(9)],
              [sq.MixedItem.text(12), sq.MixedItem.text(13), start, lat(), lat(), end]]
-    cache = bb.DecodeCache(m.store, m.bcfg)
+    cache = bb.DecodeCache(m.store, m.cfg)
     cache.append(*arrays(m, sq.MixedSequence(prompt)))
     pre = cache.last_hidden.copy()
     assert np.max(np.abs(pre[0] - forward(m, sq.MixedSequence(prompt))[0][-1])) <= 1e-12
@@ -350,7 +350,7 @@ def test_multi_stream_cache_matches_forward_batch():
         assert np.max(np.abs(cache.last_logits[b] - logits[-1])) <= 1e-12
 
     # lockstep streams overflow together at max_len
-    while cache.length < m.bcfg.max_len:
+    while cache.length < m.cfg.max_len:
         append_to_both(extra[1])
     with pytest.raises(ValueError, match="max_len"):
         append_to_both(extra[1])

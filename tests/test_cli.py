@@ -217,6 +217,27 @@ def test_train_sft_resume_head_mismatch_exits_2(head, mode, tmp_path, capsys, da
     assert_rejected_before_any_work(tmp_path, data_loads)
 
 
+# (data section overrides, LATENT_SKETCH_SEED, what the message names)
+BAD_OUTSIDE_VALUES = [({"task": "bogus"}, None, "data.task"), ({"train_count": 0}, None, "data.train_count"),
+                      ({}, "abc", "LATENT_SKETCH_SEED")]
+
+
+@pytest.mark.parametrize("command", ["train-sft", "train-rl"])
+@pytest.mark.parametrize("data, env_seed, named", BAD_OUTSIDE_VALUES, ids=[n for _, _, n in BAD_OUTSIDE_VALUES])
+def test_bad_data_value_or_env_seed_exits_2_before_writing(command, data, env_seed, named, tmp_path,
+                                                          capsys, monkeypatch):
+    path = tiny_config(tmp_path, data={"task": "grid_rotation", "train_count": 6, "train_seed": 2, **data})
+    if env_seed is not None:
+        monkeypatch.setenv("LATENT_SKETCH_SEED", env_seed)
+    argv = [command, "--config", path]
+    if command == "train-rl":
+        argv += ["--from-checkpoint", make_checkpoint(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named} must be")
+    assert not (tmp_path / "run").exists() or not os.listdir(tmp_path / "run")
+
+
 def test_train_rl_requires_checkpoint_flag(tmp_path):
     cfg_path = tiny_config(tmp_path)
     with pytest.raises(SystemExit) as e:
@@ -362,8 +383,9 @@ def test_ablate_bad_eval_value_exits_2_before_training(key, tmp_path, capsys):
     (["export-attn", "--example-id", "-1", "--out", "h.pgm"], "--example-id must be >= 0"),
     (["bench-latency", "--k", "0"], "--k must be >= 1"),
     (["bench-latency", "--t-steps", "0"], "--t-steps must be >= 1"),
+    (["bench-latency", "--tool-span", "-5"], "--tool-span must be >= 1"),
 ], ids=["eval-zero", "eval-negative", "export-attn", "export-attn-example-id", "bench-latency-k",
-        "bench-latency-t-steps"])
+        "bench-latency-t-steps", "bench-latency-tool-span"])
 def test_generation_flags_below_one_exit_2_before_loading(argv, err, tmp_path, capsys):
     missing = str(tmp_path / "absent.lsk")  # loading it would be a runtime failure, exit 3
     assert main(argv + ["--checkpoint", missing]) == 2
@@ -428,7 +450,7 @@ def test_default_budget_fits_longest_gold_response():
     task and turn count at the default latent block size K."""
     from latentsketch import grpo, sft
     from latentsketch.cli import build_parser
-    from latentsketch.inference import GenerationConfig, build_prompt
+    from latentsketch.inference import build_prompt
 
     k = DEFAULT_CONFIG["model"]["k_latent"]
     m = build_model(ModelConfig(layers=1, heads=2, d=8, k_latent=k), seed=0)
@@ -444,7 +466,7 @@ def test_default_budget_fits_longest_gold_response():
         "rl": DEFAULT_CONFIG["rl"]["max_new_items"],
         "eval": DEFAULT_CONFIG["eval"]["max_new_items"],
         "GrpoConfig": grpo.GrpoConfig().max_new_items,
-        "GenerationConfig": GenerationConfig().max_new_items,
+        "MAX_NEW_ITEMS": inf.MAX_NEW_ITEMS,
         "evaluate": evaluate.__defaults__[0],
         "eval --max-new-items": parser.parse_args(
             ["eval", "--checkpoint", "c", "--task", "grid_rotation", "--n", "1", "--seed", "1"]

@@ -372,10 +372,10 @@ def start_biased(model, bias=50.0):
 def one_block(model, rng):
     """Greedy decode with a budget of exactly one block: START, K rows, END."""
     prompt = sq.MixedSequence([sq.MixedItem.ctrl(sq.BOS), sq.MixedItem.text(30)])
-    cfg = inf.GenerationConfig(mode="mixed", max_new_items=model.bcfg.k_latent + 2)
+    cfg = inf.GenerationConfig(mode="mixed", max_new_items=model.cfg.k_latent + 2, temperature=0.0)
     res = inf.generate(prompt, model, cfg, rng)
     rows = [it.value for it in res.seq.items if it.kind == sq.LATENT]
-    assert len(rows) == model.bcfg.k_latent and res.seq.items[-1].value == sq.END
+    assert len(rows) == model.cfg.k_latent and res.seq.items[-1].value == sq.END
     return np.array(rows)
 
 
@@ -412,12 +412,12 @@ def test_emit_block_feedback_changes_conditions(block_model, monkeypatch):
     cond_w = m.store["diffusion_head/cond_w"].data
     by_pos = {}
     for h_last, rows in calls:
-        assert h_last.shape == rows.shape == (len(rows), m.bcfg.d)
+        assert h_last.shape == rows.shape == (len(rows), m.cfg.d)
         for h, row in zip(h_last, rows):
             g, n = emitted[row.tobytes()]
-            ids, text_mask, latents = sq.to_arrays(sq.MixedSequence(group[g].seq.items[:n]), m.bcfg.d)
+            ids, text_mask, latents = sq.to_arrays(sq.MixedSequence(group[g].seq.items[:n]), m.cfg.d)
             with ad.no_grad():
-                hidden, _, _ = bb.forward_batch(m.store, m.bcfg, ids[None], text_mask[None], latents[None])
+                hidden, _, _ = bb.forward_batch(m.store, m.cfg, ids[None], text_mask[None], latents[None])
             want = hidden.data[0, -1]
             assert np.max(np.abs(h - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
             by_pos[g, n] = h @ cond_w

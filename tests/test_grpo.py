@@ -160,8 +160,8 @@ def test_bandit_gradient_matches_analytic_policy_gradient(monkeypatch):
     rollouts = []
     with ad.no_grad():
         for a in actions:
-            r = grpo.Rollout(seq=None, emissions=[inf.Emission(0, a, np.zeros(2, dtype=bool))],
-                             reward=0.0)
+            r = grpo.Rollout(seq=None, emissions=[inf.Emission(0, a, np.zeros(2, dtype=bool), 0.0)],
+                             reward=0.0, logprobs_old=None, new_items=1)
             r.logprobs_old = stub_score(None, r, 1.0, None).data.copy()
             rollouts.append(r)
     group = grpo.RolloutGroup(0, rollouts, adv)
@@ -243,7 +243,7 @@ def test_sampled_rollouts_pass_grammar_and_store_scored_positions():
     cfg = grpo.GrpoConfig(group_size=3, temperature=1.2, max_new_items=14, seed=9)
     group, trace = sample_tiny_group(model, cfg)
     for r in group.rollouts:
-        sq.validate(r.seq, model.bcfg.k_latent)
+        sq.validate(r.seq, model.cfg.k_latent)
         assert len(r.logprobs_old) == len(r.emissions)
         for e in r.emissions:
             item = r.seq.items[e.position]
@@ -288,8 +288,8 @@ def two_groups_of_many_lengths(seed=58):
 def full_sequence_logprobs(model, rollout, temperature):
     """The scored log-probabilities from one forward of the whole rollout:
     row position - 1 of its logits, tempered and masked."""
-    ids, text_mask, latents = sq.to_arrays(rollout.seq, model.bcfg.d)
-    _, logits, _ = bb.forward_batch(model.store, model.bcfg, ids[None], text_mask[None], latents[None])
+    ids, text_mask, latents = sq.to_arrays(rollout.seq, model.cfg.d)
+    _, logits, _ = bb.forward_batch(model.store, model.cfg, ids[None], text_mask[None], latents[None])
     rows = ad.take_rows(ad.reshape(logits, logits.shape[1:]), np.array([e.position - 1 for e in rollout.emissions]))
     mask_add = np.stack([np.where(e.mask, ad.MASK_VALUE, 0.0) for e in rollout.emissions])
     tok = np.array([e.token_id for e in rollout.emissions])

@@ -82,7 +82,7 @@ def test_start_dominant_model_emits_one_block_then_eos():
     bias[vocab.START_ID] = 10.0
     bias[vocab.EOS_ID] = 5.0
     prompt, _ = make_prompt(model)
-    k = model.bcfg.k_latent
+    k = model.cfg.k_latent
     cfg = inf.GenerationConfig(mode="mixed", max_new_items=k + 3, temperature=0.0)
     res = inf.generate(prompt, model, cfg, seeded_rng(0, "rig"))
     gen = res.seq.items[len(prompt):]
@@ -103,20 +103,23 @@ def test_generated_sequences_pass_grammar_across_temps_and_modes():
             for s in range(6):
                 cfg = inf.GenerationConfig(mode=mode, max_new_items=12, temperature=temp)
                 res = inf.generate(prompt, model, cfg, seeded_rng(s, mode, int(temp * 10)))
-                sq.validate(res.seq, model.bcfg.k_latent)
+                sq.validate(res.seq, model.cfg.k_latent)
 
 
 def test_generate_rejects_bad_prompts():
     model = make_model()
     with pytest.raises(sq.GrammarError):
         inf.generate(sq.MixedSequence([sq.MixedItem.text(30)]), model,
-                     inf.GenerationConfig(max_new_items=4), seeded_rng(0, "bad"))
+                     inf.GenerationConfig(mode="mixed", max_new_items=4, temperature=0.0),
+                     seeded_rng(0, "bad"))
     ended = sq.MixedSequence([sq.MixedItem.ctrl(sq.BOS), sq.MixedItem.ctrl(sq.EOS)])
     with pytest.raises(ValueError, match="EOS"):
-        inf.generate(ended, model, inf.GenerationConfig(max_new_items=4), seeded_rng(0, "bad"))
+        inf.generate(ended, model, inf.GenerationConfig(mode="mixed", max_new_items=4, temperature=0.0),
+                     seeded_rng(0, "bad"))
     prompt, _ = make_prompt(model)
     with pytest.raises(ValueError, match="budget"):
-        inf.generate(prompt, model, inf.GenerationConfig(max_new_items=model.bcfg.max_len),
+        inf.generate(prompt, model, inf.GenerationConfig(mode="mixed", max_new_items=model.cfg.max_len,
+                                                           temperature=0.0),
                      seeded_rng(0, "bad"))
 
 
@@ -147,7 +150,7 @@ def test_pad_bos_end_never_sampled_even_at_high_temperature():
     for it in gen:
         if it.kind == sq.CTRL:
             assert it.value not in (sq.PAD, sq.BOS)
-    sq.validate(res.seq, model.bcfg.k_latent)
+    sq.validate(res.seq, model.cfg.k_latent)
 
 
 # -- lockstep group decoding -----------------------------------------------------------
@@ -203,7 +206,8 @@ def test_generate_group_greedy_and_similarity_head():
     sim.store["backbone/lm_head/b"].data[vocab.START_ID] = 2.0
     prompt, _ = make_prompt(sim)
     before = dict(df.CALLS)
-    group = group_and_singles(sim, prompt, inf.GenerationConfig(max_new_items=12, temperature=1.0),
+    group = group_and_singles(sim, prompt,
+                              inf.GenerationConfig(mode="mixed", max_new_items=12, temperature=1.0),
                               "sim")
     assert any(it.kind == sq.LATENT for r in group for it in r.seq.items[len(prompt):])
     assert df.CALLS["sample_latent"] == before["sample_latent"]
@@ -264,7 +268,7 @@ def test_generate_group_distinct_prompts_equal_separate_generations(tasks, monke
 def test_generate_group_rejects_a_generator_count_mismatch():
     model = make_model()
     grid, _ = make_prompt(model)
-    cfg = inf.GenerationConfig(max_new_items=4)
+    cfg = inf.GenerationConfig(mode="mixed", max_new_items=4, temperature=0.0)
     with pytest.raises(ValueError, match="generators"):
         inf.generate_group([grid, grid], model, cfg, [seeded_rng(0, "u")])
 
@@ -315,8 +319,8 @@ def rigged_block_sequence(model, seed=4):
     seq = prompt.copy()
     seq.append(sq.MixedItem.ctrl(sq.START))
     rng = seeded_rng(seed, "lat")
-    for _ in range(model.bcfg.k_latent):
-        seq.append(sq.MixedItem.latent(rng.normal(size=model.bcfg.d)))
+    for _ in range(model.cfg.k_latent):
+        seq.append(sq.MixedItem.latent(rng.normal(size=model.cfg.d)))
     seq.append(sq.MixedItem.ctrl(sq.END))
     seq.append(sq.MixedItem.text(vocab.STR2ID["B"]))
     seq.append(sq.MixedItem.ctrl(sq.EOS))
@@ -325,9 +329,9 @@ def rigged_block_sequence(model, seed=4):
 
 def test_export_attention_uniform_model_flat_heatmap(tmp_path):
     model = make_model(seed=66)
-    for i in range(model.bcfg.layers):
-        model.store[f"backbone/layer{i}/attn/wqkv"].data[:, : 2 * model.bcfg.d] = 0.0
-        model.store[f"backbone/layer{i}/attn/bqkv"].data[: 2 * model.bcfg.d] = 0.0
+    for i in range(model.cfg.layers):
+        model.store[f"backbone/layer{i}/attn/wqkv"].data[:, : 2 * model.cfg.d] = 0.0
+        model.store[f"backbone/layer{i}/attn/bqkv"].data[: 2 * model.cfg.d] = 0.0
     seq = rigged_block_sequence(model)
     out = str(tmp_path / "heat.pgm")
     grid = inf.export_attention(seq, model, layer=0, out_path=out)

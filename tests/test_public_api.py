@@ -192,3 +192,54 @@ def test_every_defaulted_parameter_is_passed_by_the_program():
                 for name, pos in _defaulted(node, method)
                 if (module, fn, name) not in SEAMS and not passed(callee, name, pos)]
     assert not unpassed, f"defaulted parameters that only tests pass: {unpassed}"
+
+
+def _has_default(value: ast.expr | None) -> bool | None:
+    """Whether a dataclass field's value gives it a default; None for a field
+    that __init__ does not take."""
+    if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+        kw = {k.arg: k.value for k in value.keywords}
+        if isinstance(kw.get("init"), ast.Constant) and kw["init"].value is False:
+            return None
+        return "default" in kw or "default_factory" in kw
+    return value is not None
+
+
+def test_every_dataclass_default_is_used_by_the_program():
+    """A field default of a dataclass in the package is left out by at least
+    one construction of the class in the program or the benchmark, so some
+    call relies on it.  The config sections' dataclasses are exempt: their
+    defaults are the config's."""
+    sections = {cls.__name__ for cls in SECTIONS.values()}
+    defaults = []
+    for tree in _src():
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            if cls.name in sections or not any(isinstance(d, ast.Name) and d.id == "dataclass"
+                                               for d in cls.decorator_list):
+                continue
+            pos = 0
+            for node in cls.body:
+                if not (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)):
+                    continue
+                has = _has_default(node.value)
+                if has is None:
+                    continue
+                if has:
+                    defaults.append((cls.name, node.target.id, pos))
+                pos += 1
+    assert len(defaults) > 2  # the scan found the defaults
+    calls = [node for p in glob.glob(os.path.join(ROOT, "src", "latentsketch", "*.py"))
+             + glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
+             for node in ast.walk(_parse(p)) if isinstance(node, ast.Call)]
+
+    def left_out(cls: str, name: str, pos: int) -> bool:
+        for call in calls:
+            called = call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+            if (called == cls and len(call.args) <= pos
+                    and not any(isinstance(a, ast.Starred) for a in call.args)
+                    and not any(k.arg in (name, None) for k in call.keywords)):
+                return True
+        return False
+
+    unused = [f"{cls}.{name}" for cls, name, pos in defaults if not left_out(cls, name, pos)]
+    assert not unused, f"dataclass defaults that every program construction overrides: {unused}"

@@ -24,7 +24,7 @@ def test_build_example_structure(tiny_model):
     r = sum(1 for s in trace.steps if s.image is not None)
     starts = sum(1 for it in ex.seq.items if it.kind == sq.CTRL and it.value == sq.START)
     assert starts == r
-    assert ex.latent_targets.shape == (2 * r, tiny_model.bcfg.d)
+    assert ex.latent_targets.shape == (2 * r, tiny_model.cfg.d)
     sq.validate(ex.seq, k=2)
     # teacher forcing aligns targets one position ahead
     for pos, tgt in zip(ex.text_positions, ex.ce_targets):
@@ -48,14 +48,14 @@ def test_build_example_text_only_mode_emits_no_latent_rows(tiny_model):
     trace = trace_for(tiny_model)
     assert any(s.image is not None for s in trace.steps)
     ex = sft.build_example(trace, tiny_model, m=2, mode="text_only")
-    assert ex.latent_targets.shape == (0, tiny_model.bcfg.d)
+    assert ex.latent_targets.shape == (0, tiny_model.cfg.d)
     assert ex.cond_positions.size == 0
     stripped = sft.build_example(strip_images(trace), tiny_model, m=2)
-    for a, b in zip(sq.to_arrays(ex.seq, tiny_model.bcfg.d), sq.to_arrays(stripped.seq, tiny_model.bcfg.d)):
+    for a, b in zip(sq.to_arrays(ex.seq, tiny_model.cfg.d), sq.to_arrays(stripped.seq, tiny_model.cfg.d)):
         assert np.array_equal(a, b)
     assert np.array_equal(ex.text_positions, stripped.text_positions)
     assert np.array_equal(ex.ce_targets, stripped.ce_targets)
-    total, ce, diff = sft.joint_loss([ex], tiny_model, 5.0, seeded_rng(0, "to"), mode="text_only")
+    total, ce, diff = sft.joint_loss([ex], tiny_model, 5.0, seeded_rng(0, "to"))
     assert diff == 0.0 and total.item() == ce
 
 
@@ -123,7 +123,7 @@ def test_joint_loss_latent_free_batch_zero_diffusion(tiny_model):
 def test_joint_loss_three_point_lambda_collinearity(tiny_model):
     examples = [sft.build_example(trace_for(tiny_model, s), tiny_model, 2) for s in (3, 4)]
     rows = sum(ex.latent_targets.shape[0] for ex in examples)
-    draws = (np.full(rows, 2), seeded_rng(1, "col").standard_normal((rows, tiny_model.bcfg.d)))
+    draws = (np.full(rows, 2), seeded_rng(1, "col").standard_normal((rows, tiny_model.cfg.d)))
     ls = [sft.joint_loss(examples, tiny_model, lam, None, draws=draws)[0].item()
           for lam in (0.0, 1.0, 2.0)]
     assert abs(ls[0] + ls[2] - 2.0 * ls[1]) < 1e-9
@@ -133,13 +133,13 @@ def test_joint_loss_term_decomposition(tiny_model):
     """lambda=1 equals CE plus the standalone diffusion term with the same draws."""
     ex = sft.build_example(trace_for(tiny_model, 5), tiny_model, 2)
     rows = ex.latent_targets.shape[0]
-    draws = (np.array([1, 3] * (rows // 2)), seeded_rng(2, "dec").standard_normal((rows, tiny_model.bcfg.d)))
+    draws = (np.array([1, 3] * (rows // 2)), seeded_rng(2, "dec").standard_normal((rows, tiny_model.cfg.d)))
     total, ce, diff = sft.joint_loss([ex], tiny_model, 1.0, None, draws=draws)
     # standalone: teacher-forced conditions recomputed the same way
     import latentsketch.backbone as bb
-    ids, mask, lat = sq.to_arrays(ex.seq, tiny_model.bcfg.d)
+    ids, mask, lat = sq.to_arrays(ex.seq, tiny_model.cfg.d)
     with ad.no_grad():
-        hidden, _, _ = bb.forward_batch(tiny_model.store, tiny_model.bcfg,
+        hidden, _, _ = bb.forward_batch(tiny_model.store, tiny_model.cfg,
                                         ids[None], mask[None], lat[None])
         h = hidden.data[0][ex.cond_positions]
         c = h @ tiny_model.store["diffusion_head/cond_w"].data
@@ -152,7 +152,7 @@ def test_joint_loss_term_decomposition(tiny_model):
 def test_joint_loss_gradcheck_composed(tiny_model):
     ex = sft.build_example(trace_for(tiny_model, 6), tiny_model, 2)
     rows = ex.latent_targets.shape[0]
-    draws = (np.full(rows, 2), seeded_rng(3, "g").standard_normal((rows, tiny_model.bcfg.d)))
+    draws = (np.full(rows, 2), seeded_rng(3, "g").standard_normal((rows, tiny_model.cfg.d)))
     rng = np.random.default_rng(0)
     params = [tiny_model.store["backbone/layer0/attn/wqkv"],
               tiny_model.store["diffusion_head/cond_w"],
@@ -175,16 +175,16 @@ def test_similarity_rows_identical_antipodal_orthogonal():
 
 
 def test_similarity_loss_runs_and_matches_mode():
-    """joint_loss(mode="similarity") adds the mean over gold rows of 1 - cosine
-    between the projected conditioning hidden state and the row."""
+    """On a similarity-head model, joint_loss adds the mean over gold rows of
+    1 - cosine between the projected conditioning hidden state and the row."""
     m = build_model(ModelConfig(layers=1, heads=2, d=8, max_len=160, k_latent=2,
                                 t_steps=5, head="similarity"), seed=31)
     tv.pretrain_encoder(m.store, 2, 1e-2, seed=31)
     ex = sft.build_example(trace_for(m, 7), m, 2)
-    total, ce, diff = sft.joint_loss([ex], m, 1.0, None, mode="similarity")
-    ids, text_mask, latents = sq.to_arrays(ex.seq, m.bcfg.d)
+    total, ce, diff = sft.joint_loss([ex], m, 1.0, None)
+    ids, text_mask, latents = sq.to_arrays(ex.seq, m.cfg.d)
     with ad.no_grad():
-        hidden, _, _ = bb.forward_batch(m.store, m.bcfg, ids[None], text_mask[None], latents[None])
+        hidden, _, _ = bb.forward_batch(m.store, m.cfg, ids[None], text_mask[None], latents[None])
     pred = hidden.data[0, ex.cond_positions] @ m.store["diffusion_head/sim_w"].data \
         + m.store["diffusion_head/sim_b"].data
     tgt = ex.latent_targets
@@ -205,11 +205,28 @@ def test_batch_indices_stateless_and_wrapping():
     assert sorted(flat[10:20]) == list(range(10))
 
 
-def make_trainable(seed=41):
-    m = build_model(ModelConfig(layers=1, heads=2, d=8, max_len=160, k_latent=2, t_steps=5),
-                    seed=seed)
+def make_trainable(seed=41, head="diffusion"):
+    m = build_model(ModelConfig(layers=1, heads=2, d=8, max_len=160, k_latent=2, t_steps=5,
+                                head=head), seed=seed)
     tv.pretrain_encoder(m.store, 2, 1e-2, seed=seed)
     return m
+
+
+@pytest.mark.parametrize("head, mode, trained", [("similarity", "joint", "diffusion"),
+                                                 ("diffusion", "similarity", "similarity")])
+def test_train_sft_rejects_a_model_whose_head_the_mode_does_not_train(head, mode, trained, tmp_path):
+    """The model's head must be the one the mode trains, checked before any
+    step: no metrics file, no parameter moved."""
+    m = make_trainable(head=head)
+    before = {name: t.data.copy() for name, t in m.store.entries.items()}
+    cfg = sft.SftConfig(mode=mode, steps=2, batch_size=2, m_latent=2, seed=1)
+    metrics = tmp_path / "metrics.csv"
+    with pytest.raises(ValueError, match=f"sft mode {mode} trains the {trained} head, "
+                                         f"but the model has the {head} head"):
+        sft.train_sft(m, tv.generate_dataset("grid_rotation", 4, 1), cfg, metrics_path=str(metrics))
+    assert not metrics.exists()
+    for name, val in before.items():
+        assert np.array_equal(m.store[name].data, val)
 
 
 def test_train_sft_zero_steps_is_identity(tmp_path):

@@ -216,10 +216,12 @@ def test_dataset_roundtrip_and_record_fields():
 
 
 def test_render_pgm_header_and_size():
-    img = tv.ToyImage(4, 4, np.arange(16).reshape(4, 4) % tv.PALETTE)
-    blob = tv.render_pgm(img)
-    assert blob.startswith(b"P5\n4 4\n255\n")
-    assert len(blob) == len(b"P5\n4 4\n255\n") + 16
+    """Width before height in the header; cell code c is gray level 51 c."""
+    cells = np.arange(24).reshape(4, 6) % tv.PALETTE
+    blob = tv.render_pgm(cells, tv.PALETTE - 1)
+    assert blob.startswith(b"P5\n6 4\n255\n")
+    assert blob[len(b"P5\n6 4\n255\n"):] == (cells * 51).astype(np.uint8).tobytes()
+    assert tv.render_pgm(np.zeros((2, 3)), 0.0) == b"P5\n3 2\n255\n" + bytes(6)
 
 
 def test_pretrain_encoder_freezes_and_drops_probe():
