@@ -39,9 +39,10 @@ class ConfigError(ValueError):
 # config sections whose keys and defaults are the fields of a dataclass; a
 # dataclass's own seed field is set from the config's global seed instead
 SECTIONS = {"model": ModelConfig, "sft": sft.SftConfig, "rl": grpo.GrpoConfig}
-# ModelConfig fields with one legal value per run, so not config keys: the
-# vocabulary is the committed one, and the latent head follows sft.mode
-NOT_KEYS = ("vocab", "head")
+# section fields with one legal value per run, so not config keys: the
+# vocabulary is the committed one, the latent head follows sft.mode, and SFT's
+# block length is model.k_latent
+NOT_KEYS = ("vocab", "head", "m_latent")
 
 
 def _key(field_name: str) -> str:
@@ -225,9 +226,6 @@ def run_sft_pipeline(cfg: dict, out_dir: str, resume: str | None = None) -> Mode
     else:
         mcfg = section_config(cfg, "model")
         mcfg.head = scfg.head
-    # one latent block length: SFT splices m_latent rows, the grammar expects k_latent
-    if scfg.m_latent != mcfg.k_latent:
-        raise ConfigError(f"sft.m_latent ({scfg.m_latent}) must equal model.k_latent ({mcfg.k_latent})")
     # a rejected config writes nothing and builds no data
     write_run_manifest(out_dir, cfg)
     traces = load_training_data(cfg)
@@ -253,10 +251,12 @@ def cmd_train_sft(args) -> int:
 def cmd_train_rl(args) -> int:
     cfg = load_config(args.config)
     rcfg = section_config(cfg, "rl")
-    out_dir = cfg["paths"]["out_dir"]
-    write_run_manifest(out_dir, cfg)
     model, _ = load_model(args.from_checkpoint)
     traces = load_training_data(cfg)
+    # checked before the manifest, so a rejected budget writes nothing
+    check_budget("rl.max_new_items", rcfg.max_new_items, model.cfg.max_len, traces)
+    out_dir = cfg["paths"]["out_dir"]
+    write_run_manifest(out_dir, cfg)
     grpo.train_rl(model, traces, rcfg,
                   metrics_path=os.path.join(out_dir, "rl_metrics.csv"),
                   checkpoint_path=os.path.join(out_dir, "rl_checkpoint.lsk"),
@@ -271,8 +271,6 @@ def cmd_eval(args) -> int:
     if args.max_new_items < 1:
         raise ConfigError("--max-new-items must be >= 1")
     model, _ = load_model(args.checkpoint)
-    if model.cfg.vocab != vocab.VOCAB_SIZE:
-        raise ConfigError("checkpoint vocabulary does not match this build")
     traces = tv.generate_dataset(args.task, args.n, args.seed)
     check_budget("--max-new-items", args.max_new_items, model.cfg.max_len, traces)
     out_dir = args.out or "."
@@ -295,8 +293,7 @@ ABLATIONS = {
                            "language_only" if mode == "text_only" else "mixed")
                           for mode in sft.MODES]),
     "lambda": ("lambda", [(lam, {"sft": {"lambda": lam}}, "mixed") for lam in (0.1, 1.0, 10.0)]),
-    "budget": ("latent_tokens", [(m, {"sft": {"m_latent": m}, "model": {"k_latent": m}}, "mixed")
-                                 for m in (1, 2, 4, 8, 16)]),
+    "budget": ("latent_tokens", [(k, {"model": {"k_latent": k}}, "mixed") for k in (1, 2, 4, 8, 16)]),
 }
 
 

@@ -177,22 +177,18 @@ def _normal_draws(rngs: list[np.random.Generator], steps: int, d: int) -> np.nda
 
 
 def sample_latent(c: np.ndarray, store: ParamStore, sched: NoiseSchedule,
-                  rngs: list[np.random.Generator], eps_fn=None) -> np.ndarray:
-    """Ancestral sampling from pure noise down to z^(0), one row [n, d] per
-    condition row of c [n, d_c] and one generator per row: row i draws its z_T
-    and each xi from rngs[i], in the order a one-row call draws them.
-    Deterministic given (c, rngs).  Without eps_fn the store's epsilon net is
-    used, through prepare_eps; a given eps_fn(z, t) holds its own conditions
-    and samples rows as wide as c."""
+                  rngs: list[np.random.Generator]) -> np.ndarray:
+    """Ancestral sampling with the store's epsilon net (through prepare_eps)
+    from pure noise down to z^(0), one row [n, d] per condition row of c
+    [n, d_c] and one generator per row: row i draws its z_T and each xi from
+    rngs[i], in the order a one-row call draws them.  Deterministic given
+    (c, rngs)."""
     CALLS["sample_latent"] += 1
     n = c.shape[0]
     if len(rngs) != n:
         raise ValueError(f"{len(rngs)} generators for {n} condition rows")
-    if eps_fn is None:
-        d = store[f"{EPS_NET}/b_out"].data.shape[0]
-        eps_fn = prepare_eps(store, sched, c)
-    else:
-        d = c.shape[1]
+    d = store[f"{EPS_NET}/b_out"].data.shape[0]
+    eps_fn = prepare_eps(store, sched, c)
     draws = iter(_normal_draws(rngs, 1 + int(np.sum(sched.sigma[1:] > 0.0)), d))
     z = next(draws)
     for t in range(sched.t_steps, 0, -1):

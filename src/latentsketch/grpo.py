@@ -10,7 +10,7 @@ moments left by SFT do not move it either.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,8 @@ from .model import Model, save_model
 from .optim import adamw_step, clip_grad_norm
 from .util import fmt_float, seeded_rng
 
-METRICS_HEADER = "iter,mean_reward,clip_fraction,frac_degenerate,mean_len"
+# the columns of rl_metrics.csv, in order
+METRICS_COLUMNS = ("iter", "mean_reward", "clip_fraction", "frac_degenerate", "mean_len")
 
 
 @dataclass
@@ -68,7 +69,7 @@ class Rollout:
 class RolloutGroup:
     query_id: int
     rollouts: list[Rollout]
-    advantages: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    advantages: np.ndarray
 
     @property
     def degenerate(self) -> bool:
@@ -170,8 +171,6 @@ def grpo_objective(group: RolloutGroup, model: Model, clip_eps: float, temperatu
     """
     if group.advantages.size != len(group.rollouts):
         raise ValueError("advantages not computed for this group")
-    if any(r.logprobs_old is None for r in group.rollouts):
-        raise ValueError("rollout is missing behavior-policy log-probabilities")
     prompt = prompt_pass(model, group.rollouts)
     terms = []
     clipped_active = 0
@@ -218,9 +217,7 @@ def sample_groups(model: Model, traces: list[tv.AnnotatedTrace], cfg: GrpoConfig
         for res in results[j * G : (j + 1) * G]:
             rollouts.append(Rollout(res.seq, res.emissions, reward(inf.extract_answer(res.seq), gold),
                                     np.array([e.logprob for e in res.emissions]), res.new_items))
-        group = RolloutGroup(query_id, rollouts)
-        group.advantages = advantages(np.array([r.reward for r in rollouts]))
-        groups.append(group)
+        groups.append(RolloutGroup(query_id, rollouts, advantages(np.array([r.reward for r in rollouts]))))
     return groups
 
 
@@ -241,7 +238,7 @@ def train_rl(model: Model, traces: list[tv.AnnotatedTrace], cfg: GrpoConfig,
     mf = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
     dumpf = open(rollout_dump_path, "w", encoding="utf-8") if rollout_dump_path else None
     if mf:
-        mf.write(METRICS_HEADER + "\n")
+        mf.write(",".join(METRICS_COLUMNS) + "\n")
     consecutive_degenerate = 0
     try:
         for iteration in range(cfg.iters):
@@ -293,9 +290,7 @@ def train_rl(model: Model, traces: list[tv.AnnotatedTrace], cfg: GrpoConfig,
             }
             metrics.append(row)
             if mf:
-                mf.write(",".join([str(iteration)] + [fmt_float(row[k]) for k in
-                                                      ("mean_reward", "clip_fraction",
-                                                       "frac_degenerate", "mean_len")]) + "\n")
+                mf.write(",".join([str(iteration)] + [fmt_float(row[k]) for k in METRICS_COLUMNS[1:]]) + "\n")
                 mf.flush()
             consecutive_degenerate = consecutive_degenerate + 1 if n_degenerate == len(groups) else 0
             if consecutive_degenerate >= 50:

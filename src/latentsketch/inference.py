@@ -57,19 +57,20 @@ class GenResult:
     new_items: int = 0
 
 
-def decision_mask(cfg_mode: str, k: int, remaining_budget: int, seq_len: int, max_len: int,
-                  vocab_size: int) -> np.ndarray:
+def decision_mask(cfg_mode: str, k: int, remaining_budget: int, vocab_size: int) -> np.ndarray:
     """Which vocabulary entries are unsampleable at this decision point.
 
     PAD and BOS are never generated; END is appended mechanically after K
     latents, never sampled; START is masked in language-only mode and whenever
     a full block (START + K latents + END) cannot fit the remaining budget.
+    The budget fits max_len (generate_group checks it), so a block that fits
+    the budget fits max_len too.
     """
     mask = np.zeros(vocab_size, dtype=bool)
     mask[vocab.PAD_ID] = True
     mask[vocab.BOS_ID] = True
     mask[vocab.END_ID] = True
-    if cfg_mode == "language_only" or remaining_budget < k + 2 or seq_len + k + 2 > max_len:
+    if cfg_mode == "language_only" or remaining_budget < k + 2:
         mask[vocab.START_ID] = True
     return mask
 
@@ -94,7 +95,8 @@ def generate_group(prompts: list[sq.MixedSequence], model: Model, cfg: Generatio
     The prompts may have any lengths.  The streams of each prompt length, in
     order of first appearance, are decoded in one lockstep pass.  Stream g
     equals a one-stream decode of prompts[g] with rngs[g]; every output passes
-    grammar validation.
+    grammar validation.  A prompt longer than max_len less the budget is
+    rejected, so the budget alone bounds every stream within max_len.
     """
     if not prompts or len(prompts) != len(rngs):
         raise ValueError(f"{len(prompts)} prompts for {len(rngs)} generators")
@@ -150,13 +152,12 @@ def _generate_lockstep(prompts: list[sq.MixedSequence], model: Model, cfg: Gener
                     item = None  # a latent row, drawn below
                 else:
                     item = sq.MixedItem.ctrl(sq.END)
-            elif res.new_items >= cfg.max_new_items or len(res.seq) >= mcfg.max_len:
+            elif res.new_items >= cfg.max_new_items:
                 res.truncated = True
                 continue
             else:
                 row = cache.last_logits[s]
-                mask = decision_mask(cfg.mode, k, cfg.max_new_items - res.new_items,
-                                     len(res.seq), mcfg.max_len, mcfg.vocab)
+                mask = decision_mask(cfg.mode, k, cfg.max_new_items - res.new_items, mcfg.vocab)
                 logp = masked_logprobs(row, mask, cfg.temperature)
                 if cfg.temperature == 0:
                     tok = int(np.argmax(np.where(mask, -np.inf, row)))

@@ -109,6 +109,9 @@ def load_model(path: str) -> tuple[Model, int]:
                                       f"before the file ends at byte {os.path.getsize(path)}")
 
     require([f"meta/{f.name}" for f in _META_FIELDS] + ["meta/head", "meta/step", "meta/frozen_encoder"])
+    n_vocab = int(records["meta/vocab"][0])
+    if n_vocab != VOCAB_SIZE:
+        raise CheckpointError(f"checkpoint {path} has a {n_vocab}-token vocabulary, this build's has {VOCAB_SIZE}")
     # each value is cast back to the type of its field's default (int or float)
     kwargs = {f.name: type(f.default)(records[f"meta/{f.name}"][0]) for f in _META_FIELDS}
     kwargs["head"] = HEAD_DIFFUSION if records["meta/head"][0] == 0.0 else HEAD_SIMILARITY

@@ -157,8 +157,9 @@ def write_records(path: str, records: dict[str, np.ndarray]) -> None:
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file that is truncated or malformed; the message names the
-    file and the byte offset where reading stopped."""
+    """A checkpoint file that is truncated, malformed or of another vocabulary;
+    the message names the file, and for a truncated one the byte offset where
+    reading stopped."""
 
 
 def read_records(path: str) -> dict[str, np.ndarray]:

@@ -29,7 +29,8 @@ from .util import fmt_float, seeded_rng
 
 MODES = ("joint", "text_only", "similarity")
 
-METRICS_HEADER = "step,ce_loss,diff_loss,total_loss,lr_backbone,lr_diffusion,grad_norm"
+# the columns of metrics.csv, in order
+METRICS_COLUMNS = ("step", "ce_loss", "diff_loss", "total_loss", "lr_backbone", "lr_diffusion", "grad_norm")
 
 
 @dataclass
@@ -40,7 +41,7 @@ class SftConfig:
     lr_diffusion: float = 2e-2
     steps: int = 4000
     batch_size: int = 8
-    m_latent: int = 4
+    m_latent: int = 4  # not a config key, SFT pools model.cfg.k_latent rows; perfbench/ reads it
     seed: int = 7
     weight_decay: float = 0.01
     warmup_frac: float = 0.03
@@ -96,14 +97,13 @@ def build_example(trace: tv.AnnotatedTrace, model: Model, m: int,
         raise ValueError(f"example length {len(items)} overflows max_len {cfg.max_len}")
 
     text_pos, ce_targets, cond_pos = [], [], []
-    n_ctx = prompt_len - len(trace.question)
     # CE supervises the response only (the prompt is conditioning, not a target)
     for i in range(prompt_len - 1, len(items) - 1):
         nxt = items[i + 1]
         if nxt.kind == sq.TEXT or (nxt.kind == sq.CTRL and nxt.value in (sq.START, sq.END, sq.EOS)):
             text_pos.append(i)
             ce_targets.append(nxt.token_id())
-        elif nxt.kind == sq.LATENT and i + 1 >= n_ctx:
+        elif nxt.kind == sq.LATENT:
             cond_pos.append(i)
     latent_targets = np.concatenate(targets, axis=0) if targets else np.zeros((0, cfg.d))
     if len(cond_pos) != latent_targets.shape[0]:
@@ -240,7 +240,7 @@ def train_sft(model: Model, traces: list[tv.AnnotatedTrace], cfg: SftConfig,
         mode = "a" if start_step > 0 and os.path.exists(metrics_path) else "w"
         mf = open(metrics_path, mode, encoding="utf-8")
         if mode == "w":
-            mf.write(METRICS_HEADER + "\n")
+            mf.write(",".join(METRICS_COLUMNS) + "\n")
 
     stop = cfg.steps if end_step is None else min(end_step, cfg.steps)
     try:
@@ -249,7 +249,7 @@ def train_sft(model: Model, traces: list[tv.AnnotatedTrace], cfg: SftConfig,
             examples = []
             for i in idx:
                 try:
-                    examples.append(build_example(traces[i], model, cfg.m_latent, cfg.mode))
+                    examples.append(build_example(traces[i], model, model.cfg.k_latent, cfg.mode))
                 except ValueError:
                     dropped += 1
             if not examples:
@@ -270,9 +270,7 @@ def train_sft(model: Model, traces: list[tv.AnnotatedTrace], cfg: SftConfig,
                    "lr_backbone": lr_b, "lr_diffusion": lr_d, "grad_norm": grad_norm}
             metrics.append(row)
             if mf is not None:
-                mf.write(",".join([str(step)] + [fmt_float(row[k]) for k in
-                                                 ("ce_loss", "diff_loss", "total_loss",
-                                                  "lr_backbone", "lr_diffusion", "grad_norm")]) + "\n")
+                mf.write(",".join([str(step)] + [fmt_float(row[k]) for k in METRICS_COLUMNS[1:]]) + "\n")
                 mf.flush()
             if checkpoint_path and cfg.checkpoint_interval and (step + 1) % cfg.checkpoint_interval == 0:
                 save_model(periodic_checkpoint_path(checkpoint_path, step + 1), model, step=step + 1)

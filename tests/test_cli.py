@@ -11,8 +11,8 @@ from latentsketch import inference as inf
 from latentsketch import sequence as sq
 from latentsketch import toyvision as tv
 from latentsketch import vocab
-from latentsketch.cli import (DEFAULT_CONFIG, SECTIONS, ConfigError, _merge_validate, evaluate,
-                              load_config, main, section_config)
+from latentsketch.cli import (DEFAULT_CONFIG, NOT_KEYS, SECTIONS, ConfigError, _merge_validate,
+                              evaluate, load_config, main, section_config)
 from latentsketch.model import ModelConfig, build_model, save_model
 from latentsketch.util import seeded_rng
 
@@ -25,8 +25,7 @@ def tiny_config(tmp_path, **over):
         "seed": 3,
         "model": TINY_MODEL,
         "data": {"task": "grid_rotation", "train_count": 6, "train_seed": 2},
-        "sft": {"steps": 3, "batch_size": 2, "m_latent": 2, "encoder_pretrain_steps": 2,
-                "checkpoint_interval": 2},
+        "sft": {"steps": 3, "batch_size": 2, "encoder_pretrain_steps": 2, "checkpoint_interval": 2},
         "eval": {"n": 2, "seed": 11, "max_new_items": 8},
         "paths": {"out_dir": str(tmp_path / "run")},
     }
@@ -58,7 +57,7 @@ NON_DEFAULT = {
     "model": {"layers": 3, "heads": 2, "d": 12, "max_len": 200, "k_latent": 5,
               "t_steps": 40, "beta_start": 2e-4, "beta_end": 0.3},
     "sft": {"mode": "text_only", "lambda": 0.5, "lr_backbone": 2e-3, "lr_diffusion": 3e-2,
-            "steps": 11, "batch_size": 3, "m_latent": 2, "weight_decay": 0.02,
+            "steps": 11, "batch_size": 3, "weight_decay": 0.02,
             "warmup_frac": 0.05, "floor_frac": 0.2, "clip_norm": 1.5, "checkpoint_interval": 5,
             "encoder_pretrain_steps": 13, "encoder_lr": 4e-2},
     "rl": {"group_size": 4, "clip_eps": 0.1, "lr": 2e-4, "temperature": 0.9,
@@ -74,9 +73,9 @@ def test_every_config_key_reaches_its_dataclass(section, tmp_path, monkeypatch):
     assert len(set(map(repr, values.values()))) == len(values)
     for key, val in values.items():
         assert val != DEFAULT_CONFIG[section][key], key
-    # every dataclass field but the seed, the vocabulary size and the latent head
-    # has a config key, and no key lacks a field
-    names = {f.name for f in dataclasses.fields(SECTIONS[section])} - {"seed", "vocab", "head"}
+    # every dataclass field but the seed and the NOT_KEYS (the vocabulary size,
+    # the latent head and SFT's block length) has a config key, and no key lacks a field
+    names = {f.name for f in dataclasses.fields(SECTIONS[section])} - {"seed", *NOT_KEYS}
     assert {"lambda" if n == "lam" else n for n in names} == set(values)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 123, section: values}))
@@ -162,20 +161,11 @@ def assert_rejected_before_any_work(tmp_path, data_loads):
     assert data_loads == []
 
 
-def test_train_sft_block_length_mismatch_exits_2(tmp_path, capsys, data_loads):
-    path = tiny_config(tmp_path, sft={"steps": 1, "batch_size": 2, "m_latent": 3,
-                                      "encoder_pretrain_steps": 2})
-    assert main(["train-sft", "--config", path]) == 2
-    err = capsys.readouterr().err
-    assert "sft.m_latent (3)" in err and "model.k_latent (2)" in err
-    assert_rejected_before_any_work(tmp_path, data_loads)
-
-
 # (section, key, value) of keys that are not config keys: the head follows
-# sft.mode and the vocabulary is the committed one; the others are settings
-# the program does not have (removed ones, and the eval mode that ablate
-# takes from its suite)
-UNKNOWN_KEYS = [("model", "head", "similarity"), ("model", "vocab", 96),
+# sft.mode, the vocabulary is the committed one and SFT's block length is
+# model.k_latent; the others are settings the program does not have (removed
+# ones, and the eval mode that ablate takes from its suite)
+UNKNOWN_KEYS = [("model", "head", "similarity"), ("model", "vocab", 96), ("sft", "m_latent", 2),
                 ("sft", "latent_noise", 0.1), ("sft", "sampled_block_fraction", 0.25),
                 ("sft", "align_pattern_tokens", False), ("rl", "ratio_variant", "sequence"),
                 ("data", "text_only_fraction", 0.5), ("eval", "mode", "mixed")]
@@ -194,22 +184,11 @@ def test_model_head_and_vocab_are_not_config_keys(section, key, value, tmp_path,
     assert not (tmp_path / "run").exists()
 
 
-def test_train_sft_resume_block_length_mismatch_exits_2(tmp_path, capsys, data_loads):
-    ck = make_checkpoint(tmp_path)
-    path = tiny_config(tmp_path, sft={"steps": 1, "batch_size": 2, "m_latent": 3,
-                                      "encoder_pretrain_steps": 2})
-    assert main(["train-sft", "--config", path, "--resume", ck]) == 2
-    err = capsys.readouterr().err
-    assert "sft.m_latent (3)" in err and "model.k_latent (2)" in err
-    assert_rejected_before_any_work(tmp_path, data_loads)
-
-
 @pytest.mark.parametrize("head, mode", [("similarity", "joint"), ("diffusion", "similarity")])
 def test_train_sft_resume_head_mismatch_exits_2(head, mode, tmp_path, capsys, data_loads):
     """The head a resumed checkpoint has must be the one sft.mode trains."""
     ck = make_checkpoint(tmp_path, head=head)
-    path = tiny_config(tmp_path, sft={"mode": mode, "steps": 1, "batch_size": 2, "m_latent": 2,
-                                      "encoder_pretrain_steps": 2})
+    path = tiny_config(tmp_path, sft={"mode": mode, "steps": 1, "batch_size": 2, "encoder_pretrain_steps": 2})
     assert main(["train-sft", "--config", path, "--resume", ck]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: checkpoint") and f"has the {head} head" in err
@@ -277,6 +256,47 @@ def test_bad_rl_value_exits_2_naming_the_key(key, value, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: invalid rl config:") and key in err
     assert not (tmp_path / "run" / "rl_metrics.csv").exists()
+
+
+def test_train_rl_budget_beyond_max_len_exits_2_before_writing(tmp_path, capsys):
+    """An rl.max_new_items above max_len minus the longest prompt of the data
+    is rejected once the checkpoint and the data are loaded, before the run
+    writes its manifest or its metrics."""
+    ck = make_checkpoint(tmp_path)
+    most = TINY_MODEL["max_len"] - max(inf.prompt_length(t) for t in tv.generate_dataset("grid_rotation", 6, 2))
+    rl = {"iters": 1, "queries_per_iter": 1, "group_size": 2}
+    path = tiny_config(tmp_path, rl={**rl, "max_new_items": most + 1})
+    assert main(["train-rl", "--config", path, "--from-checkpoint", ck]) == 2
+    assert capsys.readouterr().err.startswith(f"error: rl.max_new_items ({most + 1}) exceeds {most},")
+    assert not (tmp_path / "run").exists()
+    path = tiny_config(tmp_path, rl={**rl, "max_new_items": most})
+    assert main(["train-rl", "--config", path, "--from-checkpoint", ck]) == 0
+
+
+# the argv of each command that loads a checkpoint, given its path, an output
+# path and a config
+LOADING_COMMANDS = {
+    "eval": lambda ck, out, cfg: ["eval", "--checkpoint", ck, "--task", "grid_rotation", "--n", "1",
+                                  "--seed", "1", "--out", out],
+    "export-attn": lambda ck, out, cfg: ["export-attn", "--checkpoint", ck, "--example-id", "0", "--out", out],
+    "bench-latency": lambda ck, out, cfg: ["bench-latency", "--checkpoint", ck, "--out", out],
+    "train-rl": lambda ck, out, cfg: ["train-rl", "--config", cfg, "--from-checkpoint", ck],
+    "train-sft --resume": lambda ck, out, cfg: ["train-sft", "--config", cfg, "--resume", ck],
+}
+
+
+@pytest.mark.parametrize("command", LOADING_COMMANDS)
+def test_foreign_vocabulary_checkpoint_exits_3_at_the_load(command, tmp_path, capsys):
+    """A checkpoint saved with another vocabulary size stops every command at
+    load_model, which names the file and both sizes; nothing is written."""
+    m = build_model(ModelConfig(**TINY_MODEL, vocab=200), seed=71)
+    ck = str(tmp_path / "m.lsk")
+    save_model(ck, m)
+    cfg = tiny_config(tmp_path)
+    assert main(LOADING_COMMANDS[command](ck, str(tmp_path / "out"), cfg)) == 3
+    assert capsys.readouterr().err == (f"runtime failure: checkpoint {ck} has a 200-token vocabulary, "
+                                       f"this build's has {vocab.VOCAB_SIZE}\n")
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "m.lsk"]
 
 
 def test_eval_validation_and_dump_consistency(tmp_path):

@@ -172,9 +172,13 @@ def test_sample_latent_zero_net_variance_closed_form():
     v = 1.0
     for t in range(10, 0, -1):
         v = v / sched.alpha[t] + sched.sigma[t] ** 2
+    store = make_net(d=2, d_c=2)
+    # a zero output layer makes the predictor exactly 0
+    store["diffusion_head/eps/w_out"].data[:] = 0.0
+    store["diffusion_head/eps/b_out"].data[:] = 0.0
     rng = seeded_rng(11, "var")
     n = 10_000
-    zs = df.sample_latent(np.zeros((n, 2)), None, sched, [rng] * n, eps_fn=ZERO_EPS)
+    zs = df.sample_latent(np.zeros((n, 2)), store, sched, [rng] * n)
     emp = zs.var(axis=0)
     assert abs(zs.mean()) < 0.05
     assert np.all(np.abs(emp - v) / v < 0.10)
@@ -215,7 +219,7 @@ def test_prepared_eps_equals_eps_forward_at_every_t():
 def test_sample_latent_shared_generators_draw_in_row_order():
     """Generators shared across rows as [a, b, a, e, b, a, e]: the rows equal,
     bitwise, a reference loop that draws z_T and then each step's xi one row
-    at a time, in row order, and takes the same net on the whole batch."""
+    at a time, in row order, and takes the same prepared net on the whole batch."""
     store = make_net()
     sched = ModelConfig(t_steps=6).schedule()
     c = seeded_rng(12, "shared").normal(size=(7, 4))
@@ -225,16 +229,13 @@ def test_sample_latent_shared_generators_draw_in_row_order():
         gens = {k: seeded_rng(12, "gen", k) for k in "abe"}
         return [gens[k] for k in layout]
 
-    def net(z, t):
-        with ad.no_grad():
-            return df.eps_forward(store, sched, z, t, c).data
-
+    net = df.prepare_eps(store, sched, c)
     ref = rngs()
     z = np.stack([r.standard_normal(4) for r in ref])
     for t in range(sched.t_steps, 0, -1):
         xi = np.stack([r.standard_normal(4) for r in ref]) if sched.sigma[t] > 0.0 else np.zeros((7, 4))
         z = df.denoise_step(z, t, xi, sched, net)
-    got = df.sample_latent(c, store, sched, rngs(), eps_fn=net)
+    got = df.sample_latent(c, store, sched, rngs())
     assert np.array_equal(got, z)
 
 

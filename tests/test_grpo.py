@@ -97,16 +97,6 @@ def test_on_policy_objective_is_mean_advantage(snapshot_tol=1e-9):
     assert abs(obj.item() - np.mean(group.advantages)) < snapshot_tol
 
 
-def test_objective_requires_old_logprobs():
-    model = make_rl_model()
-    cfg = grpo.GrpoConfig(group_size=2, temperature=0.9, max_new_items=6, seed=3)
-    group, _ = sample_tiny_group(model, cfg)
-    group.rollouts[0].logprobs_old = None
-    group.advantages = np.array([1.0, -1.0])
-    with pytest.raises(ValueError, match="behavior-policy"):
-        grpo.grpo_objective(group, model, 0.2, cfg.temperature)
-
-
 def test_clip_arithmetic_positive_and_negative_advantage():
     model = make_rl_model()
     cfg = grpo.GrpoConfig(group_size=2, temperature=0.8, max_new_items=6, seed=7)

@@ -139,10 +139,9 @@ def test_no_import_inside_a_function():
 
 
 # defaulted parameters that no program call sets, kept as seams for callers
-# outside the program: the command line's argv, the epsilon net's width (the
-# diffusion oracle's small net) and the sampler's eps_fn (the oracle tests' fake)
-SEAMS = {("cli", "main", "argv"), ("diffusion", "init_epsilon_net", "width"),
-         ("diffusion", "sample_latent", "eps_fn")}
+# outside the program: the command line's argv and the epsilon net's width (the
+# diffusion oracle's small net)
+SEAMS = {("cli", "main", "argv"), ("diffusion", "init_epsilon_net", "width")}
 
 
 def _defaulted(fn: ast.FunctionDef, method: bool) -> list[tuple[str, int | None]]:
@@ -154,6 +153,18 @@ def _defaulted(fn: ast.FunctionDef, method: bool) -> list[tuple[str, int | None]
            if i >= len(positional) - len(fn.args.defaults)]
     out += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
     return out
+
+
+def test_every_seam_is_a_defaulted_parameter():
+    """Each SEAMS entry names a defaulted parameter of a public top-level
+    function that exists, so a seam outlives neither its code nor its default."""
+    missing = []
+    for module, fn, name in sorted(SEAMS):
+        node = next((n for n in _parse(os.path.join(ROOT, "src", "latentsketch", f"{module}.py")).body
+                     if isinstance(n, ast.FunctionDef) and n.name == fn), None)
+        if node is None or name not in {arg for arg, _ in _defaulted(node, False)}:
+            missing.append(f"{module}.{fn}({name})")
+    assert not missing, f"seams that are no defaulted parameter: {missing}"
 
 
 def test_every_defaulted_parameter_is_passed_by_the_program():
@@ -227,7 +238,7 @@ def test_every_dataclass_default_is_used_by_the_program():
                 if has:
                     defaults.append((cls.name, node.target.id, pos))
                 pos += 1
-    assert len(defaults) > 2  # the scan found the defaults
+    assert len(defaults) >= 2  # the scan found the defaults (GenResult has two)
     calls = [node for p in glob.glob(os.path.join(ROOT, "src", "latentsketch", "*.py"))
              + glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
              for node in ast.walk(_parse(p)) if isinstance(node, ast.Call)]

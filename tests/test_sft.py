@@ -219,7 +219,7 @@ def test_train_sft_rejects_a_model_whose_head_the_mode_does_not_train(head, mode
     step: no metrics file, no parameter moved."""
     m = make_trainable(head=head)
     before = {name: t.data.copy() for name, t in m.store.entries.items()}
-    cfg = sft.SftConfig(mode=mode, steps=2, batch_size=2, m_latent=2, seed=1)
+    cfg = sft.SftConfig(mode=mode, steps=2, batch_size=2, seed=1)
     metrics = tmp_path / "metrics.csv"
     with pytest.raises(ValueError, match=f"sft mode {mode} trains the {trained} head, "
                                          f"but the model has the {head} head"):
@@ -233,7 +233,7 @@ def test_train_sft_zero_steps_is_identity(tmp_path):
     m = make_trainable()
     before = m.store.clone_values()
     traces = tv.generate_dataset("grid_rotation", 4, 1)
-    cfg = sft.SftConfig(mode="joint", steps=0, batch_size=2, m_latent=2, seed=1)
+    cfg = sft.SftConfig(mode="joint", steps=0, batch_size=2, seed=1)
     sft.train_sft(m, traces, cfg)
     for name, val in before.items():
         assert np.array_equal(m.store[name].data, val)
@@ -243,15 +243,15 @@ def test_train_sft_requires_frozen_encoder():
     m = build_model(ModelConfig(layers=1, heads=2, d=8, max_len=160, k_latent=2), seed=2)
     with pytest.raises(RuntimeError, match="frozen"):
         sft.train_sft(m, tv.generate_dataset("grid_rotation", 2, 1),
-                      sft.SftConfig(steps=1, batch_size=1, m_latent=2))
+                      sft.SftConfig(steps=1, batch_size=1))
 
 
 def test_train_text_only_equals_joint_lambda_zero_on_latent_free_data():
     traces = [strip_images(t) for t in tv.generate_dataset("grid_rotation", 6, 3)]
     m1 = make_trainable(seed=43)
     m2 = make_trainable(seed=43)
-    cfg1 = sft.SftConfig(mode="text_only", steps=4, batch_size=2, m_latent=2, seed=5)
-    cfg2 = sft.SftConfig(mode="joint", lam=0.0, steps=4, batch_size=2, m_latent=2, seed=5)
+    cfg1 = sft.SftConfig(mode="text_only", steps=4, batch_size=2, seed=5)
+    cfg2 = sft.SftConfig(mode="joint", lam=0.0, steps=4, batch_size=2, seed=5)
     sft.train_sft(m1, traces, cfg1)
     sft.train_sft(m2, traces, cfg2)
     for name in m1.store.entries:
@@ -264,7 +264,7 @@ def test_train_sft_deterministic_and_encoder_frozen(tmp_path):
         enc_before = {n: m.store[n].data.copy() for n in m.store.entries
                       if m.store.group[n] == "vision_encoder"}
         traces = tv.generate_dataset("grid_rotation", 6, 2)
-        cfg = sft.SftConfig(mode="joint", steps=6, batch_size=2, m_latent=2, seed=3)
+        cfg = sft.SftConfig(mode="joint", steps=6, batch_size=2, seed=3)
         sft.train_sft(m, traces, cfg)
         return m, enc_before
 
@@ -280,7 +280,7 @@ def test_train_sft_metrics_csv_schema(tmp_path):
     m = make_trainable(seed=45)
     traces = tv.generate_dataset("grid_rotation", 4, 2)
     path = str(tmp_path / "metrics.csv")
-    cfg = sft.SftConfig(mode="joint", steps=3, batch_size=2, m_latent=2, seed=3)
+    cfg = sft.SftConfig(mode="joint", steps=3, batch_size=2, seed=3)
     rows = sft.train_sft(m, traces, cfg, metrics_path=path)
     lines = open(path).read().splitlines()
     assert lines[0] == "step,ce_loss,diff_loss,total_loss,lr_backbone,lr_diffusion,grad_norm"
@@ -292,7 +292,7 @@ def test_train_sft_metrics_csv_schema(tmp_path):
 
 def test_train_sft_resume_chunks_match_uninterrupted(tmp_path):
     traces = tv.generate_dataset("grid_rotation", 6, 2)
-    cfg = sft.SftConfig(mode="joint", steps=6, batch_size=2, m_latent=2, seed=3)
+    cfg = sft.SftConfig(mode="joint", steps=6, batch_size=2, seed=3)
     m_full = make_trainable(seed=46)
     sft.train_sft(m_full, traces, cfg)
     m_chunk = make_trainable(seed=46)
