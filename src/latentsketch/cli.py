@@ -39,10 +39,9 @@ class ConfigError(ValueError):
 # config sections whose keys and defaults are the fields of a dataclass; a
 # dataclass's own seed field is set from the config's global seed instead
 SECTIONS = {"model": ModelConfig, "sft": sft.SftConfig, "rl": grpo.GrpoConfig}
-# section fields with one legal value per run, so not config keys: the
-# vocabulary is the committed one, the latent head follows sft.mode, and SFT's
-# block length is model.k_latent
-NOT_KEYS = ("vocab", "head", "m_latent")
+# section fields with one legal value per run, so not config keys: the latent
+# head follows sft.mode, and SFT's block length is model.k_latent
+NOT_KEYS = ("head", "m_latent")
 
 
 def _key(field_name: str) -> str:
@@ -101,6 +100,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"data.task must be one of {', '.join(tv.TASKS)}, not {data['task']!r}")
     if not isinstance(data["train_count"], int) or data["train_count"] < 1:
         raise ConfigError(f"data.train_count must be an integer >= 1, not {data['train_count']!r}")
+    for name in SECTIONS:  # a bad value in any section fails here, before a command writes
+        section_config(cfg, name)
     return cfg
 
 
@@ -196,6 +197,8 @@ def check_budget(name: str, budget: int, max_len: int, traces: list[tv.Annotated
 def cmd_gen_data(args) -> int:
     if args.count < 1:
         raise ConfigError("--count must be >= 1")
+    if args.pgm_limit < 0:
+        raise ConfigError("--pgm-limit must be >= 0")
     if os.path.exists(args.out) and not args.force:
         raise ConfigError(f"{args.out} exists; pass --force to overwrite")
     traces = tv.generate_dataset(args.task, args.count, args.seed)

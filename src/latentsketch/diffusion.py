@@ -61,6 +61,8 @@ class NoiseSchedule:
 
 
 def linear_schedule(t_steps: int, beta_start: float, beta_end: float) -> NoiseSchedule:
+    if t_steps < 1:
+        raise ValueError("t_steps must be >= 1")
     beta = np.concatenate([[0.0], np.linspace(beta_start, beta_end, t_steps)])
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)

@@ -4,8 +4,9 @@ For each query, G trajectories are sampled from the frozen behavior policy,
 scored with an exact-match reward, and group-normalized into advantages.  The
 clipped-ratio surrogate is ascended on text-token positions only: latent
 positions carry no log-probability, so the diffusion head receives exactly
-zero gradient by construction, and its learning rate is 0 so that AdamW
-moments left by SFT do not move it either.
+zero gradient by construction.  The step trains the backbone alone: the
+diffusion head and the vision encoder keep their values and the AdamW
+moments SFT left them.
 """
 
 from __future__ import annotations
@@ -272,9 +273,7 @@ def train_rl(model: Model, traces: list[tv.AnnotatedTrace], cfg: GrpoConfig,
                 model.store.zero_grad()
                 ad.backward(loss, model.store)
                 clip_grad_norm(model.store, cfg.clip_norm)
-                adamw_step(model.store, {"backbone": cfg.lr, "diffusion_head": 0.0,
-                                         "vision_encoder": 0.0},
-                           weight_decay=cfg.weight_decay)
+                adamw_step(model.store, {"backbone": cfg.lr}, weight_decay=cfg.weight_decay)
 
             if dumpf:
                 for g in groups:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -28,7 +29,7 @@ class ModelConfig:
     layers: int = 4
     heads: int = 4
     d: int = 64
-    vocab: int = VOCAB_SIZE
+    vocab: ClassVar[int] = VOCAB_SIZE  # not a field: the committed vocabulary is the only one
     max_len: int = 256
     k_latent: int = 4
     t_steps: int = 50
@@ -37,10 +38,13 @@ class ModelConfig:
     head: str = HEAD_DIFFUSION
 
     def __post_init__(self):
+        if self.heads < 1:
+            raise ValueError("heads must be >= 1")
         if self.d % self.heads:
             raise ValueError("model width must be divisible by head count")
         if self.k_latent < 1:
             raise ValueError("k_latent must be >= 1")
+        self.schedule()  # the noise schedule checks t_steps and the betas
 
     def schedule(self) -> df.NoiseSchedule:
         return df.linear_schedule(self.t_steps, self.beta_start, self.beta_end)
@@ -54,10 +58,6 @@ class Model:
         self.store = store
         self.bcfg = cfg  # the name the benchmark (perfbench/) reads; the program reads cfg
         self.sched = cfg.schedule()
-
-    @property
-    def frozen_encoder(self) -> bool:
-        return "vision_encoder" in self.store.frozen_groups
 
 
 def build_model(cfg: ModelConfig, seed: int) -> Model:
@@ -82,7 +82,7 @@ _META_FIELDS = tuple(f for f in fields(ModelConfig) if f.name != "head")
 def save_model(path: str, model: Model, step: int = 0, include_opt: bool = True) -> None:
     """Write each parameter under its own name, its AdamW moments under
     "opt/m/", "opt/v/" and "opt/t/" plus its name, and scalar metadata under
-    "meta/": the _META_FIELDS, the head, the step and the frozen encoder."""
+    "meta/": the _META_FIELDS, the vocabulary size, the head and the step."""
     records = {name: t.data for name, t in model.store.entries.items()}
     if include_opt:
         for name, state in model.store.opt_state.items():
@@ -91,9 +91,9 @@ def save_model(path: str, model: Model, step: int = 0, include_opt: bool = True)
             records[f"opt/t/{name}"] = np.array([float(state["t"])])
     for f in _META_FIELDS:
         records[f"meta/{f.name}"] = np.array([float(getattr(model.cfg, f.name))])
+    records["meta/vocab"] = np.array([float(VOCAB_SIZE)])
     records["meta/head"] = np.array([0.0 if model.cfg.head == HEAD_DIFFUSION else 1.0])
     records["meta/step"] = np.array([float(step)])
-    records["meta/frozen_encoder"] = np.array([1.0 if model.frozen_encoder else 0.0])
     write_records(path, records)
 
 
@@ -108,7 +108,7 @@ def load_model(path: str) -> tuple[Model, int]:
                 raise CheckpointError(f"truncated checkpoint {path}: no record {name!r} "
                                       f"before the file ends at byte {os.path.getsize(path)}")
 
-    require([f"meta/{f.name}" for f in _META_FIELDS] + ["meta/head", "meta/step", "meta/frozen_encoder"])
+    require([f"meta/{f.name}" for f in _META_FIELDS] + ["meta/vocab", "meta/head", "meta/step"])
     n_vocab = int(records["meta/vocab"][0])
     if n_vocab != VOCAB_SIZE:
         raise CheckpointError(f"checkpoint {path} has a {n_vocab}-token vocabulary, this build's has {VOCAB_SIZE}")
@@ -125,6 +125,4 @@ def load_model(path: str) -> tuple[Model, int]:
         if f"opt/m/{name}" in records:
             store.opt_state[name] = {"m": records[f"opt/m/{name}"], "v": records[f"opt/v/{name}"],
                                      "t": int(records[f"opt/t/{name}"][0])}
-    if records["meta/frozen_encoder"][0] == 1.0:
-        store.freeze("vision_encoder")
     return model, int(records["meta/step"][0])

@@ -30,7 +30,6 @@ class ParamStore:
     def __init__(self):
         self.entries: dict[str, Tensor] = {}
         self.group: dict[str, str] = {}
-        self.frozen_groups: set[str] = set()
         # sidecar optimizer state: name -> {"m": ndarray, "v": ndarray, "t": int}
         self.opt_state: dict[str, dict] = {}
 
@@ -44,20 +43,12 @@ class ParamStore:
         self.group[name] = group
         return t
 
-    def remove(self, name: str) -> None:
-        del self.entries[name]
-        del self.group[name]
-        self.opt_state.pop(name, None)
-
     def __getitem__(self, name: str) -> Tensor:
         return self.entries[name]
 
     def zero_grad(self) -> None:
         for t in self.entries.values():
             t.grad = None
-
-    def freeze(self, group: str) -> None:
-        self.frozen_groups.add(group)
 
     def clone_values(self) -> dict[str, np.ndarray]:
         return {n: t.data.copy() for n, t in self.entries.items()}
@@ -103,20 +94,17 @@ def clip_grad_norm(store: ParamStore, max_norm: float) -> float:
 
 
 def adamw_step(store: ParamStore, lr_by_group: dict[str, float], weight_decay: float) -> None:
-    """One decoupled-weight-decay Adam step over every unfrozen parameter with a grad."""
+    """One decoupled-weight-decay Adam step over every parameter with a grad
+    whose group is a key of lr_by_group; every other parameter, and its AdamW
+    moments, stays as it is."""
     b1, b2 = ADAM_BETAS
     for name, t in store.entries.items():
-        group = store.group[name]
-        if group in store.frozen_groups:
-            continue
+        lr = lr_by_group.get(store.group[name])
         g = t.grad
-        if g is None:
+        if lr is None or g is None:
             continue
         if not np.isfinite(np.sum(g)):
             raise FloatingPointError(f"non-finite gradient for {name!r}")
-        if group not in lr_by_group:
-            raise KeyError(f"no learning rate for group {group!r}")
-        lr = lr_by_group[group]
         state = store.opt_state.get(name)
         if state is None:
             state = {"m": np.zeros_like(t.data), "v": np.zeros_like(t.data), "t": 0}

@@ -55,12 +55,22 @@ class SftConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown sft mode {self.mode!r}")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        _schedules(self)  # LrSchedule checks the warmup and the floor
 
     @property
     def head(self) -> str:
         """The latent head this mode trains: the similarity head for
         similarity, the diffusion head otherwise."""
         return HEAD_SIMILARITY if self.mode == "similarity" else HEAD_DIFFUSION
+
+
+def _schedules(cfg: SftConfig) -> dict[str, LrSchedule]:
+    """The learning-rate schedule of each group SFT trains."""
+    warmup = int(round(cfg.warmup_frac * cfg.steps))
+    return {group: LrSchedule(lr, cfg.floor_frac * lr, warmup, max(cfg.steps, 1))
+            for group, lr in (("backbone", cfg.lr_backbone), ("diffusion_head", cfg.lr_diffusion))}
 
 
 @dataclass
@@ -224,14 +234,7 @@ def train_sft(model: Model, traces: list[tv.AnnotatedTrace], cfg: SftConfig,
     if model.cfg.head != cfg.head:
         raise ValueError(f"sft mode {cfg.mode} trains the {cfg.head} head, but the model has "
                          f"the {model.cfg.head} head")
-    if not model.frozen_encoder:
-        raise RuntimeError("vision encoder must be frozen before SFT (run the encoder pre-pass)")
-
-    warmup = int(round(cfg.warmup_frac * cfg.steps))
-    scheds = {
-        "backbone": LrSchedule(cfg.lr_backbone, cfg.floor_frac * cfg.lr_backbone, warmup, max(cfg.steps, 1)),
-        "diffusion_head": LrSchedule(cfg.lr_diffusion, cfg.floor_frac * cfg.lr_diffusion, warmup, max(cfg.steps, 1)),
-    }
+    scheds = _schedules(cfg)
     n = len(traces)
     dropped = 0
     metrics: list[dict] = []
@@ -264,8 +267,7 @@ def train_sft(model: Model, traces: list[tv.AnnotatedTrace], cfg: SftConfig,
             grad_norm = clip_grad_norm(model.store, cfg.clip_norm)
             lr_b = cosine_lr(step + 1, scheds["backbone"])
             lr_d = cosine_lr(step + 1, scheds["diffusion_head"])
-            adamw_step(model.store, {"backbone": lr_b, "diffusion_head": lr_d, "vision_encoder": 0.0},
-                       weight_decay=cfg.weight_decay)
+            adamw_step(model.store, {"backbone": lr_b, "diffusion_head": lr_d}, weight_decay=cfg.weight_decay)
             row = {"step": step, "ce_loss": ce, "diff_loss": diff, "total_loss": total.item(),
                    "lr_backbone": lr_b, "lr_diffusion": lr_d, "grad_norm": grad_norm}
             metrics.append(row)

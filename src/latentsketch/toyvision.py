@@ -114,16 +114,18 @@ def compress_latents(rows: np.ndarray, m: int) -> np.ndarray:
 
 
 def pretrain_encoder(store: ParamStore, steps: int, lr: float, seed: int) -> float:
-    """Fit an autoencoding probe (embedding -> per-cell code logits), then freeze.
+    """Fit the encoder through an autoencoding probe (embedding -> per-cell
+    code logits); returns the last step's loss.
 
-    The probe head is scaffolding; it is removed from the store afterwards so
-    only the projection and position table survive into SFT.
+    The probe head is scaffolding in a store of its own, so only the
+    projection and position table go on into SFT, which leaves them fixed.
     """
     d = store["vision_encoder/proj"].data.shape[1]
     out_dim = PATCH * PATCH * PALETTE
     rng0 = seeded_rng(seed, "enc-probe-init")
-    store.add("vision_encoder/probe_w", rng0.normal(0.0, 1.0 / np.sqrt(d), (d, out_dim)), "vision_encoder")
-    store.add("vision_encoder/probe_b", np.zeros(out_dim), "vision_encoder")
+    probe = ParamStore()
+    probe.add("vision_encoder/probe_w", rng0.normal(0.0, 1.0 / np.sqrt(d), (d, out_dim)), "vision_encoder")
+    probe.add("vision_encoder/probe_b", np.zeros(out_dim), "vision_encoder")
     last = float("nan")
     for step in range(steps):
         rng = seeded_rng(seed, "enc-pretrain", step)
@@ -140,21 +142,20 @@ def pretrain_encoder(store: ParamStore, steps: int, lr: float, seed: int) -> flo
         pos_flat = ad.reshape(store["vision_encoder/pos"], (MAX_PATCH_GRID * MAX_PATCH_GRID, d))
         emb = ad.add(ad.affine(onehot, store["vision_encoder/proj"]),
                      ad.take_rows(pos_flat, pos_idx))
-        logits = ad.affine(emb, store["vision_encoder/probe_w"], store["vision_encoder/probe_b"])
+        logits = ad.affine(emb, probe["vision_encoder/probe_w"], probe["vision_encoder/probe_b"])
         logits = ad.reshape(logits, (onehot.shape[0] * PATCH * PATCH, PALETTE))
         loss = ad.mean_(ad.cross_entropy(logits, target))
         store.zero_grad()
+        probe.zero_grad()
         ad.backward(loss)
         adamw_step(store, {"vision_encoder": lr}, weight_decay=0.0)
+        adamw_step(probe, {"vision_encoder": lr}, weight_decay=0.0)
         last = loss.item()
-    store.remove("vision_encoder/probe_w")
-    store.remove("vision_encoder/probe_b")
-    store.freeze("vision_encoder")
     return last
 
 
 def align_pattern_tokens(store: ParamStore) -> None:
-    """Initialize the 16 pattern-word embeddings from the frozen encoder.
+    """Initialize the 16 pattern-word embeddings from the pre-trained encoder.
 
     The desk stand-in for a pretrained VLM's text-vision alignment: token
     p<c> starts at the (color-averaged) encoder projection of a 2x2 patch

@@ -82,7 +82,7 @@ def strip_images(trace: tv.AnnotatedTrace) -> tv.AnnotatedTrace:
 
 @pytest.fixture()
 def tiny_model() -> Model:
-    """1-layer, d=8 model with a frozen (pre-passed) encoder; cheap per-test."""
+    """1-layer, d=8 model with a pre-passed encoder; cheap per-test."""
     m = build_model(ModelConfig(layers=1, heads=2, d=8, max_len=160, k_latent=2, t_steps=5), seed=3)
     tv.pretrain_encoder(m.store, 3, 1e-2, seed=3)
     return m
@@ -90,7 +90,7 @@ def tiny_model() -> Model:
 
 @pytest.fixture()
 def small_model() -> Model:
-    """2-layer, d=16 model, frozen encoder."""
+    """2-layer, d=16 model with a pre-passed encoder."""
     m = build_model(ModelConfig(layers=2, heads=2, d=16, max_len=192, k_latent=2, t_steps=8), seed=5)
     tv.pretrain_encoder(m.store, 3, 1e-2, seed=5)
     return m

@@ -14,6 +14,7 @@ from latentsketch import vocab
 from latentsketch.cli import (DEFAULT_CONFIG, NOT_KEYS, SECTIONS, ConfigError, _merge_validate,
                               evaluate, load_config, main, section_config)
 from latentsketch.model import ModelConfig, build_model, save_model
+from latentsketch.optim import read_records, write_records
 from latentsketch.util import seeded_rng
 
 
@@ -73,8 +74,8 @@ def test_every_config_key_reaches_its_dataclass(section, tmp_path, monkeypatch):
     assert len(set(map(repr, values.values()))) == len(values)
     for key, val in values.items():
         assert val != DEFAULT_CONFIG[section][key], key
-    # every dataclass field but the seed and the NOT_KEYS (the vocabulary size,
-    # the latent head and SFT's block length) has a config key, and no key lacks a field
+    # every dataclass field but the seed and the NOT_KEYS (the latent head and
+    # SFT's block length) has a config key, and no key lacks a field
     names = {f.name for f in dataclasses.fields(SECTIONS[section])} - {"seed", *NOT_KEYS}
     assert {"lambda" if n == "lam" else n for n in names} == set(values)
     path = tmp_path / "cfg.json"
@@ -84,6 +85,8 @@ def test_every_config_key_reaches_its_dataclass(section, tmp_path, monkeypatch):
         assert getattr(built, name) == values["lambda" if name == "lam" else name], name
     if section == "model":
         assert built.vocab == vocab.VOCAB_SIZE and built.head == "diffusion"
+        with pytest.raises(TypeError):
+            ModelConfig(vocab=200)  # the vocabulary is no field
     else:
         assert built.seed == 123
 
@@ -106,6 +109,14 @@ def test_gen_data_count_zero_is_validation_error(tmp_path):
     assert main(["gen-data", "--task", "grid_rotation", "--count", "0", "--seed", "1",
                  "--out", out]) == 2
     assert not os.path.exists(out)
+
+
+def test_gen_data_negative_pgm_limit_is_validation_error(tmp_path, capsys):
+    out = str(tmp_path / "d.jsonl")
+    assert main(["gen-data", "--task", "grid_rotation", "--count", "3", "--seed", "1",
+                 "--out", out, "--pgm", "--pgm-limit", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --pgm-limit must be >= 0\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_gen_data_pgm_debug_renders(tmp_path):
@@ -162,9 +173,9 @@ def assert_rejected_before_any_work(tmp_path, data_loads):
 
 
 # (section, key, value) of keys that are not config keys: the head follows
-# sft.mode, the vocabulary is the committed one and SFT's block length is
-# model.k_latent; the others are settings the program does not have (removed
-# ones, and the eval mode that ablate takes from its suite)
+# sft.mode and SFT's block length is model.k_latent; the vocabulary is the
+# committed one, no field; the others are settings the program does not have
+# (removed ones, and the eval mode that ablate takes from its suite)
 UNKNOWN_KEYS = [("model", "head", "similarity"), ("model", "vocab", 96), ("sft", "m_latent", 2),
                 ("sft", "latent_noise", 0.1), ("sft", "sampled_block_fraction", 0.25),
                 ("sft", "align_pattern_tokens", False), ("rl", "ratio_variant", "sequence"),
@@ -215,6 +226,29 @@ def test_bad_data_value_or_env_seed_exits_2_before_writing(command, data, env_se
     err = capsys.readouterr().err
     assert err.startswith(f"error: {named} must be")
     assert not (tmp_path / "run").exists() or not os.listdir(tmp_path / "run")
+
+
+# (section, key, value) of a value its section's dataclass rejects
+BAD_SECTION_VALUES = [("sft", "batch_size", 0), ("sft", "floor_frac", 2.0), ("sft", "warmup_frac", 1.0),
+                      ("model", "t_steps", 0), ("model", "beta_end", 1.5), ("model", "heads", 0)]
+
+
+@pytest.mark.parametrize("command", ["train-sft", "train-rl", "ablate"])
+@pytest.mark.parametrize("section, key, value", BAD_SECTION_VALUES,
+                         ids=[f"{s}.{k}={v}" for s, k, v in BAD_SECTION_VALUES])
+def test_bad_section_value_exits_2_as_the_config_loads(command, section, key, value, tmp_path, capsys):
+    """Every command that reads a config rejects a bad value of any section
+    before it loads a checkpoint or writes a file, whether or not it uses
+    that section."""
+    cfg = json.loads(open(tiny_config(tmp_path)).read())
+    cfg[section] = {**cfg[section], key: value}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    argv = {"train-sft": ["train-sft"], "ablate": ["ablate", "--suite", "table3"],
+            "train-rl": ["train-rl", "--from-checkpoint", str(tmp_path / "absent.lsk")]}[command]
+    assert main(argv + ["--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid {section} config:")
+    assert sorted(os.listdir(tmp_path)) == ["bad.json", "cfg.json"]
 
 
 def test_train_rl_requires_checkpoint_flag(tmp_path):
@@ -289,9 +323,9 @@ LOADING_COMMANDS = {
 def test_foreign_vocabulary_checkpoint_exits_3_at_the_load(command, tmp_path, capsys):
     """A checkpoint saved with another vocabulary size stops every command at
     load_model, which names the file and both sizes; nothing is written."""
-    m = build_model(ModelConfig(**TINY_MODEL, vocab=200), seed=71)
     ck = str(tmp_path / "m.lsk")
-    save_model(ck, m)
+    save_model(ck, build_model(ModelConfig(**TINY_MODEL), seed=71))
+    write_records(ck, {**read_records(ck), "meta/vocab": np.array([200.0])})
     cfg = tiny_config(tmp_path)
     assert main(LOADING_COMMANDS[command](ck, str(tmp_path / "out"), cfg)) == 3
     assert capsys.readouterr().err == (f"runtime failure: checkpoint {ck} has a 200-token vocabulary, "

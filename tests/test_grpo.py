@@ -205,6 +205,22 @@ def test_train_rl_leaves_the_diffusion_head_alone(monkeypatch):
                for name in groups if groups[name] == "backbone")
 
 
+def test_train_rl_creates_moments_for_the_backbone_only(monkeypatch):
+    """From a model without optimizer state, as the benchmark's SFT fixture
+    is, GRPO steps give AdamW moments to every backbone parameter and to no
+    diffusion_head or vision_encoder one."""
+    model = make_rl_model(seed=59)
+    model.store.opt_state.clear()
+    rng = seeded_rng(59, "reward")
+    monkeypatch.setattr(grpo, "reward", lambda answer, gold: float(rng.integers(2)))
+    cfg = grpo.GrpoConfig(group_size=4, temperature=1.0, max_new_items=10, iters=2,
+                          queries_per_iter=2, seed=14)
+    metrics = grpo.train_rl(model, tv.generate_dataset("grid_rotation", 4, 9), cfg)
+    assert min(m["frac_degenerate"] for m in metrics) < 1.0
+    groups = model.store.group
+    assert set(model.store.opt_state) == {name for name in groups if groups[name] == "backbone"}
+
+
 def test_train_rl_metrics_schema_and_grammar(tmp_path):
     model = make_rl_model(seed=53)
     traces = tv.generate_dataset("grid_rotation", 4, 5)
@@ -369,8 +385,7 @@ def test_train_rl_does_not_score_degenerate_groups(degenerate_first, monkeypatch
     reference.store.zero_grad()
     ad.backward(loss, reference.store)
     clip_grad_norm(reference.store, cfg.clip_norm)
-    adamw_step(reference.store, {"backbone": cfg.lr, "diffusion_head": 0.0, "vision_encoder": 0.0},
-               weight_decay=cfg.weight_decay)
+    adamw_step(reference.store, {"backbone": cfg.lr}, weight_decay=cfg.weight_decay)
 
     scored = []
     real_score = grpo.score_rollout

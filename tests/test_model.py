@@ -25,7 +25,6 @@ def test_save_load_roundtrip_preserves_config_and_values(tmp_path):
     loaded, step = load_model(path)
     assert step == 17
     assert loaded.cfg == m.cfg
-    assert loaded.frozen_encoder
     for name in m.store.entries:
         assert np.array_equal(loaded.store[name].data, m.store[name].data), name
 
@@ -72,13 +71,18 @@ def test_truncated_checkpoint_raises_named_error(tmp_path):
 
 
 def test_every_meta_record_is_required(tmp_path):
-    """A checkpoint without meta/frozen_encoder is refused, as one without any
-    other meta record is; every checkpoint save_model writes has it."""
+    """A checkpoint without meta/step is refused, as one without any other meta
+    record is; a record load_model does not read, such as the meta/frozen_encoder
+    that older checkpoints carry, is ignored."""
     path = str(tmp_path / "m.lsk")
-    save_model(path, build_model(ModelConfig(layers=1, heads=1, d=4, max_len=8), seed=1))
+    m = build_model(ModelConfig(layers=1, heads=1, d=4, max_len=8), seed=1)
+    save_model(path, m, step=5)
     records = read_records(path)
-    assert records["meta/frozen_encoder"][0] == 0.0
-    del records["meta/frozen_encoder"]
+    assert "meta/frozen_encoder" not in records
+    write_records(path, {**records, "meta/frozen_encoder": np.array([1.0])})
+    loaded, step = load_model(path)
+    assert step == 5 and loaded.cfg == m.cfg
+    del records["meta/step"]
     write_records(path, records)
-    with pytest.raises(CheckpointError, match="no record 'meta/frozen_encoder'"):
+    with pytest.raises(CheckpointError, match="no record 'meta/step'"):
         load_model(path)

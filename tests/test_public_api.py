@@ -1,8 +1,9 @@
 """No public API that only tests call: every public top-level function or class
 in the package is referenced by the program (``src/``) or the benchmark
 (``perfbench/``), outside its own definition, and so is every public method
-and dataclass field.  No config key that the program never reads.  And no
-import that its own module never uses, nor one inside a function."""
+and dataclass field.  No config key that the program never reads.  No
+import that its own module never uses, nor one inside a function.  And no
+learning rate of zero: a group a step does not train is left out of its map."""
 
 import ast
 import glob
@@ -254,3 +255,23 @@ def test_every_dataclass_default_is_used_by_the_program():
 
     unused = [f"{cls}.{name}" for cls, name, pos in defaults if not left_out(cls, name, pos)]
     assert not unused, f"dataclass defaults that every program construction overrides: {unused}"
+
+
+def test_no_learning_rate_map_holds_a_zero():
+    """Every learning-rate map that the program passes to adamw_step names
+    only the groups the step trains: a group it leaves alone is left out of
+    the map, never given a rate of 0.0, so "not trained" has one spelling."""
+    calls, zeros = 0, []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "latentsketch", "*.py"))):
+        for call in ast.walk(_parse(path)):
+            if not isinstance(call, ast.Call):
+                continue
+            called = call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+            if called != "adamw_step":
+                continue
+            calls += 1
+            lrs = [k.value for k in call.keywords if k.arg == "lr_by_group"] + call.args[1:2]
+            zeros += [f"{os.path.basename(path)}:{node.lineno}" for arg in lrs for node in ast.walk(arg)
+                      if isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == 0]
+    assert calls >= 3  # the scan found the pre-pass's, SFT's and RL's steps
+    assert not zeros, f"learning-rate maps with a rate of zero: {zeros}"

@@ -239,11 +239,14 @@ def test_train_sft_zero_steps_is_identity(tmp_path):
         assert np.array_equal(m.store[name].data, val)
 
 
-def test_train_sft_requires_frozen_encoder():
+def test_train_sft_leaves_an_encoder_without_the_pre_pass_as_it_is():
+    """SFT's learning-rate map never names the encoder, so a model whose
+    encoder never had the pre-pass trains, and its encoder keeps its values."""
     m = build_model(ModelConfig(layers=1, heads=2, d=8, max_len=160, k_latent=2), seed=2)
-    with pytest.raises(RuntimeError, match="frozen"):
-        sft.train_sft(m, tv.generate_dataset("grid_rotation", 2, 1),
-                      sft.SftConfig(steps=1, batch_size=1))
+    before = m.store.clone_values()
+    sft.train_sft(m, tv.generate_dataset("grid_rotation", 2, 1), sft.SftConfig(steps=1, batch_size=1))
+    for name, t in m.store.entries.items():
+        assert np.array_equal(t.data, before[name]) == (m.store.group[name] == "vision_encoder"), name
 
 
 def test_train_text_only_equals_joint_lambda_zero_on_latent_free_data():

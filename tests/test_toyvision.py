@@ -3,6 +3,7 @@ import pytest
 
 from latentsketch import toyvision as tv
 from latentsketch import vocab
+from latentsketch.model import ModelConfig, build_model
 from latentsketch.optim import ParamStore
 from latentsketch.util import seeded_rng
 
@@ -224,10 +225,16 @@ def test_render_pgm_header_and_size():
     assert tv.render_pgm(np.zeros((2, 3)), 0.0) == b"P5\n3 2\n255\n" + bytes(6)
 
 
-def test_pretrain_encoder_freezes_and_drops_probe():
-    store = fresh_encoder(d=8, seed=4)
+def test_pretrain_encoder_keeps_its_probe_out_of_the_store():
+    """The pre-pass steps the encoder of a whole model and nothing else: the
+    probe never enters the model's store, and only encoder parameters get
+    AdamW moments."""
+    store = build_model(ModelConfig(layers=1, heads=2, d=8), seed=4).store
+    before = store.clone_values()
     final = tv.pretrain_encoder(store, 20, 1e-2, seed=4)
     assert np.isfinite(final)
-    assert "vision_encoder" in store.frozen_groups
-    assert "vision_encoder/probe_w" not in store.entries
-    assert "vision_encoder/probe_b" not in store.entries
+    assert set(store.entries) == set(before)
+    assert set(store.opt_state) == {"vision_encoder/proj", "vision_encoder/pos"}
+    for name, t in store.entries.items():
+        changed = not np.array_equal(t.data, before[name])
+        assert changed == (store.group[name] == "vision_encoder"), name
