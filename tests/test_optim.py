@@ -44,9 +44,10 @@ def test_first_step_hand_evaluated():
     assert p.data[0] == pytest.approx(-0.1, rel=1e-6)
 
 
-def test_step_trains_only_the_groups_of_the_map():
-    """A group left out of the learning-rate map keeps its values bitwise and
-    gets no AdamW moments, though it has a gradient; a listed group steps."""
+def test_frozen_group_untouched():
+    """A frozen group is one left out of the learning-rate map: it keeps its
+    values bitwise and gets no AdamW moments, though it has a gradient; a
+    listed group steps."""
     store = make_store()
     for t in store.entries.values():
         t.grad = np.ones_like(t.data)
