@@ -105,8 +105,9 @@ def forward_batch(store: ParamStore, cfg: ModelConfig, ids: np.ndarray,
 
 class DecodeCache:
     """Incremental decoding state of B streams decoded in lockstep: each
-    layer's keys (stored transposed, [layers, B, heads, hd, max_len]) and
-    values ([layers, B, heads, max_len, hd]) for the positions decoded so far.
+    layer's keys (stored transposed, [layers, B, heads, hd, positions]) and
+    values ([layers, B, heads, positions, hd]) for the positions decoded so
+    far.  A decode sizes it to its prompt plus its budget, not to max_len.
 
     Every stream has the same length, so one forward_batch over [B, n] items
     appends n items to each, costing O(n * L) attention instead of a full
@@ -115,12 +116,12 @@ class DecodeCache:
     copies one prompt to B streams); select also drops finished streams.
     """
 
-    def __init__(self, store: ParamStore, cfg: ModelConfig, streams: int = 1):
+    def __init__(self, store: ParamStore, cfg: ModelConfig, streams: int, positions: int):
         self.store = store
         self.cfg = cfg
         hd = cfg.d // cfg.heads
-        self.kt = np.zeros((cfg.layers, streams, cfg.heads, hd, cfg.max_len))
-        self.v = np.zeros((cfg.layers, streams, cfg.heads, cfg.max_len, hd))
+        self.kt = np.zeros((cfg.layers, streams, cfg.heads, hd, positions))
+        self.v = np.zeros((cfg.layers, streams, cfg.heads, positions, hd))
         self.length = 0
         self.last_hidden: np.ndarray | None = None  # [B, d]
         self.last_logits: np.ndarray | None = None  # [B, V]
@@ -132,6 +133,10 @@ class DecodeCache:
     def append(self, ids: np.ndarray, text_mask: np.ndarray, latents: np.ndarray) -> None:
         """Process n new items per stream (ids [B, n]): cache their K/V and
         keep the hidden and logits rows of the last one."""
+        positions = self.kt.shape[-1]
+        if self.length + ids.shape[1] > positions:
+            raise ValueError(f"appending {ids.shape[1]} items at position {self.length} overflows "
+                             f"the decode cache's {positions} positions")
         with ad.no_grad():
             hidden, logits, _ = forward_batch(self.store, self.cfg, ids, text_mask, latents, cache=self)
         self.last_hidden = hidden.data[:, -1]

@@ -29,11 +29,7 @@ from . import sft
 from . import toyvision as tv
 from . import vocab
 from .model import HEAD_DIFFUSION, Model, ModelConfig, build_model, load_model
-from .util import atomic_write, fmt_float, seeded_rng
-
-
-class ConfigError(ValueError):
-    pass
+from .util import ConfigError, atomic_write, fmt_float, seeded_rng
 
 
 # config sections whose keys and defaults are the fields of a dataclass; a
@@ -66,8 +62,15 @@ DEFAULT_CONFIG: dict = {
 }
 
 
+# the types a value may have, and their name, by the type of its default:
+# JSON's true and false are no numbers, and a null default takes a string
+_VALUE_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+                str: ((str,), "a string"), type(None): ((str, type(None)), "a string or null")}
+
+
 def _merge_validate(user: dict, defaults: dict, path: str = "") -> dict:
-    """Defaults-applied deep merge; unknown keys are rejected."""
+    """Defaults-applied deep merge; unknown keys and values of the wrong type
+    are rejected."""
     out = copy.deepcopy(defaults)
     for key, val in user.items():
         where = f"{path}.{key}" if path else key
@@ -78,6 +81,9 @@ def _merge_validate(user: dict, defaults: dict, path: str = "") -> dict:
                 raise ConfigError(f"{where} must be a section")
             out[key] = _merge_validate(val, defaults[key], where)
         else:
+            types, name = _VALUE_TYPES[type(defaults[key])]
+            if type(val) not in types:
+                raise ConfigError(f"{where} must be {name}, not {val!r}")
             out[key] = val
     return out
 
@@ -98,7 +104,7 @@ def load_config(path: str) -> dict:
     data = cfg["data"]
     if data["task"] not in tv.TASKS:
         raise ConfigError(f"data.task must be one of {', '.join(tv.TASKS)}, not {data['task']!r}")
-    if not isinstance(data["train_count"], int) or data["train_count"] < 1:
+    if data["train_count"] < 1:
         raise ConfigError(f"data.train_count must be an integer >= 1, not {data['train_count']!r}")
     for name in SECTIONS:  # a bad value in any section fails here, before a command writes
         section_config(cfg, name)

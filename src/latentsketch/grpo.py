@@ -6,7 +6,10 @@ clipped-ratio surrogate is ascended on text-token positions only: latent
 positions carry no log-probability, so the diffusion head receives exactly
 zero gradient by construction.  The step trains the backbone alone: the
 diffusion head and the vision encoder keep their values and the AdamW
-moments SFT left them.
+moments SFT left them.  A minibatch runs one backward per live group, so one
+group's graph is alive at a time; the groups share only the parameters, so
+the gradients equal, bit for bit, those of the minibatch's summed loss, and
+one clip and one AdamW step follow.
 """
 
 from __future__ import annotations
@@ -264,14 +267,10 @@ def train_rl(model: Model, traces: list[tv.AnnotatedTrace], cfg: GrpoConfig,
                         # count in the clip_fraction denominator
                         stats["positions"] = stats.get("positions", 0) + sum(
                             len(r.emissions) for r in g.rollouts)
-                objs = [grpo_objective(g, model, cfg.clip_eps, cfg.temperature, stats)
-                        for g in live]
-                acc = objs[0]
-                for o in objs[1:]:
-                    acc = ad.add(acc, o)
-                loss = ad.mul(acc, -1.0 / len(chunk))
                 model.store.zero_grad()
-                ad.backward(loss, model.store)
+                for g in live:
+                    obj = grpo_objective(g, model, cfg.clip_eps, cfg.temperature, stats)
+                    ad.backward(ad.mul(obj, -1.0 / len(chunk)), model.store)
                 clip_grad_norm(model.store, cfg.clip_norm)
                 adamw_step(model.store, {"backbone": cfg.lr}, weight_decay=cfg.weight_decay)
 

@@ -134,7 +134,8 @@ def _generate_lockstep(prompts: list[sq.MixedSequence], model: Model, cfg: Gener
     distinct = list({id(p): p for p in prompts}.values())  # each prompt object once
     slot = {id(p): i for i, p in enumerate(distinct)}  # its prefill stream
     store, mcfg = model.store, model.cfg
-    cache = bb.DecodeCache(store, mcfg, streams=len(distinct))
+    # generate_group bounds the prompt plus the budget by max_len
+    cache = bb.DecodeCache(store, mcfg, len(distinct), len(prompts[0]) + cfg.max_new_items)
     arrays = [sq.to_arrays(p, mcfg.d) for p in distinct]
     cache.append(*(np.stack(a) for a in zip(*arrays)))
     cache.select([slot[id(p)] for p in prompts])

@@ -25,7 +25,7 @@ from . import vocab
 from .autodiff import Tensor
 from .model import HEAD_DIFFUSION, HEAD_SIMILARITY, Model, save_model
 from .optim import LrSchedule, adamw_step, clip_grad_norm, cosine_lr
-from .util import fmt_float, seeded_rng
+from .util import ConfigError, fmt_float, seeded_rng
 
 MODES = ("joint", "text_only", "similarity")
 
@@ -227,7 +227,9 @@ def train_sft(model: Model, traces: list[tv.AnnotatedTrace], cfg: SftConfig,
 
     Deterministic under a fixed config: batches and sampling draws are derived
     statelessly from (seed, step), so a resumed run is bitwise identical to an
-    uninterrupted one.
+    uninterrupted one.  Examples longer than max_len are dropped and counted;
+    a run that drops every example it draws raises ConfigError and writes no
+    checkpoint.
     """
     if not traces:
         raise ValueError("empty dataset")
@@ -279,6 +281,9 @@ def train_sft(model: Model, traces: list[tv.AnnotatedTrace], cfg: SftConfig,
     finally:
         if mf is not None:
             mf.close()
+    if dropped and not metrics:
+        raise ConfigError(f"model.max_len {model.cfg.max_len} is too short for every example: all "
+                          f"{dropped} examples drawn were dropped as over-length, and no step trained")
     if checkpoint_path:
         save_model(checkpoint_path, model, step=stop)
     if dropped:

@@ -1,4 +1,5 @@
-"""Shared plumbing: stateless seeded RNG derivation, atomic file writes."""
+"""Shared plumbing: the config error, stateless seeded RNG derivation,
+atomic file writes."""
 
 from __future__ import annotations
 
@@ -7,6 +8,10 @@ import os
 import tempfile
 
 import numpy as np
+
+
+class ConfigError(ValueError):
+    """A config value or flag the run cannot use; the CLI exits 2 on it."""
 
 
 def seeded_rng(*keys) -> np.random.Generator:

@@ -167,14 +167,14 @@ def test_condition_identity_and_linearity(monkeypatch):
 
     def emit_and_replay():
         conditions.clear()
-        cache = bb.DecodeCache(m.store, m.cfg)
+        cache = bb.DecodeCache(m.store, m.cfg, 1, m.cfg.max_len)
         cache.append(*arrays(m, prefix))
         seq, rng = prefix.copy(), seeded_rng(5, "c")
         for _ in range(m.cfg.k_latent):
             [row] = df.emit_block(cache.last_hidden, m.store, m.sched, [rng], m.cfg.head)
             seq.append(sq.MixedItem.latent(row))
             cache.append(*arrays(m, sq.MixedSequence(seq.items[-1:])))
-        replay = bb.DecodeCache(m.store, m.cfg)
+        replay = bb.DecodeCache(m.store, m.cfg, 1, m.cfg.max_len)
         replay.append(*arrays(m, prefix))
         h = [replay.last_hidden[0]]
         for item in seq.items[len(prefix):-1]:
@@ -287,7 +287,7 @@ def test_decode_cache_matches_forward_batch(length):
     hidden, logits = forward(m, seq)
     # in the chunks of a decode, then one item at a time, so that every row is checked
     for schedule in (decode_schedule(seq.items, 3, min(length, 7)), [[it] for it in seq.items]):
-        cache = bb.DecodeCache(m.store, m.cfg)
+        cache = bb.DecodeCache(m.store, m.cfg, 1, m.cfg.max_len)
         done = 0
         for chunk in schedule:
             cache.append(*arrays(m, sq.MixedSequence(chunk)))
@@ -296,7 +296,7 @@ def test_decode_cache_matches_forward_batch(length):
             assert np.max(np.abs(cache.last_logits[0] - logits[done - 1])) <= 1e-12
         assert cache.length == length
     if length == m.cfg.max_len:
-        with pytest.raises(ValueError, match="max_len"):
+        with pytest.raises(ValueError, match="decode cache's 64 positions"):
             cache.append(*arrays(m, sq.MixedSequence([sq.MixedItem.text(30)])))
 
 
@@ -315,7 +315,7 @@ def test_multi_stream_cache_matches_forward_batch():
     tails = [[sq.MixedItem.text(41), start, lat(), lat(), end, sq.MixedItem.text(7)],
              [start, lat(), lat(), end, sq.MixedItem.text(52), sq.MixedItem.text(9)],
              [sq.MixedItem.text(12), sq.MixedItem.text(13), start, lat(), lat(), end]]
-    cache = bb.DecodeCache(m.store, m.cfg)
+    cache = bb.DecodeCache(m.store, m.cfg, 1, m.cfg.max_len)
     cache.append(*arrays(m, sq.MixedSequence(prompt)))
     pre = cache.last_hidden.copy()
     assert np.max(np.abs(pre[0] - forward(m, sq.MixedSequence(prompt))[0][-1])) <= 1e-12
@@ -349,8 +349,37 @@ def test_multi_stream_cache_matches_forward_batch():
         _, logits = forward(m, sq.MixedSequence(prompt + tails[i] + extra[:1]))
         assert np.max(np.abs(cache.last_logits[b] - logits[-1])) <= 1e-12
 
-    # lockstep streams overflow together at max_len
+    # lockstep streams overflow together at the cache's capacity
     while cache.length < m.cfg.max_len:
         append_to_both(extra[1])
-    with pytest.raises(ValueError, match="max_len"):
+    with pytest.raises(ValueError, match="decode cache's 24 positions"):
         append_to_both(extra[1])
+
+
+def test_decode_cache_append_past_capacity_raises():
+    """A cache holds the positions it was sized to, fewer than max_len here:
+    an append that would pass them raises a ValueError naming the capacity
+    and leaves the cache as it was."""
+    m = build_model(ModelConfig(layers=1, heads=2, d=8, max_len=32, k_latent=2), seed=31)
+
+    def text(*tokens):
+        return sq.MixedSequence([sq.MixedItem.text(t) for t in tokens])
+
+    def two_streams(*tokens):
+        ids, text_mask, latents = arrays(m, text(*tokens))
+        return ids.repeat(2, axis=0), text_mask.repeat(2, axis=0), latents.repeat(2, axis=0)
+
+    cache = bb.DecodeCache(m.store, m.cfg, 2, 5)
+    assert cache.kt.shape[-1] == 5 and cache.v.shape[-2] == 5
+    cache.append(*two_streams(30, 31, 32))
+    kt, v = cache.kt.copy(), cache.v.copy()
+    with pytest.raises(ValueError, match="appending 3 items at position 3 overflows the decode cache's 5 positions"):
+        cache.append(*two_streams(40, 41, 42))
+    assert cache.length == 3 and np.array_equal(cache.kt, kt) and np.array_equal(cache.v, v)
+    cache.append(*two_streams(40, 41))
+    assert cache.length == 5
+    _, logits = forward(m, text(30, 31, 32, 40, 41))
+    assert np.max(np.abs(cache.last_logits - logits[-1])) <= 1e-12
+    with pytest.raises(ValueError, match="appending 1 items at position 5 overflows"):
+        cache.append(*two_streams(42))
+    assert cache.length == 5

@@ -251,6 +251,51 @@ def test_bad_section_value_exits_2_as_the_config_loads(command, section, key, va
     assert sorted(os.listdir(tmp_path)) == ["bad.json", "cfg.json"]
 
 
+# (section, key, value, what the value must be) of a value of the wrong type
+WRONG_TYPES = [("model", "heads", "2", "an integer"), ("model", "beta_end", "0.28", "a number"),
+               ("sft", "steps", 3.0, "an integer"), ("sft", "mode", 1, "a string"),
+               ("rl", "lr", None, "a number"), ("rl", "group_size", True, "an integer"),
+               ("data", "train_seed", "2", "an integer"), ("data", "file", 5, "a string or null"),
+               ("eval", "n", "2", "an integer"), ("paths", "out_dir", ["run"], "a string"),
+               ("seed", None, 3.5, "an integer")]
+
+
+@pytest.mark.parametrize("command", ["train-sft", "train-rl", "ablate"])
+@pytest.mark.parametrize("section, key, value, kind", WRONG_TYPES,
+                         ids=[f"{s}.{k}={v!r}" if k else f"{s}={v!r}" for s, k, v, _ in WRONG_TYPES])
+def test_value_of_the_wrong_type_exits_2_naming_the_key(command, section, key, value, kind, tmp_path,
+                                                         capsys):
+    """Every command that reads a config rejects a value of the wrong type in
+    any section, naming the key, before it loads a checkpoint or writes a
+    file, whether or not it uses that key."""
+    cfg = json.loads(open(tiny_config(tmp_path)).read())
+    if key is None:
+        cfg[section] = value
+    else:
+        cfg[section] = {**cfg.get(section, {}), key: value}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    argv = {"train-sft": ["train-sft"], "ablate": ["ablate", "--suite", "table3"],
+            "train-rl": ["train-rl", "--from-checkpoint", str(tmp_path / "absent.lsk")]}[command]
+    assert main(argv + ["--config", str(path)]) == 2
+    named = section if key is None else f"{section}.{key}"
+    assert capsys.readouterr().err == f"error: {named} must be {kind}, not {value!r}\n"
+    assert sorted(os.listdir(tmp_path)) == ["bad.json", "cfg.json"]
+
+
+def test_train_sft_that_drops_every_example_exits_2_without_a_checkpoint(tmp_path, capsys):
+    """A max_len too short for every example: train-sft stops with exit 2,
+    naming model.max_len and the examples it dropped, and writes no
+    checkpoint."""
+    path = tiny_config(tmp_path, model={**TINY_MODEL, "max_len": 20})
+    assert main(["train-sft", "--config", path]) == 2
+    steps, batch = 3, 2  # tiny_config's sft.steps and sft.batch_size
+    assert capsys.readouterr().err == (
+        f"error: model.max_len 20 is too short for every example: all {steps * batch} examples "
+        "drawn were dropped as over-length, and no step trained\n")
+    assert not any(name.endswith(".lsk") for name in os.listdir(tmp_path / "run"))
+
+
 def test_train_rl_requires_checkpoint_flag(tmp_path):
     cfg_path = tiny_config(tmp_path)
     with pytest.raises(SystemExit) as e:

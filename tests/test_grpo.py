@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -277,18 +279,18 @@ def test_behavior_logprobs_are_the_sampler_logprobs():
 # -- scoring over the shared prompt pass ------------------------------------------------
 
 
-def two_groups_of_many_lengths(seed=58):
-    """A 2-layer model and two sampled groups of 5 rollouts whose prompts have
-    one length; an EOS bias gives rollouts of many lengths, one of them EOS at
-    its first emission."""
+def groups_of_many_lengths(count=2, seed=58):
+    """A 2-layer model and `count` sampled groups of 5 rollouts whose prompts
+    have one length; an EOS bias gives rollouts of many lengths (with the
+    default count, one of them EOS at its first emission)."""
     model = build_model(ModelConfig(layers=2, heads=2, d=8, max_len=96, k_latent=2, t_steps=4),
                         seed=seed)
     tv.pretrain_encoder(model.store, 2, 1e-2, seed=seed)
     model.store["backbone/lm_head/b"].data[vocab.START_ID] = 1.0
     model.store["backbone/lm_head/b"].data[vocab.EOS_ID] = 2.0
     cfg = grpo.GrpoConfig(group_size=5, temperature=1.0, max_new_items=14, seed=9)
-    traces = tv.generate_dataset("grid_rotation", 2, 8)
-    return model, cfg, grpo.sample_groups(model, traces, cfg, 0, [0, 1], [0, 1])
+    traces = tv.generate_dataset("grid_rotation", count, 8)
+    return model, cfg, grpo.sample_groups(model, traces, cfg, 0, list(range(count)), list(range(count)))
 
 
 def full_sequence_logprobs(model, rollout, temperature):
@@ -314,7 +316,7 @@ def full_sequence_objective(group, model, clip_eps, temperature):
 
 
 def test_score_rollout_over_shared_prompt_equals_full_forward():
-    model, cfg, groups = two_groups_of_many_lengths()
+    model, cfg, groups = groups_of_many_lengths()
     lengths = [r.new_items for g in groups for r in g.rollouts]
     assert 1 in lengths and len(set(lengths)) >= 5
     for group in groups:
@@ -327,7 +329,7 @@ def test_score_rollout_over_shared_prompt_equals_full_forward():
 
 
 def test_objective_gradients_equal_full_forward():
-    model, cfg, groups = two_groups_of_many_lengths()
+    model, cfg, groups = groups_of_many_lengths()
     rng = np.random.default_rng(3)
     group = groups[0]
     group.advantages = np.array([1.0, -1.0, 0.5, -0.5, 0.25])
@@ -365,8 +367,8 @@ def test_train_rl_does_not_score_degenerate_groups(degenerate_first, monkeypatch
     """A minibatch of one live and one degenerate group: the degenerate group
     is never scored, the step leaves the parameters bitwise equal to a step
     over the objectives of both, and its ratios still count in clip_fraction."""
-    model, _, groups = two_groups_of_many_lengths()
-    reference, _, _ = two_groups_of_many_lengths()
+    model, _, groups = groups_of_many_lengths()
+    reference, _, _ = groups_of_many_lengths()
     cfg = grpo.GrpoConfig(group_size=5, temperature=1.0, max_new_items=14, seed=9, iters=1,
                           queries_per_iter=2, groups_per_step=2)
     live, dead = groups
@@ -451,3 +453,83 @@ def test_train_rl_mixed_tasks_equal_one_query_at_a_time(tmp_path, monkeypatch):
     assert decodes == [cfg.group_size] * (cfg.iters * cfg.queries_per_iter)
     frac_degenerate = [float(row.split(b",")[3]) for row in batched[0].splitlines()[1:]]
     assert max(frac_degenerate) < 1.0
+
+
+def live_off_policy(groups, seed):
+    """Give every group advantages that make it live, and each rollout
+    off-policy ratios, some of them clipped."""
+    rng = np.random.default_rng(seed)
+    for g in groups:
+        g.advantages = rng.permutation([1.0, -1.0, 0.5, -0.5, 0.25])
+        for r in g.rollouts:
+            r.logprobs_old = r.logprobs_old + rng.normal(0.0, 0.2, len(r.logprobs_old))
+
+
+@pytest.mark.parametrize("live", [2, 3])
+def test_train_rl_steps_as_the_summed_loss_of_its_groups(live, monkeypatch):
+    """A minibatch of 2 or 3 live groups: train_rl runs one backward per
+    group, and its parameters and AdamW moments equal, bit for bit, those of
+    one backward over the minibatch's summed loss, written out here."""
+    model, _, groups = groups_of_many_lengths(live)
+    reference, _, _ = groups_of_many_lengths(live)
+    live_off_policy(groups, seed=6)
+    cfg = grpo.GrpoConfig(group_size=5, temperature=1.0, max_new_items=14, seed=9, iters=1,
+                          queries_per_iter=live, groups_per_step=live)
+    before = reference.store.clone_values()
+
+    objs = [grpo.grpo_objective(g, reference, cfg.clip_eps, cfg.temperature) for g in groups]
+    acc = objs[0]
+    for o in objs[1:]:
+        acc = ad.add(acc, o)
+    reference.store.zero_grad()
+    ad.backward(ad.mul(acc, -1.0 / live), reference.store)
+    clip_grad_norm(reference.store, cfg.clip_norm)
+    adamw_step(reference.store, {"backbone": cfg.lr}, weight_decay=cfg.weight_decay)
+
+    backwards = []
+    real_backward = ad.backward
+
+    def spy(loss, store=None):
+        backwards.append(loss)
+        return real_backward(loss, store)
+
+    monkeypatch.setattr(ad, "backward", spy)
+    monkeypatch.setattr(grpo, "sample_groups", lambda *args: groups)
+    metrics = grpo.train_rl(model, tv.generate_dataset("grid_rotation", live, 8), cfg)
+    assert len(backwards) == live and metrics[0]["clip_fraction"] > 0
+    assert any(not np.array_equal(t.data, before[name]) for name, t in reference.store.entries.items())
+    for name, t in reference.store.entries.items():
+        assert np.array_equal(model.store[name].data, t.data), name
+    assert set(model.store.opt_state) == set(reference.store.opt_state)
+    for name, want in reference.store.opt_state.items():
+        got = model.store.opt_state[name]
+        assert got["t"] == want["t"], name
+        assert np.array_equal(got["m"], want["m"]) and np.array_equal(got["v"], want["v"]), name
+
+
+def test_train_rl_peak_memory_of_two_groups_near_one_group(monkeypatch):
+    """Each group's graph is freed by its own backward before the next group
+    is scored, so a minibatch of two live groups peaks (as tracemalloc traces
+    it) at most 1.25 times as high as either group's minibatch alone."""
+    def traced_peak(which):
+        model, _, groups = groups_of_many_lengths()
+        live_off_policy(groups, seed=7)
+        chunk = [groups[i] for i in which]
+        cfg = grpo.GrpoConfig(group_size=5, temperature=1.0, max_new_items=14, seed=9, iters=1,
+                              queries_per_iter=len(chunk), groups_per_step=2)
+        monkeypatch.setattr(grpo, "sample_groups", lambda *args: chunk)
+        # the moments exist before tracing, so the step allocates none
+        for t in model.store.entries.values():
+            t.grad = np.zeros_like(t.data)
+        adamw_step(model.store, {"backbone": cfg.lr}, weight_decay=0.0)
+        model.store.zero_grad()
+        tracemalloc.start()
+        try:
+            grpo.train_rl(model, tv.generate_dataset("grid_rotation", 2, 8), cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            monkeypatch.undo()
+
+    alone = max(traced_peak([0]), traced_peak([1]))
+    assert traced_peak([0, 1]) <= 1.25 * alone

@@ -230,8 +230,9 @@ def test_generate_group_language_only_never_touches_diffusion():
                          ids=["one_length", "two_lengths"])
 def test_generate_group_distinct_prompts_equal_separate_generations(tasks, monkeypatch):
     """Nine streams of three distinct prompts, each prompt shared by three
-    streams: one prefill per prompt length, of its distinct prompts, in order
-    of first appearance, and every stream equals its own generate call, with
+    streams: one decode cache of P + max_new_items positions and one prefill
+    per prompt length P, of its distinct prompts, in order of first
+    appearance, and every stream equals its own generate call, with
     streams ending by EOS and by the budget at different steps and with zero,
     one and two latent blocks."""
     model = make_model(seed=68, max_len=112)  # room for a visual_search prompt
@@ -243,18 +244,24 @@ def test_generate_group_distinct_prompts_equal_separate_generations(tasks, monke
     streams = [prompts[i] for i in (0, 1, 2, 0, 1, 2, 0, 1, 2)]
     rngs = [seeded_rng(5, "grp", i) for i in range(len(streams))]
     cfg = inf.GenerationConfig(mode="mixed", max_new_items=16, temperature=1.0)
-    appends = []
-    real = bb.DecodeCache.append
+    caches, appends = [], []
+    real_init, real_append = bb.DecodeCache.__init__, bb.DecodeCache.append
 
-    def spy(cache, ids, *args):
+    def init_spy(cache, *args, **kwargs):
+        real_init(cache, *args, **kwargs)
+        caches.append((cache.streams, cache.kt.shape[-1], cache.v.shape[-2]))
+
+    def append_spy(cache, ids, *args):
         appends.append(ids.shape)
-        return real(cache, ids, *args)
+        return real_append(cache, ids, *args)
 
-    monkeypatch.setattr(bb.DecodeCache, "append", spy)
+    monkeypatch.setattr(bb.DecodeCache, "__init__", init_spy)
+    monkeypatch.setattr(bb.DecodeCache, "append", append_spy)
     group = inf.generate_group(streams, model, cfg, rngs)
     lengths = list(dict.fromkeys(len(p) for p in prompts))
-    assert [shape for shape in appends if shape[1] > 1] == \
-           [(sum(len(p) == n for p in prompts), n) for n in lengths]
+    distinct = [sum(len(p) == n for p in prompts) for n in lengths]
+    assert caches == [(b, n + cfg.max_new_items, n + cfg.max_new_items) for b, n in zip(distinct, lengths)]
+    assert [shape for shape in appends if shape[1] > 1] == list(zip(distinct, lengths))
     monkeypatch.undo()
     for i, got in enumerate(group):
         assert_same_generation(got, inf.generate(streams[i], model, cfg,

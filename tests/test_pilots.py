@@ -1,7 +1,9 @@
 """The committed pilot configs are re-run from scratch and their metrics CSVs
 (and the RL pilot's rollout dump) byte-compared with the frozen copies next
-to them in ``pilots/``."""
+to them in ``pilots/``; the RL pilot's checkpoint is compared with the
+SHA-256 pinned there."""
 
+import hashlib
 import json
 import os
 
@@ -37,9 +39,15 @@ def test_pilot_metrics_byte_identical(name, tmp_path, monkeypatch, capsys):
 
 
 def test_rl_pilot_byte_identical(tmp_path, monkeypatch, capsys):
-    """GRPO from the benchmark's SFT checkpoint: metrics and every rollout."""
+    """GRPO from the benchmark's SFT checkpoint: metrics, every rollout, and
+    the trained checkpoint, so a change to the gradient or the step shows
+    even where the rollouts of the pilot's iterations do not move."""
     fixture = os.path.join(ROOT, "perfbench", "fixture", "sft_grid_rotation.lsk")
     assert main(["train-rl", "--config", pilot_config("rl_smoke", tmp_path, monkeypatch),
                  "--from-checkpoint", fixture, "--dump-rollouts"]) == 0
     assert_frozen(tmp_path, "rl_metrics.csv", "rl_smoke.rl_metrics.csv")
     assert_frozen(tmp_path, "rollouts.txt", "rl_smoke.rollouts.txt")
+    with open(os.path.join(PILOTS, "rl_smoke.rl_checkpoint.sha256"), encoding="utf-8") as f:
+        pinned = f.read().strip()
+    got = hashlib.sha256((tmp_path / "run" / "rl_checkpoint.lsk").read_bytes()).hexdigest()
+    assert got == pinned
