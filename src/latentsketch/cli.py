@@ -130,11 +130,19 @@ def section_config(cfg: dict, name: str):
 
 
 def load_training_data(cfg: dict) -> list[tv.AnnotatedTrace]:
+    """data.file's traces, or data.task's generated ones; a data.file that
+    cannot be read, or that holds a bad record or none, raises ConfigError."""
     d = cfg["data"]
-    if d["file"]:
+    if not d["file"]:
+        return tv.generate_dataset(d["task"], d["train_count"], d["train_seed"])
+    try:
         with open(d["file"], "r", encoding="utf-8") as f:
-            return tv.load_dataset(f.read())
-    return tv.generate_dataset(d["task"], d["train_count"], d["train_seed"])
+            traces = tv.load_dataset(f.read())
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"cannot read data.file {d['file']}: {e}") from e
+    if not traces:
+        raise ConfigError(f"data.file {d['file']} holds no trace")
+    return traces
 
 
 # -- evaluation ---------------------------------------------------------------------
@@ -235,14 +243,16 @@ def run_sft_pipeline(cfg: dict, out_dir: str, resume: str | None = None) -> Mode
     else:
         mcfg = section_config(cfg, "model")
         mcfg.head = scfg.head
-    # a rejected config writes nothing and builds no data
-    write_run_manifest(out_dir, cfg)
     traces = load_training_data(cfg)
+    kept = sft.fitting_traces(traces, mcfg, scfg.mode)  # a rejected config or data set writes nothing
+    write_run_manifest(out_dir, cfg)
+    if len(kept) < len(traces):
+        print(f"[sft] dropped {len(traces) - len(kept)} over-length traces of {len(traces)}")
     if not resume:
         model = build_model(mcfg, cfg["seed"])
         tv.pretrain_encoder(model.store, scfg.encoder_pretrain_steps, scfg.encoder_lr, cfg["seed"])
         tv.align_pattern_tokens(model.store)
-    sft.train_sft(model, traces, scfg,
+    sft.train_sft(model, kept, scfg,
                   metrics_path=os.path.join(out_dir, "metrics.csv"),
                   checkpoint_path=os.path.join(out_dir, "checkpoint.lsk"),
                   start_step=start_step)
@@ -315,14 +325,22 @@ def cmd_ablate(args) -> int:
     eval_traces = tv.generate_dataset(cfg["data"]["task"], cfg["eval"]["n"], eval_seed)
     check_budget("eval.max_new_items", cfg["eval"]["max_new_items"], cfg["model"]["max_len"], eval_traces)
     out_dir = cfg["paths"]["out_dir"]
-    write_run_manifest(out_dir, cfg)
     label_column, runs = ABLATIONS[args.suite]
-    lines = [f"{label_column},eval_mode,exact_match_accuracy"]
+    traces = load_training_data(cfg)
+    subs = []
     for label, overrides, eval_mode in runs:
         sub = copy.deepcopy(cfg)
         for section, values in overrides.items():
             sub[section].update(values)
         sub["paths"]["out_dir"] = os.path.join(out_dir, f"{args.suite}_{label}")
+        try:  # each sub-run's traces are checked before the first one trains
+            sft.fitting_traces(traces, section_config(sub, "model"), section_config(sub, "sft").mode)
+        except ConfigError as e:
+            raise ConfigError(f"ablate {args.suite} run {label}: {e}") from e
+        subs.append((label, sub, eval_mode))
+    write_run_manifest(out_dir, cfg)
+    lines = [f"{label_column},eval_mode,exact_match_accuracy"]
+    for label, sub, eval_mode in subs:
         model = run_sft_pipeline(sub, sub["paths"]["out_dir"])
         rep = evaluate(model, eval_traces, eval_mode, eval_seed,
                        max_new_items=cfg["eval"]["max_new_items"])

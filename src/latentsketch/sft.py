@@ -23,7 +23,7 @@ from . import sequence as sq
 from . import toyvision as tv
 from . import vocab
 from .autodiff import Tensor
-from .model import HEAD_DIFFUSION, HEAD_SIMILARITY, Model, save_model
+from .model import HEAD_DIFFUSION, HEAD_SIMILARITY, Model, ModelConfig, save_model
 from .optim import LrSchedule, adamw_step, clip_grad_norm, cosine_lr
 from .util import ConfigError, fmt_float, seeded_rng
 
@@ -82,12 +82,27 @@ class SupervisedExample:
     latent_targets: np.ndarray    # [n_rows, d] pooled encoder rows
 
 
+def fitting_traces(traces: list[tv.AnnotatedTrace], cfg: ModelConfig, mode: str) -> list[tv.AnnotatedTrace]:
+    """The traces whose build_example sequence fits cfg.max_len: prompt, step texts, k_latent + 2
+    items per sketch (none in text_only), answer and EOS.  Raises ConfigError when
+    k_latent does not divide a sketch's patch rows or when no trace fits."""
+    kept = []
+    for trace in traces:
+        sketches = [s.image for s in trace.steps if s.image is not None and mode != "text_only"]
+        for rows in ((img.height // tv.PATCH) * (img.width // tv.PATCH) for img in sketches):
+            if rows % cfg.k_latent:
+                raise ConfigError(f"model.k_latent {cfg.k_latent} does not divide a sketch's {rows} patch rows")
+        if (inf.prompt_length(trace) + sum(len(s.text) for s in trace.steps)
+                + (cfg.k_latent + 2) * len(sketches) + len(trace.answer) + 1) <= cfg.max_len:
+            kept.append(trace)
+    if not kept:
+        raise ConfigError(f"model.max_len {cfg.max_len} is too short for every one of the {len(traces)} traces")
+    return kept
+
+
 def build_example(trace: tv.AnnotatedTrace, model: Model, m: int,
                   mode: str = "joint") -> SupervisedExample:
-    """Assemble the teacher-forced sequence and its supervision indices.
-
-    Raises ValueError on max_len overflow; callers drop and count such traces.
-    """
+    """Assemble the teacher-forced sequence and its supervision indices."""
     store, cfg = model.store, model.cfg
     items = inf.build_prompt(model, trace).items
     prompt_len = len(items)
@@ -103,8 +118,6 @@ def build_example(trace: tv.AnnotatedTrace, model: Model, m: int,
         targets.append(pooled)
     items.extend(sq.MixedItem.text(t) for t in trace.answer)
     items.append(sq.MixedItem.ctrl(sq.EOS))
-    if len(items) > cfg.max_len:
-        raise ValueError(f"example length {len(items)} overflows max_len {cfg.max_len}")
 
     text_pos, ce_targets, cond_pos = [], [], []
     # CE supervises the response only (the prompt is conditioning, not a target)
@@ -227,9 +240,7 @@ def train_sft(model: Model, traces: list[tv.AnnotatedTrace], cfg: SftConfig,
 
     Deterministic under a fixed config: batches and sampling draws are derived
     statelessly from (seed, step), so a resumed run is bitwise identical to an
-    uninterrupted one.  Examples longer than max_len are dropped and counted;
-    a run that drops every example it draws raises ConfigError and writes no
-    checkpoint.
+    uninterrupted one.  Each trace must fit max_len (fitting_traces keeps those that do).
     """
     if not traces:
         raise ValueError("empty dataset")
@@ -238,7 +249,6 @@ def train_sft(model: Model, traces: list[tv.AnnotatedTrace], cfg: SftConfig,
                          f"the {model.cfg.head} head")
     scheds = _schedules(cfg)
     n = len(traces)
-    dropped = 0
     metrics: list[dict] = []
     mf = None
     if metrics_path is not None:
@@ -251,14 +261,7 @@ def train_sft(model: Model, traces: list[tv.AnnotatedTrace], cfg: SftConfig,
     try:
         for step in range(start_step, stop):
             idx = batch_indices(step, cfg.batch_size, n, cfg.seed)
-            examples = []
-            for i in idx:
-                try:
-                    examples.append(build_example(traces[i], model, model.cfg.k_latent, cfg.mode))
-                except ValueError:
-                    dropped += 1
-            if not examples:
-                continue
+            examples = [build_example(traces[i], model, model.cfg.k_latent, cfg.mode) for i in idx]
             rng = seeded_rng(cfg.seed, "sft-step", step)
             try:
                 total, ce, diff = joint_loss(examples, model, cfg.lam, rng)
@@ -281,11 +284,6 @@ def train_sft(model: Model, traces: list[tv.AnnotatedTrace], cfg: SftConfig,
     finally:
         if mf is not None:
             mf.close()
-    if dropped and not metrics:
-        raise ConfigError(f"model.max_len {model.cfg.max_len} is too short for every example: all "
-                          f"{dropped} examples drawn were dropped as over-length, and no step trained")
     if checkpoint_path:
         save_model(checkpoint_path, model, step=stop)
-    if dropped:
-        print(f"[sft] dropped {dropped} over-length examples")
     return metrics

@@ -47,6 +47,9 @@ class ToyImage:
         self.cells = np.asarray(self.cells, dtype=np.int64)
         if self.cells.shape != (self.height, self.width):
             raise ValueError("cell grid does not match declared dimensions")
+        if any(side % PATCH or not 0 < side <= MAX_PATCH_GRID * PATCH for side in self.cells.shape):
+            raise ValueError(f"image sides must be multiples of {PATCH} up to {MAX_PATCH_GRID * PATCH}, "
+                             f"not {self.height}x{self.width}")
         if self.cells.min() < 0 or self.cells.max() >= PALETTE:
             raise ValueError(f"cell code outside palette [0, {PALETTE})")
 
@@ -85,8 +88,6 @@ def _patches(cells: np.ndarray) -> np.ndarray:
 
 def _patch_onehot(img: ToyImage) -> np.ndarray:
     """One-hot-flatten every PATCH x PATCH patch, raster order -> [N, patch*patch*PALETTE]."""
-    if img.height % PATCH or img.width % PATCH:
-        raise ValueError("image dimensions must be divisible by the patch size")
     blocks = _patches(img.cells)
     onehot = np.zeros((len(blocks), PATCH * PATCH * PALETTE), dtype=np.float64)
     cols = np.arange(PATCH * PATCH) * PALETTE + blocks
@@ -99,8 +100,6 @@ def encode_image(store: ParamStore, img: ToyImage) -> np.ndarray:
     embedding: one row [N, d] per patch, raster order."""
     onehot = _patch_onehot(img)
     gh, gw = img.height // PATCH, img.width // PATCH
-    if gh > MAX_PATCH_GRID or gw > MAX_PATCH_GRID:
-        raise ValueError("image larger than the encoder's position table")
     pos = store["vision_encoder/pos"].data[:gh, :gw].reshape(gh * gw, -1)
     return onehot @ store["vision_encoder/proj"].data + pos
 
@@ -316,6 +315,15 @@ def trace_to_record(trace: AnnotatedTrace) -> dict:
     }
 
 
+def _text_ids(ids) -> list[int]:
+    """A record's token ids, each an integer id of a text token."""
+    ids = list(ids)
+    bad = [t for t in ids if type(t) is not int or not 0 <= t < vocab.VOCAB_SIZE or t in vocab.CONTROL_IDS]
+    if bad:
+        raise ValueError(f"not text token ids: {bad}")
+    return ids
+
+
 def record_to_trace(rec: dict) -> AnnotatedTrace:
     img = np.asarray(rec["image"], dtype=np.int64)
     steps = []
@@ -324,9 +332,9 @@ def record_to_trace(rec: dict) -> AnnotatedTrace:
         if s["image"] is not None:
             arr = np.asarray(s["image"], dtype=np.int64)
             sim = ToyImage(arr.shape[0], arr.shape[1], arr)
-        steps.append(TraceStep(text=list(s["text"]), image=sim))
-    return AnnotatedTrace(ToyImage(img.shape[0], img.shape[1], img), list(rec["question"]),
-                          steps, list(rec["answer"]), rec["task"], rec["seed"])
+        steps.append(TraceStep(text=_text_ids(s["text"]), image=sim))
+    return AnnotatedTrace(ToyImage(img.shape[0], img.shape[1], img), _text_ids(rec["question"]),
+                          steps, _text_ids(rec["answer"]), rec["task"], rec["seed"])
 
 
 def dump_dataset(traces: list[AnnotatedTrace]) -> str:
@@ -334,7 +342,19 @@ def dump_dataset(traces: list[AnnotatedTrace]) -> str:
 
 
 def load_dataset(text: str) -> list[AnnotatedTrace]:
-    return [record_to_trace(json.loads(line)) for line in text.splitlines() if line.strip()]
+    """The traces of a JSONL text, one record a line; a bad record raises
+    ValueError naming its 1-based line."""
+    traces = []
+    for n, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            traces.append(record_to_trace(json.loads(line)))
+        except KeyError as e:
+            raise ValueError(f"line {n}: missing key {e}") from e
+        except (ValueError, TypeError, IndexError) as e:
+            raise ValueError(f"line {n}: {e}") from e
+    return traces
 
 
 def render_pgm(values: np.ndarray, peak: float) -> bytes:

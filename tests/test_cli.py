@@ -285,15 +285,102 @@ def test_value_of_the_wrong_type_exits_2_naming_the_key(command, section, key, v
 
 def test_train_sft_that_drops_every_example_exits_2_without_a_checkpoint(tmp_path, capsys):
     """A max_len too short for every example: train-sft stops with exit 2,
-    naming model.max_len and the examples it dropped, and writes no
-    checkpoint."""
+    naming model.max_len and the traces it dropped, before it writes
+    anything."""
     path = tiny_config(tmp_path, model={**TINY_MODEL, "max_len": 20})
     assert main(["train-sft", "--config", path]) == 2
-    steps, batch = 3, 2  # tiny_config's sft.steps and sft.batch_size
-    assert capsys.readouterr().err == (
-        f"error: model.max_len 20 is too short for every example: all {steps * batch} examples "
-        "drawn were dropped as over-length, and no step trained\n")
-    assert not any(name.endswith(".lsk") for name in os.listdir(tmp_path / "run"))
+    assert capsys.readouterr().err == "error: model.max_len 20 is too short for every one of the 6 traces\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("mode", ["joint", "text_only"])
+def test_k_latent_that_does_not_divide_a_sketch_exits_2_unless_text_only(mode, tmp_path, capsys):
+    """A k_latent of 3 cannot pool a grid_rotation sketch's 16 patch rows:
+    a joint run exits 2 naming model.k_latent before it writes anything; a
+    text_only run pools no sketch and trains."""
+    path = tiny_config(tmp_path, model={**TINY_MODEL, "k_latent": 3},
+                       sft={"mode": mode, "steps": 2, "batch_size": 2, "encoder_pretrain_steps": 2})
+    if mode == "text_only":
+        assert main(["train-sft", "--config", path]) == 0
+        assert (tmp_path / "run" / "checkpoint.lsk").exists()
+    else:
+        assert main(["train-sft", "--config", path]) == 2
+        assert capsys.readouterr().err == "error: model.k_latent 3 does not divide a sketch's 16 patch rows\n"
+        assert not (tmp_path / "run").exists()
+
+
+def test_train_sft_that_drops_some_traces_says_so_once_and_trains_full_batches(tmp_path, capsys, monkeypatch):
+    """With k_latent 2, a grid_rotation example holds 76 + 6 r items for r
+    sketches, so max_len 90 drops the r = 3 traces.  The run says how many
+    traces it dropped once, before training, and every step trains a full
+    batch of the traces that fit."""
+    traces = tv.generate_dataset("grid_rotation", 6, 2)  # tiny_config's data
+    dropped = sum(sum(s.image is not None for s in t.steps) == 3 for t in traces)
+    assert dropped >= 1
+    batches = []
+    joint_loss = cli.sft.joint_loss
+
+    def spy(examples, *args, **kwargs):
+        batches.append([len(ex.seq) for ex in examples])
+        return joint_loss(examples, *args, **kwargs)
+
+    monkeypatch.setattr(cli.sft, "joint_loss", spy)
+    path = tiny_config(tmp_path, model={**TINY_MODEL, "max_len": 90})
+    assert main(["train-sft", "--config", path]) == 0
+    out = capsys.readouterr().out
+    assert out.count("[sft] dropped") == 1
+    assert f"[sft] dropped {dropped} over-length traces of 6\n" in out
+    assert len(batches) == 3  # tiny_config's sft.steps
+    assert all(len(b) == 2 and max(b) <= 90 for b in batches)  # sft.batch_size, max_len
+
+
+# (fault, the 1-based line the error names, what it says of the fault)
+DATA_FILE_FAULTS = [("missing", None, "No such file or directory"), ("malformed", 3, "Expecting property name"),
+                    ("missing-key", 2, "missing key 'answer'"),
+                    ("bad-image", 3, "image sides must be multiples of 2 up to 16, not 18x18"),
+                    ("bad-token", 1, f"not text token ids: [{vocab.VOCAB_SIZE}]"), ("empty", None, "holds no trace")]
+
+
+@pytest.mark.parametrize("command", ["train-sft", "train-rl", "ablate"])
+@pytest.mark.parametrize("fault, line, says", DATA_FILE_FAULTS, ids=[f for f, _, _ in DATA_FILE_FAULTS])
+def test_bad_data_file_exits_2_naming_the_file_and_line_before_writing(command, fault, line, says, tmp_path,
+                                                                       capsys):
+    """A data.file that cannot be read, or holds a record the program cannot
+    use or no record at all, stops every command that trains on it with exit
+    2, naming the file and the record's line, before it writes anything."""
+    records = [json.loads(r) for r in tv.dump_dataset(tv.generate_dataset("grid_rotation", 3, 2)).splitlines()]
+    if fault == "missing-key":
+        del records[1]["answer"]
+    elif fault == "bad-image":
+        records[2]["image"] = [[0] * 18 for _ in range(18)]
+    elif fault == "bad-token":
+        records[0]["question"][0] = vocab.VOCAB_SIZE
+    lines = [json.dumps(r) for r in records]
+    if fault == "malformed":
+        lines[2] = "{task: 1}"
+    data = tmp_path / "data.jsonl"
+    if fault != "missing":
+        data.write_text("\n \n" if fault == "empty" else "\n".join(lines) + "\n")
+    path = tiny_config(tmp_path, data={"task": "grid_rotation", "train_count": 6, "train_seed": 2, "file": str(data)})
+    argv = {"train-sft": ["train-sft"], "ablate": ["ablate", "--suite", "table3"],
+            "train-rl": ["train-rl", "--from-checkpoint", make_checkpoint(tmp_path)]}[command]
+    before = sorted(os.listdir(tmp_path))
+    assert main(argv + ["--config", path]) == 2
+    err = capsys.readouterr().err
+    where = f"data.file {data} " if fault == "empty" else f"cannot read data.file {data}: "
+    assert err.startswith(f"error: {where}" + (f"line {line}: " if line else "")) and says in err, err
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_ablate_checks_every_sub_run_before_the_first_trains(tmp_path, capsys):
+    """At max_len 95 the budget suite's K = 1 to 8 runs keep some traces,
+    but no K = 16 example fits (grid_rotation's shortest is 96 items), so
+    ablate exits 2 naming that run before any run trains or writes."""
+    path = tiny_config(tmp_path, model={**TINY_MODEL, "max_len": 95})
+    assert main(["ablate", "--suite", "budget", "--config", path]) == 2
+    assert capsys.readouterr().err == ("error: ablate budget run 16: model.max_len 95 is too short for every one "
+                                       "of the 6 traces\n")
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_rl_requires_checkpoint_flag(tmp_path):

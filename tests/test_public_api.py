@@ -2,8 +2,9 @@
 in the package is referenced by the program (``src/``) or the benchmark
 (``perfbench/``), outside its own definition, and so is every public method
 and dataclass field.  No config key that the program never reads.  No
-import that its own module never uses, nor one inside a function.  And no
-learning rate of zero: a group a step does not train is left out of its map."""
+import that its own module never uses, nor one inside a function.  No
+learning rate of zero: a group a step does not train is left out of its map.
+And no except handler that swallows its error."""
 
 import ast
 import glob
@@ -275,3 +276,22 @@ def test_no_learning_rate_map_holds_a_zero():
                       if isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == 0]
     assert calls >= 3  # the scan found the pre-pass's, SFT's and RL's steps
     assert not zeros, f"learning-rate maps with a rate of zero: {zeros}"
+
+
+def test_every_except_handler_ends_by_raising():
+    """An error is raised where it happens or turned into another error, never
+    counted and dropped: the last statement of every except handler in the
+    package raises.  The one boundary is cli.main, which turns an error into
+    the exit code 2 or 3 and its message."""
+    handlers, swallowing = 0, []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "latentsketch", "*.py"))):
+        tree = _parse(path)
+        main = next((node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main"),
+                    None) if os.path.basename(path) == "cli.py" else None
+        for node in _walk_outside(tree, main):
+            if isinstance(node, ast.ExceptHandler):
+                handlers += 1
+                if not isinstance(node.body[-1], ast.Raise):
+                    swallowing.append(f"{os.path.basename(path)}:{node.lineno}")
+    assert handlers >= 5  # the scan found the package's handlers
+    assert not swallowing, f"except handlers that do not end by raising: {swallowing}"

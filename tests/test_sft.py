@@ -9,7 +9,7 @@ from latentsketch import sft
 from latentsketch import toyvision as tv
 from latentsketch import vocab
 from latentsketch.model import ModelConfig, build_model
-from latentsketch.util import seeded_rng
+from latentsketch.util import ConfigError, seeded_rng
 
 from conftest import gradcheck, strip_images
 
@@ -88,12 +88,42 @@ def test_build_example_spliced_latents_match_recomputation(tiny_model):
     assert np.array_equal(spliced, want)
 
 
-def test_build_example_overflow_raises(tiny_model):
-    trace = trace_for(tiny_model)
-    giant = tv.AnnotatedTrace(trace.input_image, trace.question * 8, trace.steps,
-                              trace.answer, trace.task_id, trace.seed)
-    with pytest.raises(ValueError, match="overflow"):
-        sft.build_example(giant, tiny_model, m=2)
+def same_traces(got, want) -> bool:
+    return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("mode", sft.MODES)
+@pytest.mark.parametrize("task", tv.TASKS)
+def test_fitting_traces_keeps_exactly_the_examples_that_fit(task, mode, k, tiny_model):
+    """The rule counts each trace's build_example length from the trace alone:
+    at a max_len equal to that length the trace is kept, at one less it is
+    dropped, and a max_len that keeps none raises ConfigError."""
+    traces = tv.generate_dataset(task, 6, 5)
+    lengths = [len(sft.build_example(t, tiny_model, k, mode).seq) for t in traces]
+    for length in sorted(set(lengths)):
+        for max_len in (length, length - 1):
+            cfg = ModelConfig(layers=1, heads=2, d=8, max_len=max_len, k_latent=k)
+            want = [t for t, n in zip(traces, lengths) if n <= max_len]
+            if want:
+                assert same_traces(sft.fitting_traces(traces, cfg, mode), want), (length, max_len)
+            else:
+                with pytest.raises(ConfigError, match=f"model.max_len {max_len} is too short for every one "
+                                                      f"of the 6 traces"):
+                    sft.fitting_traces(traces, cfg, mode)
+
+
+@pytest.mark.parametrize("mode", sft.MODES)
+def test_fitting_traces_needs_k_latent_to_divide_every_sketch(mode):
+    """The pooled block length must divide a sketch's patch rows (16 on
+    grid_rotation) in the modes that pool sketches; text_only pools none."""
+    traces = tv.generate_dataset("grid_rotation", 3, 5)
+    cfg = ModelConfig(layers=1, heads=2, d=8, max_len=256, k_latent=3)
+    if mode == "text_only":
+        assert same_traces(sft.fitting_traces(traces, cfg, mode), traces)
+    else:
+        with pytest.raises(ConfigError, match="model.k_latent 3 does not divide a sketch's 16 patch rows"):
+            sft.fitting_traces(traces, cfg, mode)
 
 
 def test_condition_positions_disjoint_from_ce_positions(tiny_model):

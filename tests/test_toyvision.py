@@ -50,11 +50,15 @@ def test_single_patch_matches_direct_matrix_arithmetic():
 
 
 def test_encode_rejects_bad_inputs():
-    store = fresh_encoder()
-    with pytest.raises(ValueError):
-        tv.encode_image(store, tv.ToyImage(3, 4, np.zeros((3, 4), dtype=int)))
-    with pytest.raises(ValueError):
+    """ToyImage holds the encoder's rule for an image: each side a multiple
+    of the patch and at most the position table's 16 cells, every cell a
+    palette code; so the encoder never sees another image."""
+    for h, w in ((3, 4), (4, 3), (18, 18), (16, 18), (0, 2)):
+        with pytest.raises(ValueError, match=f"image sides must be multiples of 2 up to 16, not {h}x{w}"):
+            tv.ToyImage(h, w, np.zeros((h, w), dtype=int))
+    with pytest.raises(ValueError, match="outside palette"):
         tv.ToyImage(2, 2, np.full((2, 2), tv.PALETTE))
+    assert tv.encode_image(fresh_encoder(), tv.ToyImage(16, 16, np.zeros((16, 16), dtype=int))).shape == (64, 8)
 
 
 def test_locality_cell_outside_patch_leaves_row_unchanged():
