@@ -63,44 +63,32 @@ def embed_batch(store: ParamStore, cfg: ModelConfig, ids: np.ndarray,
 
 
 def forward_batch(store: ParamStore, cfg: ModelConfig, ids: np.ndarray,
-                  text_mask: np.ndarray, latents: np.ndarray,
-                  capture_attn_layer: int | None = None, cache: "DecodeCache | None" = None,
-                  prefix: list[Tensor] | None = None, qkv_out: list[Tensor] | None = None):
-    """Returns (hidden [B,L,d], text_logits [B,L,V], attn [B,heads,L,start+L] or None).
+                  text_mask: np.ndarray, latents: np.ndarray, past: list | None = None, start: int = 0):
+    """Returns (hidden [B,L,d], text_logits [B,L,V], each layer's q|k|v Tensor [B,L,3d]).
 
-    With a DecodeCache the items continue the cached sequence: they sit at
-    positions cache.length.., attend over the cached keys/values, and the
-    cache grows by L.  With prefix, each layer's q|k|v Tensor [B, P, 3d]
-    of an earlier pass over P items, the items sit at positions P.. and attend
-    over that pass differentiably.  qkv_out, when given, receives this pass's
-    q|k|v Tensor of each layer, to serve as a later pass's prefix.
+    With past, the items continue a sequence of start earlier positions: they
+    sit at positions start.. and each layer attends over its entry of past,
+    in either form autodiff.attention takes.  A decode cache's (kt, v)
+    buffers are written at positions start..start+L and read as constants;
+    an earlier pass's q|k|v Tensor [B, start, 3d] is attended over
+    differentiably.
     """
-    L = ids.shape[1]
-    start, kvs = 0, [None] * cfg.layers
-    if cache is not None:
-        start, kvs = cache.length, list(zip(cache.kt, cache.v))
-    elif prefix is not None:
-        start, kvs = prefix[0].shape[1], prefix
     x = embed_batch(store, cfg, ids, text_mask, latents, start)
-    captured = None
+    past = past or [None] * cfg.layers
+    qkvs = []
     for i in range(cfg.layers):
         p = f"backbone/layer{i}"
         a_in = ad.layer_norm(x, store[f"{p}/ln1/g"], store[f"{p}/ln1/b"])
         qkv = ad.affine(a_in, store[f"{p}/attn/wqkv"], store[f"{p}/attn/bqkv"])
-        if qkv_out is not None:
-            qkv_out.append(qkv)
-        ctx, att = ad.attention(qkv, cfg.heads, kvs[i], start)
-        if capture_attn_layer == i:
-            captured = att.copy()
+        qkvs.append(qkv)
+        ctx, _ = ad.attention(qkv, cfg.heads, past[i], start)
         x = ad.add(x, ad.affine(ctx, store[f"{p}/attn/wo"], store[f"{p}/attn/bo"]))
         m_in = ad.layer_norm(x, store[f"{p}/ln2/g"], store[f"{p}/ln2/b"])
         hmid = ad.gelu(ad.affine(m_in, store[f"{p}/mlp/w1"], store[f"{p}/mlp/b1"]))
         x = ad.add(x, ad.affine(hmid, store[f"{p}/mlp/w2"], store[f"{p}/mlp/b2"]))
     hidden = ad.layer_norm(x, store["backbone/ln_f/g"], store["backbone/ln_f/b"])
     logits = ad.affine(hidden, store["backbone/lm_head/w"], store["backbone/lm_head/b"])
-    if cache is not None:
-        cache.length = start + L
-    return hidden, logits, captured
+    return hidden, logits, qkvs
 
 
 class DecodeCache:
@@ -109,9 +97,10 @@ class DecodeCache:
     values ([layers, B, heads, positions, hd]) for the positions decoded so
     far.  A decode sizes it to its prompt plus its budget, not to max_len.
 
-    Every stream has the same length, so one forward_batch over [B, n] items
-    appends n items to each, costing O(n * L) attention instead of a full
-    O(L^2) re-forward.  P prompts of one length are prefilled as P streams
+    Every stream has the same length, the positions filled so far, which only
+    append advances.  One forward_batch over [B, n] items, given the buffers
+    as past, appends n items to each, costing O(n * L) attention instead of
+    a full O(L^2) re-forward.  P prompts of one length are prefilled as P streams
     and copied to the streams that decode them with select (select([0] * B)
     copies one prompt to B streams); select also drops finished streams.
     """
@@ -138,7 +127,9 @@ class DecodeCache:
             raise ValueError(f"appending {ids.shape[1]} items at position {self.length} overflows "
                              f"the decode cache's {positions} positions")
         with ad.no_grad():
-            hidden, logits, _ = forward_batch(self.store, self.cfg, ids, text_mask, latents, cache=self)
+            hidden, logits, _ = forward_batch(self.store, self.cfg, ids, text_mask, latents,
+                                              list(zip(self.kt, self.v)), self.length)
+        self.length += ids.shape[1]
         self.last_hidden = hidden.data[:, -1]
         self.last_logits = logits.data[:, -1]
 
@@ -153,11 +144,12 @@ class DecodeCache:
 
 
 def attention_maps(store: ParamStore, cfg: ModelConfig, seq: sq.MixedSequence, layer: int) -> np.ndarray:
-    """Post-softmax attention weights [heads, L, L] at one layer."""
+    """Post-softmax attention weights [heads, L, L] at one layer, from its
+    q|k|v rows of one forward over the sequence."""
     if not 0 <= layer < cfg.layers:
         raise ValueError(f"layer {layer} out of range [0, {cfg.layers})")
     ids, text_mask, latents = sq.to_arrays(seq, cfg.d)
     with ad.no_grad():
-        _, _, att = forward_batch(store, cfg, ids[None], text_mask[None], latents[None],
-                                  capture_attn_layer=layer)
+        _, _, qkvs = forward_batch(store, cfg, ids[None], text_mask[None], latents[None])
+        _, att = ad.attention(qkvs[layer], cfg.heads)
     return att[0]

@@ -94,6 +94,8 @@ def load_config(path: str) -> dict:
             user = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
+    if not isinstance(user, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
     cfg = _merge_validate(user, DEFAULT_CONFIG)
     env_seed = os.environ.get("LATENT_SKETCH_SEED")
     if env_seed is not None:
@@ -233,16 +235,19 @@ def cmd_gen_data(args) -> int:
 
 def run_sft_pipeline(cfg: dict, out_dir: str, resume: str | None = None) -> Model:
     scfg = section_config(cfg, "sft")
+    mcfg = section_config(cfg, "model")
+    mcfg.head = scfg.head
     start_step = 0
     if resume:
         model, start_step = load_model(resume)
-        mcfg = model.cfg
-        if mcfg.head != scfg.head:
-            raise ConfigError(f"checkpoint {resume} has the {mcfg.head} head, but sft.mode "
+        if model.cfg.head != scfg.head:
+            raise ConfigError(f"checkpoint {resume} has the {model.cfg.head} head, but sft.mode "
                               f"{scfg.mode} trains the {scfg.head} head")
-    else:
-        mcfg = section_config(cfg, "model")
-        mcfg.head = scfg.head
+        differ = [f.name for f in fields(ModelConfig) if getattr(model.cfg, f.name) != getattr(mcfg, f.name)]
+        if differ:
+            raise ConfigError(f"checkpoint {resume} is not the model of the config's model section: " + "; ".join(
+                f"model.{n} {getattr(model.cfg, n)} in the checkpoint, {getattr(mcfg, n)} in the config"
+                for n in differ))
     traces = load_training_data(cfg)
     kept = sft.fitting_traces(traces, mcfg, scfg.mode)  # a rejected config or data set writes nothing
     write_run_manifest(out_dir, cfg)

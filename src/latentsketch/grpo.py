@@ -55,6 +55,12 @@ class GrpoConfig:
         for name in ("queries_per_iter", "groups_per_step", "max_new_items"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("lr", "clip_norm"):  # below zero, a step climbs the loss
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
+        for name in ("iters", "weight_decay"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         # greedy rollouts of a group are identical, so every group would be degenerate
         if self.temperature <= 0:
             raise ValueError("temperature must be > 0")
@@ -133,9 +139,7 @@ def prompt_pass(model: Model, rollouts: list[Rollout]) -> PromptPass:
                 for x, y in zip(r.seq.items, prompt)):
             raise ValueError("the rollouts of a group must share one prompt")
     ids, text_mask, latents = sq.to_arrays(sq.MixedSequence(prompt), model.cfg.d)
-    qkv: list[Tensor] = []
-    _, logits, _ = bb.forward_batch(model.store, model.cfg, ids[None], text_mask[None],
-                                    latents[None], qkv_out=qkv)
+    _, logits, qkv = bb.forward_batch(model.store, model.cfg, ids[None], text_mask[None], latents[None])
     return PromptPass(P, ad.take_rows(ad.reshape(logits, logits.shape[1:]), [P - 1]), qkv)
 
 
@@ -154,7 +158,7 @@ def score_rollout(model: Model, rollout: Rollout, temperature: float, prompt: Pr
     if cont:
         ids, text_mask, latents = sq.to_arrays(sq.MixedSequence(cont), model.cfg.d)
         _, logits, _ = bb.forward_batch(model.store, model.cfg, ids[None], text_mask[None],
-                                        latents[None], prefix=prompt.qkv)
+                                        latents[None], prompt.qkv, P)
         rows = ad.concat([rows, ad.reshape(logits, logits.shape[1:])])
     pos = np.array([e.position - P for e in rollout.emissions], dtype=np.int64)
     tok = np.array([e.token_id for e in rollout.emissions], dtype=np.int64)

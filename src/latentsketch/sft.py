@@ -57,6 +57,15 @@ class SftConfig:
             raise ValueError(f"unknown sft mode {self.mode!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        for name in ("lr_backbone", "lr_diffusion", "clip_norm"):  # below zero, a step climbs the loss
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0")
+        for name in ("steps", "encoder_pretrain_steps", "checkpoint_interval", "weight_decay",
+                     "warmup_frac", "floor_frac"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.lam < 0:
+            raise ValueError("lambda must be >= 0")
         _schedules(self)  # LrSchedule checks the warmup and the floor
 
     @property

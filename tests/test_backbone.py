@@ -383,3 +383,47 @@ def test_decode_cache_append_past_capacity_raises():
     with pytest.raises(ValueError, match="appending 1 items at position 5 overflows"):
         cache.append(*two_streams(42))
     assert cache.length == 5
+
+
+def test_decode_cache_append_advances_length_and_writes_only_its_positions():
+    """An append of n items advances length by n and writes the keys and
+    values of positions length..length+n, those of the items' q|k|v rows in
+    a full forward, leaving every later position of the buffers zero."""
+    m = build_model(ModelConfig(layers=2, heads=2, d=16, max_len=32, k_latent=2), seed=37)
+    seq = make_seq(m, n_text=6, n_latent=2, rng=seeded_rng(5, "adv"))
+    with ad.no_grad():
+        _, _, qkvs = bb.forward_batch(m.store, m.cfg, *arrays(m, seq))
+    assert len(qkvs) == m.cfg.layers
+    hd = m.cfg.d // m.cfg.heads
+    cache = bb.DecodeCache(m.store, m.cfg, 1, 12)
+    for n in (4, 1, 4):
+        start = cache.length
+        cache.append(*arrays(m, sq.MixedSequence(seq.items[start : start + n])))
+        assert cache.length == start + n
+        for i, qkv in enumerate(qkvs):
+            assert qkv.shape == (1, len(seq), 3 * m.cfg.d)
+            k = qkv.data[0, :, m.cfg.d : 2 * m.cfg.d].reshape(len(seq), m.cfg.heads, hd)
+            v = qkv.data[0, :, 2 * m.cfg.d :].reshape(len(seq), m.cfg.heads, hd)
+            got_k = cache.kt[i, 0, :, :, start : start + n].transpose(2, 0, 1)
+            got_v = cache.v[i, 0, :, start : start + n].transpose(1, 0, 2)
+            assert np.max(np.abs(got_k - k[start : start + n])) <= 1e-12
+            assert np.max(np.abs(got_v - v[start : start + n])) <= 1e-12
+        assert not cache.kt[..., cache.length :].any() and not cache.v[:, :, :, cache.length :].any()
+
+
+def test_forward_batch_over_cache_buffers_equals_append():
+    """forward_batch given a cache's buffers as past and its length as start
+    gives the logits append keeps and fills the buffers the same way, but the
+    cache's length is append's alone to advance."""
+    m = build_model(ModelConfig(layers=2, heads=2, d=16, max_len=32, k_latent=2), seed=41)
+    seq = make_seq(m, n_text=7, n_latent=3, rng=seeded_rng(6, "past"))
+    direct, appended = (bb.DecodeCache(m.store, m.cfg, 1, len(seq)) for _ in range(2))
+    for cache in (direct, appended):
+        cache.append(*arrays(m, sq.MixedSequence(seq.items[:5])))
+    new = arrays(m, sq.MixedSequence(seq.items[5:]))
+    with ad.no_grad():
+        _, logits, _ = bb.forward_batch(m.store, m.cfg, *new, list(zip(direct.kt, direct.v)), direct.length)
+    appended.append(*new)
+    assert direct.length == 5 and appended.length == len(seq)
+    assert np.array_equal(logits.data[:, -1], appended.last_logits)
+    assert np.array_equal(direct.kt, appended.kt) and np.array_equal(direct.v, appended.v)

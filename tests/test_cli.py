@@ -207,6 +207,24 @@ def test_train_sft_resume_head_mismatch_exits_2(head, mode, tmp_path, capsys, da
     assert_rejected_before_any_work(tmp_path, data_loads)
 
 
+def test_train_sft_resume_with_another_model_section_exits_2(tmp_path, capsys):
+    """Resuming a checkpoint under a config whose model section describes
+    another model exits 2 naming each differing key, before the run writes;
+    the checkpoint's own section resumes."""
+    assert main(["train-sft", "--config", tiny_config(tmp_path)]) == 0
+    mid = str(tmp_path / "run" / "checkpoint_000002.lsk")
+    other = {**TINY_MODEL, "layers": 3, "d": 16, "k_latent": 4}
+    path = tiny_config(tmp_path, model=other, paths={"out_dir": str(tmp_path / "resumed")})
+    assert main(["train-sft", "--config", path, "--resume", mid]) == 2
+    assert capsys.readouterr().err == (
+        f"error: checkpoint {mid} is not the model of the config's model section: "
+        "model.layers 1 in the checkpoint, 3 in the config; model.d 8 in the checkpoint, 16 in the config; "
+        "model.k_latent 2 in the checkpoint, 4 in the config\n")
+    assert not (tmp_path / "resumed").exists()
+    path = tiny_config(tmp_path, paths={"out_dir": str(tmp_path / "resumed")})
+    assert main(["train-sft", "--config", path, "--resume", mid]) == 0
+
+
 # (data section overrides, LATENT_SKETCH_SEED, what the message names)
 BAD_OUTSIDE_VALUES = [({"task": "bogus"}, None, "data.task"), ({"train_count": 0}, None, "data.train_count"),
                       ({}, "abc", "LATENT_SKETCH_SEED")]
@@ -281,6 +299,46 @@ def test_value_of_the_wrong_type_exits_2_naming_the_key(command, section, key, v
     named = section if key is None else f"{section}.{key}"
     assert capsys.readouterr().err == f"error: {named} must be {kind}, not {value!r}\n"
     assert sorted(os.listdir(tmp_path)) == ["bad.json", "cfg.json"]
+
+
+@pytest.mark.parametrize("command", ["train-sft", "train-rl", "ablate"])
+@pytest.mark.parametrize("content", ["[]", "3", '"cfg"', "null"])
+def test_config_that_is_not_a_json_object_exits_2_naming_the_file(command, content, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    argv = {"train-sft": ["train-sft"], "ablate": ["ablate", "--suite", "table3"],
+            "train-rl": ["train-rl", "--from-checkpoint", str(tmp_path / "absent.lsk")]}[command]
+    assert main(argv + ["--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: config {path} is not a JSON object\n"
+    assert sorted(os.listdir(tmp_path)) == ["bad.json"]
+
+
+# (section, key, value, bound) of a value of the wrong sign: each trained
+# silently, or failed naming no key, before the dataclasses checked it
+OUT_OF_RANGE = [("sft", "clip_norm", -1.0, "> 0"), ("sft", "clip_norm", 0.0, "> 0"),
+                ("sft", "lr_backbone", -1e-3, "> 0"), ("sft", "lr_diffusion", -2e-2, "> 0"),
+                ("sft", "steps", -3, ">= 0"), ("sft", "encoder_pretrain_steps", -1, ">= 0"),
+                ("sft", "checkpoint_interval", -1, ">= 0"), ("sft", "weight_decay", -0.01, ">= 0"),
+                ("sft", "lambda", -1.0, ">= 0"), ("sft", "warmup_frac", -0.5, ">= 0"),
+                ("sft", "floor_frac", -0.1, ">= 0"),
+                ("rl", "clip_norm", -1.0, "> 0"), ("rl", "lr", -1e-4, "> 0"), ("rl", "lr", 0.0, "> 0"),
+                ("rl", "iters", -2, ">= 0"), ("rl", "weight_decay", -0.1, ">= 0")]
+
+
+@pytest.mark.parametrize("section, key, value, bound", OUT_OF_RANGE,
+                         ids=[f"{s}.{k}={v}" for s, k, v, _ in OUT_OF_RANGE])
+def test_value_out_of_range_exits_2_naming_the_key(section, key, value, bound, tmp_path, capsys):
+    """The command that trains the section exits 2 as the config loads,
+    naming the key and its bound, and writes nothing."""
+    rl = {"iters": 1, "queries_per_iter": 1, "group_size": 2, "max_new_items": 8}
+    cfg = json.loads(open(tiny_config(tmp_path, rl=rl)).read())
+    cfg[section] = {**cfg[section], key: value}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["train-sft"] if section == "sft" else ["train-rl", "--from-checkpoint", make_checkpoint(tmp_path)]
+    assert main(argv + ["--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: invalid {section} config: {key} must be {bound}\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_sft_that_drops_every_example_exits_2_without_a_checkpoint(tmp_path, capsys):

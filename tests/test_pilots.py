@@ -1,7 +1,7 @@
 """The committed pilot configs are re-run from scratch and their metrics CSVs
 (and the RL pilot's rollout dump) byte-compared with the frozen copies next
-to them in ``pilots/``; the RL pilot's checkpoint is compared with the
-SHA-256 pinned there."""
+to them in ``pilots/``; the checkpoints of the RL pilot and of the
+default-model SFT pilot are compared with the SHA-256 pinned there."""
 
 import hashlib
 import json
@@ -32,10 +32,25 @@ def assert_frozen(tmp_path, produced, frozen):
         assert got == f.read()
 
 
-@pytest.mark.parametrize("name", ["sft_smoke"])
+def assert_pinned(tmp_path, produced, pin):
+    with open(os.path.join(PILOTS, pin), encoding="utf-8") as f:
+        pinned = f.read().strip()
+    assert hashlib.sha256((tmp_path / "run" / produced).read_bytes()).hexdigest() == pinned
+
+
+# each SFT pilot, with the file that pins its checkpoint's SHA-256 or None:
+# sft_smoke is a 2-layer d=16 model; sft_default30 trains the default model
+# for 30 steps, so it runs the default shapes and the batch blocking of
+# autodiff.attention (ATTN_BLOCK)
+SFT_PILOTS = {"sft_smoke": None, "sft_default30": "sft_default30.checkpoint.sha256"}
+
+
+@pytest.mark.parametrize("name", SFT_PILOTS)
 def test_pilot_metrics_byte_identical(name, tmp_path, monkeypatch, capsys):
     assert main(["train-sft", "--config", pilot_config(name, tmp_path, monkeypatch)]) == 0
     assert_frozen(tmp_path, "metrics.csv", f"{name}.metrics.csv")
+    if SFT_PILOTS[name] is not None:
+        assert_pinned(tmp_path, "checkpoint.lsk", SFT_PILOTS[name])
 
 
 def test_rl_pilot_byte_identical(tmp_path, monkeypatch, capsys):
@@ -47,7 +62,4 @@ def test_rl_pilot_byte_identical(tmp_path, monkeypatch, capsys):
                  "--from-checkpoint", fixture, "--dump-rollouts"]) == 0
     assert_frozen(tmp_path, "rl_metrics.csv", "rl_smoke.rl_metrics.csv")
     assert_frozen(tmp_path, "rollouts.txt", "rl_smoke.rollouts.txt")
-    with open(os.path.join(PILOTS, "rl_smoke.rl_checkpoint.sha256"), encoding="utf-8") as f:
-        pinned = f.read().strip()
-    got = hashlib.sha256((tmp_path / "run" / "rl_checkpoint.lsk").read_bytes()).hexdigest()
-    assert got == pinned
+    assert_pinned(tmp_path, "rl_checkpoint.lsk", "rl_smoke.rl_checkpoint.sha256")
