@@ -7,7 +7,12 @@ attention-map export over the input-image context.
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, field
+from typing import BinaryIO, NoReturn
 
 import numpy as np
 
@@ -93,13 +98,18 @@ def generate_group(prompts: list[sq.MixedSequence], model: Model, cfg: Generatio
     """Decode stream g from prompts[g] with rngs[g]; results in input order.
 
     The prompts may have any lengths.  The streams of each prompt length, in
-    order of first appearance, are decoded in one lockstep pass.  Stream g
-    equals a one-stream decode of prompts[g] with rngs[g]; every output passes
-    grammar validation.  A prompt longer than max_len less the budget is
-    rejected, so the budget alone bounds every stream within max_len.
+    order of first appearance, are decoded in one lockstep pass, split over
+    the usable cores (_decode_chunks).  Stream g equals, to rounding, a
+    one-stream decode of prompts[g] with rngs[g], so no two streams may share
+    a generator; every output passes grammar validation.  A prompt longer than max_len less the
+    budget is rejected, so the budget alone bounds every stream within max_len.
     """
     if not prompts or len(prompts) != len(rngs):
         raise ValueError(f"{len(prompts)} prompts for {len(rngs)} generators")
+    first_stream: dict[int, int] = {}
+    for g, rng in enumerate(rngs):
+        if first_stream.setdefault(id(rng), g) != g:
+            raise ValueError(f"streams {first_stream[id(rng)]} and {g} share one generator")
     k = model.cfg.k_latent
     for p in {id(p): p for p in prompts}.values():
         sq.validate(p, k)
@@ -112,9 +122,93 @@ def generate_group(prompts: list[sq.MixedSequence], model: Model, cfg: Generatio
         by_length.setdefault(len(p), []).append(g)
     results: dict[int, GenResult] = {}
     for streams in by_length.values():
-        results.update(zip(streams, _generate_lockstep([prompts[g] for g in streams], model, cfg,
-                                                       [rngs[g] for g in streams])))
+        results.update(zip(streams, _decode_chunks([prompts[g] for g in streams], model, cfg,
+                                                   [rngs[g] for g in streams])))
     return [results[g] for g in range(len(prompts))]
+
+
+def _chunk_count(streams: int) -> int:
+    """Chunks a lockstep pass of this many streams is split into: one per
+    usable core, each of at least two streams.  One where os.fork is absent,
+    or where other Python threads run: a forked child holds only the calling
+    thread, and a lock another thread held stays locked in it."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cores, streams // 2))
+
+
+def _decode_chunks(prompts: list[sq.MixedSequence], model: Model, cfg: GenerationConfig,
+                   rngs: list[np.random.Generator]) -> list[GenResult]:
+    """_generate_lockstep of the streams of one prompt length, split into
+    W = _chunk_count chunks that run at once: chunk i holds streams i, i + W,
+    i + 2W, ..., so each chunk gets its share of every prompt's streams.  Chunk
+    0 runs in this process, each other one in a forked child.
+
+    A child sends back its results, its generators' end states and its
+    diffusion.CALLS delta, or the exception it raised.  This process sets
+    those states and adds those counts, and raises a child's exception as its
+    own.  No child outlives the call: each is reaped, and killed first if
+    still running.
+    """
+    w = _chunk_count(len(prompts))
+    children: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe) of chunks 1..W-1
+    try:
+        for i in range(1, w):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _decode_in_child(read_fd, write_fd, prompts[i::w], model, cfg, rngs[i::w])
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb")))
+        results: list[GenResult] = [None] * len(prompts)
+        results[0::w] = _generate_lockstep(prompts[0::w], model, cfg, rngs[0::w])
+        for i, (pid, pipe) in enumerate(children, 1):
+            try:
+                outcome = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"decode child {pid} exited without a result") from None
+            if isinstance(outcome, BaseException):
+                raise outcome
+            results[i::w], states, calls = outcome
+            for rng, state in zip(rngs[i::w], states):
+                rng.bit_generator.state = state
+            for key, n in calls.items():
+                df.CALLS[key] += n
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _decode_in_child(read_fd: int, write_fd: int, prompts: list[sq.MixedSequence], model: Model,
+                     cfg: GenerationConfig, rngs: list[np.random.Generator]) -> NoReturn:
+    """A forked child's whole life: decode its chunk, pickle the outcome to
+    write_fd, and leave through os._exit, so it never returns into the
+    caller's stack.  It closes its copy of the read end first, so a write
+    fails rather than blocks once the parent is gone."""
+    try:
+        os.close(read_fd)
+        with os.fdopen(write_fd, "wb") as pipe:
+            before = dict(df.CALLS)
+            try:
+                results = _generate_lockstep(prompts, model, cfg, rngs)
+            except Exception as e:
+                pickle.dump(e, pipe)
+                raise
+            pickle.dump((results, [r.bit_generator.state for r in rngs],
+                         {key: df.CALLS[key] - n for key, n in before.items()}), pipe)
+        os._exit(0)
+    finally:
+        os._exit(1)
 
 
 def _generate_lockstep(prompts: list[sq.MixedSequence], model: Model, cfg: GenerationConfig,

@@ -38,8 +38,9 @@ class ModelConfig:
     head: str = HEAD_DIFFUSION
 
     def __post_init__(self):
-        if self.heads < 1:
-            raise ValueError("heads must be >= 1")
+        for name in ("layers", "heads", "d"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.d % self.heads:
             raise ValueError("model width must be divisible by head count")
         if self.k_latent < 1:

@@ -57,7 +57,7 @@ class SftConfig:
             raise ValueError(f"unknown sft mode {self.mode!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        for name in ("lr_backbone", "lr_diffusion", "clip_norm"):  # below zero, a step climbs the loss
+        for name in ("lr_backbone", "lr_diffusion", "encoder_lr", "clip_norm"):  # below zero, a step climbs the loss
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         for name in ("steps", "encoder_pretrain_steps", "checkpoint_interval", "weight_decay",

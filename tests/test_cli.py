@@ -315,7 +315,9 @@ def test_config_that_is_not_a_json_object_exits_2_naming_the_file(command, conte
 
 # (section, key, value, bound) of a value of the wrong sign: each trained
 # silently, or failed naming no key, before the dataclasses checked it
-OUT_OF_RANGE = [("sft", "clip_norm", -1.0, "> 0"), ("sft", "clip_norm", 0.0, "> 0"),
+OUT_OF_RANGE = [("model", "layers", 0, ">= 1"), ("model", "layers", -1, ">= 1"), ("model", "d", 0, ">= 1"),
+                ("sft", "encoder_lr", 0.0, "> 0"), ("sft", "encoder_lr", -1e-2, "> 0"),
+                ("sft", "clip_norm", -1.0, "> 0"), ("sft", "clip_norm", 0.0, "> 0"),
                 ("sft", "lr_backbone", -1e-3, "> 0"), ("sft", "lr_diffusion", -2e-2, "> 0"),
                 ("sft", "steps", -3, ">= 0"), ("sft", "encoder_pretrain_steps", -1, ">= 0"),
                 ("sft", "checkpoint_interval", -1, ">= 0"), ("sft", "weight_decay", -0.01, ">= 0"),
@@ -335,7 +337,7 @@ def test_value_out_of_range_exits_2_naming_the_key(section, key, value, bound, t
     cfg[section] = {**cfg[section], key: value}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
-    argv = ["train-sft"] if section == "sft" else ["train-rl", "--from-checkpoint", make_checkpoint(tmp_path)]
+    argv = ["train-rl", "--from-checkpoint", make_checkpoint(tmp_path)] if section == "rl" else ["train-sft"]
     assert main(argv + ["--config", str(path)]) == 2
     assert capsys.readouterr().err == f"error: invalid {section} config: {key} must be {bound}\n"
     assert not (tmp_path / "run").exists()

@@ -1,15 +1,18 @@
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
 
 from latentsketch import backbone as bb
+from latentsketch import cli
 from latentsketch import diffusion as df
 from latentsketch import inference as inf
 from latentsketch import sequence as sq
 from latentsketch import toyvision as tv
 from latentsketch import vocab
-from latentsketch.model import ModelConfig, build_model
+from latentsketch.model import ModelConfig, build_model, load_model
 from latentsketch.util import seeded_rng
 
 
@@ -234,7 +237,9 @@ def test_generate_group_distinct_prompts_equal_separate_generations(tasks, monke
     per prompt length P, of its distinct prompts, in order of first
     appearance, and every stream equals its own generate call, with
     streams ending by EOS and by the budget at different steps and with zero,
-    one and two latent blocks."""
+    one and two latent blocks.  On one core, so that each pass is one chunk and
+    its cache and prefill are the caller's."""
+    use_cores(monkeypatch, 1)
     model = make_model(seed=68, max_len=112)  # room for a visual_search prompt
     bias = model.store["backbone/lm_head/b"].data
     bias[vocab.START_ID] = 2.0
@@ -278,6 +283,192 @@ def test_generate_group_rejects_a_generator_count_mismatch():
     cfg = inf.GenerationConfig(mode="mixed", max_new_items=4, temperature=0.0)
     with pytest.raises(ValueError, match="generators"):
         inf.generate_group([grid, grid], model, cfg, [seeded_rng(0, "u")])
+
+
+def test_generate_group_rejects_a_generator_shared_by_two_streams():
+    model = make_model()
+    grid, _ = make_prompt(model)
+    cfg = inf.GenerationConfig(mode="mixed", max_new_items=4, temperature=1.0)
+    shared = seeded_rng(0, "shared")
+    rngs = [seeded_rng(0, "own"), shared, seeded_rng(1, "own"), shared]
+    with pytest.raises(ValueError, match="streams 1 and 3 share one generator"):
+        inf.generate_group([grid] * 4, model, cfg, rngs)
+
+
+# -- the chunked decode: one chunk of each lockstep pass per usable core ----------------
+
+
+FIXTURE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "perfbench", "fixture", "sft_grid_rotation.lsk")
+
+
+def use_cores(monkeypatch, n):
+    """Let generate_group see n usable cores; never more than 8, so that no
+    test asks for many processes."""
+    assert 1 <= n <= 8
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def decode(monkeypatch, cores, prompts, model, cfg, rngs):
+    """generate_group at the given core count: its results, the generators'
+    end states and the diffusion.CALLS delta."""
+    use_cores(monkeypatch, cores)
+    before = dict(df.CALLS)
+    out = inf.generate_group(prompts, model, cfg, rngs)
+    assert_no_child_left()
+    return out, [r.bit_generator.state for r in rngs], {k: df.CALLS[k] - before[k] for k in before}
+
+
+def test_chunked_decode_equals_the_serial_one_on_the_fixture(monkeypatch):
+    """GRPO's fixture iteration, 3 queries x 8 streams at temperature 0.8:
+    split over 2 or 3 cores, the decode draws the same tokens, with the same
+    masks, and leaves every generator where the serial decode leaves it.  A
+    chunk left with one live stream appends it through a 1-row GEMV where the
+    serial pass used a GEMM, so log-probabilities and latent rows agree to
+    rounding, not always to the bit.  Each chunk calls the sampler on its own,
+    so the CALLS delta is the sum of the chunks' serial deltas."""
+    model, _ = load_model(FIXTURE)
+    traces = tv.generate_dataset("grid_rotation", 15, 7)
+    cfg = inf.GenerationConfig(mode="mixed", max_new_items=48, temperature=0.8)
+    for seed in range(5):
+        prompts = [inf.build_prompt(model, t) for t in traces[3 * seed : 3 * seed + 3] for _ in range(8)]
+
+        def rngs():
+            return [seeded_rng(seed, "fixture", g) for g in range(len(prompts))]
+
+        want, want_states, _ = decode(monkeypatch, 1, prompts, model, cfg, rngs())
+        for cores in (2, 3):
+            got, got_states, calls = decode(monkeypatch, cores, prompts, model, cfg, rngs())
+            assert got_states == want_states
+            for g, w in zip(got, want):
+                assert_same_generation(g, w)
+                assert max(abs(e.logprob - f.logprob) for e, f in zip(g.emissions, w.emissions)) <= 1e-12
+        if seed == 0:  # the 3-core delta: chunk i holds streams i, i + 3, ...
+            chunks = [decode(monkeypatch, 1, prompts[i::3], model, cfg, rngs()[i::3])[2] for i in range(3)]
+            assert calls == {k: sum(c[k] for c in chunks) for k in calls}
+            assert calls["denoise_step"] == model.cfg.t_steps * calls["sample_latent"] > 0
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_chunked_evaluate_gives_the_serial_tokens(cores, monkeypatch, tmp_path):
+    """cli.evaluate's greedy 32-stream decode on the fixture: the same dump,
+    and latent rows within 1e-12 of their scale."""
+    model, _ = load_model(FIXTURE)
+    traces = tv.generate_dataset("grid_rotation", cli.EVAL_STREAMS, 3)
+    runs, real = [], inf.generate_group
+
+    def keep(*args):
+        runs[-1].extend(real(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(inf, "generate_group", keep)
+    dumps = []
+    for n in (1, cores):
+        use_cores(monkeypatch, n)
+        runs.append([])
+        cli.evaluate(model, traces, "mixed", 5, dump_path=str(tmp_path / f"{n}.jsonl"))
+        assert_no_child_left()
+        dumps.append((tmp_path / f"{n}.jsonl").read_bytes())
+    assert dumps[0] == dumps[1]
+    assert len(runs[0]) == cli.EVAL_STREAMS
+    for got, want in zip(runs[1], runs[0]):
+        assert_same_generation(got, want)
+    assert any(it.kind == sq.LATENT for r in runs[0] for it in r.seq.items[inf.prompt_length(traces[0]):])
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_non_finite_epsilon_net_raises_in_the_caller_and_leaves_no_child(cores, monkeypatch):
+    model = make_model(seed=69)
+    model.store["backbone/lm_head/b"].data[vocab.START_ID] = 5.0
+    model.store["diffusion_head/eps/b_out"].data[0] = np.inf
+    prompt, _ = make_prompt(model)
+    use_cores(monkeypatch, cores)
+    cfg = inf.GenerationConfig(mode="mixed", max_new_items=12, temperature=1.0)
+    with pytest.raises(FloatingPointError, match="epsilon net"):
+        inf.generate_group([prompt] * 6, model, cfg, [seeded_rng(2, "nan", g) for g in range(6)])
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_a_child_that_fails_raises_in_the_caller_and_leaves_no_child(cores, monkeypatch):
+    """A child's exception is raised by the caller, whose own chunk decodes
+    cleanly; a child that exits without a result raises RuntimeError."""
+    model = make_model(seed=69)
+    model.store["backbone/lm_head/b"].data[vocab.START_ID] = 5.0
+    prompt, _ = make_prompt(model)
+    use_cores(monkeypatch, cores)
+    cfg = inf.GenerationConfig(mode="mixed", max_new_items=12, temperature=1.0)
+    caller, real = os.getpid(), df.emit_block
+
+    def fail_in_child(exit_silently):
+        def emit_block(*args):
+            if os.getpid() != caller:
+                if exit_silently:
+                    os._exit(3)
+                raise KeyError("raised in a child")
+            return real(*args)
+        return emit_block
+
+    for exit_silently, error, match in ((False, KeyError, "raised in a child"),
+                                        (True, RuntimeError, "exited without a result")):
+        monkeypatch.setattr(df, "emit_block", fail_in_child(exit_silently))
+        with pytest.raises(error, match=match):
+            inf.generate_group([prompt] * 6, model, cfg, [seeded_rng(2, "child", g) for g in range(6)])
+        assert_no_child_left()
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_children_started_are_at_most_one_fewer_than_the_chunks(cores, monkeypatch):
+    """One child per chunk after the first: at most min(cores - 1,
+    streams // 2 - 1) for a pass of that many streams, none for one stream."""
+    model = make_model(seed=68)
+    prompt, _ = make_prompt(model)
+    cfg = inf.GenerationConfig(mode="mixed", max_new_items=4, temperature=1.0)
+    forks, real_fork = [], os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    for streams in range(1, 8):
+        forks.clear()
+        decode(monkeypatch, cores, [prompt] * streams, model, cfg,
+               [seeded_rng(4, "forks", g) for g in range(streams)])
+        assert len(forks) == max(0, min(cores - 1, streams // 2 - 1))
+
+
+def test_one_chunk_where_fork_is_absent_or_another_thread_runs(monkeypatch):
+    use_cores(monkeypatch, 4)
+    assert inf._chunk_count(24) == 4
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert inf._chunk_count(24) == 1
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    monkeypatch.delattr(os, "fork")
+    assert inf._chunk_count(24) == 1
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_chunked_language_only_never_touches_diffusion(cores, monkeypatch):
+    model = make_model(seed=71)
+    model.store["backbone/lm_head/b"].data[vocab.START_ID] = 5.0
+    prompt, _ = make_prompt(model)
+    cfg = inf.GenerationConfig(mode="language_only", max_new_items=10, temperature=1.2)
+    group, _, calls = decode(monkeypatch, cores, [prompt] * 6, model, cfg,
+                             [seeded_rng(5, "lo", g) for g in range(6)])
+    assert calls == {"sample_latent": 0, "denoise_step": 0}
+    assert not any(it.kind == sq.CTRL and it.value == sq.START for r in group for it in r.seq.items)
 
 
 # -- extract_answer ---------------------------------------------------------------

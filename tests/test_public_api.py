@@ -4,7 +4,8 @@ in the package is referenced by the program (``src/``) or the benchmark
 and dataclass field.  No config key that the program never reads.  No
 import that its own module never uses, nor one inside a function.  No
 learning rate of zero: a group a step does not train is left out of its map.
-And no except handler that swallows its error."""
+No except handler that swallows its error.  And one call that starts a
+process."""
 
 import ast
 import glob
@@ -295,3 +296,13 @@ def test_every_except_handler_ends_by_raising():
                     swallowing.append(f"{os.path.basename(path)}:{node.lineno}")
     assert handlers >= 5  # the scan found the package's handlers
     assert not swallowing, f"except handlers that do not end by raising: {swallowing}"
+
+
+def test_one_place_starts_processes():
+    """os.fork is called in one place in the package, the chunked decode,
+    whose finally reaps every child it starts."""
+    forks = [f"{os.path.basename(path)}:{node.lineno}"
+             for path in sorted(glob.glob(os.path.join(ROOT, "src", "latentsketch", "*.py")))
+             for node in ast.walk(_parse(path)) if isinstance(node, ast.Call)
+             and (node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")) == "fork"]
+    assert len(forks) == 1 and forks[0].startswith("inference.py:"), forks
