@@ -328,6 +328,16 @@ def mean_(a, axis=None) -> Tensor:
 # -- neural-net primitives ---------------------------------------------------
 
 
+def row_product(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a @ w for rows a [n, d], each row equal to the bits it has in any other
+    row count.  numpy runs a 1-row product as a GEMV, which sums in another
+    order than a GEMM row does, so a 1-row a goes through a 2-row GEMM: a
+    stream then decodes to the same bits alone, in a group, or in a chunk."""
+    if len(a) == 1:
+        return (np.concatenate((a, a)) @ w)[:1]
+    return a @ w
+
+
 def affine(x, w, b=None) -> Tensor:
     """Fused x @ w + b for a [d, n] matrix w (b, if given, broadcast over the
     leading axes).
@@ -337,7 +347,7 @@ def affine(x, w, b=None) -> Tensor:
     """
     x, w = as_tensor(x), as_tensor(w)
     rows = x.data.reshape(-1, x.data.shape[-1])
-    out = rows @ w.data
+    out = row_product(rows, w.data)
     parents = (x, w)
     if b is not None:
         b = as_tensor(b)

@@ -150,14 +150,14 @@ def prepare_eps(store: ParamStore, sched: NoiseSchedule, c: np.ndarray):
     w = {name: store[f"{EPS_NET}/{name}"].data for name in ("w0", "b0", "w1", "b1", "w2", "b2", "w_out", "b_out")}
     d = w["b_out"].shape[0]
     w0_z, w0_t, w0_c = np.split(w["w0"], [d, d + T_EMBED_DIM])
-    c_part = c @ w0_c
+    c_part = ad.row_product(c, w0_c)
     t_part = sched.t_embed @ w0_t + w["b0"]
 
     def eps_fn(z: np.ndarray, t_idx: np.ndarray) -> np.ndarray:
-        x = _gelu(z @ w0_z + c_part + t_part[t_idx])
-        x = _gelu(x @ w["w1"] + w["b1"])
-        x = _gelu(x @ w["w2"] + w["b2"])
-        out = x @ w["w_out"] + w["b_out"]
+        x = _gelu(ad.row_product(z, w0_z) + c_part + t_part[t_idx])
+        x = _gelu(ad.row_product(x, w["w1"]) + w["b1"])
+        x = _gelu(ad.row_product(x, w["w2"]) + w["b2"])
+        out = ad.row_product(x, w["w_out"]) + w["b_out"]
         if not math.isfinite(out.sum()):
             raise FloatingPointError("non-finite values in the epsilon net")
         return out
@@ -233,5 +233,6 @@ def emit_block(h_last: np.ndarray, store: ParamStore, sched: NoiseSchedule,
     them.
     """
     if head == "similarity":
-        return h_last @ store["diffusion_head/sim_w"].data + store["diffusion_head/sim_b"].data
-    return sample_latent(h_last @ store["diffusion_head/cond_w"].data, store, sched, rngs)
+        sim_w, sim_b = store["diffusion_head/sim_w"].data, store["diffusion_head/sim_b"].data
+        return ad.row_product(h_last, sim_w) + sim_b
+    return sample_latent(ad.row_product(h_last, store["diffusion_head/cond_w"].data), store, sched, rngs)

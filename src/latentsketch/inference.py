@@ -98,10 +98,11 @@ def generate_group(prompts: list[sq.MixedSequence], model: Model, cfg: Generatio
     """Decode stream g from prompts[g] with rngs[g]; results in input order.
 
     The prompts may have any lengths.  The streams of each prompt length, in
-    order of first appearance, are decoded in one lockstep pass, split over
-    the usable cores (_decode_chunks).  Stream g equals, to rounding, a
-    one-stream decode of prompts[g] with rngs[g], so no two streams may share
-    a generator; every output passes grammar validation.  A prompt longer than max_len less the
+    order of first appearance, are decoded in one lockstep pass, split into
+    chunks that decode at once (_decode_chunks).  Stream g equals a one-stream
+    decode of prompts[g] with rngs[g] bit for bit, however the streams are
+    chunked (ad.row_product), so no two streams may share a generator; every
+    output passes grammar validation.  A prompt longer than max_len less the
     budget is rejected, so the budget alone bounds every stream within max_len.
     """
     if not prompts or len(prompts) != len(rngs):
@@ -143,13 +144,15 @@ def _decode_chunks(prompts: list[sq.MixedSequence], model: Model, cfg: Generatio
     """_generate_lockstep of the streams of one prompt length, split into
     W = _chunk_count chunks that run at once: chunk i holds streams i, i + W,
     i + 2W, ..., so each chunk gets its share of every prompt's streams.  Chunk
-    0 runs in this process, each other one in a forked child.
+    0 runs in this process, each other one in a forked child.  The results
+    and generator states are the serial decode's, bit for bit.
 
     A child sends back its results, its generators' end states and its
     diffusion.CALLS delta, or the exception it raised.  This process sets
     those states and adds those counts, and raises a child's exception as its
-    own.  No child outlives the call: each is reaped, and killed first if
-    still running.
+    own; each chunk calls the sampler at the steps one of its streams is in a
+    block, so CALLS counts the calls of every chunk.  No child outlives the
+    call: each is reaped, and killed first if still running.
     """
     w = _chunk_count(len(prompts))
     children: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe) of chunks 1..W-1

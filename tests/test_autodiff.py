@@ -377,6 +377,19 @@ def test_in_place_gelu_and_layer_norm_equal_array_expressions(shape):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("d, n", [(16, 24), (32, 96), (128, 384)])
+def test_row_product_gives_each_row_its_bits_at_every_row_count(d, n):
+    """A row's product has the same bits alone, as one of two rows, or as one
+    of 24; a plain 1-row numpy product (a GEMV) need not."""
+    rng = np.random.default_rng(d)
+    a, w = rng.normal(size=(24, d)), rng.normal(size=(d, n))
+    full = ad.row_product(a, w)
+    for i in range(24):
+        assert np.array_equal(ad.row_product(a[i : i + 1], w), full[i : i + 1])
+        assert np.array_equal(ad.row_product(a[i : i + 2], w), full[i : i + 2])
+    assert np.array_equal(ad.affine(a[:1], w).data, full[:1])
+
+
 @pytest.mark.parametrize("shape", [(3, 7, 16), (3, 1, 16), (5, 16)])
 def test_affine_one_gemm_matches_batched_matmul(shape):
     """affine folds the leading axes into one GEMM; it agrees with a batched

@@ -162,14 +162,14 @@ def test_pad_bos_end_never_sampled_even_at_high_temperature():
 def assert_same_generation(got, want):
     assert got.truncated == want.truncated
     assert got.new_items == want.new_items
-    assert [(e.position, e.token_id) for e in got.emissions] == \
-           [(e.position, e.token_id) for e in want.emissions]
+    assert [(e.position, e.token_id, e.logprob) for e in got.emissions] == \
+           [(e.position, e.token_id, e.logprob) for e in want.emissions]
     assert all(np.array_equal(e.mask, f.mask) for e, f in zip(got.emissions, want.emissions))
     assert len(got.seq) == len(want.seq)
     for x, y in zip(got.seq.items, want.seq.items):
         assert x.kind == y.kind
         if x.kind == sq.LATENT:
-            assert np.max(np.abs(x.value - y.value)) <= 1e-12 * max(1.0, np.max(np.abs(y.value)))
+            assert np.array_equal(x.value, y.value)
         else:
             assert x.value == y.value
 
@@ -324,40 +324,37 @@ def decode(monkeypatch, cores, prompts, model, cfg, rngs):
     return out, [r.bit_generator.state for r in rngs], {k: df.CALLS[k] - before[k] for k in before}
 
 
-def test_chunked_decode_equals_the_serial_one_on_the_fixture(monkeypatch):
+# the fast suite runs the two seeds of the first 20 whose chunks, with a plain
+# numpy product in place of ad.row_product, lost the serial decode's bits
+@pytest.mark.parametrize("seed", [15, 17] + [pytest.param(s, marks=pytest.mark.slow) for s in range(5)])
+def test_chunked_decode_equals_the_serial_one_on_the_fixture(seed, monkeypatch):
     """GRPO's fixture iteration, 3 queries x 8 streams at temperature 0.8:
-    split over 2 or 3 cores, the decode draws the same tokens, with the same
-    masks, and leaves every generator where the serial decode leaves it.  A
-    chunk left with one live stream appends it through a 1-row GEMV where the
-    serial pass used a GEMM, so log-probabilities and latent rows agree to
-    rounding, not always to the bit.  Each chunk calls the sampler on its own,
-    so the CALLS delta is the sum of the chunks' serial deltas."""
+    split over 2 cores, the decode gives the serial decode's tokens, masks,
+    log-probabilities and latent rows bit for bit, and leaves every generator
+    where the serial decode leaves it.  Each chunk calls the sampler on its
+    own, so the CALLS delta is the sum of the chunks' serial deltas."""
     model, _ = load_model(FIXTURE)
-    traces = tv.generate_dataset("grid_rotation", 15, 7)
+    traces = tv.generate_dataset("grid_rotation", 3 * seed + 3, 7)[-3:]
     cfg = inf.GenerationConfig(mode="mixed", max_new_items=48, temperature=0.8)
-    for seed in range(5):
-        prompts = [inf.build_prompt(model, t) for t in traces[3 * seed : 3 * seed + 3] for _ in range(8)]
+    prompts = [inf.build_prompt(model, t) for t in traces for _ in range(8)]
 
-        def rngs():
-            return [seeded_rng(seed, "fixture", g) for g in range(len(prompts))]
+    def rngs():
+        return [seeded_rng(seed, "fixture", g) for g in range(len(prompts))]
 
-        want, want_states, _ = decode(monkeypatch, 1, prompts, model, cfg, rngs())
-        for cores in (2, 3):
-            got, got_states, calls = decode(monkeypatch, cores, prompts, model, cfg, rngs())
-            assert got_states == want_states
-            for g, w in zip(got, want):
-                assert_same_generation(g, w)
-                assert max(abs(e.logprob - f.logprob) for e, f in zip(g.emissions, w.emissions)) <= 1e-12
-        if seed == 0:  # the 3-core delta: chunk i holds streams i, i + 3, ...
-            chunks = [decode(monkeypatch, 1, prompts[i::3], model, cfg, rngs()[i::3])[2] for i in range(3)]
-            assert calls == {k: sum(c[k] for c in chunks) for k in calls}
-            assert calls["denoise_step"] == model.cfg.t_steps * calls["sample_latent"] > 0
+    want, want_states, _ = decode(monkeypatch, 1, prompts, model, cfg, rngs())
+    got, got_states, calls = decode(monkeypatch, 2, prompts, model, cfg, rngs())
+    assert got_states == want_states
+    for g, w in zip(got, want):
+        assert_same_generation(g, w)
+    if seed == 15:  # chunk i holds streams i, i + 2, ...
+        chunks = [decode(monkeypatch, 1, prompts[i::2], model, cfg, rngs()[i::2])[2] for i in range(2)]
+        assert calls == {k: sum(c[k] for c in chunks) for k in calls}
+        assert calls["denoise_step"] == model.cfg.t_steps * calls["sample_latent"] > 0
 
 
-@pytest.mark.parametrize("cores", [2, 3])
-def test_chunked_evaluate_gives_the_serial_tokens(cores, monkeypatch, tmp_path):
-    """cli.evaluate's greedy 32-stream decode on the fixture: the same dump,
-    and latent rows within 1e-12 of their scale."""
+def test_chunked_evaluate_gives_the_serial_dump_and_rows(monkeypatch, tmp_path):
+    """cli.evaluate's greedy 32-stream decode on the fixture, split over 2
+    cores: the same dump, and every generation bit for bit."""
     model, _ = load_model(FIXTURE)
     traces = tv.generate_dataset("grid_rotation", cli.EVAL_STREAMS, 3)
     runs, real = [], inf.generate_group
@@ -368,7 +365,7 @@ def test_chunked_evaluate_gives_the_serial_tokens(cores, monkeypatch, tmp_path):
 
     monkeypatch.setattr(inf, "generate_group", keep)
     dumps = []
-    for n in (1, cores):
+    for n in (1, 2):
         use_cores(monkeypatch, n)
         runs.append([])
         cli.evaluate(model, traces, "mixed", 5, dump_path=str(tmp_path / f"{n}.jsonl"))
