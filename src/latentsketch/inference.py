@@ -29,6 +29,10 @@ from .util import atomic_write
 # grid_rotation answer of 52 items at K=4 (visual_search needs at most 21)
 MAX_NEW_ITEMS = 64
 
+# chunks a lockstep pass is split over (_chunk_count): two is the count
+# measured faster than one, on 2 cores; more are untried on more cores
+MAX_CHUNKS = 2
+
 
 @dataclass
 class GenerationConfig:
@@ -129,14 +133,15 @@ def generate_group(prompts: list[sq.MixedSequence], model: Model, cfg: Generatio
 
 
 def _chunk_count(streams: int) -> int:
-    """Chunks a lockstep pass of this many streams is split into: one per
-    usable core, each of at least two streams.  One where os.fork is absent,
-    or where other Python threads run: a forked child holds only the calling
-    thread, and a lock another thread held stays locked in it."""
+    """Chunks a lockstep pass of this many streams is split into: MAX_CHUNKS
+    where that many cores are usable and each chunk gets at least two
+    streams, else fewer.  One where os.fork is absent, or where other Python
+    threads run: a forked child holds only the calling thread, and a lock
+    another thread held stays locked in it."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(cores, streams // 2))
+    return max(1, min(MAX_CHUNKS, cores, streams // 2))
 
 
 def _decode_chunks(prompts: list[sq.MixedSequence], model: Model, cfg: GenerationConfig,

@@ -295,7 +295,7 @@ def test_generate_group_rejects_a_generator_shared_by_two_streams():
         inf.generate_group([grid] * 4, model, cfg, rngs)
 
 
-# -- the chunked decode: one chunk of each lockstep pass per usable core ----------------
+# -- the chunked decode: up to MAX_CHUNKS chunks of each lockstep pass at once ----------
 
 
 FIXTURE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -419,10 +419,11 @@ def test_a_child_that_fails_raises_in_the_caller_and_leaves_no_child(cores, monk
         assert_no_child_left()
 
 
-@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("cores", [1, 2, 3, 8])
 def test_children_started_are_at_most_one_fewer_than_the_chunks(cores, monkeypatch):
-    """One child per chunk after the first: at most min(cores - 1,
-    streams // 2 - 1) for a pass of that many streams, none for one stream."""
+    """One child per chunk after the first: min(MAX_CHUNKS, cores,
+    streams // 2) - 1 for a pass of that many streams, so at most one
+    whatever the core count, and none for fewer than four streams."""
     model = make_model(seed=68)
     prompt, _ = make_prompt(model)
     cfg = inf.GenerationConfig(mode="mixed", max_new_items=4, temperature=1.0)
@@ -437,12 +438,12 @@ def test_children_started_are_at_most_one_fewer_than_the_chunks(cores, monkeypat
         forks.clear()
         decode(monkeypatch, cores, [prompt] * streams, model, cfg,
                [seeded_rng(4, "forks", g) for g in range(streams)])
-        assert len(forks) == max(0, min(cores - 1, streams // 2 - 1))
+        assert len(forks) == max(0, min(inf.MAX_CHUNKS, cores, streams // 2) - 1) <= inf.MAX_CHUNKS - 1
 
 
 def test_one_chunk_where_fork_is_absent_or_another_thread_runs(monkeypatch):
     use_cores(monkeypatch, 4)
-    assert inf._chunk_count(24) == 4
+    assert inf._chunk_count(24) == inf.MAX_CHUNKS == 2
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
