@@ -4,14 +4,24 @@ Every op is a module function (a Tensor has no arithmetic operators) and
 validates that its output is finite; a NaN/Inf anywhere raises
 FloatingPointError at the op boundary rather than propagating silently.
 Gradients are accumulated into ``Tensor.grad`` numpy buffers by ``backward``.
+
+The ops whose rows are independent (affine, gelu, layer_norm, attention and
+normal_cdf) run through split_rows: inside helper_thread(), an array's second
+half is computed on one helper thread while the caller computes the first,
+and every row gets the bits it has when the whole array is computed at once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import queue
+import threading
 
 import numpy as np
 from scipy.special import erf
+
+from .util import usable_cores
 
 _GRAD_ENABLED = True
 
@@ -37,11 +47,86 @@ class no_grad:
         return False
 
 
-def _assert_finite(arr: np.ndarray, ctx: str) -> None:
+def _assert_finite(arr: np.ndarray, ctx: str, sums=None) -> None:
     # single-pass check: the sum is finite iff every entry is finite
-    # (magnitudes in this codebase never overflow a float64 sum)
-    if not math.isfinite(arr.sum()):
+    # (magnitudes in this codebase never overflow a float64 sum); a split op
+    # passes the sums of the parts that tile arr, each taken where it was made
+    if not math.isfinite(arr.sum() if sums is None else sum(sums)):
         raise FloatingPointError(f"non-finite values in {ctx}")
+
+
+# -- row splitting ------------------------------------------------------------
+
+# Elements an array needs before split_rows hands half of it to the helper:
+# below this, waking the helper costs more than the half it would compute.
+SPLIT_MIN = 1 << 14
+
+# (thread id of the caller, task queue, result queue) of the open helper, else None
+_HELPER: tuple[int, queue.SimpleQueue, queue.SimpleQueue] | None = None
+
+
+def _serve(tasks: queue.SimpleQueue, results: queue.SimpleQueue) -> None:
+    """The helper thread's loop: run each (fn, rows) task and send back
+    (True, its result), until a None task.  A task that raises sends
+    (False, the exception) and ends the helper."""
+    while (task := tasks.get()) is not None:
+        fn, rows = task
+        try:
+            results.put((True, fn(rows)))
+        except BaseException as e:
+            results.put((False, e))
+            raise
+
+
+@contextlib.contextmanager
+def helper_thread():
+    """Open the helper thread that split_rows gives second halves to, for the
+    length of the block, where at least two cores are usable; elsewhere, or
+    when one is open already, the block runs with none added.  The helper is
+    joined on every exit, so no thread outlives the block."""
+    global _HELPER
+    if _HELPER is not None or usable_cores() < 2:
+        yield
+        return
+    tasks, results = queue.SimpleQueue(), queue.SimpleQueue()
+    thread = threading.Thread(target=_serve, args=(tasks, results), name="autodiff-helper", daemon=True)
+    thread.start()
+    _HELPER = (threading.get_ident(), tasks, results)
+    try:
+        yield
+    finally:
+        _HELPER = None
+        tasks.put(None)
+        thread.join()
+
+
+def split_rows(fn, a: np.ndarray) -> list:
+    """[fn(first half), fn(second half)] of the slices of a's leading axis, the
+    second computed on the helper thread; [fn(all rows)] when no helper is
+    open, on any thread but the one that opened it, or when a has fewer than
+    SPLIT_MIN elements or fewer than four rows (so each half is a GEMM of at
+    least two rows).  fn writes its rows of preallocated outputs; it must
+    give each row the same bits whatever slice holds it.
+
+    The slice that starts at row 0 always runs on the calling thread, and
+    exactly once, so fn does there its share of work that reads every row
+    (a bias or a norm's scale gradient): one whole reduction, on the caller,
+    while the helper computes the second half."""
+    global _HELPER
+    n = len(a)
+    helper = _HELPER
+    if helper is None or a.size < SPLIT_MIN or n < 4 or threading.get_ident() != helper[0]:
+        return [fn(slice(0, n))]
+    _, tasks, results = helper
+    tasks.put((fn, slice(n // 2, n)))
+    try:
+        first = fn(slice(0, n // 2))
+    finally:
+        ok, second = results.get()  # never leave the helper writing into an output
+        if not ok:
+            _HELPER = None  # the helper has ended: the rest of the block runs serially
+            raise second
+    return [first, second]
 
 
 class Tensor:
@@ -85,8 +170,8 @@ def _accum(t: Tensor, g: np.ndarray, fresh: bool = False) -> None:
         t.grad += g
 
 
-def _from_op(data: np.ndarray, parents, backward_fn, ctx: str) -> Tensor:
-    _assert_finite(data, ctx)
+def _from_op(data: np.ndarray, parents, backward_fn, ctx: str, sums=None) -> Tensor:
+    _assert_finite(data, ctx, sums)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -221,35 +306,53 @@ def sqrt(a) -> Tensor:
     return _from_op(out_data, (a,), bw, "sqrt")
 
 
-def normal_cdf(x: np.ndarray) -> np.ndarray:
-    """The Gaussian CDF Phi(x) = 0.5 * (1 + erf(x / sqrt 2)), one new buffer
-    updated in place."""
-    phi = x * _INV_SQRT2
+def _normal_cdf_into(x: np.ndarray, phi: np.ndarray) -> None:
+    np.multiply(x, _INV_SQRT2, out=phi)
     erf(phi, out=phi)
     phi += 1.0
     phi *= 0.5
-    return phi
+
+
+def normal_cdf(x: np.ndarray) -> np.ndarray:
+    """The Gaussian CDF Phi(x) = 0.5 * (1 + erf(x / sqrt 2)), one new buffer
+    updated in place."""
+    rows = x.reshape(-1, x.shape[-1])
+    phi = np.empty(rows.shape)
+    split_rows(lambda r: _normal_cdf_into(rows[r], phi[r]), rows)
+    return phi.reshape(x.shape)
 
 
 def gelu(a) -> Tensor:
     """Exact GELU: x * Phi(x) with the Gaussian CDF (not the tanh approximation)."""
     a = as_tensor(a)
-    x = a.data
-    phi = normal_cdf(x)
+    x = a.data.reshape(-1, a.data.shape[-1])
+    phi, out = np.empty(x.shape), np.empty(x.shape)
+
+    def fw(r):
+        _normal_cdf_into(x[r], phi[r])
+        return np.multiply(x[r], phi[r], out=out[r]).sum()
 
     def bw(g):
         if a.requires_grad:
-            # g * (phi + x * pdf(x)), pdf(x) = exp(-x^2 / 2) / sqrt(2 pi)
-            t = x * -0.5
-            t *= x
-            np.exp(t, out=t)
-            t *= _INV_SQRT2PI
-            t *= x
-            t += phi
-            t *= g
-            _accum(a, t, fresh=True)
+            g = g.reshape(x.shape)
+            gx = np.empty(x.shape)
 
-    return _from_op(x * phi, (a,), bw, "gelu")
+            def x_grad(r):
+                # g * (phi + x * pdf(x)), pdf(x) = exp(-x^2 / 2) / sqrt(2 pi)
+                xr, t = x[r], gx[r]
+                np.multiply(xr, -0.5, out=t)
+                t *= xr
+                np.exp(t, out=t)
+                t *= _INV_SQRT2PI
+                t *= xr
+                t += phi[r]
+                t *= g[r]
+
+            split_rows(x_grad, gx)
+            _accum(a, gx.reshape(a.data.shape), fresh=True)
+
+    sums = split_rows(fw, x)
+    return _from_op(out.reshape(a.data.shape), (a,), bw, "gelu", sums)
 
 
 # -- shape ops ---------------------------------------------------------------
@@ -328,14 +431,19 @@ def mean_(a, axis=None) -> Tensor:
 # -- neural-net primitives ---------------------------------------------------
 
 
-def row_product(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+def row_product(a: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a @ w for rows a [n, d], each row equal to the bits it has in any other
     row count.  numpy runs a 1-row product as a GEMV, which sums in another
     order than a GEMM row does, so a 1-row a goes through a 2-row GEMM: a
-    stream then decodes to the same bits alone, in a group, or in a chunk."""
+    stream then decodes to the same bits alone, in a group, or in a chunk.
+    Written into out when given."""
     if len(a) == 1:
-        return (np.concatenate((a, a)) @ w)[:1]
-    return a @ w
+        prod = (np.concatenate((a, a)) @ w)[:1]
+        if out is None:
+            return prod
+        out[...] = prod
+        return out
+    return np.matmul(a, w, out=out)
 
 
 def affine(x, w, b=None) -> Tensor:
@@ -343,28 +451,51 @@ def affine(x, w, b=None) -> Tensor:
     leading axes).
 
     The leading axes of x are folded into rows, so the product and the input
-    gradient are one GEMM each rather than one per batch entry.
+    gradient are one GEMM each rather than one per batch entry, split by rows
+    (split_rows).  The weight gradient is one product per batch entry, split
+    by batch entry, and their sum.
     """
     x, w = as_tensor(x), as_tensor(w)
     rows = x.data.reshape(-1, x.data.shape[-1])
-    out = row_product(rows, w.data)
+    out = np.empty((len(rows), w.data.shape[1]))
     parents = (x, w)
     if b is not None:
         b = as_tensor(b)
-        out += b.data
         parents = (x, w, b)
 
-    def bw(g):
-        if x.requires_grad:
-            _accum(x, (g.reshape(len(rows), -1) @ w.data.T).reshape(x.data.shape), fresh=True)
-        if w.requires_grad:
-            # one product per batch entry, summed after: folding the rows here
-            # would change the order in which the weight gradient is summed
-            _accum(w, _unbroadcast(x.data.swapaxes(-1, -2) @ g, w.data.shape), fresh=True)
-        if b is not None and b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape), fresh=True)
+    def fw(r):
+        o = row_product(rows[r], w.data, out[r])
+        if b is not None:
+            o += b.data
+        return o.sum()
 
-    return _from_op(out.reshape(x.data.shape[:-1] + out.shape[1:]), parents, bw, "affine")
+    def bw(g):
+        # per batch entry: the input-gradient GEMM of its rows, and the weight
+        # product x^T g, summed over the entries after: folding the rows into
+        # one weight product would change the order of that sum
+        g_rows = g.reshape(len(rows), -1)
+        L = x.data.shape[-2] if x.data.ndim > 1 else 1  # the rows of one batch entry
+        xs = rows.reshape(-1, L, rows.shape[1]).swapaxes(-1, -2)
+        gs = g_rows.reshape(-1, L, g_rows.shape[1])
+        gx = np.empty(rows.shape) if x.requires_grad else None
+        prods = np.empty((len(xs),) + w.data.shape) if w.requires_grad else None
+
+        def grads(e):
+            if gx is not None:
+                np.matmul(g_rows[e.start * L : e.stop * L], w.data.T, out=gx[e.start * L : e.stop * L])
+            if prods is not None:
+                np.matmul(xs[e], gs[e], out=prods[e])
+            if e.start == 0 and b is not None and b.requires_grad:  # the caller's share
+                _accum(b, _unbroadcast(g, b.data.shape), fresh=True)
+
+        split_rows(grads, gs)
+        if gx is not None:
+            _accum(x, gx.reshape(x.data.shape), fresh=True)
+        if prods is not None:
+            _accum(w, prods.sum(axis=0) if x.data.ndim > 2 else prods[0], fresh=True)
+
+    sums = split_rows(fw, out)
+    return _from_op(out.reshape(x.data.shape[:-1] + out.shape[1:]), parents, bw, "affine", sums)
 
 
 def mixed_embed(table, pos_table, ids: np.ndarray, text_mask: np.ndarray,
@@ -408,12 +539,6 @@ def _masks(n: int, start: int) -> tuple[np.ndarray, np.ndarray]:
     return m
 
 
-def _split_heads(qkv: np.ndarray, heads: int) -> np.ndarray:
-    """[B, L, 3d] q|k|v rows -> [3, B, heads, L, hd]."""
-    B, L, d3 = qkv.shape
-    return np.ascontiguousarray(qkv.reshape(B, L, 3, heads, d3 // (3 * heads)).transpose(2, 0, 3, 1, 4))
-
-
 def attention(qkv, heads: int, prefix=None, start: int = 0):
     """Fused causal multi-head attention over the [B, L, 3d] q|k|v projection.
 
@@ -430,47 +555,65 @@ def attention(qkv, heads: int, prefix=None, start: int = 0):
       0..start+L.  Cached positions are constants: backward reaches only
       this call's rows.
 
-    Forward and backward run over blocks of ATTN_BLOCK scores along the
-    batch axis; each block makes the same per-matrix products and per-row
-    reductions as the whole batch would, so the values do not depend on it.
+    Forward and backward split the batch in two halves (split_rows) and run
+    each over blocks of ATTN_BLOCK scores along the batch axis; each block
+    makes the same per-matrix products and per-row reductions as the whole
+    batch would, so the values depend on neither.
     """
     qkv = as_tensor(qkv)
     B, L, d3 = qkv.data.shape
     hd = d3 // (3 * heads)
-    q, k, v = _split_heads(qkv.data, heads)
     parents = (qkv,)
-    if prefix is None:
-        kt, vals = np.ascontiguousarray(k.swapaxes(-1, -2)), v
-    elif isinstance(prefix, Tensor):
+    if isinstance(prefix, Tensor):
         parents = (qkv, prefix)
         start = prefix.data.shape[1]
-        _, pk, pv = _split_heads(prefix.data, heads)
-        kt = np.concatenate([pk.swapaxes(-1, -2), k.swapaxes(-1, -2)], axis=-1)
-        vals = np.concatenate([pv, v], axis=-2)
+    T = start + L
+    # keys are laid out as they always were, since a GEMM's bits depend on its
+    # operands' layout: transposed rows without a prefix, rows (read
+    # transposed) after a Tensor prefix, the cache's own buffers in a decode
+    q = np.empty((B, heads, L, hd))
+    if prefix is None:
+        kt, vals = np.empty((B, heads, hd, T)), np.empty((B, heads, T, hd))
+    elif isinstance(prefix, Tensor):
+        kt, vals = np.empty((B, heads, T, hd)).swapaxes(-1, -2), np.empty((B, heads, T, hd))
     else:
         kt_buf, v_buf = prefix
-        kt_buf[..., start : start + L] = k.swapaxes(-1, -2)
-        v_buf[:, :, start : start + L] = v
-        kt, vals = kt_buf[..., : start + L], v_buf[:, :, : start + L]
+        kt, vals = kt_buf[..., :T], v_buf[:, :, :T]
     scale = 1.0 / np.sqrt(hd)
     mask, keep = _masks(L, start)
-    per = max(1, ATTN_BLOCK // max(heads * L * (start + L), 1))  # examples per block
-    blocks = [slice(b0, b0 + per) for b0 in range(0, B, per)]
-    s = np.empty((B, heads, L, start + L))
+    per = max(1, ATTN_BLOCK // max(heads * L * T, 1))  # examples per block
+    s = np.empty((B, heads, L, T))
     ctx = np.empty((B, L, heads, hd))
-    for blk in blocks:
-        sb = s[blk]
-        np.matmul(q[blk], kt[blk], out=sb)
-        sb *= scale
-        sb += mask
-        sb -= np.max(sb, axis=-1, keepdims=True)
-        # masked entries go -0.0 -> exp 1.0 -> +0.0, which is exp(MASK_VALUE),
-        # without the slow path np.exp takes on huge negative inputs
-        sb *= keep
-        np.exp(sb, out=sb)
-        sb *= keep
-        sb /= np.sum(sb, axis=-1, keepdims=True)
-        ctx[blk] = (sb @ vals[blk]).swapaxes(1, 2)
+
+    def blocks(e):
+        return [slice(b0, min(b0 + per, e.stop)) for b0 in range(e.start, e.stop, per)]
+
+    def fw(e):
+        # [b, L, 3d] q|k|v rows -> [b, heads, L, hd] queries, keys written
+        # transposed and values, at positions start..T
+        rows = qkv.data[e]
+        parts = rows.reshape(len(rows), L, 3, heads, hd)
+        q[e] = parts[:, :, 0].swapaxes(1, 2)
+        kt[e, ..., start:] = parts[:, :, 1].transpose(0, 2, 3, 1)
+        vals[e, :, start:] = parts[:, :, 2].swapaxes(1, 2)
+        if len(parents) == 2:
+            pre = prefix.data[e].reshape(len(rows), start, 3, heads, hd)
+            kt[e, ..., :start] = pre[:, :, 1].transpose(0, 2, 3, 1)
+            vals[e, :, :start] = pre[:, :, 2].swapaxes(1, 2)
+        for blk in blocks(e):
+            sb = s[blk]
+            np.matmul(q[blk], kt[blk], out=sb)
+            sb *= scale
+            sb += mask
+            sb -= np.max(sb, axis=-1, keepdims=True)
+            # masked entries go -0.0 -> exp 1.0 -> +0.0, which is exp(MASK_VALUE),
+            # without the slow path np.exp takes on huge negative inputs
+            sb *= keep
+            np.exp(sb, out=sb)
+            sb *= keep
+            sb /= np.sum(sb, axis=-1, keepdims=True)
+            ctx[blk] = (sb @ vals[blk]).swapaxes(1, 2)
+        return ctx[e].sum()
 
     def bw(g):
         gh = g.reshape(B, L, heads, hd).swapaxes(1, 2)
@@ -480,70 +623,88 @@ def attention(qkv, heads: int, prefix=None, start: int = 0):
             out = np.empty((B, L, 3, heads, hd))
         if to_prefix:
             pout = np.zeros((B, start, 3, heads, hd))
-        for blk in blocks:
-            sb, ghb = s[blk], gh[blk]
-            gs = ghb @ vals[blk].swapaxes(-1, -2)
-            gv = sb.swapaxes(-1, -2) @ ghb
-            gs -= np.sum(gs * sb, axis=-1, keepdims=True)
-            gs *= sb
-            gs *= scale
-            gkt = q[blk].swapaxes(-1, -2) @ gs
-            if to_qkv:
-                out[blk, :, 0] = (gs @ kt[blk].swapaxes(-1, -2)).swapaxes(1, 2)
-                out[blk, :, 1] = gkt[..., start:].transpose(0, 3, 1, 2)
-                out[blk, :, 2] = gv[:, :, start:].swapaxes(1, 2)
-            if to_prefix:
-                pout[blk, :, 1] = gkt[..., :start].transpose(0, 3, 1, 2)
-                pout[blk, :, 2] = gv[:, :, :start].swapaxes(1, 2)
+
+        def grads(e):
+            for blk in blocks(e):
+                sb, ghb = s[blk], gh[blk]
+                gs = ghb @ vals[blk].swapaxes(-1, -2)
+                gv = sb.swapaxes(-1, -2) @ ghb
+                gs -= np.sum(gs * sb, axis=-1, keepdims=True)
+                gs *= sb
+                gs *= scale
+                gkt = q[blk].swapaxes(-1, -2) @ gs
+                if to_qkv:
+                    out[blk, :, 0] = (gs @ kt[blk].swapaxes(-1, -2)).swapaxes(1, 2)
+                    out[blk, :, 1] = gkt[..., start:].transpose(0, 3, 1, 2)
+                    out[blk, :, 2] = gv[:, :, start:].swapaxes(1, 2)
+                if to_prefix:
+                    pout[blk, :, 1] = gkt[..., :start].transpose(0, 3, 1, 2)
+                    pout[blk, :, 2] = gv[:, :, :start].swapaxes(1, 2)
+
+        split_rows(grads, s)
         if to_qkv:
             _accum(qkv, out.reshape(B, L, d3), fresh=True)
         if to_prefix:
             _accum(prefix, pout.reshape(B, start, d3), fresh=True)
 
-    return _from_op(ctx.reshape(B, L, d3 // 3), parents, bw, "attention"), s
+    sums = split_rows(fw, s)
+    return _from_op(ctx.reshape(B, L, d3 // 3), parents, bw, "attention", sums), s
 
 
 def layer_norm(x, gamma, beta) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     n = x.data.shape[-1]
-    # add.reduce / n is np.mean's arithmetic without its per-call overhead;
-    # the passes below update two [..., n] buffers in place
-    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
-    mu /= n
-    xhat = x.data - mu
-    out = xhat * xhat
-    r = np.add.reduce(out, axis=-1, keepdims=True)
-    r /= n
-    r += LN_EPS
-    np.sqrt(r, out=r)
-    np.divide(1.0, r, out=r)
-    xhat *= r
-    np.multiply(xhat, gamma.data, out=out)
-    out += beta.data
+    rows = x.data.reshape(-1, n)
+    xhat, out, r = np.empty(rows.shape), np.empty(rows.shape), np.empty((len(rows), 1))
+
+    def fw(i):
+        # add.reduce / n is np.mean's arithmetic without its per-call overhead;
+        # the passes below update the rows' buffers in place
+        mu = np.add.reduce(rows[i], axis=-1, keepdims=True)
+        mu /= n
+        xh, o, ri = xhat[i], out[i], r[i]
+        np.subtract(rows[i], mu, out=xh)
+        np.multiply(xh, xh, out=o)
+        np.add.reduce(o, axis=-1, keepdims=True, out=ri)
+        ri /= n
+        ri += LN_EPS
+        np.sqrt(ri, out=ri)
+        np.divide(1.0, ri, out=ri)
+        xh *= ri
+        np.multiply(xh, gamma.data, out=o)
+        o += beta.data
+        return o.sum()
 
     def bw(g):
-        t = None
-        if gamma.requires_grad:
-            t = g * xhat
-            _accum(gamma, t.reshape(-1, n).sum(axis=0), fresh=True)
-        if beta.requires_grad:
-            _accum(beta, g.reshape(-1, n).sum(axis=0), fresh=True)
-        if x.requires_grad:
-            # r * (gx - mean(gx) - xhat * mean(gx * xhat)), gx = g * gamma
-            gx = g * gamma.data
-            t = np.multiply(gx, xhat, out=t)
-            m = np.add.reduce(t, axis=-1, keepdims=True)
-            m /= n
-            np.multiply(xhat, m, out=t)
-            m = np.add.reduce(gx, axis=-1, keepdims=True)
-            m /= n
-            gx -= m
-            gx -= t
-            gx *= r
-            _accum(x, gx, fresh=True)
+        g = g.reshape(-1, n)
+        gx = np.empty(rows.shape) if x.requires_grad else None
 
-    return _from_op(out, (x, gamma, beta), bw, "layer_norm")
+        def grads(i):
+            if i.start == 0:  # the caller's share
+                if gamma.requires_grad:
+                    _accum(gamma, (g * xhat).sum(axis=0), fresh=True)
+                if beta.requires_grad:
+                    _accum(beta, g.sum(axis=0), fresh=True)
+            if gx is not None:
+                # r * (gx - mean(gx) - xhat * mean(gx * xhat)), gx = g * gamma
+                gxi = np.multiply(g[i], gamma.data, out=gx[i])
+                t = gxi * xhat[i]
+                m = np.add.reduce(t, axis=-1, keepdims=True)
+                m /= n
+                np.multiply(xhat[i], m, out=t)
+                m = np.add.reduce(gxi, axis=-1, keepdims=True)
+                m /= n
+                gxi -= m
+                gxi -= t
+                gxi *= r[i]
+
+        split_rows(grads, g)
+        if gx is not None:
+            _accum(x, gx.reshape(x.data.shape), fresh=True)
+
+    sums = split_rows(fw, rows)
+    return _from_op(out.reshape(x.data.shape), (x, gamma, beta), bw, "layer_norm", sums)
 
 
 def cross_entropy(logits, targets) -> Tensor:

@@ -2,8 +2,10 @@
 ablation suites, the latency benchmark, and attention-map export.
 
 Exit codes: 0 success, 2 validation error, 3 runtime failure.  The env var
-LATENT_SKETCH_SEED overrides the config seed.  Every artifact directory gets
-the resolved config and the code-version string; file writes are atomic.
+LATENT_SKETCH_SEED overrides the config seed.  BLAS runs one thread unless
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS says otherwise.
+Every artifact directory gets the resolved config and the code-version
+string; file writes are atomic.
 """
 
 from __future__ import annotations
@@ -16,20 +18,26 @@ import sys
 import time
 from dataclasses import fields
 
-import numpy as np
+# One BLAS thread unless the user set a count, set before numpy loads its BLAS:
+# the products here are too small to gain from more, and the chunked decode
+# and the SFT helper thread already use the second core
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from . import CODE_VERSION
-from . import autodiff as ad
-from . import backbone as bb
-from . import diffusion as df
-from . import grpo
-from . import inference as inf
-from . import sequence as sq
-from . import sft
-from . import toyvision as tv
-from . import vocab
-from .model import HEAD_DIFFUSION, Model, ModelConfig, build_model, load_model
-from .util import ConfigError, atomic_write, fmt_float, seeded_rng
+import numpy as np  # noqa: E402
+
+from . import CODE_VERSION  # noqa: E402
+from . import autodiff as ad  # noqa: E402
+from . import backbone as bb  # noqa: E402
+from . import diffusion as df  # noqa: E402
+from . import grpo  # noqa: E402
+from . import inference as inf  # noqa: E402
+from . import sequence as sq  # noqa: E402
+from . import sft  # noqa: E402
+from . import toyvision as tv  # noqa: E402
+from . import vocab  # noqa: E402
+from .model import HEAD_DIFFUSION, Model, ModelConfig, build_model, load_model  # noqa: E402
+from .util import ConfigError, atomic_write, fmt_float, seeded_rng  # noqa: E402
 
 
 # config sections whose keys and defaults are the fields of a dataclass; a
@@ -343,6 +351,14 @@ def cmd_ablate(args) -> int:
         except ConfigError as e:
             raise ConfigError(f"ablate {args.suite} run {label}: {e}") from e
         subs.append((label, sub, eval_mode))
+    budget = cfg["eval"]["max_new_items"]
+    for label, sub, _ in subs:  # and so is the eval budget, against each run's gold responses
+        k, mode = sub["model"]["k_latent"], sub["sft"]["mode"]
+        longest = max(sft.response_length(t, k, mode) for t in eval_traces)
+        if budget < longest:
+            raise ConfigError(f"ablate {args.suite} run {label}: eval.max_new_items ({budget}) is shorter than "
+                              f"the longest gold response of the eval set ({longest} items at model.k_latent "
+                              f"{k}, sft.mode {mode})")
     write_run_manifest(out_dir, cfg)
     lines = [f"{label_column},eval_mode,exact_match_accuracy"]
     for label, sub, eval_mode in subs:

@@ -23,7 +23,7 @@ from . import sequence as sq
 from . import toyvision as tv
 from . import vocab
 from .model import Model
-from .util import atomic_write
+from .util import atomic_write, usable_cores
 
 # default generation budget in items: the longest gold response is a 3-turn
 # grid_rotation answer of 52 items at K=4 (visual_search needs at most 21)
@@ -140,8 +140,7 @@ def _chunk_count(streams: int) -> int:
     another thread held stays locked in it."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(MAX_CHUNKS, cores, streams // 2))
+    return max(1, min(MAX_CHUNKS, usable_cores(), streams // 2))
 
 
 def _decode_chunks(prompts: list[sq.MixedSequence], model: Model, cfg: GenerationConfig,

@@ -91,18 +91,28 @@ class SupervisedExample:
     latent_targets: np.ndarray    # [n_rows, d] pooled encoder rows
 
 
+def _sketches(trace: tv.AnnotatedTrace, mode: str) -> list:
+    """The sketch images build_example turns into latent blocks: none in text_only."""
+    return [s.image for s in trace.steps if s.image is not None and mode != "text_only"]
+
+
+def response_length(trace: tv.AnnotatedTrace, k_latent: int, mode: str) -> int:
+    """Items of build_example's sequence after the prompt: step texts, k_latent + 2
+    per sketch (none in text_only), answer and EOS."""
+    return (sum(len(s.text) for s in trace.steps) + (k_latent + 2) * len(_sketches(trace, mode))
+            + len(trace.answer) + 1)
+
+
 def fitting_traces(traces: list[tv.AnnotatedTrace], cfg: ModelConfig, mode: str) -> list[tv.AnnotatedTrace]:
-    """The traces whose build_example sequence fits cfg.max_len: prompt, step texts, k_latent + 2
-    items per sketch (none in text_only), answer and EOS.  Raises ConfigError when
-    k_latent does not divide a sketch's patch rows or when no trace fits."""
+    """The traces whose build_example sequence, prompt and response_length, fits
+    cfg.max_len.  Raises ConfigError when k_latent does not divide a sketch's
+    patch rows or when no trace fits."""
     kept = []
     for trace in traces:
-        sketches = [s.image for s in trace.steps if s.image is not None and mode != "text_only"]
-        for rows in ((img.height // tv.PATCH) * (img.width // tv.PATCH) for img in sketches):
+        for rows in ((img.height // tv.PATCH) * (img.width // tv.PATCH) for img in _sketches(trace, mode)):
             if rows % cfg.k_latent:
                 raise ConfigError(f"model.k_latent {cfg.k_latent} does not divide a sketch's {rows} patch rows")
-        if (inf.prompt_length(trace) + sum(len(s.text) for s in trace.steps)
-                + (cfg.k_latent + 2) * len(sketches) + len(trace.answer) + 1) <= cfg.max_len:
+        if inf.prompt_length(trace) + response_length(trace, cfg.k_latent, mode) <= cfg.max_len:
             kept.append(trace)
     if not kept:
         raise ConfigError(f"model.max_len {cfg.max_len} is too short for every one of the {len(traces)} traces")
@@ -242,6 +252,26 @@ def batch_indices(step: int, batch_size: int, n: int, seed: int) -> np.ndarray:
     return np.asarray(out, dtype=np.int64)
 
 
+def _train_step(model: Model, traces: list[tv.AnnotatedTrace], cfg: SftConfig,
+                scheds: dict[str, LrSchedule], step: int) -> dict:
+    """One optimizer step on step's batch; returns its metrics row."""
+    idx = batch_indices(step, cfg.batch_size, len(traces), cfg.seed)
+    examples = [build_example(traces[i], model, model.cfg.k_latent, cfg.mode) for i in idx]
+    rng = seeded_rng(cfg.seed, "sft-step", step)
+    try:
+        total, ce, diff = joint_loss(examples, model, cfg.lam, rng)
+        model.store.zero_grad()
+        ad.backward(total, model.store)
+    except FloatingPointError as e:
+        raise FloatingPointError(f"non-finite loss at step {step}: {e}") from e
+    grad_norm = clip_grad_norm(model.store, cfg.clip_norm)
+    lr_b = cosine_lr(step + 1, scheds["backbone"])
+    lr_d = cosine_lr(step + 1, scheds["diffusion_head"])
+    adamw_step(model.store, {"backbone": lr_b, "diffusion_head": lr_d}, weight_decay=cfg.weight_decay)
+    return {"step": step, "ce_loss": ce, "diff_loss": diff, "total_loss": total.item(),
+            "lr_backbone": lr_b, "lr_diffusion": lr_d, "grad_norm": grad_norm}
+
+
 def train_sft(model: Model, traces: list[tv.AnnotatedTrace], cfg: SftConfig,
               metrics_path: str | None = None, checkpoint_path: str | None = None,
               start_step: int = 0, end_step: int | None = None) -> list[dict]:
@@ -257,7 +287,6 @@ def train_sft(model: Model, traces: list[tv.AnnotatedTrace], cfg: SftConfig,
         raise ValueError(f"sft mode {cfg.mode} trains the {cfg.head} head, but the model has "
                          f"the {model.cfg.head} head")
     scheds = _schedules(cfg)
-    n = len(traces)
     metrics: list[dict] = []
     mf = None
     if metrics_path is not None:
@@ -268,28 +297,15 @@ def train_sft(model: Model, traces: list[tv.AnnotatedTrace], cfg: SftConfig,
 
     stop = cfg.steps if end_step is None else min(end_step, cfg.steps)
     try:
-        for step in range(start_step, stop):
-            idx = batch_indices(step, cfg.batch_size, n, cfg.seed)
-            examples = [build_example(traces[i], model, model.cfg.k_latent, cfg.mode) for i in idx]
-            rng = seeded_rng(cfg.seed, "sft-step", step)
-            try:
-                total, ce, diff = joint_loss(examples, model, cfg.lam, rng)
-                model.store.zero_grad()
-                ad.backward(total, model.store)
-            except FloatingPointError as e:
-                raise FloatingPointError(f"non-finite loss at step {step}: {e}") from e
-            grad_norm = clip_grad_norm(model.store, cfg.clip_norm)
-            lr_b = cosine_lr(step + 1, scheds["backbone"])
-            lr_d = cosine_lr(step + 1, scheds["diffusion_head"])
-            adamw_step(model.store, {"backbone": lr_b, "diffusion_head": lr_d}, weight_decay=cfg.weight_decay)
-            row = {"step": step, "ce_loss": ce, "diff_loss": diff, "total_loss": total.item(),
-                   "lr_backbone": lr_b, "lr_diffusion": lr_d, "grad_norm": grad_norm}
-            metrics.append(row)
-            if mf is not None:
-                mf.write(",".join([str(step)] + [fmt_float(row[k]) for k in METRICS_COLUMNS[1:]]) + "\n")
-                mf.flush()
-            if checkpoint_path and cfg.checkpoint_interval and (step + 1) % cfg.checkpoint_interval == 0:
-                save_model(periodic_checkpoint_path(checkpoint_path, step + 1), model, step=step + 1)
+        with ad.helper_thread():  # a second core for the ops that split their rows
+            for step in range(start_step, stop):
+                row = _train_step(model, traces, cfg, scheds, step)
+                metrics.append(row)
+                if mf is not None:
+                    mf.write(",".join([str(step)] + [fmt_float(row[k]) for k in METRICS_COLUMNS[1:]]) + "\n")
+                    mf.flush()
+                if checkpoint_path and cfg.checkpoint_interval and (step + 1) % cfg.checkpoint_interval == 0:
+                    save_model(periodic_checkpoint_path(checkpoint_path, step + 1), model, step=step + 1)
     finally:
         if mf is not None:
             mf.close()

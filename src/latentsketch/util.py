@@ -1,5 +1,5 @@
 """Shared plumbing: the config error, stateless seeded RNG derivation,
-atomic file writes."""
+atomic file writes, the usable-core count."""
 
 from __future__ import annotations
 
@@ -53,3 +53,10 @@ def atomic_write(path: str, data: bytes | str) -> None:
 def fmt_float(x: float) -> str:
     """Shortest round-trip decimal form; keeps metrics CSVs bitwise reproducible."""
     return repr(float(x))
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: its affinity mask where the OS has one,
+    else the CPU count.  A chunked decode and the SFT helper thread each need
+    two."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

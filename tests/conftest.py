@@ -14,6 +14,14 @@ from latentsketch import toyvision as tv  # noqa: E402
 from latentsketch.model import Model, ModelConfig, build_model  # noqa: E402
 
 
+def use_cores(monkeypatch, n):
+    """Let the program see n usable cores (a chunked decode forks up to n - 1
+    children, SFT opens its helper thread at n >= 2); never more than 8, so
+    that no test asks for many processes."""
+    assert 1 <= n <= 8
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
 def rel_error(a: np.ndarray, b: np.ndarray) -> float:
     """Norm-relative disagreement; robust to near-zero entries."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)

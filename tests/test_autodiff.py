@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 import weakref
 
@@ -11,7 +12,7 @@ from latentsketch import sft
 from latentsketch import toyvision as tv
 from latentsketch.model import ModelConfig, build_model
 
-from conftest import gradcheck, rel_error
+from conftest import gradcheck, rel_error, use_cores
 
 
 def randt(rng, *shape):
@@ -377,10 +378,12 @@ def test_in_place_gelu_and_layer_norm_equal_array_expressions(shape):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("d, n", [(16, 24), (32, 96), (128, 384)])
+@pytest.mark.parametrize("d, n", [(16, 24), (32, 96), (128, 384), (64, 192), (64, 256), (256, 64), (64, 96)])
 def test_row_product_gives_each_row_its_bits_at_every_row_count(d, n):
     """A row's product has the same bits alone, as one of two rows, or as one
-    of 24; a plain 1-row numpy product (a GEMV) need not."""
+    of 24; a plain 1-row numpy product (a GEMV) need not.  So does each half
+    of 848 and 849 rows (split_rows' halves of the SFT step's products), also
+    written into an output and against a transposed weight."""
     rng = np.random.default_rng(d)
     a, w = rng.normal(size=(24, d)), rng.normal(size=(d, n))
     full = ad.row_product(a, w)
@@ -388,6 +391,14 @@ def test_row_product_gives_each_row_its_bits_at_every_row_count(d, n):
         assert np.array_equal(ad.row_product(a[i : i + 1], w), full[i : i + 1])
         assert np.array_equal(ad.row_product(a[i : i + 2], w), full[i : i + 2])
     assert np.array_equal(ad.affine(a[:1], w).data, full[:1])
+    for weight in (w, rng.normal(size=(n, d)).T):
+        for rows in (848, 849):
+            a = rng.normal(size=(rows, d))
+            full, out = ad.row_product(a, weight), np.empty((rows, n))
+            for half in (slice(0, rows // 2), slice(rows // 2, rows)):
+                assert np.array_equal(ad.row_product(a[half], weight), full[half])
+                ad.row_product(a[half], weight, out[half])
+            assert np.array_equal(out.view(np.uint64), full.view(np.uint64))
 
 
 @pytest.mark.parametrize("shape", [(3, 7, 16), (3, 1, 16), (5, 16)])
@@ -577,3 +588,163 @@ def test_new_graph_over_a_consumed_intermediate_raises():
     with pytest.raises(RuntimeError, match="consumed"):
         ad.backward(ad.sum_(ad.mul(y, w)))
     assert np.array_equal(x.grad, g) and w.grad is None
+
+
+# -- row splitting ---------------------------------------------------------------
+
+
+def split_and_whole(monkeypatch, run):
+    """run() twice from the same inputs: inside helper_thread() at two usable
+    cores with every array split (SPLIT_MIN 1), and with one usable core, so
+    no helper.  Returns both runs' arrays and the number of calls that split."""
+    halves = []
+    whole = ad.split_rows
+
+    def counting(fn, a):
+        parts = whole(fn, a)
+        halves.append(len(parts) == 2)
+        return parts
+
+    monkeypatch.setattr(ad, "split_rows", counting)
+    monkeypatch.setattr(ad, "SPLIT_MIN", 1)
+    use_cores(monkeypatch, 2)
+    with ad.helper_thread():
+        split = run()
+    splits, calls = sum(halves), len(halves)
+    use_cores(monkeypatch, 1)
+    with ad.helper_thread():
+        serial = run()
+    assert not any(halves[calls:])
+    return split, serial, splits
+
+
+def assert_same_bits(split, serial):
+    assert len(split) == len(serial)
+    for a, b in zip(split, serial):
+        assert a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def grads_of(out, leaves, rng):
+    """out's values and the gradient of each leaf under a random upstream gradient."""
+    ad.backward(ad.sum_(ad.mul(out, ad.Tensor(rng.normal(size=out.shape)))))
+    return [out.data] + [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("B", [1, 2, 7, 8])
+@pytest.mark.parametrize("op", ["affine", "affine_2d", "gelu", "normal_cdf", "layer_norm"])
+def test_split_ops_give_the_bits_of_the_whole_array(monkeypatch, op, B):
+    """Each op that splits its rows gives, at odd row counts, the forward values
+    and every gradient of the whole-array path bit for bit."""
+    L = 5
+
+    def run():
+        rng = np.random.default_rng(B)
+        if op == "normal_cdf":
+            return [ad.normal_cdf(rng.normal(size=(B, L, 24)))]
+        if op == "gelu":
+            x = randt(rng, B, L, 24)
+            return grads_of(ad.gelu(x), [x], rng)
+        if op == "layer_norm":
+            x, gamma, beta = randt(rng, B, L, 16), randt(rng, 16), randt(rng, 16)
+            return grads_of(ad.layer_norm(x, gamma, beta), [x, gamma, beta], rng)
+        x = randt(rng, B * L, 16) if op == "affine_2d" else randt(rng, B, L, 16)
+        w, b = randt(rng, 16, 24), randt(rng, 24)
+        return grads_of(ad.affine(x, w, b), [x, w, b], rng)
+
+    split, serial, splits = split_and_whole(monkeypatch, run)
+    assert_same_bits(split, serial)
+    assert splits >= 1
+
+
+@pytest.mark.parametrize("B", [1, 2, 7, 8])
+@pytest.mark.parametrize("form", ["none", "tensor", "cache"])
+def test_split_attention_gives_the_bits_of_the_whole_batch(monkeypatch, form, B):
+    """attention split in two halves of the batch (from four examples up)
+    gives the context, the weights and every gradient of the whole batch
+    bit for bit, with and without a prefix; blocks of two examples make the
+    halves of seven ragged."""
+    monkeypatch.setattr(ad, "ATTN_BLOCK", 2 * 2 * 5 * 8)
+    heads, hd, P, L = 2, 3, 3, 5
+
+    def run():
+        rng = np.random.default_rng(B + 10)
+        qkv = randt(rng, B, L, 3 * heads * hd)
+        prefix, leaves, start = None, [qkv], 0
+        if form == "tensor":
+            prefix = randt(rng, B, P, 3 * heads * hd)
+            leaves.append(prefix)
+        elif form == "cache":
+            prefix = (np.zeros((B, heads, hd, 10)), np.zeros((B, heads, 10, hd)))
+            ad.attention(ad.Tensor(rng.normal(size=(B, P, 3 * heads * hd))), heads, prefix)
+            start = P
+        ctx, s = ad.attention(qkv, heads, prefix, start)
+        out = grads_of(ctx, leaves, rng) + [s]
+        return out + list(prefix) if form == "cache" else out
+
+    split, serial, splits = split_and_whole(monkeypatch, run)
+    assert_same_bits(split, serial)
+    assert (splits >= 1) == (B >= 4)
+
+
+def test_split_rows_halves_only_where_a_helper_is_open_for_this_thread(monkeypatch):
+    """split_rows runs fn once over the whole array with no helper, below
+    SPLIT_MIN elements, under four rows, or on another thread than the one
+    that opened the helper; else over two halves, the second on the helper."""
+    use_cores(monkeypatch, 2)
+    seen = []
+
+    def fn(rows):
+        seen.append((rows.start, rows.stop, threading.get_ident()))
+        return rows.stop - rows.start
+
+    a = np.zeros((9, ad.SPLIT_MIN // 9 + 1))  # SPLIT_MIN elements and a few more
+    assert ad.split_rows(fn, a) == [9]
+    with ad.helper_thread():
+        assert ad.split_rows(fn, a) == [4, 5]
+        assert ad.split_rows(fn, a[:, :-1]) == [9]
+        assert ad.split_rows(fn, np.zeros((3, ad.SPLIT_MIN))) == [3]
+        other = threading.Thread(target=lambda: seen.append(ad.split_rows(fn, a)))
+        other.start()
+        other.join()
+        assert seen[-1] == [9]
+    me = threading.get_ident()
+    assert [s[2] == me for s in seen[:-1]] == [True, True, False, True, True, False]
+
+
+def test_a_failing_half_raises_in_the_caller_and_ends_the_helper(monkeypatch):
+    """An exception in the helper's half is raised by split_rows; the helper
+    has then ended with it, the rest of the block splits nothing, and the
+    block still joins it on exit."""
+    use_cores(monkeypatch, 2)
+    ended = []
+    monkeypatch.setattr(threading, "excepthook", lambda args: ended.append((args.thread.name, args.exc_value)))
+    before = threading.active_count()
+    a = np.zeros((8, ad.SPLIT_MIN))
+
+    def fn(rows):
+        if rows.start:
+            raise ArithmeticError("second half")
+        return rows.stop
+
+    with ad.helper_thread():
+        assert threading.active_count() == before + 1
+        with pytest.raises(ArithmeticError, match="second half"):
+            ad.split_rows(fn, a)
+        assert ad.split_rows(lambda rows: rows.stop, a) == [8]
+    assert threading.active_count() == before
+    assert [(name, str(e)) for name, e in ended] == [("autodiff-helper", "second half")]
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_helper_thread_opens_one_thread_at_two_usable_cores_and_joins_it(monkeypatch, cores):
+    use_cores(monkeypatch, cores)
+    before = threading.active_count()
+    with ad.helper_thread():
+        assert threading.active_count() == before + (cores >= 2)
+        with ad.helper_thread():  # one open already: no second
+            assert threading.active_count() == before + (cores >= 2)
+    assert threading.active_count() == before
+    with pytest.raises(KeyError):
+        with ad.helper_thread():
+            raise KeyError("exit by an exception")
+    assert threading.active_count() == before and ad._HELPER is None

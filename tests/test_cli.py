@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -34,6 +36,21 @@ def tiny_config(tmp_path, **over):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("user", [{}, {"OPENBLAS_NUM_THREADS": "3"}], ids=["unset", "user-set"])
+def test_cli_runs_one_blas_thread_unless_the_user_set_a_count(user):
+    """Importing the CLI in a fresh process sets each BLAS thread variable that
+    is unset to 1, before numpy loads, and keeps one the user set."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(user, PYTHONPATH=os.pathsep.join(sys.path))
+    code = ("import json, os, latentsketch.cli, numpy; "
+            f"print(json.dumps({{v: os.environ.get(v) for v in {BLAS_VARS!r}}}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == {v: user.get(v, "1") for v in BLAS_VARS}
 
 
 def test_unknown_config_key_rejected():
@@ -443,6 +460,22 @@ def test_ablate_checks_every_sub_run_before_the_first_trains(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_ablate_rejects_an_eval_budget_shorter_than_a_gold_response(tmp_path, capsys):
+    """At K = 16 a 3-turn grid_rotation gold response is 88 items, so the
+    budget suite exits 2 naming run 16 before any run trains or writes when
+    eval.max_new_items is 87; runs 1 to 8 fit in 87."""
+    from latentsketch import sft
+
+    k16 = [sft.response_length(t, 16, "joint") for t in tv.generate_dataset("grid_rotation", 2, 11)]
+    assert max(k16) == 88
+    path = tiny_config(tmp_path, model=ABLATE_MODEL, eval={**ABLATE_EVAL, "max_new_items": 87})
+    assert main(["ablate", "--suite", "budget", "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: ablate budget run 16: eval.max_new_items (87) is shorter than the longest gold response of "
+        "the eval set (88 items at model.k_latent 16, sft.mode joint)\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_rl_requires_checkpoint_flag(tmp_path):
     cfg_path = tiny_config(tmp_path)
     with pytest.raises(SystemExit) as e:
@@ -738,8 +771,15 @@ def test_random_answer_baseline_near_quarter():
     assert abs(acc - 0.25) < 0.03
 
 
+# an eval budget that covers every gold response of the eval set at each of the
+# budget suite's K (88 items, grid_rotation's 3 turns at K = 16), and a max_len
+# that leaves room for it after the 48-item prompt
+ABLATE_MODEL = {**TINY_MODEL, "max_len": 136}
+ABLATE_EVAL = {"n": 2, "seed": 11, "max_new_items": 88}
+
+
 def check_ablate_suite_rows(suite, column, labels, eval_modes, tmp_path):
-    cfg_path = tiny_config(tmp_path)
+    cfg_path = tiny_config(tmp_path, model=ABLATE_MODEL, eval=ABLATE_EVAL)
     assert main(["ablate", "--suite", suite, "--config", cfg_path]) == 0
     lines = open(tmp_path / "run" / f"{suite}.csv").read().splitlines()
     assert lines[0] == f"{column},eval_mode,exact_match_accuracy"

@@ -15,6 +15,8 @@ from latentsketch import vocab
 from latentsketch.model import ModelConfig, build_model, load_model
 from latentsketch.util import seeded_rng
 
+from conftest import use_cores
+
 
 def make_model(seed=61, **overrides):
     kw = dict(layers=1, heads=2, d=8, max_len=96, k_latent=2, t_steps=4)
@@ -300,13 +302,6 @@ def test_generate_group_rejects_a_generator_shared_by_two_streams():
 
 FIXTURE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "fixture", "sft_grid_rotation.lsk")
-
-
-def use_cores(monkeypatch, n):
-    """Let generate_group see n usable cores; never more than 8, so that no
-    test asks for many processes."""
-    assert 1 <= n <= 8
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 def assert_no_child_left():

@@ -298,6 +298,17 @@ def test_every_except_handler_ends_by_raising():
     assert not swallowing, f"except handlers that do not end by raising: {swallowing}"
 
 
+def test_one_place_starts_threads():
+    """Only autodiff constructs a thread or a thread pool: the helper thread of
+    split_rows, which helper_thread() joins when its block ends."""
+    makers = ("Thread", "Timer", "ThreadPool", "ThreadPoolExecutor", "start_new_thread")
+    starts = [f"{os.path.basename(path)}:{node.lineno}"
+              for path in sorted(glob.glob(os.path.join(ROOT, "src", "latentsketch", "*.py")))
+              for node in ast.walk(_parse(path)) if isinstance(node, ast.Call)
+              and (node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")) in makers]
+    assert len(starts) == 1 and starts[0].startswith("autodiff.py:"), starts
+
+
 def test_one_place_starts_processes():
     """os.fork is called in one place in the package, the chunked decode,
     whose finally reaps every child it starts."""

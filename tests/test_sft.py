@@ -1,9 +1,12 @@
+import threading
+
 import numpy as np
 import pytest
 
 from latentsketch import autodiff as ad
 from latentsketch import backbone as bb
 from latentsketch import diffusion as df
+from latentsketch import inference as inf
 from latentsketch import sequence as sq
 from latentsketch import sft
 from latentsketch import toyvision as tv
@@ -11,7 +14,7 @@ from latentsketch import vocab
 from latentsketch.model import ModelConfig, build_model
 from latentsketch.util import ConfigError, seeded_rng
 
-from conftest import gradcheck, strip_images
+from conftest import gradcheck, strip_images, use_cores
 
 
 def trace_for(model, seed=11):
@@ -333,3 +336,62 @@ def test_train_sft_resume_chunks_match_uninterrupted(tmp_path):
     sft.train_sft(m_chunk, traces, cfg, start_step=3)
     for name in m_full.store.entries:
         assert np.array_equal(m_full.store[name].data, m_chunk.store[name].data), name
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_train_sft_joins_its_helper_thread_on_every_exit(cores, monkeypatch):
+    """train_sft runs its steps with one helper thread where two cores are
+    usable, and none is left when it returns or raises, so a decode after it
+    still splits its streams over the cores."""
+    use_cores(monkeypatch, cores)
+    before = threading.active_count()
+    during = []
+    real = sft.joint_loss
+
+    def counting(*args, **kwargs):
+        during.append(threading.active_count())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sft, "joint_loss", counting)
+    m = make_trainable(seed=47)
+    traces = tv.generate_dataset("grid_rotation", 4, 1)
+    sft.train_sft(m, traces, sft.SftConfig(steps=2, batch_size=2, seed=1))
+    assert during == [before + (cores >= 2)] * 2
+    assert threading.active_count() == before
+    assert inf._chunk_count(24) == min(cores, inf.MAX_CHUNKS)
+    m.store["backbone/lm_head/b"].data[0] = np.inf
+    with pytest.raises(FloatingPointError, match="non-finite loss at step 0"):
+        sft.train_sft(m, traces, sft.SftConfig(steps=2, batch_size=2, seed=1))
+    assert threading.active_count() == before
+    assert inf._chunk_count(24) == min(cores, inf.MAX_CHUNKS)
+
+
+def test_train_sft_gives_the_same_bits_with_its_helper_open_or_closed(monkeypatch):
+    """20 steps at batch 7 with every op that splits its rows halved on the
+    helper thread (SPLIT_MIN 1) give the metrics rows and parameter bits of
+    the same steps with no helper (one usable core)."""
+    halves = []
+    whole = ad.split_rows
+
+    def counting(fn, a):
+        parts = whole(fn, a)
+        halves.append(len(parts))
+        return parts
+
+    monkeypatch.setattr(ad, "split_rows", counting)
+    monkeypatch.setattr(ad, "SPLIT_MIN", 1)
+    traces = tv.generate_dataset("grid_rotation", 10, 4) + tv.generate_dataset("visual_search", 4, 4)
+    cfg = sft.SftConfig(mode="joint", steps=20, batch_size=7, seed=9)
+    runs = []
+    for cores in (2, 1):
+        use_cores(monkeypatch, cores)
+        halves.clear()
+        m = make_trainable(seed=48)
+        rows = sft.train_sft(m, traces, cfg)
+        runs.append((rows, {n: t.data.view(np.uint64).copy() for n, t in m.store.entries.items()},
+                     halves.count(2)))
+    (rows2, bits2, split2), (rows1, bits1, split1) = runs
+    assert split2 > 20 * 10 and split1 == 0
+    assert rows2 == rows1
+    for name, b in bits1.items():
+        assert np.array_equal(bits2[name], b), name
