@@ -5,10 +5,10 @@ validates that its output is finite; a NaN/Inf anywhere raises
 FloatingPointError at the op boundary rather than propagating silently.
 Gradients are accumulated into ``Tensor.grad`` numpy buffers by ``backward``.
 
-The ops whose rows are independent (affine, gelu, layer_norm, attention and
-normal_cdf) run through split_rows: inside helper_thread(), an array's second
-half is computed on one helper thread while the caller computes the first,
-and every row gets the bits it has when the whole array is computed at once.
+The ops whose rows are independent (affine, gelu, layer_norm and attention)
+run through split_rows: inside helper_thread(), an array's second half is
+computed on one helper thread while the caller computes the first, and every
+row gets the bits it has when the whole array is computed at once.
 """
 
 from __future__ import annotations
@@ -316,10 +316,9 @@ def _normal_cdf_into(x: np.ndarray, phi: np.ndarray) -> None:
 def normal_cdf(x: np.ndarray) -> np.ndarray:
     """The Gaussian CDF Phi(x) = 0.5 * (1 + erf(x / sqrt 2)), one new buffer
     updated in place."""
-    rows = x.reshape(-1, x.shape[-1])
-    phi = np.empty(rows.shape)
-    split_rows(lambda r: _normal_cdf_into(rows[r], phi[r]), rows)
-    return phi.reshape(x.shape)
+    phi = np.empty(x.shape)
+    _normal_cdf_into(x, phi)
+    return phi
 
 
 def gelu(a) -> Tensor:
@@ -522,21 +521,10 @@ def mixed_embed(table, pos_table, ids: np.ndarray, text_mask: np.ndarray,
     return _from_op(out_data, (table, pos_table), bw, "mixed_embed")
 
 
-# Scores per block of the batch axis in attention: forward and backward run
-# block by block so that one block's [heads, L, start + L] score arrays stay in
-# L2 cache instead of streaming the whole batch's through memory each pass.
-ATTN_BLOCK = 1 << 18
-
-_MASKS: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
 def _masks(n: int, start: int) -> tuple[np.ndarray, np.ndarray]:
     """Additive causal mask [n, start + n] and its 0/1 keep-mask."""
-    m = _MASKS.get((n, start))
-    if m is None:
-        add = np.triu(np.full((n, start + n), MASK_VALUE), k=start + 1)
-        m = _MASKS[(n, start)] = (add, (add == 0.0).astype(np.float64))
-    return m
+    add = np.triu(np.full((n, start + n), MASK_VALUE), k=start + 1)
+    return add, (add == 0.0).astype(np.float64)
 
 
 def attention(qkv, heads: int, prefix=None, start: int = 0):
@@ -555,10 +543,9 @@ def attention(qkv, heads: int, prefix=None, start: int = 0):
       0..start+L.  Cached positions are constants: backward reaches only
       this call's rows.
 
-    Forward and backward split the batch in two halves (split_rows) and run
-    each over blocks of ATTN_BLOCK scores along the batch axis; each block
-    makes the same per-matrix products and per-row reductions as the whole
-    batch would, so the values depend on neither.
+    Forward and backward split the batch in two halves (split_rows); each
+    half makes the same per-matrix products and per-row reductions as the
+    whole batch would, so the values do not depend on the split.
     """
     qkv = as_tensor(qkv)
     B, L, d3 = qkv.data.shape
@@ -581,12 +568,8 @@ def attention(qkv, heads: int, prefix=None, start: int = 0):
         kt, vals = kt_buf[..., :T], v_buf[:, :, :T]
     scale = 1.0 / np.sqrt(hd)
     mask, keep = _masks(L, start)
-    per = max(1, ATTN_BLOCK // max(heads * L * T, 1))  # examples per block
     s = np.empty((B, heads, L, T))
     ctx = np.empty((B, L, heads, hd))
-
-    def blocks(e):
-        return [slice(b0, min(b0 + per, e.stop)) for b0 in range(e.start, e.stop, per)]
 
     def fw(e):
         # [b, L, 3d] q|k|v rows -> [b, heads, L, hd] queries, keys written
@@ -600,19 +583,18 @@ def attention(qkv, heads: int, prefix=None, start: int = 0):
             pre = prefix.data[e].reshape(len(rows), start, 3, heads, hd)
             kt[e, ..., :start] = pre[:, :, 1].transpose(0, 2, 3, 1)
             vals[e, :, :start] = pre[:, :, 2].swapaxes(1, 2)
-        for blk in blocks(e):
-            sb = s[blk]
-            np.matmul(q[blk], kt[blk], out=sb)
-            sb *= scale
-            sb += mask
-            sb -= np.max(sb, axis=-1, keepdims=True)
-            # masked entries go -0.0 -> exp 1.0 -> +0.0, which is exp(MASK_VALUE),
-            # without the slow path np.exp takes on huge negative inputs
-            sb *= keep
-            np.exp(sb, out=sb)
-            sb *= keep
-            sb /= np.sum(sb, axis=-1, keepdims=True)
-            ctx[blk] = (sb @ vals[blk]).swapaxes(1, 2)
+        se = s[e]
+        np.matmul(q[e], kt[e], out=se)
+        se *= scale
+        se += mask
+        se -= np.max(se, axis=-1, keepdims=True)
+        # masked entries go -0.0 -> exp 1.0 -> +0.0, which is exp(MASK_VALUE),
+        # without the slow path np.exp takes on huge negative inputs
+        se *= keep
+        np.exp(se, out=se)
+        se *= keep
+        se /= np.sum(se, axis=-1, keepdims=True)
+        ctx[e] = (se @ vals[e]).swapaxes(1, 2)
         return ctx[e].sum()
 
     def bw(g):
@@ -625,21 +607,20 @@ def attention(qkv, heads: int, prefix=None, start: int = 0):
             pout = np.zeros((B, start, 3, heads, hd))
 
         def grads(e):
-            for blk in blocks(e):
-                sb, ghb = s[blk], gh[blk]
-                gs = ghb @ vals[blk].swapaxes(-1, -2)
-                gv = sb.swapaxes(-1, -2) @ ghb
-                gs -= np.sum(gs * sb, axis=-1, keepdims=True)
-                gs *= sb
-                gs *= scale
-                gkt = q[blk].swapaxes(-1, -2) @ gs
-                if to_qkv:
-                    out[blk, :, 0] = (gs @ kt[blk].swapaxes(-1, -2)).swapaxes(1, 2)
-                    out[blk, :, 1] = gkt[..., start:].transpose(0, 3, 1, 2)
-                    out[blk, :, 2] = gv[:, :, start:].swapaxes(1, 2)
-                if to_prefix:
-                    pout[blk, :, 1] = gkt[..., :start].transpose(0, 3, 1, 2)
-                    pout[blk, :, 2] = gv[:, :, :start].swapaxes(1, 2)
+            se, ghe = s[e], gh[e]
+            gs = ghe @ vals[e].swapaxes(-1, -2)
+            gv = se.swapaxes(-1, -2) @ ghe
+            gs -= np.sum(gs * se, axis=-1, keepdims=True)
+            gs *= se
+            gs *= scale
+            gkt = q[e].swapaxes(-1, -2) @ gs
+            if to_qkv:
+                out[e, :, 0] = (gs @ kt[e].swapaxes(-1, -2)).swapaxes(1, 2)
+                out[e, :, 1] = gkt[..., start:].transpose(0, 3, 1, 2)
+                out[e, :, 2] = gv[:, :, start:].swapaxes(1, 2)
+            if to_prefix:
+                pout[e, :, 1] = gkt[..., :start].transpose(0, 3, 1, 2)
+                pout[e, :, 2] = gv[:, :, :start].swapaxes(1, 2)
 
         split_rows(grads, s)
         if to_qkv:

@@ -5,7 +5,8 @@ Exit codes: 0 success, 2 validation error, 3 runtime failure.  The env var
 LATENT_SKETCH_SEED overrides the config seed.  BLAS runs one thread unless
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS says otherwise.
 Every artifact directory gets the resolved config and the code-version
-string; file writes are atomic.
+string.  File writes are atomic, but for the files streamed one row at a
+time as a run goes: metrics.csv, rl_metrics.csv and rollouts.txt.
 """
 
 from __future__ import annotations
@@ -231,12 +232,12 @@ def cmd_gen_data(args) -> int:
         pgm_dir = args.out + ".pgm"
         os.makedirs(pgm_dir, exist_ok=True)
         for i, t in enumerate(traces[: args.pgm_limit]):
-            with open(os.path.join(pgm_dir, f"trace{i}_input.pgm"), "wb") as f:
-                f.write(tv.render_pgm(t.input_image.cells, tv.PALETTE - 1))
+            atomic_write(os.path.join(pgm_dir, f"trace{i}_input.pgm"),
+                         tv.render_pgm(t.input_image.cells, tv.PALETTE - 1))
             for j, s in enumerate(t.steps):
                 if s.image is not None:
-                    with open(os.path.join(pgm_dir, f"trace{i}_step{j}.pgm"), "wb") as f:
-                        f.write(tv.render_pgm(s.image.cells, tv.PALETTE - 1))
+                    atomic_write(os.path.join(pgm_dir, f"trace{i}_step{j}.pgm"),
+                                 tv.render_pgm(s.image.cells, tv.PALETTE - 1))
     print(f"wrote {len(traces)} traces to {args.out}")
     return 0
 

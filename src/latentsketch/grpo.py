@@ -283,6 +283,7 @@ def train_rl(model: Model, traces: list[tv.AnnotatedTrace], cfg: GrpoConfig,
                     for r in g.rollouts:
                         dumpf.write(f"iter={iteration} query={g.query_id} reward={int(r.reward)} "
                                     f"| {r.seq.detokenize()}\n")
+                dumpf.flush()
             row = {
                 "iter": iteration,
                 "mean_reward": float(np.mean(rewards_flat)),

@@ -25,7 +25,7 @@ from . import vocab
 from .autodiff import Tensor
 from .model import HEAD_DIFFUSION, HEAD_SIMILARITY, Model, ModelConfig, save_model
 from .optim import LrSchedule, adamw_step, clip_grad_norm, cosine_lr
-from .util import ConfigError, fmt_float, seeded_rng
+from .util import ConfigError, atomic_write, fmt_float, seeded_rng
 
 MODES = ("joint", "text_only", "similarity")
 
@@ -290,10 +290,15 @@ def train_sft(model: Model, traces: list[tv.AnnotatedTrace], cfg: SftConfig,
     metrics: list[dict] = []
     mf = None
     if metrics_path is not None:
-        mode = "a" if start_step > 0 and os.path.exists(metrics_path) else "w"
-        mf = open(metrics_path, mode, encoding="utf-8")
-        if mode == "w":
-            mf.write(",".join(METRICS_COLUMNS) + "\n")
+        # the header, and on a resume the whole rows of the steps before it,
+        # so a resume into the run's own directory writes no step twice
+        lines = [",".join(METRICS_COLUMNS) + "\n"]
+        if start_step > 0 and os.path.exists(metrics_path):
+            with open(metrics_path, encoding="utf-8") as f:
+                lines += [ln for ln in f.readlines()[1:]
+                          if ln.endswith("\n") and int(ln.split(",", 1)[0]) < start_step]
+        atomic_write(metrics_path, "".join(lines))
+        mf = open(metrics_path, "a", encoding="utf-8")
 
     stop = cfg.steps if end_step is None else min(end_step, cfg.steps)
     try:

@@ -167,6 +167,14 @@ def test_train_sft_writes_artifacts_and_resume_is_bitwise(tmp_path):
     resumed = (tmp_path / "run3" / "checkpoint.lsk").read_bytes()
     assert resumed == final
 
+    # and into the run's own directory: the rows of steps 0 and 1 stay, step 2
+    # is trained again, and metrics.csv holds each step once
+    metrics = (run / "metrics.csv").read_bytes()
+    assert [ln.split(b",")[0] for ln in metrics.splitlines()[1:]] == [b"0", b"1", b"2"]
+    assert main(["train-sft", "--config", cfg_path, "--resume", str(mid)]) == 0
+    assert (run / "metrics.csv").read_bytes() == metrics
+    assert (run / "checkpoint.lsk").read_bytes() == final
+
 
 @pytest.fixture()
 def data_loads(monkeypatch):

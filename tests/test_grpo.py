@@ -237,6 +237,26 @@ def test_train_rl_metrics_schema_and_grammar(tmp_path):
     assert 0.0 <= metrics[0]["mean_reward"] <= 1.0
 
 
+def test_train_rl_streams_each_iteration_to_disk(tmp_path, monkeypatch):
+    """rl_metrics.csv and the rollout dump hold every finished iteration's rows
+    while the next iteration samples: both files are flushed each iteration."""
+    model = make_rl_model(seed=53)
+    metrics, dump = tmp_path / "rl.csv", tmp_path / "rollouts.txt"
+    cfg = grpo.GrpoConfig(group_size=2, temperature=1.0, max_new_items=12, iters=2,
+                          queries_per_iter=2, seed=2)
+    seen = []
+    real = grpo.sample_groups
+
+    def spy(*args):
+        seen.append((len(metrics.read_text().splitlines()), len(dump.read_text().splitlines())))
+        return real(*args)
+
+    monkeypatch.setattr(grpo, "sample_groups", spy)
+    grpo.train_rl(model, tv.generate_dataset("grid_rotation", 4, 5), cfg,
+                  metrics_path=str(metrics), rollout_dump_path=str(dump))
+    assert seen[1:] == [(2, 4)]  # the header, then iteration 0's row and its 4 rollouts
+
+
 def test_train_rl_abort_after_50_degenerate_iterations():
     model = make_rl_model(seed=54)
     traces = tv.generate_dataset("grid_rotation", 2, 7)

@@ -40,8 +40,8 @@ def assert_pinned(tmp_path, produced, pin):
 
 # each SFT pilot, with the file that pins its checkpoint's SHA-256 or None:
 # sft_smoke is a 2-layer d=16 model; sft_default30 trains the default model
-# for 30 steps, so it runs the default shapes and the batch blocking of
-# autodiff.attention (ATTN_BLOCK)
+# for 30 steps, so it runs the default shapes, and on two usable cores the
+# helper thread's splits
 SFT_PILOTS = {"sft_smoke": None, "sft_default30": "sft_default30.checkpoint.sha256"}
 
 

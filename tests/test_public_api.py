@@ -4,8 +4,8 @@ in the package is referenced by the program (``src/``) or the benchmark
 and dataclass field.  No config key that the program never reads.  No
 import that its own module never uses, nor one inside a function.  No
 learning rate of zero: a group a step does not train is left out of its map.
-No except handler that swallows its error.  And one call that starts a
-process."""
+No except handler that swallows its error.  One call that starts a
+process.  And files opened for writing only where a run streams its rows."""
 
 import ast
 import glob
@@ -317,3 +317,34 @@ def test_one_place_starts_processes():
              for node in ast.walk(_parse(path)) if isinstance(node, ast.Call)
              and (node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")) == "fork"]
     assert len(forks) == 1 and forks[0].startswith("inference.py:"), forks
+
+
+def _opens_for_writing(node: ast.AST) -> bool:
+    """node is a call that opens a file by its path in a writing mode: open()
+    with a mode other than a constant read mode, write_text or write_bytes."""
+    if not isinstance(node, ast.Call):
+        return False
+    name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    mode = node.args[1] if len(node.args) > 1 else next((k.value for k in node.keywords if k.arg == "mode"), None)
+    return mode is not None and not (isinstance(mode, ast.Constant) and not set(mode.value) & set("wax+"))
+
+
+def test_files_are_written_atomically_but_for_the_streamed_rows():
+    """Outside util.atomic_write, the package opens a file for writing only in
+    sft.train_sft and grpo.train_rl, which stream metrics.csv, rl_metrics.csv
+    and rollouts.txt one row at a time as a run goes."""
+    writers = set()
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "latentsketch", "*.py"))):
+        module = os.path.basename(path)[:-3]
+        tree = _parse(path)
+        for top in tree.body:
+            defs = top.body if isinstance(top, ast.ClassDef) else [top]
+            for fn in defs:
+                name = f"{module}.{getattr(fn, 'name', '<module>')}"
+                if name != "util.atomic_write" and any(_opens_for_writing(n) for n in ast.walk(fn)):
+                    writers.add(name)
+    assert writers == {"sft.train_sft", "grpo.train_rl"}
