@@ -15,6 +15,7 @@ import argparse
 import copy
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import fields
@@ -231,6 +232,10 @@ def cmd_gen_data(args) -> int:
     if args.pgm:
         pgm_dir = args.out + ".pgm"
         os.makedirs(pgm_dir, exist_ok=True)
+        # an earlier dataset's renders would pass for this one's
+        for name in os.listdir(pgm_dir):
+            if re.fullmatch(r"trace\d+_(input|step\d+)\.pgm", name):
+                os.unlink(os.path.join(pgm_dir, name))
         for i, t in enumerate(traces[: args.pgm_limit]):
             atomic_write(os.path.join(pgm_dir, f"trace{i}_input.pgm"),
                          tv.render_pgm(t.input_image.cells, tv.PALETTE - 1))

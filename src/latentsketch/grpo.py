@@ -6,10 +6,11 @@ clipped-ratio surrogate is ascended on text-token positions only: latent
 positions carry no log-probability, so the diffusion head receives exactly
 zero gradient by construction.  The step trains the backbone alone: the
 diffusion head and the vision encoder keep their values and the AdamW
-moments SFT left them.  A minibatch runs one backward per live group, so one
-group's graph is alive at a time; the groups share only the parameters, so
-the gradients equal, bit for bit, those of the minibatch's summed loss, and
-one clip and one AdamW step follow.
+moments SFT left them.  A minibatch runs one backward per scored rollout of
+its live groups, right after the rollout is scored, so a group's prompt pass
+and one rollout's graph are alive at a time; the gradients equal, bit for
+bit, those of one backward over the minibatch's summed loss, and one clip
+and one AdamW step follow.
 """
 
 from __future__ import annotations
@@ -168,39 +169,81 @@ def score_rollout(model: Model, rollout: Rollout, temperature: float, prompt: Pr
     return ad.mul(ad.cross_entropy(scaled, tok), -1.0)
 
 
-def grpo_objective(group: RolloutGroup, model: Model, clip_eps: float, temperature: float,
-                   stats: dict | None = None) -> Tensor:
+def _rollout_term(model: Model, rollout: Rollout, a: float, prompt: PromptPass, clip_eps: float,
+                  temperature: float, stats: dict | None) -> Tensor:
+    """One rollout's term of the surrogate: the mean over its scored positions
+    of the clipped ratio weighted by its advantage a.  When stats is given,
+    its "clipped" and "positions" counts grow by the rollout's active clipped
+    ratios and its scored positions."""
+    new_lp = score_rollout(model, rollout, temperature, prompt)
+    rho = ad.exp(ad.sub(new_lp, Tensor(rollout.logprobs_old)))
+    per_tok = ad.minimum(ad.mul(rho, a), ad.mul(ad.clip(rho, 1.0 - clip_eps, 1.0 + clip_eps), a))
+    if stats is not None:
+        clipped = 0
+        if a > 0:
+            clipped = int(np.sum(rho.data > 1.0 + clip_eps))
+        elif a < 0:
+            clipped = int(np.sum(rho.data < 1.0 - clip_eps))
+        stats["clipped"] = stats.get("clipped", 0) + clipped
+        stats["positions"] = stats.get("positions", 0) + rho.data.size
+    return ad.mean_(per_tok)
+
+
+def grpo_objective(group: RolloutGroup, model: Model, clip_eps: float, temperature: float) -> Tensor:
     """The clipped surrogate to MAXIMIZE, averaged over the group.
 
     The group's shared prompt is forwarded once (prompt_pass) and each
     rollout's continuation over it (score_rollout).  Each scored position
     has its own ratio, clipped and weighted by the rollout's advantage, and
-    a rollout's term is the mean over its positions.
+    a rollout's term is the mean over its positions.  train_rl backpropagates
+    the same surrogate a rollout at a time (backward_group).
     """
     if group.advantages.size != len(group.rollouts):
         raise ValueError("advantages not computed for this group")
     prompt = prompt_pass(model, group.rollouts)
-    terms = []
-    clipped_active = 0
-    positions = 0
-    for rollout, adv in zip(group.rollouts, group.advantages):
-        a = float(adv)
-        new_lp = score_rollout(model, rollout, temperature, prompt)
-        rho = ad.exp(ad.sub(new_lp, Tensor(rollout.logprobs_old)))
-        per_tok = ad.minimum(ad.mul(rho, a), ad.mul(ad.clip(rho, 1.0 - clip_eps, 1.0 + clip_eps), a))
-        if a > 0:
-            clipped_active += int(np.sum(rho.data > 1.0 + clip_eps))
-        elif a < 0:
-            clipped_active += int(np.sum(rho.data < 1.0 - clip_eps))
-        positions += rho.data.size
-        terms.append(ad.mean_(per_tok))
-    if stats is not None:
-        stats["clipped"] = stats.get("clipped", 0) + clipped_active
-        stats["positions"] = stats.get("positions", 0) + positions
+    terms = [_rollout_term(model, r, float(a), prompt, clip_eps, temperature, None)
+             for r, a in zip(group.rollouts, group.advantages)]
     acc = terms[0]
     for t in terms[1:]:
         acc = ad.add(acc, t)
     return ad.mul(acc, 1.0 / len(group.rollouts))
+
+
+def backward_group(group: RolloutGroup, model: Model, clip_eps: float, temperature: float,
+                   scale: float, stats: dict) -> None:
+    """Accumulate into model.store's grads the gradient of
+    scale * grpo_objective(group, ...), one backward per rollout, and count
+    the group's clipped ratios and scored positions into stats.
+
+    The prompt is forwarded once.  Rollouts 0..G-2 are scored over stand-in
+    leaves that share the data of the prompt pass's q|k|v Tensors and last
+    row, and each is backpropagated, freeing its graph, as soon as it is
+    scored.  The stand-ins then hand their gradients to the prompt pass,
+    and the last rollout, scored over the prompt pass itself, backpropagates
+    on through it.  So the prompt pass and one rollout's graph are alive at a
+    time.  The gradients equal those of one backward over the objective bit
+    for bit: that backward's depth-first walk explores the last term of the
+    sum first, so it processes rollouts 0..G-2 in order, then the last
+    rollout and the prompt pass as a backward from that rollout alone does,
+    and each term's seed is (1 * scale) * (1/G) both ways.
+    """
+    if group.advantages.size != len(group.rollouts):
+        raise ValueError("advantages not computed for this group")
+    prompt = prompt_pass(model, group.rollouts)
+    real = [prompt.last_logits, *prompt.qkv]
+    stand = [Tensor(t.data, requires_grad=True) for t in real]
+    over = PromptPass(prompt.length, stand[0], stand[1:])
+    G = len(group.rollouts)
+    for i, (rollout, a) in enumerate(zip(group.rollouts, group.advantages)):
+        last = i == G - 1
+        if last:
+            for t, s in zip(real, stand):
+                t.grad = s.grad
+            over = prompt
+        term = _rollout_term(model, rollout, float(a), over, clip_eps, temperature, stats)
+        # untouched parameters get their zero grads once, after the last rollout,
+        # as after a single backward
+        ad.backward(ad.mul(ad.mul(term, 1.0 / G), scale), model.store if last else None)
 
 
 def sample_groups(model: Model, traces: list[tv.AnnotatedTrace], cfg: GrpoConfig, iteration: int,
@@ -239,7 +282,10 @@ def train_rl(model: Model, traces: list[tv.AnnotatedTrace], cfg: GrpoConfig,
              metrics_path: str | None = None, checkpoint_path: str | None = None,
              rollout_dump_path: str | None = None) -> list[dict]:
     """GRPO loop: per iteration, sample groups under the frozen behavior policy,
-    then ascend the surrogate over minibatches of groups (one inner epoch)."""
+    then ascend the surrogate over minibatches of groups (one inner epoch).
+    Each scored rollout of a minibatch's live groups is backpropagated as
+    soon as it is scored (backward_group), then one clip and one AdamW step
+    follow."""
     if not traces:
         raise ValueError("empty task dataset")
     metrics: list[dict] = []
@@ -273,8 +319,7 @@ def train_rl(model: Model, traces: list[tv.AnnotatedTrace], cfg: GrpoConfig,
                             len(r.emissions) for r in g.rollouts)
                 model.store.zero_grad()
                 for g in live:
-                    obj = grpo_objective(g, model, cfg.clip_eps, cfg.temperature, stats)
-                    ad.backward(ad.mul(obj, -1.0 / len(chunk)), model.store)
+                    backward_group(g, model, cfg.clip_eps, cfg.temperature, -1.0 / len(chunk), stats)
                 clip_grad_norm(model.store, cfg.clip_norm)
                 adamw_step(model.store, {"backbone": cfg.lr}, weight_decay=cfg.weight_decay)
 

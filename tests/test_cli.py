@@ -17,7 +17,7 @@ from latentsketch.cli import (DEFAULT_CONFIG, NOT_KEYS, SECTIONS, ConfigError, _
                               evaluate, load_config, main, section_config)
 from latentsketch.model import ModelConfig, build_model, save_model
 from latentsketch.optim import read_records, write_records
-from latentsketch.util import seeded_rng
+from latentsketch.util import atomic_write, seeded_rng
 
 
 TINY_MODEL = {"layers": 1, "heads": 2, "d": 8, "max_len": 96, "k_latent": 2, "t_steps": 4}
@@ -143,6 +143,36 @@ def test_gen_data_pgm_debug_renders(tmp_path):
     pgm = out + ".pgm"
     assert os.path.exists(os.path.join(pgm, "trace0_input.pgm"))
     assert os.path.exists(os.path.join(pgm, "trace0_step1.pgm"))
+
+
+def test_gen_data_pgm_force_leaves_only_the_new_datasets_renders(tmp_path):
+    """Overwriting a dataset with --pgm --force removes the old dataset's
+    trace renders, and no other file of the directory."""
+    out = str(tmp_path / "d.jsonl")
+    pgm = out + ".pgm"
+    assert main(["gen-data", "--task", "grid_rotation", "--count", "4", "--seed", "1",
+                 "--out", out, "--pgm"]) == 0
+    assert os.path.exists(os.path.join(pgm, "trace3_input.pgm"))
+    (tmp_path / "d.jsonl.pgm" / "notes.txt").write_text("kept")
+    assert main(["gen-data", "--task", "grid_rotation", "--count", "1", "--seed", "2",
+                 "--out", out, "--pgm", "--force"]) == 0
+    (trace,) = tv.load_dataset((tmp_path / "d.jsonl").read_text(encoding="utf-8"))
+    want = {"trace0_input.pgm", "notes.txt"} | {
+        f"trace0_step{j}.pgm" for j, s in enumerate(trace.steps) if s.image is not None}
+    assert set(os.listdir(pgm)) == want
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_atomic_write_gives_the_mode_of_open(umask, tmp_path):
+    old = os.umask(umask)
+    try:
+        with open(tmp_path / "plain", "w", encoding="utf-8") as f:
+            f.write("x")
+        atomic_write(str(tmp_path / "atomic"), "x")
+    finally:
+        os.umask(old)
+    assert os.stat(tmp_path / "atomic").st_mode == os.stat(tmp_path / "plain").st_mode
+    assert sorted(os.listdir(tmp_path)) == ["atomic", "plain"]
 
 
 def test_train_sft_writes_artifacts_and_resume_is_bitwise(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -112,10 +113,10 @@ def test_clip_arithmetic_positive_and_negative_advantage():
     # rho = 0.5 against A = -1: min(-0.5, -0.8) = -0.8
     r1.logprobs_old = r1.logprobs_old - np.log(0.5)
     group.advantages = np.array([1.0, -1.0])
-    stats = {}
-    obj = grpo.grpo_objective(group, model, clip_eps=0.2, temperature=cfg.temperature,
-                              stats=stats)
+    obj = grpo.grpo_objective(group, model, clip_eps=0.2, temperature=cfg.temperature)
     assert obj.item() == pytest.approx((1.2 - 0.8) / 2.0, abs=1e-9)
+    stats = {}
+    grpo.backward_group(group, model, 0.2, cfg.temperature, -1.0, stats)
     assert stats["clipped"] == 2 and stats["positions"] == 2
 
 
@@ -368,6 +369,42 @@ def test_objective_gradients_equal_full_forward():
         assert np.max(np.abs(got[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
 
 
+@pytest.mark.parametrize("case", ["two", "five", "last-without-continuation", "earlier-without-continuation"])
+def test_backward_group_gradients_equal_one_backward_over_the_objective(case):
+    """backward_group's gradients equal, bit for bit, those of one backward
+    over scale * grpo_objective: groups of 2 and 5 rollouts, one whose last
+    rollout has no continuation (EOS at its first emission), and one whose
+    earlier rollouts have none."""
+    model, cfg, groups = groups_of_many_lengths()
+    group = next(g for g in groups if any(r.new_items == 1 for r in g.rollouts))
+    short = next(r for r in group.rollouts if r.new_items == 1)
+    longer = [r for r in group.rollouts if r.new_items > 1]
+    assert len(longer) >= 2
+    picked = {"two": longer[:2], "five": group.rollouts,
+              "last-without-continuation": longer[:2] + [short],
+              "earlier-without-continuation": [short, short, longer[0]]}[case]
+    rng = np.random.default_rng(5)
+    # off-policy ratios, some of them clipped
+    rollouts = [dataclasses.replace(r, logprobs_old=r.logprobs_old + rng.normal(0.0, 0.2, len(r.logprobs_old)))
+                for r in picked]
+    group = grpo.RolloutGroup(0, rollouts, np.array([1.0, -1.0, 0.5, -0.5, 0.25])[:len(rollouts)])
+    scale = -1.0 / 3
+
+    def grads(run):
+        model.store.zero_grad()
+        run()
+        return {n: t.grad.view(np.uint64).copy() for n, t in model.store.entries.items()}
+
+    stats = {}
+    got = grads(lambda: grpo.backward_group(group, model, 0.2, cfg.temperature, scale, stats))
+    want = grads(lambda: ad.backward(ad.mul(grpo.grpo_objective(group, model, 0.2, cfg.temperature), scale),
+                                     model.store))
+    assert any(np.any(model.store[n].grad != 0.0) for n in want)
+    for name, g in want.items():
+        assert np.array_equal(got[name], g), name
+    assert stats["positions"] == sum(len(r.emissions) for r in rollouts)
+
+
 @pytest.mark.parametrize("tasks", [("grid_rotation", "grid_rotation"), ("grid_rotation", "visual_search")],
                          ids=["same-length", "other-length"])
 def test_rollouts_of_different_prompts_raise(tasks):
@@ -399,10 +436,11 @@ def test_train_rl_does_not_score_degenerate_groups(degenerate_first, monkeypatch
         r.logprobs_old = r.logprobs_old + rng.normal(0.0, 0.2, len(r.logprobs_old))
     chunk = [dead, live] if degenerate_first else [live, dead]
 
-    # the step over both groups, written out
+    # the clip counts of both groups, then the step over both, written out
     stats = {}
-    objs = [grpo.grpo_objective(g, reference, cfg.clip_eps, cfg.temperature, stats)
-            for g in chunk]
+    for g in chunk:
+        grpo.backward_group(g, reference, cfg.clip_eps, cfg.temperature, -1.0, stats)
+    objs = [grpo.grpo_objective(g, reference, cfg.clip_eps, cfg.temperature) for g in chunk]
     loss = ad.mul(ad.add(objs[0], objs[1]), -1.0 / len(chunk))
     reference.store.zero_grad()
     ad.backward(loss, reference.store)
@@ -488,8 +526,9 @@ def live_off_policy(groups, seed):
 @pytest.mark.parametrize("live", [2, 3])
 def test_train_rl_steps_as_the_summed_loss_of_its_groups(live, monkeypatch):
     """A minibatch of 2 or 3 live groups: train_rl runs one backward per
-    group, and its parameters and AdamW moments equal, bit for bit, those of
-    one backward over the minibatch's summed loss, written out here."""
+    scored rollout, and its parameters and AdamW moments equal, bit for bit,
+    those of one backward over the minibatch's summed loss, written out
+    here."""
     model, _, groups = groups_of_many_lengths(live)
     reference, _, _ = groups_of_many_lengths(live)
     live_off_policy(groups, seed=6)
@@ -516,7 +555,7 @@ def test_train_rl_steps_as_the_summed_loss_of_its_groups(live, monkeypatch):
     monkeypatch.setattr(ad, "backward", spy)
     monkeypatch.setattr(grpo, "sample_groups", lambda *args: groups)
     metrics = grpo.train_rl(model, tv.generate_dataset("grid_rotation", live, 8), cfg)
-    assert len(backwards) == live and metrics[0]["clip_fraction"] > 0
+    assert len(backwards) == live * cfg.group_size and metrics[0]["clip_fraction"] > 0
     assert any(not np.array_equal(t.data, before[name]) for name, t in reference.store.entries.items())
     for name, t in reference.store.entries.items():
         assert np.array_equal(model.store[name].data, t.data), name
@@ -527,29 +566,48 @@ def test_train_rl_steps_as_the_summed_loss_of_its_groups(live, monkeypatch):
         assert np.array_equal(got["m"], want["m"]) and np.array_equal(got["v"], want["v"]), name
 
 
+def traced_train_rl_peak(monkeypatch, chunk_of) -> int:
+    """tracemalloc's peak over a train_rl iteration whose one minibatch is
+    chunk_of(groups), of groups_of_many_lengths groups made live and
+    off-policy."""
+    model, _, groups = groups_of_many_lengths()
+    live_off_policy(groups, seed=7)
+    chunk = chunk_of(groups)
+    cfg = grpo.GrpoConfig(group_size=5, temperature=1.0, max_new_items=14, seed=9, iters=1,
+                          queries_per_iter=len(chunk), groups_per_step=2)
+    monkeypatch.setattr(grpo, "sample_groups", lambda *args: chunk)
+    # the moments exist before tracing, so the step allocates none
+    for t in model.store.entries.values():
+        t.grad = np.zeros_like(t.data)
+    adamw_step(model.store, {"backbone": cfg.lr}, weight_decay=0.0)
+    model.store.zero_grad()
+    tracemalloc.start()
+    try:
+        grpo.train_rl(model, tv.generate_dataset("grid_rotation", 2, 8), cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        monkeypatch.undo()
+
+
 def test_train_rl_peak_memory_of_two_groups_near_one_group(monkeypatch):
     """Each group's graph is freed by its own backward before the next group
     is scored, so a minibatch of two live groups peaks (as tracemalloc traces
     it) at most 1.25 times as high as either group's minibatch alone."""
-    def traced_peak(which):
-        model, _, groups = groups_of_many_lengths()
-        live_off_policy(groups, seed=7)
-        chunk = [groups[i] for i in which]
-        cfg = grpo.GrpoConfig(group_size=5, temperature=1.0, max_new_items=14, seed=9, iters=1,
-                              queries_per_iter=len(chunk), groups_per_step=2)
-        monkeypatch.setattr(grpo, "sample_groups", lambda *args: chunk)
-        # the moments exist before tracing, so the step allocates none
-        for t in model.store.entries.values():
-            t.grad = np.zeros_like(t.data)
-        adamw_step(model.store, {"backbone": cfg.lr}, weight_decay=0.0)
-        model.store.zero_grad()
-        tracemalloc.start()
-        try:
-            grpo.train_rl(model, tv.generate_dataset("grid_rotation", 2, 8), cfg)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-            monkeypatch.undo()
+    alone = max(traced_train_rl_peak(monkeypatch, lambda groups: [groups[0]]),
+                traced_train_rl_peak(monkeypatch, lambda groups: [groups[1]]))
+    assert traced_train_rl_peak(monkeypatch, lambda groups: groups) <= 1.25 * alone
 
-    alone = max(traced_peak([0]), traced_peak([1]))
-    assert traced_peak([0, 1]) <= 1.25 * alone
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_train_rl_peak_memory_of_a_group_near_its_two_longest_rollouts(which, monkeypatch):
+    """Each rollout's graph is freed by its own backward before the next
+    rollout is scored, so a live group of 5 rollouts peaks (as tracemalloc
+    traces it) at most 1.25 times as high as a group of its two longest."""
+    def two_longest(groups):
+        rollouts = groups[which].rollouts
+        keep = sorted(sorted(range(len(rollouts)), key=lambda i: rollouts[i].new_items)[-2:])
+        return [grpo.RolloutGroup(which, [rollouts[i] for i in keep], np.array([1.0, -1.0]))]
+
+    whole = traced_train_rl_peak(monkeypatch, lambda groups: [groups[which]])
+    assert whole <= 1.25 * traced_train_rl_peak(monkeypatch, two_longest)
