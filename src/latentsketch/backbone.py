@@ -3,7 +3,9 @@
 Pre-norm residual blocks with causal self-attention and a GELU MLP of width
 4d.  Text and control items go through the token-embedding table; latent items
 are injected unchanged (they already live in model space by construction).
-Logits at position i predict item i+1.
+Logits at position i predict item i+1.  Every parameter here is in the
+backbone group; the latent head's, its conditioning projection included, are
+added by model.build_model.
 """
 
 from __future__ import annotations
@@ -48,8 +50,6 @@ def init_backbone(store: ParamStore, cfg: ModelConfig, rng: np.random.Generator)
     store.add("backbone/ln_f/b", np.zeros(d), "backbone")
     lin("backbone/lm_head/w", (d, v))
     store.add("backbone/lm_head/b", np.zeros(v), "backbone")
-    # conditioning projection c = W h feeding the latent decoder
-    store.add("diffusion_head/cond_w", rng.normal(0.0, std, (d, d)), "diffusion_head")
 
 
 def embed_batch(store: ParamStore, cfg: ModelConfig, ids: np.ndarray,

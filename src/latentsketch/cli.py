@@ -124,7 +124,6 @@ def load_config(path: str) -> dict:
 
 
 def write_run_manifest(out_dir: str, cfg: dict) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     resolved = dict(cfg)
     resolved["code_version"] = CODE_VERSION
     atomic_write(os.path.join(out_dir, "config.resolved.json"),
@@ -312,7 +311,6 @@ def cmd_eval(args) -> int:
     traces = tv.generate_dataset(args.task, args.n, args.seed)
     check_budget("--max-new-items", args.max_new_items, model.cfg.max_len, traces)
     out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
     dump_path = os.path.join(out_dir, f"eval_{args.task}_{args.mode}_{args.seed}.dump.jsonl")
     report = evaluate(model, traces, args.mode, args.seed,
                       max_new_items=args.max_new_items, dump_path=dump_path)

@@ -165,25 +165,13 @@ def prepare_eps(store: ParamStore, sched: NoiseSchedule, c: np.ndarray):
     return eps_fn
 
 
-def _normal_draws(rngs: list[np.random.Generator], steps: int, d: int) -> np.ndarray:
-    """[steps, n, d] standard normals, row i's from rngs[i]: the numbers that
-    one d-row per generator per step, in row order, would draw, taken in one
-    (steps, rows, d) draw per distinct generator."""
-    rows_of: dict[int, tuple[np.random.Generator, list[int]]] = {}
-    for i, r in enumerate(rngs):
-        rows_of.setdefault(id(r), (r, []))[1].append(i)
-    out = np.empty((steps, len(rngs), d))
-    for r, rows in rows_of.values():
-        out[:, rows] = r.standard_normal((steps, len(rows), d))
-    return out
-
-
 def sample_latent(c: np.ndarray, store: ParamStore, sched: NoiseSchedule,
                   rngs: list[np.random.Generator]) -> np.ndarray:
     """Ancestral sampling with the store's epsilon net (through prepare_eps)
     from pure noise down to z^(0), one row [n, d] per condition row of c
-    [n, d_c] and one generator per row: row i draws its z_T and each xi from
-    rngs[i], in the order a one-row call draws them.  Deterministic given
+    [n, d_c] and one generator per row: row i draws its z_T and each xi in
+    one (steps, d) draw from rngs[i], in row order, so rows that share a
+    generator draw as one-row calls in row order would.  Deterministic given
     (c, rngs)."""
     CALLS["sample_latent"] += 1
     n = c.shape[0]
@@ -191,7 +179,8 @@ def sample_latent(c: np.ndarray, store: ParamStore, sched: NoiseSchedule,
         raise ValueError(f"{len(rngs)} generators for {n} condition rows")
     d = store[f"{EPS_NET}/b_out"].data.shape[0]
     eps_fn = prepare_eps(store, sched, c)
-    draws = iter(_normal_draws(rngs, 1 + int(np.sum(sched.sigma[1:] > 0.0)), d))
+    steps = 1 + int(np.sum(sched.sigma[1:] > 0.0))
+    draws = iter(np.stack([r.standard_normal((steps, d)) for r in rngs], axis=1))
     z = next(draws)
     for t in range(sched.t_steps, 0, -1):
         xi = next(draws) if sched.sigma[t] > 0.0 else np.zeros((n, d))

@@ -100,6 +100,7 @@ def generate(prompt: sq.MixedSequence, model: Model, cfg: GenerationConfig,
 def generate_group(prompts: list[sq.MixedSequence], model: Model, cfg: GenerationConfig,
                    rngs: list[np.random.Generator]) -> list[GenResult]:
     """Decode stream g from prompts[g] with rngs[g]; results in input order.
+    The call consumes the generators: a caller draws nothing more from them.
 
     The prompts may have any lengths.  The streams of each prompt length, in
     order of first appearance, are decoded in one lockstep pass, split into
@@ -149,14 +150,15 @@ def _decode_chunks(prompts: list[sq.MixedSequence], model: Model, cfg: Generatio
     W = _chunk_count chunks that run at once: chunk i holds streams i, i + W,
     i + 2W, ..., so each chunk gets its share of every prompt's streams.  Chunk
     0 runs in this process, each other one in a forked child.  The results
-    and generator states are the serial decode's, bit for bit.
+    are the serial decode's, bit for bit; the generators of a child's chunk
+    are left where the fork found them, since every caller drops them.
 
-    A child sends back its results, its generators' end states and its
-    diffusion.CALLS delta, or the exception it raised.  This process sets
-    those states and adds those counts, and raises a child's exception as its
-    own; each chunk calls the sampler at the steps one of its streams is in a
-    block, so CALLS counts the calls of every chunk.  No child outlives the
-    call: each is reaped, and killed first if still running.
+    A child sends back its results and its diffusion.CALLS delta, or the
+    exception it raised.  This process adds those counts, and raises a
+    child's exception as its own; each chunk calls the sampler at the steps
+    one of its streams is in a block, so CALLS counts the calls of every
+    chunk.  No child outlives the call: each is reaped, and killed first if
+    still running.
     """
     w = _chunk_count(len(prompts))
     children: list[tuple[int, BinaryIO]] = []  # (pid, read end of its pipe) of chunks 1..W-1
@@ -182,9 +184,7 @@ def _decode_chunks(prompts: list[sq.MixedSequence], model: Model, cfg: Generatio
                 raise RuntimeError(f"decode child {pid} exited without a result") from None
             if isinstance(outcome, BaseException):
                 raise outcome
-            results[i::w], states, calls = outcome
-            for rng, state in zip(rngs[i::w], states):
-                rng.bit_generator.state = state
+            results[i::w], calls = outcome
             for key, n in calls.items():
                 df.CALLS[key] += n
         return results
@@ -198,10 +198,11 @@ def _decode_chunks(prompts: list[sq.MixedSequence], model: Model, cfg: Generatio
 
 def _decode_in_child(read_fd: int, write_fd: int, prompts: list[sq.MixedSequence], model: Model,
                      cfg: GenerationConfig, rngs: list[np.random.Generator]) -> NoReturn:
-    """A forked child's whole life: decode its chunk, pickle the outcome to
-    write_fd, and leave through os._exit, so it never returns into the
-    caller's stack.  It closes its copy of the read end first, so a write
-    fails rather than blocks once the parent is gone."""
+    """A forked child's whole life: decode its chunk, pickle the outcome (its
+    results and its diffusion.CALLS delta, or its exception) to write_fd, and
+    leave through os._exit, so it never returns into the caller's stack.  It
+    closes its copy of the read end first, so a write fails rather than
+    blocks once the parent is gone."""
     try:
         os.close(read_fd)
         with os.fdopen(write_fd, "wb") as pipe:
@@ -211,8 +212,7 @@ def _decode_in_child(read_fd: int, write_fd: int, prompts: list[sq.MixedSequence
             except Exception as e:
                 pickle.dump(e, pipe)
                 raise
-            pickle.dump((results, [r.bit_generator.state for r in rngs],
-                         {key: df.CALLS[key] - n for key, n in before.items()}), pipe)
+            pickle.dump((results, {key: df.CALLS[key] - n for key, n in before.items()}), pipe)
         os._exit(0)
     finally:
         os._exit(1)

@@ -67,6 +67,8 @@ def build_model(cfg: ModelConfig, seed: int) -> Model:
     tv.init_encoder(store, cfg.d, rng)
     bb.init_backbone(store, cfg, rng)
     if cfg.head == HEAD_DIFFUSION:
+        # conditioning projection c = W h feeding the latent decoder
+        store.add("diffusion_head/cond_w", rng.normal(0.0, 0.02, (cfg.d, cfg.d)), "diffusion_head")
         df.init_epsilon_net(store, cfg.d, cfg.d, rng)
     elif cfg.head == HEAD_SIMILARITY:
         store.add("diffusion_head/sim_w", rng.normal(0.0, 0.02, (cfg.d, cfg.d)), "diffusion_head")

@@ -37,11 +37,14 @@ def seeded_rng(*keys) -> np.random.Generator:
 
 def atomic_write(path: str, data: bytes | str) -> None:
     """Write data (str as UTF-8) to a temporary file beside path, then rename
-    it over path, so a reader never sees a partial file.  The file gets the
-    mode open() would give it: 0666 less the umask."""
+    it over path, so a reader never sees a partial file.  The directory of
+    path is created if missing.  The file gets the mode open() would give it:
+    0666 less the umask."""
     blob = data.encode("utf-8") if isinstance(data, str) else data
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
     # not tempfile.mkstemp, whose mode 0600 ignores the umask
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{uuid.uuid4().hex}")
+    tmp = os.path.join(directory, f".tmp-{uuid.uuid4().hex}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:

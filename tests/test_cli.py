@@ -175,6 +175,29 @@ def test_atomic_write_gives_the_mode_of_open(umask, tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["atomic", "plain"]
 
 
+OUT_COMMANDS = {
+    "gen-data": lambda ck, out: ["gen-data", "--task", "grid_rotation", "--count", "2", "--seed", "1",
+                                 "--out", out],
+    "export-attn": lambda ck, out: ["export-attn", "--checkpoint", ck, "--example-id", "0",
+                                    "--max-new-items", "8", "--out", out],
+    "bench-latency": lambda ck, out: ["bench-latency", "--checkpoint", ck, "--k", "2", "--t-steps", "4",
+                                      "--repeat", "3", "--tool-span", "4", "--out", out],
+}
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_under_a_missing_directory_is_created(command, tmp_path):
+    """--out names a file in directories that do not exist yet: the command
+    creates them, exits 0 and writes the file."""
+    m = build_model(ModelConfig(**TINY_MODEL), seed=71)
+    m.store["backbone/lm_head/b"].data[vocab.START_ID] = 50.0  # the greedy decode opens a block
+    ck = str(tmp_path / "m.lsk")
+    save_model(ck, m)
+    out = tmp_path / "missing" / "deeper" / "out.file"
+    assert main(OUT_COMMANDS[command](ck, str(out))) == 0
+    assert out.stat().st_size > 0
+
+
 def test_train_sft_writes_artifacts_and_resume_is_bitwise(tmp_path):
     cfg_path = tiny_config(tmp_path)
     assert main(["train-sft", "--config", cfg_path]) == 0
@@ -803,7 +826,7 @@ def test_random_answer_baseline_near_quarter():
     correct = 0
     from latentsketch.inference import gold_answer
     for t in traces:
-        guess = vocab.LETTER_IDS[rng.integers(0, 4)]
+        guess = vocab.STR2ID["ABCD"[rng.integers(0, 4)]]
         correct += guess == gold_answer(t)[0]
     acc = correct / 2000
     assert abs(acc - 0.25) < 0.03

@@ -185,9 +185,7 @@ def test_sample_latent_zero_net_variance_closed_form():
 
 
 def test_sample_latent_rows_draw_from_their_own_generators():
-    """Row i of a batched call equals a one-row call with rngs[i].  Callers
-    that share one generator across rows ([rng] * n) draw what a single (n, d)
-    draw would, so their numbers do not change."""
+    """Row i of a batched call equals a one-row call with rngs[i]."""
     store = make_net()
     sched = ModelConfig(t_steps=6).schedule()
     c = seeded_rng(7, "rows").normal(size=(3, 4))
@@ -195,10 +193,8 @@ def test_sample_latent_rows_draw_from_their_own_generators():
     for i in range(3):
         [want] = df.sample_latent(c[i : i + 1], store, sched, [seeded_rng(7, "row", i)])
         assert np.max(np.abs(got[i] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
-    a, b = seeded_rng(8, "n"), seeded_rng(8, "n")
-    assert np.array_equal(a.standard_normal((5, 4)), np.stack([b.standard_normal(4) for _ in range(5)]))
     with pytest.raises(ValueError, match="generators"):
-        df.sample_latent(c, store, sched, [a, b])
+        df.sample_latent(c, store, sched, [seeded_rng(8, "n"), seeded_rng(9, "n")])
 
 
 def test_prepared_eps_equals_eps_forward_at_every_t():
@@ -217,26 +213,21 @@ def test_prepared_eps_equals_eps_forward_at_every_t():
 
 
 def test_sample_latent_shared_generators_draw_in_row_order():
-    """Generators shared across rows as [a, b, a, e, b, a, e]: the rows equal,
-    bitwise, a reference loop that draws z_T and then each step's xi one row
-    at a time, in row order, and takes the same prepared net on the whole batch."""
+    """Rows that share a generator draw in turn: a call whose row i draws from
+    the generator named layout[i] equals, bit for bit, one-row calls in row
+    order, each with its row's generator; "aaaaaaa" is [rng] * n."""
     store = make_net()
     sched = ModelConfig(t_steps=6).schedule()
     c = seeded_rng(12, "shared").normal(size=(7, 4))
-    layout = "abaebae"
 
-    def rngs():
-        gens = {k: seeded_rng(12, "gen", k) for k in "abe"}
+    def rngs(layout):
+        gens = {k: seeded_rng(12, "gen", k) for k in set(layout)}
         return [gens[k] for k in layout]
 
-    net = df.prepare_eps(store, sched, c)
-    ref = rngs()
-    z = np.stack([r.standard_normal(4) for r in ref])
-    for t in range(sched.t_steps, 0, -1):
-        xi = np.stack([r.standard_normal(4) for r in ref]) if sched.sigma[t] > 0.0 else np.zeros((7, 4))
-        z = df.denoise_step(z, t, xi, sched, net)
-    got = df.sample_latent(c, store, sched, rngs())
-    assert np.array_equal(got, z)
+    for layout in ("aaaaaaa", "abaebae"):
+        want = np.concatenate([df.sample_latent(c[i : i + 1], store, sched, [r])
+                               for i, r in enumerate(rngs(layout))])
+        assert np.array_equal(df.sample_latent(c, store, sched, rngs(layout)), want), layout
 
 
 def test_sample_latent_nan_condition_raises():

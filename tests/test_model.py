@@ -30,13 +30,21 @@ def test_save_load_roundtrip_preserves_config_and_values(tmp_path):
 
 
 def test_similarity_head_roundtrip(tmp_path):
+    """A similarity model holds no diffusion parameter, its conditioning
+    projection included; a checkpoint that still carries a cond_w record, as
+    older ones do, loads with the record ignored."""
     m = build_model(ModelConfig(layers=1, heads=2, d=8, head="similarity"), seed=2)
+    assert "diffusion_head/cond_w" not in m.store.entries
     path = str(tmp_path / "sim.lsk")
     save_model(path, m)
+    write_records(path, {**read_records(path), "diffusion_head/cond_w": np.ones((8, 8))})
     loaded, _ = load_model(path)
     assert loaded.cfg.head == "similarity"
     assert "diffusion_head/sim_w" in loaded.store.entries
     assert "diffusion_head/eps/w0" not in loaded.store.entries
+    assert loaded.store.entries.keys() == m.store.entries.keys()
+    for name in m.store.entries:
+        assert np.array_equal(loaded.store[name].data, m.store[name].data), name
 
 
 def test_group_assignment_covers_three_groups():

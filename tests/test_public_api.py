@@ -1,11 +1,12 @@
-"""No public API that only tests call: every public top-level function or class
-in the package is referenced by the program (``src/``) or the benchmark
-(``perfbench/``), outside its own definition, and so is every public method
-and dataclass field.  No config key that the program never reads.  No
-import that its own module never uses, nor one inside a function.  No
-learning rate of zero: a group a step does not train is left out of its map.
-No except handler that swallows its error.  One call that starts a
-process.  And files opened for writing only where a run streams its rows."""
+"""No public API that only tests read: every public top-level function, class
+or module constant in the package is referenced by the program (``src/``) or
+the benchmark (``perfbench/``), outside its own definition, and so is every
+public method and dataclass field.  No config key that the program never
+reads.  No import that its own module never uses, nor one inside a
+function.  No learning rate of zero: a group a step does not train is left
+out of its map.  No except handler that swallows its error.  One call that
+starts a process.  And files opened for writing only where a run streams its
+rows."""
 
 import ast
 import glob
@@ -53,18 +54,32 @@ def _walk_outside(node: ast.AST, skip):
             yield from _walk_outside(child, skip)
 
 
+def _public_top_level(tree: ast.Module):
+    """(name, defining node) of each public function, class and module
+    constant (a top-level assignment's target) of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names if not name.startswith("_"))
+
+
 def test_every_public_name_has_a_caller_outside_tests():
+    """Every public function, class and module constant is read by the
+    program or the benchmark outside its own definition."""
     src = _src()
     program = sum((_names(t) for t in src), Counter())
     program += sum((_names(_parse(p)) for p in glob.glob(os.path.join(ROOT, "perfbench", "*.py"))), Counter())
-    tests = sum((_names(_parse(p)) for p in glob.glob(os.path.join(ROOT, "tests", "*.py"))), Counter())
-    defs = [node for tree in src for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
-    assert len(defs) > 50  # the scan found the package
+    defs = [pair for tree in src for pair in _public_top_level(tree)]
+    assert sum(isinstance(node, (ast.FunctionDef, ast.ClassDef)) for _, node in defs) > 50  # the scan found the package
+    assert sum(isinstance(node, (ast.Assign, ast.AnnAssign)) for _, node in defs) > 20
     # a name used only inside its own definition (a recursive call) has no caller
-    test_only = [node.name for node in defs
-                 if program[node.name] == _names(node)[node.name] and tests[node.name]]
-    assert not test_only, f"public names that only tests call: {test_only}"
+    unread = [name for name, node in defs if program[name] == _names(node)[name]]
+    assert not unread, f"public names the program never reads: {unread}"
 
 
 def test_every_public_member_is_read_outside_tests():

@@ -228,6 +228,26 @@ def test_similarity_loss_runs_and_matches_mode():
     assert abs(total.item() - (ce + diff)) < 1e-12
 
 
+def test_joint_loss_reaches_every_backbone_and_head_parameter():
+    """A batch of traces with sketches gives every backbone and diffusion_head
+    parameter a non-zero gradient, under the joint loss of a diffusion-head
+    model and the similarity loss of a similarity-head one: the store holds
+    no head parameter that its loss does not train."""
+    unreached = []
+    for head in ("diffusion", "similarity"):
+        m = build_model(ModelConfig(layers=1, heads=2, d=8, max_len=160, k_latent=2,
+                                    t_steps=5, head=head), seed=31)
+        tv.pretrain_encoder(m.store, 2, 1e-2, seed=31)
+        examples = [sft.build_example(trace_for(m, s), m, 2) for s in (7, 8)]
+        assert all(ex.latent_targets.shape[0] > 0 for ex in examples)
+        total, _, _ = sft.joint_loss(examples, m, 1.0, seeded_rng(31, "reach"))
+        m.store.zero_grad()
+        ad.backward(total, m.store)
+        unreached += [f"{head}: {name}" for name, t in m.store.entries.items()
+                      if m.store.group[name] in ("backbone", "diffusion_head") and not np.any(t.grad)]
+    assert not unreached, f"parameters the latent loss does not train: {unreached}"
+
+
 def test_batch_indices_stateless_and_wrapping():
     a = [sft.batch_indices(s, 4, 10, seed=9).tolist() for s in range(6)]
     b = [sft.batch_indices(s, 4, 10, seed=9).tolist() for s in range(6)]
